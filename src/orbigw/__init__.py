@@ -12,16 +12,9 @@ point in the computational core.
 """
 
 from .cyclotomic import Cyclotomic, Rational
-from .genus0 import GenusZeroData, ModelConfig, compute_K_X_A, quantum_structure
+from .genus0 import GenusZeroData, ModelConfig, quantum_structure
 from .graphs import DecoratedGraph, StableGraph, enumerate_decorated, enumerate_stable_graphs
-from .hae import (
-    HaeReport,
-    verify_finite_generation,
-    verify_hae,
-    verify_hae_even,
-    verify_hae_odd,
-    verify_hae_policies,
-)
+from .hae import HaeReport, verify_finite_generation, verify_hae, verify_hae_policies
 from .pmatrix import PColumn, PMatrixData, build_pmatrix, compute_P_column, verify_pmatrix
 from .potentials import ContributionTables, Potential, assemble_F, assemble_F_series, audit_generators
 from .psi import psi_integral, psi_integral_bruteforce
@@ -40,7 +33,6 @@ __all__ = [
     "stirling_second",
     "ModelConfig",
     "GenusZeroData",
-    "compute_K_X_A",
     "quantum_structure",
     "RingContext",
     "RingElement",
@@ -64,8 +56,6 @@ __all__ = [
     "audit_generators",
     "HaeReport",
     "verify_hae",
-    "verify_hae_odd",
-    "verify_hae_even",
     "verify_hae_policies",
     "verify_finite_generation",
     "Report",

@@ -9,22 +9,19 @@ Subcommands:
 * ``verify-identities`` the full lemma battery below the anomaly equations
 * ``verify-hae``        the anomaly equation itself, across constants policies
 
-Exit codes: 0 on success, 1 when any verification fails, 2 on configuration
-errors.  ``--format`` selects json, csv or text output; ``--cache-dir`` (or
-the ORBIGW_CACHE_DIR environment variable) enables the content-addressed
-cache; ``--jobs`` sets the parallelism degree of the graph sum (results are
-identical for every value, which the test suite checks).
+Exit codes: 0 on success, 1 when any verification fails or an internal
+invariant breaks (reported as a failing ``internal invariant`` check), 2 on
+configuration errors.  Input is range-checked in one place before any work
+starts.  ``--format`` selects json, csv or text output.  Every run recomputes
+everything; outputs are byte-identical across runs and hash seeds.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cache import Cache, canonical_json
 from .genus0 import (
     GenusZeroData,
     ModelConfig,
@@ -34,47 +31,24 @@ from .genus0 import (
     verify_ring_series,
 )
 from .hae import verify_hae_policies
-from .pmatrix import PColumn, build_pmatrix, verify_pmatrix
+from .pmatrix import build_pmatrix, verify_pmatrix
 from .potentials import ContributionTables, assemble_F, audit_generators
-from .report import Report
+from .report import Report, canonical_json
 from .ring import RingContext, certify_rules
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    n: int
-    N: int = 0
-    g: int = 2
-    k_max: int = 4
-    policy: str = "symplectic"
-    normalization: str = "1"
-    cache_dir: str | None = None
-    fmt: str = "text"
-    jobs: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        ModelConfig(self.n, self.N)  # validates n >= 3 and N >= 4n
-        if self.g >= 1 and self.k_max < 3 * self.g - 2:
-            raise ValueError(f"k_max must be at least 3g-2 = {3 * self.g - 2}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
+def _indices(text: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in text.split(",") if t != "")
 
 
-def _run_config(args, g: int | None = None, k_max: int | None = None) -> RunConfig:
-    return RunConfig(
-        n=args.n,
-        N=args.N,
-        g=g if g is not None else 2,
-        k_max=k_max if k_max is not None else (3 * g - 2 if g else 4),
-        policy=getattr(args, "policy", "symplectic"),
-        cache_dir=args.cache_dir,
-        fmt=args.format,
-        jobs=args.jobs,
-        seed=args.seed,
-    )
+def _validate(args) -> None:
+    """Reject out-of-range input before any work starts (a ValueError exits 2)."""
+    ModelConfig(args.n, args.N)  # n >= 3 and N >= 4n
+    if getattr(args, "k_max", 1) < 1:
+        raise ValueError(f"--k-max must be at least 1, got {args.k_max}")
+    for c in getattr(args, "insertions", ()):
+        if not 0 <= c < args.n:
+            raise ValueError(f"insertion index {c} is outside 0..{args.n - 1}")
 
 
 def _emit(payload: dict, report: Report | None, fmt: str, out) -> None:
@@ -102,16 +76,10 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--N", type=int, default=0, help="x-truncation order (default 10n)")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
     parser.add_argument("--out", default="-", help="output file, - for stdout")
-    parser.add_argument("--cache-dir", default=os.environ.get("ORBIGW_CACHE_DIR"))
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized tooling, recorded in the payload")
 
 
 def cmd_genus0(args) -> tuple[dict, Report]:
     cfg = ModelConfig(args.n, args.N)
-    cache = Cache(args.cache_dir)
-    key = {"cmd": "genus0", "n": cfg.n, "N": cfg.N}
-    cached = cache.load("genus0", key)
     data = GenusZeroData.build(cfg)
     rep = Report(f"genus zero (n={cfg.n}, N={cfg.N})")
     for sub in (verify_picard_fuchs(data), verify_birkhoff(data), verify_ring_series(data), verify_quantum(data)):
@@ -124,57 +92,37 @@ def cmd_genus0(args) -> tuple[dict, Report]:
         "K": [s.to_json() for s in data.K],
         "A": [s.to_json() for s in data.A],
     }
-    if cached is not None and cached["series"] != series:
-        rep.add("cache consistency", False, "cached series differ from recomputation")
-    cache.store("genus0", key, {"series": series})
-    return {"n": cfg.n, "N": cfg.N, "seed": args.seed, "series": series}, rep
+    return {"n": cfg.n, "N": cfg.N, "series": series}, rep
 
 
 def cmd_pmatrix(args) -> tuple[dict, Report]:
     cfg = ModelConfig(args.n, args.N)
-    cache = Cache(args.cache_dir)
     ctx = RingContext(cfg.n)
     data = GenusZeroData.build(ModelConfig(cfg.n, cfg.N + 2 * args.k_max + 2))
-    key = {
-        "cmd": "pmatrix",
-        "n": cfg.n,
-        "N": cfg.N,
-        "k_max": args.k_max,
-        "policy": args.policy,
-        "normalization": str(args.normalization),
-    }
-    cached = cache.load("pmatrix", key)
-    if cached is not None and args.policy != "custom":
-        col = PColumn.from_json(cached["column"])
-        pm = build_pmatrix(ctx, data, args.k_max, "custom", custom_constants=col.constants)
-        pm.col.policy = col.policy
-        pm.col.constant_status = col.constant_status
-    else:
-        pm = build_pmatrix(ctx, data, args.k_max, args.policy, normalization=Fraction(args.normalization))
+    pm = build_pmatrix(ctx, data, args.k_max, args.policy, normalization=Fraction(args.normalization))
     rep = certify_rules(ctx, data)
     rep.checks.extend(verify_pmatrix(pm).checks)
     payload = {
         "n": cfg.n,
         "k_max": args.k_max,
         "policy": args.policy,
-        "seed": args.seed,
         "column": pm.col.to_json(),
         "lifted": {f"{k},{i},{j}": e.to_json() for (k, i, j), e in sorted(pm.lifted.items())},
     }
-    cache.store("pmatrix", key, {"column": pm.col.to_json(), "lifted": payload["lifted"]})
     return payload, rep
 
 
 def cmd_potential(args) -> tuple[dict, Report]:
-    k_max = max(3 * args.g - 2, 1)
-    _run_config(args, g=args.g, k_max=k_max)
+    insertions = args.insertions
+    # the one-vertex graph carries a tail of order 3g-2+m, the deepest entry
+    # any factor of F_{g,m} reads (edges and legs stop at 3g-3+m)
+    k_max = max(3 * args.g - 2 + len(insertions), 1)
     cfg = ModelConfig(args.n, args.N)
     ctx = RingContext(cfg.n)
     data = GenusZeroData.build(cfg)
-    insertions = tuple(int(t) for t in args.insertions.split(",") if t != "")
     pm = build_pmatrix(ctx, data, k_max, args.policy)
     tables = ContributionTables(pm)
-    pot = assemble_F(tables, args.g, insertions, jobs=args.jobs)
+    pot = assemble_F(tables, args.g, insertions)
     audit = audit_generators(tables, pot)
     ev = ctx.evaluator(data)
     rep = Report(f"potential, genus {args.g}, insertions {insertions}")
@@ -182,7 +130,6 @@ def cmd_potential(args) -> tuple[dict, Report]:
     payload = {
         "n": cfg.n,
         "g": args.g,
-        "seed": args.seed,
         "insertions": list(insertions),
         "potential": {
             "prefactor": pot.prefactor.to_json(),
@@ -235,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potential", help="assemble one potential")
     _common(p)
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--insertions", default="", help="comma separated sector indices")
+    p.add_argument("--insertions", type=_indices, default="", help="comma separated sector indices 0..n-1")
     p.add_argument("--policy", choices=("symplectic", "zero", "custom"), default="symplectic")
     p.set_defaults(func=cmd_potential)
 
@@ -260,10 +207,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _validate(args)
         payload, report = args.func(args)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: internal invariant broken: {exc}", file=sys.stderr)
+        payload, report = {}, Report(f"orbigw {args.command}")
+        report.add("internal invariant", False, str(exc))
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         _emit(payload, report, args.format, out)

@@ -58,7 +58,8 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     for d in range(1, n):
         if n % d == 0:
             num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert not rem
+            if rem:
+                raise AssertionError(f"Phi_{d} does not divide x^{n} - 1")
     while len(num) > 1 and not num[-1]:
         num.pop()
     return tuple(num)
@@ -245,7 +246,8 @@ class Cyclotomic:
                     if row[j]:
                         out[j] += c * row[j]
         result = Cyclotomic(self.order, out)
-        assert (result * self).is_one()
+        if not (result * self).is_one():
+            raise AssertionError(f"inverse check failed in Q(zeta_{self.order})")
         return result
 
     def __truediv__(self, other: Coefficient):

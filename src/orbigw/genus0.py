@@ -541,11 +541,6 @@ def verify_quantum(data: GenusZeroData) -> Report:
     return rep
 
 
-def compute_K_X_A(data: GenusZeroData) -> tuple[list[Series], list[list[Series]], list[Series]]:
-    """The running products K_l, the table X_{k,l}, and the A_i, as built."""
-    return data.K, data.X, data.A
-
-
 def quantum_structure(data: GenusZeroData):
     """
     The quantum product data: structure constants, three-point functions,

@@ -1,5 +1,5 @@
 r"""
-Stable graphs with decorations, automorphisms, and edge surgeries.
+Stable graphs with decorations and automorphisms.
 
 A stable graph is stored as vertex genera, a leg-to-vertex assignment (legs
 carry fixed labels 1..m), and a sorted multiset of edges (self loops
@@ -184,7 +184,8 @@ def enumerate_stable_graphs(g: int, m: int) -> tuple[StableGraph, ...]:
                     graph = StableGraph(tuple(genera), tuple(legs), tuple(sorted(edges)))
                     if not graph.is_connected() or not graph.is_stable():
                         continue
-                    assert graph.genus() == g
+                    if graph.genus() != g:
+                        raise AssertionError(f"enumerated graph has genus {graph.genus()}, expected {g}")
                     sig = graph.signature()
                     if sig not in found:
                         found[sig] = graph
@@ -253,71 +254,3 @@ def enumerate_decorated(g: int, m: int, n: int) -> tuple[DecoratedGraph, ...]:
             seen.add(sig)
             out.append(DecoratedGraph(graph, dec, aut_count(graph, dec)))
     return tuple(out)
-
-
-# -- edge surgeries ----------------------------------------------------------------
-
-
-def delete_edge(graph: StableGraph, decorations: tuple[int, ...], edge_index: int):
-    """
-    Break one edge into two new legs (labeled m+1 at the first endpoint and
-    m+2 at the second).  Returns ("connected", graph', dec') when the result
-    stays connected, otherwise ("split", (graph1, dec1), (graph2, dec2))
-    where the components carry one new leg each (labeled m+1) and the first
-    component is the one containing the first endpoint.
-    """
-    (u, v) = graph.edges[edge_index]
-    rest = graph.edges[:edge_index] + graph.edges[edge_index + 1 :]
-    cut = StableGraph(graph.genera, graph.legs + (u, v), rest)
-    if cut.is_connected():
-        return ("connected", cut, decorations)
-    # find the component of u
-    V = graph.num_vertices
-    adj: dict[int, set[int]] = {w: set() for w in range(V)}
-    for (a, b) in rest:
-        adj[a].add(b)
-        adj[b].add(a)
-    comp = {u}
-    frontier = [u]
-    while frontier:
-        w = frontier.pop()
-        for z in adj[w]:
-            if z not in comp:
-                comp.add(z)
-                frontier.append(z)
-
-    def extract(vs: set[int], new_leg_vertex: int):
-        order = sorted(vs)
-        remap = {w: i for i, w in enumerate(order)}
-        genera = tuple(graph.genera[w] for w in order)
-        legs = tuple(remap[w] for w in graph.legs if w in vs) + (remap[new_leg_vertex],)
-        edges = tuple(sorted(tuple(sorted((remap[a], remap[b]))) for (a, b) in rest if a in vs))
-        dec = tuple(decorations[w] for w in order)
-        return StableGraph(genera, legs, edges), dec
-
-    other = set(range(V)) - comp
-    return ("split", extract(comp, u), extract(other, v))
-
-
-def glue_legs(graph: StableGraph, decorations: tuple[int, ...]):
-    """Glue the last two legs of a graph into one edge (inverse of deletion, case i)."""
-    if len(graph.legs) < 2:
-        raise ValueError("need two legs to glue")
-    u, v = graph.legs[-2], graph.legs[-1]
-    return (
-        StableGraph(graph.genera, graph.legs[:-2], tuple(sorted(graph.edges + (tuple(sorted((u, v))),)))),
-        decorations,
-    )
-
-
-def glue_graphs(a: StableGraph, dec_a, b: StableGraph, dec_b):
-    """Join two one-extra-leg graphs along their last legs (inverse of deletion, case ii)."""
-    off = a.num_vertices
-    genera = a.genera + b.genera
-    legs = a.legs[:-1] + tuple(v + off for v in b.legs[:-1])
-    edges = list(a.edges) + [(x + off, y + off) for (x, y) in b.edges]
-    edges.append(tuple(sorted((a.legs[-1], b.legs[-1] + off))))
-    return (
-        StableGraph(genera, legs, tuple(sorted(edges))),
-        tuple(dec_a) + tuple(dec_b),
-    )

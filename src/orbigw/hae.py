@@ -168,18 +168,6 @@ def verify_hae(
     )
 
 
-def verify_hae_odd(n: int, g: int, **kw) -> HaeReport:
-    if n % 2 == 0 or n < 3:
-        raise ValueError("odd n >= 3 required")
-    return verify_hae(n, g, **kw)
-
-
-def verify_hae_even(n: int, g: int, **kw) -> HaeReport:
-    if n % 2 or n < 4:
-        raise ValueError("even n >= 4 required")
-    return verify_hae(n, g, **kw)
-
-
 def verify_finite_generation(tables: ContributionTables, g: int, insertions: tuple[int, ...]) -> Report:
     """
     Assemble one potential and audit its generator content: the core may use

@@ -334,18 +334,6 @@ class PColumn:
             "constant_status": list(self.constant_status),
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "PColumn":
-        return PColumn(
-            d["n"],
-            d["k_max"],
-            Fraction(d["normalization"]),
-            d["policy"],
-            [{int(e): Fraction(c) for e, c in p} for p in d["phis"]],
-            [Fraction(c) for c in d["constants"]],
-            list(d["constant_status"]),
-        )
-
 
 def fix_constants_symplectic(
     data: GenusZeroData, k_max: int, normalization: Fraction

@@ -39,6 +39,7 @@ from .graphs import DecoratedGraph, StableGraph, enumerate_decorated
 from .pmatrix import PMatrixData
 from .psi import psi_integral
 from .ring import RingElement
+from .series import Series
 
 
 @dataclass
@@ -55,7 +56,13 @@ class Potential:
 
 
 class ContributionTables:
-    """Bound tables: lifted entries, tail coefficients, and caches."""
+    """
+    The local factors of the graph sum, written once over an entry table.
+
+    Entries P~^k_{i,j} are read through :meth:`entry`; here they come from
+    the ring lift, so every factor is a ring element.  :class:`SeriesTables`
+    reads the same entries from the series oracle instead.
+    """
 
     def __init__(self, pm: PMatrixData):
         self.pm = pm
@@ -63,26 +70,36 @@ class ContributionTables:
         self.data = pm.data
         self.n = pm.ctx.n
         self.k_max = pm.col.k_max
-        self._tails: dict[tuple[int, int], RingElement] = {}
+        self._tails: dict = {}
         self._vertex: dict = {}
         self._edge: dict = {}
         self._leg: dict = {}
 
+    def entry(self, k: int, i: int, j: int) -> RingElement:
+        """P~^k_{i,j}: order k, row i, column j."""
+        return self.pm.lifted[(k, i, j)]
+
+    def unit(self) -> RingElement:
+        return RingElement.scalar(Fraction(1))
+
+    def zero(self) -> RingElement:
+        return RingElement.zero()
+
     # -- local factors ------------------------------------------------------
 
-    def tail(self, p: int, i: int) -> RingElement:
+    def tail(self, p: int, i: int):
         """T_{p,i}; zero in degrees 0 and 1."""
         if i < 2:
-            return RingElement.zero()
+            return self.zero()
         if i > self.k_max:
             raise ValueError(f"tail order {i} exceeds the lifted depth {self.k_max}")
         key = (p, i)
         if key not in self._tails:
             w = self.data.zeta(-i * p) * Fraction((-1) ** i, self.n)
-            self._tails[key] = self.pm.lifted[(i, 0, p)] * w
+            self._tails[key] = self.entry(i, 0, p) * w
         return self._tails[key]
 
-    def vertex(self, h: int, p: int, flags: tuple[int, ...]) -> RingElement:
+    def vertex(self, h: int, p: int, flags: tuple[int, ...]):
         """Genus-h vertex with decoration p and the given flag exponents."""
         key = (h, p, tuple(sorted(flags)))
         if key in self._vertex:
@@ -91,57 +108,56 @@ class ContributionTables:
         v = len(flags)
         dim = 3 * h - 3 + v
         budget = dim - sum(flags)
-        total = RingElement.zero()
-        if budget >= 0:
-            for k in range(0, budget + 1):
-                # tails of z-degree >= 2 must absorb the whole remaining degree
-                target = dim + k - sum(flags)
-                pairing_power = Fraction(n) ** (2 * h - 2 + v + k)
-                for mult in _multisets(target, k, self.k_max):
-                    integral = psi_integral(h, flags + mult)
-                    if not integral:
-                        continue
-                    weight = Fraction(1)
-                    seen: dict[int, int] = {}
-                    for r in mult:
-                        seen[r] = seen.get(r, 0) + 1
-                    for cnt in seen.values():
-                        for t in range(1, cnt + 1):
-                            weight /= t
-                    term = RingElement.scalar(integral * weight * pairing_power)
-                    for r in mult:
-                        term = term * self.tail(p, r)
-                    total = total + term
-        if total.generators_used():
-            raise AssertionError("vertex contribution left the Laurent ring in L")
+        total = self.zero()
+        for k in range(0, budget + 1):
+            # tails of z-degree >= 2 must absorb the whole remaining degree
+            target = dim + k - sum(flags)
+            pairing_power = Fraction(n) ** (2 * h - 2 + v + k)
+            # no cap at k_max: a tail deeper than the lifted table must raise
+            # in tail(), not vanish from the sum
+            for mult in _multisets(target, k, target):
+                integral = psi_integral(h, flags + mult)
+                if not integral:
+                    continue
+                weight = Fraction(1)
+                seen: dict[int, int] = {}
+                for r in mult:
+                    seen[r] = seen.get(r, 0) + 1
+                for cnt in seen.values():
+                    for t in range(1, cnt + 1):
+                        weight /= t
+                term = self.unit() * (integral * weight * pairing_power)
+                for r in mult:
+                    term = term * self.tail(p, r)
+                total = total + term
         self._vertex[key] = total
         return total
 
-    def edge(self, b1: int, b2: int, p1: int, p2: int) -> RingElement:
+    def edge(self, b1: int, b2: int, p1: int, p2: int):
         key = (b1, b2, p1, p2)
         if key in self._edge:
             return self._edge[key]
         n = self.n
         if b1 + b2 + 1 > self.k_max:
             raise ValueError("edge needs a deeper lifted table")
-        total = RingElement.zero()
+        total = self.zero()
         for m in range(0, b2 + 1):
             for r in range(n):
                 rinv = (-r) % n
                 w = self.data.zeta(-(b1 + m + 1 + rinv) * p1 - (b2 - m + r) * p2) * Fraction((-1) ** m)
-                total = total + self.pm.lifted[(b1 + m + 1, rinv, p1)] * self.pm.lifted[(b2 - m, r, p2)] * w
+                total = total + self.entry(b1 + m + 1, rinv, p1) * self.entry(b2 - m, r, p2) * w
         total = total * Fraction((-1) ** (b1 + b2), n)
         self._edge[key] = total
         return total
 
-    def leg_core(self, a: int, c: int, p: int) -> RingElement:
+    def leg_core(self, a: int, c: int, p: int):
         """Leg factor without the scalar K/L prefactor."""
         key = (a, c, p)
         if key not in self._leg:
             n = self.n
             cinv = (-c) % n
             w = self.data.zeta(-(a + cinv) * p) * Fraction((-1) ** a, n)
-            self._leg[key] = self.pm.lifted[(a, cinv, p)] * w
+            self._leg[key] = self.entry(a, cinv, p) * w
         return self._leg[key]
 
     def leg_prefactor(self, c: int) -> RingElement:
@@ -153,6 +169,19 @@ class ContributionTables:
             gens[g] = gens.get(g, 0) + 1
         mono = (-cinv, tuple(sorted(gens.items())))
         return RingElement({mono: Fraction(1)})
+
+
+class SeriesTables(ContributionTables):
+    """The same local factors over the series oracle; the ring lift never enters."""
+
+    def entry(self, k: int, i: int, j: int) -> Series:
+        return self.pm.tables[j][k][i]
+
+    def unit(self) -> Series:
+        return Series.one()
+
+    def zero(self) -> Series:
+        return Series.zero()
 
 
 def _multisets(total: int, k: int, cap: int):
@@ -183,40 +212,36 @@ def _flag_slots(graph: StableGraph) -> list[tuple[str, int, int]]:
     return out
 
 
-def graph_contribution(
-    tables: ContributionTables, dec: DecoratedGraph, insertions: tuple[int, ...]
-) -> RingElement:
+def graph_contribution(tables: ContributionTables, dec: DecoratedGraph, insertions: tuple[int, ...]):
     """The core contribution of one decorated graph (leg prefactors excluded)."""
     graph, p = dec.graph, dec.decorations
+    m = len(graph.legs)
     slots = _flag_slots(graph)
     dims = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
-    total = RingElement.zero()
+    total = tables.zero()
 
     def rec(idx: int, used: list[int], values: list[int]):
         nonlocal total
         if idx == len(slots):
-            term = RingElement.scalar(Fraction(1))
+            # a zero product ends the term: the ring is a domain, and a series
+            # product with no known coefficient carries nothing
+            term = tables.unit()
             for v, h in enumerate(graph.genera):
                 flags = tuple(values[i] for i, (_, _, w) in enumerate(slots) if w == v)
-                factor = tables.vertex(h, p[v], flags)
-                if factor.is_zero():
+                term = term * tables.vertex(h, p[v], flags)
+                if term.is_zero():
                     return
-                term = term * factor
             for e, (u, v) in enumerate(graph.edges):
-                b1 = values[len(graph.legs) + 2 * e]
-                b2 = values[len(graph.legs) + 2 * e + 1]
-                factor = tables.edge(b1, b2, p[u], p[v])
-                if factor.is_zero():
+                term = term * tables.edge(values[m + 2 * e], values[m + 2 * e + 1], p[u], p[v])
+                if term.is_zero():
                     return
-                term = term * factor
-            for t in range(len(graph.legs)):
-                factor = tables.leg_core(values[t], insertions[t], p[graph.legs[t]])
-                if factor.is_zero():
+            for t in range(m):
+                term = term * tables.leg_core(values[t], insertions[t], p[graph.legs[t]])
+                if term.is_zero():
                     return
-                term = term * factor
             total = total + term
             return
-        kind, _, v = slots[idx]
+        _, _, v = slots[idx]
         for val in range(dims[v] - used[v] + 1):
             used[v] += val
             values.append(val)
@@ -228,142 +253,49 @@ def graph_contribution(
     return total * Fraction(1, dec.aut)
 
 
-def assemble_F(
-    tables: ContributionTables,
-    g: int,
-    insertions: tuple[int, ...] | list[int],
-    jobs: int = 1,
-) -> Potential:
-    """
-    The potential F_{g,m}(phi_{c_1}, ..., phi_{c_m}) as a graph sum.
-
-    With jobs > 1 the per-graph contributions are computed by a thread pool;
-    the reduction always happens in enumeration order, so the result is
-    independent of the parallelism degree.
-    """
-    insertions = tuple(insertions)
-    m = len(insertions)
-    if 2 * g - 2 + m <= 0:
+def _graph_sum(tables: ContributionTables, g: int, insertions: tuple[int, ...]):
+    """Sum of graph_contribution over the decorated stable graphs of type (g, m)."""
+    if 2 * g - 2 + len(insertions) <= 0:
         raise ValueError("unstable potential type")
     if g < 1:
         raise ValueError("the graph sum is used for g >= 1 only")
-    decorated = enumerate_decorated(g, m, tables.n)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    core = tables.zero()
+    for dec in enumerate_decorated(g, len(insertions), tables.n):
+        core = core + graph_contribution(tables, dec, insertions)
+    return core
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(lambda d: graph_contribution(tables, d, insertions), decorated))
-    else:
-        parts = [graph_contribution(tables, d, insertions) for d in decorated]
-    core = RingElement.zero()
-    for part in parts:
-        core = core + part
+
+def assemble_F(tables: ContributionTables, g: int, insertions: tuple[int, ...] | list[int]) -> Potential:
+    """
+    The potential F_{g,m}(phi_{c_1}, ..., phi_{c_m}) as a graph sum.
+
+    Graph contributions are added in enumeration order as they are computed;
+    the leg prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as one monomial.
+    """
+    insertions = tuple(insertions)
+    core = _graph_sum(tables, g, insertions)
     pref = RingElement.scalar(Fraction(1))
     for c in insertions:
         pref = pref * tables.leg_prefactor(c)
     return Potential(g, insertions, pref, core)
 
 
-def assemble_F_series(tables: ContributionTables, g: int, insertions: tuple[int, ...] | list[int]):
+def assemble_F_series(tables: ContributionTables, g: int, insertions: tuple[int, ...] | list[int]) -> Series:
     """
     The same graph sum evaluated purely at the series level.
 
-    Vertex, edge, and leg factors are taken from the series oracle tables
-    (never from the ring lift), so agreement with the evaluated ring-level
-    potential certifies the whole polynomial pipeline independently.
+    The shared skeleton runs over :class:`SeriesTables` (never the ring
+    lift) and is multiplied by the leg prefactors as series, so agreement
+    with the evaluated ring-level potential certifies the whole polynomial
+    pipeline independently.
     """
-    from .series import Series
-
     insertions = tuple(insertions)
-    m = len(insertions)
+    series_tables = SeriesTables(tables.pm)
+    total = _graph_sum(series_tables, g, insertions)
     data = tables.data
-    pm = tables.pm
-    n = tables.n
-
-    tail_cache: dict[tuple[int, int], Series] = {}
-
-    def tail_s(p: int, i: int) -> Series:
-        if i < 2:
-            return Series.zero()
-        if (p, i) not in tail_cache:
-            tail_cache[(p, i)] = pm.tables[p][i][0] * (data.zeta(-i * p) * Fraction((-1) ** i, n))
-        return tail_cache[(p, i)]
-
-    def vertex_s(h: int, p: int, flags: tuple[int, ...]) -> Series:
-        v = len(flags)
-        dim = 3 * h - 3 + v
-        budget = dim - sum(flags)
-        total = Series.zero()
-        if budget < 0:
-            return total
-        for k in range(budget + 1):
-            target = dim + k - sum(flags)
-            pairing_power = Fraction(n) ** (2 * h - 2 + v + k)
-            for mult in _multisets(target, k, tables.k_max):
-                integral = psi_integral(h, flags + mult)
-                if not integral:
-                    continue
-                weight = Fraction(1)
-                seen: dict[int, int] = {}
-                for r in mult:
-                    seen[r] = seen.get(r, 0) + 1
-                for cnt in seen.values():
-                    for t in range(1, cnt + 1):
-                        weight /= t
-                term = Series.monomial(integral * weight * pairing_power)
-                for r in mult:
-                    term = term * tail_s(p, r)
-                total = total + term
-        return total
-
-    def edge_s(b1: int, b2: int, p1: int, p2: int) -> Series:
-        total = Series.zero()
-        for mm in range(b2 + 1):
-            for r in range(n):
-                rinv = (-r) % n
-                w = data.zeta(-(b1 + mm + 1 + rinv) * p1 - (b2 - mm + r) * p2) * Fraction((-1) ** mm)
-                total = total + pm.tables[p1][b1 + mm + 1][rinv] * pm.tables[p2][b2 - mm][r] * w
-        return total * Fraction((-1) ** (b1 + b2), n)
-
-    def leg_s(a: int, c: int, p: int) -> Series:
-        cinv = (-c) % n
-        w = data.zeta(-(a + cinv) * p) * Fraction((-1) ** a, n)
-        return pm.tables[p][a][cinv] * (data.K[cinv] / data.L**cinv) * w
-
-    total = Series.zero()
-    for dec in enumerate_decorated(g, m, n):
-        graph, p = dec.graph, dec.decorations
-        slots = _flag_slots(graph)
-        dims = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
-        acc = Series.zero()
-
-        def rec(idx: int, used: list[int], values: list[int]):
-            nonlocal acc
-            if idx == len(slots):
-                term = Series.monomial(Fraction(1))
-                for v, h in enumerate(graph.genera):
-                    flags = tuple(values[i] for i, (_, _, w) in enumerate(slots) if w == v)
-                    term = term * vertex_s(h, p[v], flags)
-                    if term.is_zero():
-                        return
-                for e, (u, v) in enumerate(graph.edges):
-                    term = term * edge_s(values[m + 2 * e], values[m + 2 * e + 1], p[u], p[v])
-                    if term.is_zero():
-                        return
-                for t in range(m):
-                    term = term * leg_s(values[t], insertions[t], p[graph.legs[t]])
-                acc = acc + term
-                return
-            _, _, v = slots[idx]
-            for val in range(dims[v] - used[v] + 1):
-                used[v] += val
-                values.append(val)
-                rec(idx + 1, used, values)
-                values.pop()
-                used[v] -= val
-
-        rec(0, [0] * graph.num_vertices, [])
-        total = total + acc * Fraction(1, dec.aut)
+    for c in insertions:
+        cinv = (-c) % tables.n
+        total = total * (data.K[cinv] / data.L**cinv)
     return total
 
 

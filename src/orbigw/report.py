@@ -1,8 +1,14 @@
-"""Tiny pass/fail report container shared by the verification entry points."""
+"""Tiny pass/fail report container shared by the verification entry points, and canonical JSON."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+
+
+def canonical_json(obj) -> str:
+    """Sorted keys and no spaces: the byte-stable form of every JSON output."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,17 @@ orders; run with  pytest tests/test_acceptance.py -v -s  to see the lines.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
-from orbigw.cache import canonical_json
+import orbigw
+
 from orbigw.genus0 import (
     GenusZeroData,
     ModelConfig,
@@ -27,7 +33,6 @@ from orbigw.graphs import (
 )
 from orbigw.hae import verify_hae
 from orbigw.pmatrix import apply_operator, build_pmatrix, f_n_poly
-from orbigw.potentials import ContributionTables, assemble_F
 from orbigw.psi import psi_genus0, psi_integral, psi_integral_bruteforce
 from orbigw.ring import RingContext, fit_laurent_in_L
 
@@ -225,13 +230,16 @@ def test_criterion_9_finite_generation():
 
 
 def test_criterion_10_determinism():
-    data = data_for(3)
-    ctx = ctx_for(3)
-    pm = build_pmatrix(ctx, data, 4, policy="zero")
-    outs = []
-    for jobs in (1, 2, 4):
-        tables = ContributionTables(pm)
-        pot = assemble_F(tables, 2, (), jobs=jobs)
-        outs.append(canonical_json({"core": pot.core.to_json(), "pref": pot.prefactor.to_json()}))
-    ok = len(set(outs)) == 1
-    _line(10, "canonical outputs identical across parallelism degrees 1, 2, 4", ok)
+    # the hash seed decides set and dict iteration orders; a canonical output
+    # must not depend on it
+    cmd = [sys.executable, "-m", "orbigw.cli", "potential", "--n", "3", "--g", "2", "--policy", "zero",
+           "--N", "30", "--format", "json"]
+    src = str(Path(orbigw.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = set()
+    for seed in ("0", "1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(hashlib.sha256(proc.stdout.encode()).hexdigest())
+    _line(10, "canonical potential output identical under hash seeds 0, 1, 4242", len(digests) == 1)

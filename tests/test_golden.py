@@ -3,10 +3,10 @@
 import json
 from pathlib import Path
 
-from orbigw.cache import canonical_json
 from orbigw.genus0 import GenusZeroData, ModelConfig
 from orbigw.pmatrix import build_pmatrix
 from orbigw.potentials import ContributionTables, assemble_F
+from orbigw.report import canonical_json
 from orbigw.ring import RingContext
 
 GOLDEN = Path(__file__).parent / "golden" / "n3_zero.json"

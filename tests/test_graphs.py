@@ -3,12 +3,9 @@ from fractions import Fraction
 from orbigw.graphs import (
     StableGraph,
     aut_count,
-    delete_edge,
     enumerate_decorated,
     enumerate_stable_graphs,
     enumerate_stable_graphs_naive,
-    glue_graphs,
-    glue_legs,
 )
 
 
@@ -71,31 +68,6 @@ def test_symmetric_split_aut():
     graph = StableGraph((1, 1), (), ((0, 1),))
     assert aut_count(graph, (0, 0)) == 2
     assert aut_count(graph, (0, 1)) == 1
-    res = delete_edge(graph, (0, 0), 0)
-    assert res[0] == "split"
-    (g1, d1), (g2, d2) = res[1], res[2]
-    assert g1.genus() == g2.genus() == 1
-    # parent aut = |Aut(half)|^2 * 2 in the symmetric case
-    assert aut_count(graph, (0, 0)) == aut_count(g1, d1) ** 2 * 2
-
-
-def test_deletion_cases_and_regluing():
-    # loop deletion stays connected and drops the genus
-    loop = StableGraph((1,), (), ((0, 0),))
-    kind, cut, dec = delete_edge(loop, (0,), 0)
-    assert kind == "connected" and cut.genus() == 1 and len(cut.legs) == 2
-    back, dec2 = glue_legs(cut, dec)
-    assert back.signature(dec2) == loop.signature((0,))
-
-    # every decorated genus-2 graph round-trips through deletion and gluing
-    for d in enumerate_decorated(2, 0, 3):
-        for ei in range(len(d.graph.edges)):
-            res = delete_edge(d.graph, d.decorations, ei)
-            if res[0] == "connected":
-                back, dec2 = glue_legs(res[1], res[2])
-            else:
-                back, dec2 = glue_graphs(*res[1], *res[2])
-            assert back.signature(dec2) == d.graph.signature(d.decorations)
 
 
 def test_graph_json():

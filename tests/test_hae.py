@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from orbigw.hae import prefactor_collapse_check, verify_hae, verify_hae_even, verify_hae_odd, verify_hae_policies
+from orbigw.hae import prefactor_collapse_check, verify_hae, verify_hae_policies
 from orbigw.potentials import assemble_F
 from orbigw.ring import RingElement
 
 
 def test_hae_n3_g2(data3):
-    r = verify_hae_odd(3, 2, policy="zero")
+    r = verify_hae(3, 2, policy="zero")
     assert r.verified
     assert r.difference.is_zero()
     assert r.eval_residual.is_zero()
@@ -16,7 +16,7 @@ def test_hae_n3_g2(data3):
 
 
 def test_hae_n4_g2():
-    r = verify_hae_even(4, 2, policy="zero")
+    r = verify_hae(4, 2, policy="zero")
     assert r.verified
     # both sides live in C[L^{+-1}][S_n][C_{s+1}]
     for side in (r.lhs, r.rhs):
@@ -25,10 +25,6 @@ def test_hae_n4_g2():
 
 
 def test_parity_dispatch():
-    with pytest.raises(ValueError):
-        verify_hae_odd(4, 2)
-    with pytest.raises(ValueError):
-        verify_hae_even(5, 2)
     with pytest.raises(ValueError):
         verify_hae(3, 1)
 
