@@ -101,6 +101,18 @@ def test_output_file(tmp_path):
     assert json.loads(target.read_text())["report"]["ok"] is True
 
 
+def test_jobs_determinism():
+    # one evaluation path: a repeated in-process run (warm module caches) and a
+    # fresh interpreter must print the same bytes
+    base = ["potential", "--n", "3", "--g", "2", "--insertions", "", "--policy", "zero",
+            "--N", "14", "--format", "json"]
+    code1, out1 = run_cli(base)
+    code2, out2 = run_cli(base)
+    proc = subprocess.run([sys.executable, "-m", "orbigw.cli", *base], capture_output=True, text=True)
+    assert code1 == code2 == proc.returncode == 0, proc.stderr
+    assert out1 == out2 == proc.stdout
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "orbigw.cli", "verify-identities", "--n", "3", "--N", "14",
