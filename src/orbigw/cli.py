@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .genus0 import (
     GenusZeroData,
@@ -99,7 +98,7 @@ def cmd_pmatrix(args) -> tuple[dict, Report]:
     cfg = ModelConfig(args.n, args.N)
     ctx = RingContext(cfg.n)
     data = GenusZeroData.build(ModelConfig(cfg.n, cfg.N + 2 * args.k_max + 2))
-    pm = build_pmatrix(ctx, data, args.k_max, args.policy, normalization=Fraction(args.normalization))
+    pm = build_pmatrix(ctx, data, args.k_max, args.policy)
     rep = certify_rules(ctx, data)
     rep.checks.extend(verify_pmatrix(pm).checks)
     payload = {
@@ -175,21 +174,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pmatrix", help="column polynomials, lift, verification")
     _common(p)
     p.add_argument("--k-max", dest="k_max", type=int, default=4)
-    p.add_argument("--policy", choices=("symplectic", "zero", "custom"), default="symplectic")
-    p.add_argument("--normalization", default="1")
+    p.add_argument("--policy", choices=("symplectic", "zero"), default="symplectic")
     p.set_defaults(func=cmd_pmatrix)
 
     p = sub.add_parser("potential", help="assemble one potential")
     _common(p)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--insertions", type=_indices, default="", help="comma separated sector indices 0..n-1")
-    p.add_argument("--policy", choices=("symplectic", "zero", "custom"), default="symplectic")
+    p.add_argument("--policy", choices=("symplectic", "zero"), default="symplectic")
     p.set_defaults(func=cmd_potential)
 
     p = sub.add_parser("verify-identities", help="all identities below the anomaly equation")
     _common(p)
     p.add_argument("--k-max", dest="k_max", type=int, default=4)
-    p.add_argument("--policy", choices=("symplectic", "zero", "custom"), default="symplectic")
+    p.add_argument("--policy", choices=("symplectic", "zero"), default="symplectic")
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("verify-hae", help="the holomorphic anomaly equation")

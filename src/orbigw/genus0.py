@@ -34,7 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from math import comb, factorial
+from operator import add
 
 from .cyclotomic import Cyclotomic
 from .report import Report
@@ -285,32 +287,29 @@ class GenusZeroData:
         return t
 
     def B_series(self, k: int, p: int) -> Series:
-        if p > k:
-            return Series.zero(self.C[0].prec)
-        if p == 1:
-            return self.C[1].deriv_pow(k - 1)
-        from math import comb
+        return ladder_sum(k, p, lambda i, m: self.C[i].deriv_pow(m), Series.one())
 
-        total = Series.zero()
-        chain = [0] * (p + 1)
-        chain[1] = k
 
-        def rec(i: int, acc: Series, coeff: int):
-            nonlocal total
-            if i == p:
-                total = total + acc * self.C[p].deriv_pow(chain[p] - 1) * coeff
-                return
-            lo = p - i
-            for nxt in range(lo, chain[i]):
-                chain[i + 1] = nxt
-                rec(
-                    i + 1,
-                    acc * self.C[i].deriv_pow(chain[i] - 1 - nxt),
-                    coeff * comb(chain[i] - 1, nxt),
-                )
+def ladder_sum(k: int, p: int, block, one):
+    """
+    The chain sum over k = c_1 > c_2 > ... > c_p >= 1 of
 
-        rec(1, Series.one(), 1)
-        return total
+        prod_{i<p} comb(c_i - 1, c_{i+1}) block(i, c_i - 1 - c_{i+1})  *  block(p, c_p - 1),
+
+    for 1 <= p <= k.  With block(i, m) = D^m C_i it is the series B_{k,p};
+    with the free-ring ladder X_{i,m} it is B_{k,p} / K_p.
+    """
+    terms = []
+
+    def rec(i: int, c: int, acc, coeff: int):
+        if i == p:
+            terms.append(acc * block(p, c - 1) * coeff)
+            return
+        for nxt in range(p - i, c):
+            rec(i + 1, nxt, acc * block(i, c - 1 - nxt), coeff * comb(c - 1, nxt))
+
+    rec(1, k, one, 1)
+    return reduce(add, terms)
 
 
 # -- verification -------------------------------------------------------------
@@ -464,8 +463,6 @@ def verify_ring_series(data: GenusZeroData) -> Report:
 
 def f_n_series(data: GenusZeroData) -> Series:
     """f_n(L) = ((-1)^(n-1)/n) C(n+1,4) (1 + (-1)^n L^n/n^n) L^(n-1)/n^n as a series in x."""
-    from math import comb
-
     n = data.cfg.n
     pref = Fraction((-1) ** (n - 1) * comb(n + 1, 4), n) / Fraction(n**n)
     return (Series.one() + data.L**n * Fraction((-1) ** n, n**n)) * data.L ** (n - 1) * pref

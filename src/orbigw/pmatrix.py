@@ -16,13 +16,16 @@ Every integration step leaves one free constant.  Three policies are
 implemented: ``zero`` (all constants zero), ``symplectic`` (each constant is
 solved, order by order, from the quadratic unitarity condition on the
 solution matrix, and left at zero where that condition is vacuous), and
-``custom`` (caller-provided).
+``custom`` (caller-provided).  The symplectic solve grows one set of series
+tables one order at a time and computes one unitarity residual per order:
+the residual's linear part in the new constant is known in closed form, so
+an order is rebuilt only when a nonzero constant is solved.
 
 The remaining rows are then built twice:
 
-* as exact truncated series, column by column, through the modified
-  flatness recursion plus one honest quadrature per order (this is the
-  oracle route; it never touches the polynomial ring);
+* as exact truncated series, column by column and one order at a time,
+  through the modified flatness recursion plus one honest quadrature per
+  order (this is the oracle route; it never touches the polynomial ring);
 * as elements of the free ring of :mod:`orbigw.ring`, by the same
   descending recursion with the formal derivation (this is the lift).
 
@@ -238,43 +241,52 @@ def compute_phis(n: int, k_max: int, normalization: Fraction, constants: list[Fr
 # -- series route: modified flatness, column by column ------------------------------
 
 
+def extend_tables(data: GenusZeroData, tables: list[list[list[Series]]], constant: Fraction) -> None:
+    """
+    Append the next order k to every column of ``tables``, with integration
+    constant ``constant`` at that order.
+
+    The rows at order k are cumulative sums over the known order k-1 data, and
+    the row-zero series is recovered by one quadrature from the cycle-closure
+    condition; a constant c adds zeta^{jk} c to every row of column j.
+    """
+    n = data.cfg.n
+    inv_L = data.L.invert()
+    for j, col in enumerate(tables):
+        k = len(col)
+        prev = col[k - 1]
+        cum: list[Series] = [Series.zero() for _ in range(n)]
+        cum[n - 1] = prev[0].D() * inv_L
+        for i in range(n - 1, 1, -1):
+            cum[i - 1] = cum[i] + prev[i].D() * inv_L + data.A[n - i] * prev[i]
+        total_cum = Series.zero()
+        for s in cum:
+            total_cum = total_cum + s
+        rhs = -(total_cum.D())
+        for i in range(n):
+            rhs = rhs - data.A[(n - i) % n] * cum[i] * data.L
+        rhs = rhs / Fraction(n)
+        if 0 in rhs.coeffs:
+            raise AssertionError("cycle closure has a constant term; flatness violated")
+        f = rhs.D_inverse() + Series.monomial(data.zeta(j) ** k * Fraction(constant))
+        col.append([f + cum[i] for i in range(n)])
+
+
 def series_tables(
     data: GenusZeroData, k_max: int, normalization: Fraction, constants: list[Fraction]
 ) -> list[list[list[Series]]]:
     """
     tables[j][k][i] = the normalized entry at row i, column j, order k, as a series.
 
-    Built from the modified flatness recursion alone: the rows at order k are
-    cumulative sums over the known order k-1 data, and the row-zero series is
-    recovered by one quadrature from the cycle-closure condition.  The
-    polynomial route never enters; this is the oracle the ring lift is
-    checked against.
+    Built from the modified flatness recursion alone, one order at a time
+    (:func:`extend_tables`).  The polynomial route never enters; this is the
+    oracle the ring lift is checked against.
     """
-    cfg = data.cfg
-    n = cfg.n
-    inv_L = data.L.invert()
-    tables: list[list[list[Series]]] = []
-    for j in range(n):
-        zj = data.zeta(j)
-        col: list[list[Series]] = [[Series.monomial(normalization).truncate(data.L.prec) for _ in range(n)]]
-        for k in range(1, k_max + 1):
-            prev = col[k - 1]
-            cum: list[Series] = [Series.zero() for _ in range(n)]
-            cum[n - 1] = prev[0].D() * inv_L
-            for i in range(n - 1, 1, -1):
-                cum[i - 1] = cum[i] + prev[i].D() * inv_L + data.A[n - i] * prev[i]
-            total_cum = Series.zero()
-            for s in cum:
-                total_cum = total_cum + s
-            rhs = -(total_cum.D())
-            for i in range(n):
-                rhs = rhs - data.A[(n - i) % n] * cum[i] * data.L
-            rhs = rhs / Fraction(n)
-            if 0 in rhs.coeffs:
-                raise AssertionError("cycle closure has a constant term; flatness violated")
-            f = rhs.D_inverse() + Series.monomial(zj**k * Fraction(constants[k - 1]))
-            col.append([f + cum[i] for i in range(n)])
-        tables.append(col)
+    n = data.cfg.n
+    unit = Series.monomial(normalization).truncate(data.L.prec)
+    tables = [[[unit for _ in range(n)]] for _ in range(n)]
+    for k in range(1, k_max + 1):
+        extend_tables(data, tables, constants[k - 1])
     return tables
 
 
@@ -341,55 +353,43 @@ def fix_constants_symplectic(
     """
     Choose integration constants so the unitarity condition holds order by order.
 
-    At each order e the condition is affine in the new constant; where its
-    linear part vanishes identically the constant is reported free and left
-    at zero, and the condition itself must then already hold.
+    One set of tables grows one order at a time.  At order e the tables are
+    first extended with the constant 0 and the residual is computed once.  The
+    condition is affine in the new constant c, and its linear part is known in
+    closed form: c adds zeta^{je} c to every row of column j at order e, only
+    the order-0 rows (all equal to the normalization) pair with it, and the sum
+    over r collapses to a Kronecker delta, so the residual moves by
+
+        (1 + (-1)^e) * normalization * c * delta_ij.
+
+    Where that slope vanishes the constant is reported free and left at zero;
+    otherwise it is fixed and solved from the constant term of entry (0, 0),
+    and order e is rebuilt when that constant is nonzero.  Either way the whole
+    residual must vanish.
     """
     n = data.cfg.n
+    tables = series_tables(data, 0, normalization, [])
     constants: list[Fraction] = []
     status: list[str] = []
     for e in range(1, k_max + 1):
-        base = series_tables(data, e, normalization, constants + [Fraction(0)])
-        bumped = series_tables(data, e, normalization, constants + [Fraction(1)])
-        r0 = unitarity_residual(data, base, e)
-        r1 = unitarity_residual(data, bumped, e)
-        slope_entry = None
-        for i in range(n):
-            for j in range(n):
-                delta = r1[i][j] - r0[i][j]
-                lead = delta.first_nonzero()
-                if lead is not None:
-                    slope_entry = (i, j, lead)
-                    break
-            if slope_entry:
-                break
-        if slope_entry is None:
-            bad = [
-                (i, j, r0[i][j].zero_order())
-                for i in range(n)
-                for j in range(n)
-                if r0[i][j].zero_order() is not None
-            ]
-            if bad:
-                raise AssertionError(f"unitarity at order {e} inconsistent: {bad[:3]}")
-            constants.append(Fraction(0))
-            status.append("free")
-            continue
-        i, j, (exp, slope) = slope_entry
-        rho = r0[i][j].get(exp)
-        slope_inv = slope.inverse() if isinstance(slope, Cyclotomic) else Fraction(1) / slope
-        c = -(rho * slope_inv)
+        extend_tables(data, tables, Fraction(0))
+        resid = unitarity_residual(data, tables, e)
+        slope = (1 + (-1) ** e) * Fraction(normalization)
+        status.append("fixed" if slope else "free")
+        c = resid[0][0].get(0) / -slope if slope else Fraction(0)
         if isinstance(c, Cyclotomic):
             c = c.to_rational()
-        constants.append(Fraction(c))
-        status.append("fixed")
-        final = series_tables(data, e, normalization, constants)
-        resid = unitarity_residual(data, final, e)
+        if c:
+            for col in tables:
+                col.pop()
+            extend_tables(data, tables, c)
+            resid = unitarity_residual(data, tables, e)
+        constants.append(c)
         bad = [
-            (a, b, resid[a][b].zero_order())
-            for a in range(n)
-            for b in range(n)
-            if resid[a][b].zero_order() is not None
+            (i, j, resid[i][j].zero_order())
+            for i in range(n)
+            for j in range(n)
+            if resid[i][j].zero_order() is not None
         ]
         if bad:
             raise AssertionError(f"unitarity at order {e} not solvable by one constant: {bad[:3]}")
@@ -404,7 +404,9 @@ def compute_P_column(
     normalization: Fraction = Fraction(1),
     custom_constants: list[Fraction] | None = None,
 ) -> PColumn:
-    """Build the universal column under a constants policy."""
+    """Build the universal column under a constants policy (nonzero normalization)."""
+    if not normalization:
+        raise ValueError("the normalization must be nonzero")
     if policy == "zero":
         constants = [Fraction(0)] * k_max
         status = ["zero"] * k_max

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb
 
 from .cyclotomic import Coefficient, Cyclotomic
-from .genus0 import GenusZeroData
+from .genus0 import GenusZeroData, ladder_sum
 from .report import Report
 from .series import Series
 from .stirling import stirling_first
@@ -380,25 +380,7 @@ class RingContext:
 
     def _BK(self, k: int, p: int) -> RingElement:
         """B_{k,p} / K_p in the free ring, expanded through the X ladder."""
-        if p > k:
-            return RingElement.zero()
-        if p == 1:
-            return self._X_ladder(1, k - 1)
-        total = RingElement.zero()
-        chain = [0] * (p + 1)
-        chain[1] = k
-
-        def rec(idx: int, acc: RingElement, coeff: int):
-            nonlocal total
-            if idx == p:
-                total = total + acc * self._X_ladder(p, chain[p] - 1) * coeff
-                return
-            for nxt in range(p - idx, chain[idx]):
-                chain[idx + 1] = nxt
-                rec(idx + 1, acc * self._X_ladder(idx, chain[idx] - 1 - nxt), coeff * comb(chain[idx] - 1, nxt))
-
-        rec(1, RingElement.scalar(Fraction(1)), 1)
-        return total
+        return ladder_sum(k, p, self._X_ladder, RingElement.scalar(Fraction(1)))
 
     def _build_rules(self):
         n = self.n

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from orbigw.cli import main
+from orbigw.cli import build_parser, main
 from orbigw.potentials import assemble_F
 from orbigw.report import canonical_json
 
@@ -53,6 +53,22 @@ def test_invalid_order_is_config_error():
 )
 def test_out_of_range_input_is_config_error(args):
     assert main(args) == 2
+
+
+def test_cli_offers_no_custom_policy_and_no_normalization():
+    # custom constants cannot be given on the command line, and a rescaled
+    # normalization is only reachable through the API
+    parser = build_parser()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["pmatrix", "--n", "3", "--policy", "custom"])
+    for args in (
+        ["potential", "--n", "3", "--g", "1", "--policy", "custom"],
+        ["verify-identities", "--n", "3", "--policy", "custom"],
+        ["pmatrix", "--n", "3", "--normalization", "0"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(args)
+    assert main(["pmatrix", "--n", "3", "--k-max", "2", "--normalization", "0"]) == 2
 
 
 @pytest.mark.parametrize("insertions", [(2,), (1, 2)])

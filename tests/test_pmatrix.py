@@ -98,6 +98,48 @@ def test_symplectic_constants_status(data3):
         assert all(resid[i][j].zero_order() is None for i in range(3) for j in range(3))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_symplectic_slope_closed_form(n, request):
+    # the numeric route the solve once took: bump the order-e constant from 0
+    # to 1 and compare residuals; the closed form says the residual moves by
+    # (1 + (-1)^e) * normalization on the diagonal and not at all off it
+    data = request.getfixturevalue(f"data{n}")
+    for normalization in (Fraction(1), Fraction(2)):
+        for e in range(1, 5):
+            zeros = [Fraction(0)] * (e - 1)
+            r0 = unitarity_residual(data, series_tables(data, e, normalization, zeros + [Fraction(0)]), e)
+            r1 = unitarity_residual(data, series_tables(data, e, normalization, zeros + [Fraction(1)]), e)
+            slope = (1 + (-1) ** e) * normalization
+            for i in range(n):
+                for j in range(n):
+                    want = Series.monomial(slope) if i == j else Series.zero()
+                    assert (r1[i][j] - r0[i][j] - want).zero_order() is None, (normalization, e, i, j)
+
+
+def test_symplectic_solve_rebuilds_a_nonzero_constant(data3, monkeypatch):
+    # shift the constant every table build sees at order 2 by 3/7: the zero
+    # candidate then leaves a residual, the solve must find -3/7 and the
+    # rebuilt order must satisfy unitarity again
+    import orbigw.pmatrix
+
+    extend = orbigw.pmatrix.extend_tables
+
+    def shifted(data, tables, constant):
+        extend(data, tables, constant + (Fraction(3, 7) if len(tables[0]) == 2 else 0))
+
+    monkeypatch.setattr(orbigw.pmatrix, "extend_tables", shifted)
+    constants, status = fix_constants_symplectic(data3, 3, Fraction(1))
+    assert constants == [Fraction(0), Fraction(-3, 7), Fraction(0)]
+    assert status == ["free", "fixed", "free"]
+
+
+def test_zero_normalization_rejected():
+    # with normalization 0 every column vanishes and every check would pass vacuously
+    for policy in ("zero", "symplectic"):
+        with pytest.raises(ValueError):
+            compute_P_column(3, 2, policy=policy, normalization=Fraction(0))
+
+
 def test_zero_policy_reproduces_symplectic_where_vacuous(data3):
     # for this model the symplectic solution happens to be the zero one
     sym = compute_P_column(3, 4, policy="symplectic", data=data3)
