@@ -40,7 +40,7 @@ def main():
     pm = build_pmatrix(ctx, data, k_max=4, policy="symplectic")
     print("integration constants:", [str(c) for c in pm.col.constants],
           "status:", pm.col.constant_status)
-    rep = verify_pmatrix(pm, fit_orders=False)
+    rep = verify_pmatrix(pm)
     print(rep.render())
     print()
 

@@ -12,7 +12,7 @@ point in the computational core.
 """
 
 from .cyclotomic import Cyclotomic, Rational
-from .genus0 import GenusZeroData, ModelConfig, quantum_structure
+from .genus0 import GenusZeroData, ModelConfig
 from .graphs import DecoratedGraph, StableGraph, enumerate_decorated, enumerate_stable_graphs
 from .hae import HaeReport, verify_finite_generation, verify_hae, verify_hae_policies
 from .pmatrix import PColumn, PMatrixData, build_pmatrix, compute_P_column, verify_pmatrix
@@ -33,7 +33,6 @@ __all__ = [
     "stirling_second",
     "ModelConfig",
     "GenusZeroData",
-    "quantum_structure",
     "RingContext",
     "RingElement",
     "certify_rules",

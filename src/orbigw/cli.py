@@ -21,14 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .genus0 import (
-    GenusZeroData,
-    ModelConfig,
-    verify_birkhoff,
-    verify_picard_fuchs,
-    verify_quantum,
-    verify_ring_series,
-)
+from .genus0 import GenusZeroData, ModelConfig, verify_genus0
 from .hae import verify_hae_policies
 from .pmatrix import build_pmatrix, verify_pmatrix
 from .potentials import ContributionTables, assemble_F, audit_generators
@@ -80,9 +73,7 @@ def _common(parser: argparse.ArgumentParser) -> None:
 def cmd_genus0(args) -> tuple[dict, Report]:
     cfg = ModelConfig(args.n, args.N)
     data = GenusZeroData.build(cfg)
-    rep = Report(f"genus zero (n={cfg.n}, N={cfg.N})")
-    for sub in (verify_picard_fuchs(data), verify_birkhoff(data), verify_ring_series(data), verify_quantum(data)):
-        rep.checks.extend(sub.checks)
+    rep = verify_genus0(data, f"genus zero (n={cfg.n}, N={cfg.N})")
     series = {
         "L": data.L.to_json(),
         "Theta": data.Theta.to_json(),
@@ -143,9 +134,7 @@ def cmd_verify_identities(args) -> tuple[dict, Report]:
     cfg = ModelConfig(args.n, args.N)
     ctx = RingContext(cfg.n)
     data = GenusZeroData.build(ModelConfig(cfg.n, cfg.N + 2 * args.k_max + 2))
-    rep = Report(f"full identity battery (n={cfg.n})")
-    for sub in (verify_picard_fuchs(data), verify_birkhoff(data), verify_ring_series(data), verify_quantum(data)):
-        rep.checks.extend(sub.checks)
+    rep = verify_genus0(data, f"full identity battery (n={cfg.n})")
     rep.checks.extend(certify_rules(ctx, data).checks)
     pm = build_pmatrix(ctx, data, args.k_max, args.policy)
     rep.checks.extend(verify_pmatrix(pm).checks)

@@ -298,15 +298,3 @@ class Cyclotomic:
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coords]
-
-    @staticmethod
-    def from_json(order: int, data: list[str]) -> "Cyclotomic":
-        return Cyclotomic(order, [Fraction(s) for s in data])
-
-
-def as_cyclotomic(order: int, value: Coefficient) -> Cyclotomic:
-    if isinstance(value, Cyclotomic):
-        if value.order != order:
-            raise ValueError(f"mixed cyclotomic orders {value.order} and {order}")
-        return value
-    return Cyclotomic.from_rational(order, value)

@@ -18,7 +18,10 @@ Everything downstream is built from a handful of explicit series in x:
   K_l = C_0 ... C_l;
 * the logarithmic data X_{k,l} = D^l C_k / C_k and the combinations
   A_i = (i DL/L - sum_{r<=i} X_r) / L in which the higher genus theory is
-  polynomial.
+  polynomial;
+* the two explicit polynomials in the symbol L that the ring and the
+  P column share, Y = 1 + (-1)^n L^n / n^n (so D L = L Y) and f_n(L), held
+  once as exact series and evaluated at L(x) by ``GenusZeroData.at_L``.
 
 Two independent constructions of the C_i are implemented: the z-adic
 normalization above and the inductive form C_i = D Lop_{i-1} ... Lop_0 I_i
@@ -180,7 +183,7 @@ class GenusZeroData:
     # -- construction -------------------------------------------------------
 
     @staticmethod
-    def build(cfg: ModelConfig, x_levels: int = 0) -> "GenusZeroData":
+    def build(cfg: ModelConfig) -> "GenusZeroData":
         n = cfg.n
         slots = compute_I(cfg, n + 2)
         L = compute_L(cfg)
@@ -189,12 +192,11 @@ class GenusZeroData:
         K = [C[0]]
         for l in range(1, n + 1):
             K.append(K[-1] * C[l])
-        levels = max(n + 1, x_levels)
         X: list[list[Series]] = []
         for k in range(n + 1):
             row = [Series.one().truncate(C[k].prec)]
             d = C[k]
-            for _ in range(levels):
+            for _ in range(n + 1):
                 d = d.D()
                 row.append(d / C[k])
             X.append(row)
@@ -215,6 +217,10 @@ class GenusZeroData:
         if k not in self._zeta_cache:
             self._zeta_cache[k] = Cyclotomic.zeta(self.cfg.n, k)
         return self._zeta_cache[k]
+
+    def at_L(self, p: Series) -> Series:
+        """An exact polynomial in the symbol L, evaluated at the series L(x)."""
+        return reduce(add, (self.L**e * c for e, c in sorted(p.coeffs.items())), Series.zero())
 
     def K_ext(self, l: int) -> Series:
         """K_l for any l >= 0 through K_{n+l} = L^n K_l."""
@@ -288,6 +294,16 @@ class GenusZeroData:
 
     def B_series(self, k: int, p: int) -> Series:
         return ladder_sum(k, p, lambda i, m: self.C[i].deriv_pow(m), Series.one())
+
+
+def Y_poly(n: int) -> Series:
+    """Y = 1 + (-1)^n L^n / n^n, so that D L = L Y, as an exact polynomial in L."""
+    return Series({0: Fraction(1), n: Fraction((-1) ** n, n**n)})
+
+
+def f_n_poly(n: int) -> Series:
+    """f_n(L) = ((-1)^(n-1)/n) C(n+1,4) Y L^(n-1) / n^n as an exact polynomial in L."""
+    return (Y_poly(n) * Fraction((-1) ** (n - 1) * comb(n + 1, 4), n ** (n + 1))).shift(n - 1)
 
 
 def ladder_sum(k: int, p: int, block, one):
@@ -447,10 +463,8 @@ def verify_ring_series(data: GenusZeroData) -> Report:
         rep.add(f"graded ladder relation, column {m}", d is None, f"first bad x-power {d}" if d is not None else "")
 
     # the derivative relation that closes the generator set
-    s = cfg.s
-    fl = f_n_series(data)
     limit = (n - 1) // 2
-    resid = fl * Fraction(n)
+    resid = data.at_L(f_n_poly(n)) * Fraction(n)
     for r in range(1, limit + 1):
         resid = resid + data.A[r].D() * Fraction(n - 2 * r)
     resid = resid / data.L
@@ -459,13 +473,6 @@ def verify_ring_series(data: GenusZeroData) -> Report:
     d = resid.zero_order()
     rep.add("closure relation for the top A derivative", d is None, f"first bad x-power {d}" if d is not None else "")
     return rep
-
-
-def f_n_series(data: GenusZeroData) -> Series:
-    """f_n(L) = ((-1)^(n-1)/n) C(n+1,4) (1 + (-1)^n L^n/n^n) L^(n-1)/n^n as a series in x."""
-    n = data.cfg.n
-    pref = Fraction((-1) ** (n - 1) * comb(n + 1, 4), n) / Fraction(n**n)
-    return (Series.one() + data.L**n * Fraction((-1) ** n, n**n)) * data.L ** (n - 1) * pref
 
 
 def verify_quantum(data: GenusZeroData) -> Report:
@@ -538,26 +545,14 @@ def verify_quantum(data: GenusZeroData) -> Report:
     return rep
 
 
-def quantum_structure(data: GenusZeroData):
-    """
-    The quantum product data: structure constants, three-point functions,
-    idempotents, and the transition matrix with its inverse.
-    """
-    n = data.cfg.n
-    product = {(i, j): data.quantum_coeff(i, j) for i in range(n) for j in range(n)}
-    three_point = {
-        (i, j, k): product[(i, j)] * data.pairing((i + j) % n, k)
-        for i in range(n)
-        for j in range(n)
-        for k in range(n)
-    }
-    idempotents = [data.idempotent(a) for a in range(n)]
-    return product, three_point, idempotents, data.psi_matrix(), data.psi_inverse_matrix()
+def verify_genus0(data: GenusZeroData, title: str) -> Report:
+    """The four genus zero batteries above, in one report under ``title``."""
+    rep = Report(title)
+    for verify in (verify_picard_fuchs, verify_birkhoff, verify_ring_series, verify_quantum):
+        rep.checks.extend(verify(data).checks)
+    return rep
 
 
 def build_and_verify(cfg: ModelConfig) -> tuple[GenusZeroData, Report]:
     data = GenusZeroData.build(cfg)
-    rep = Report(f"genus zero verification (n={cfg.n}, N={cfg.N})")
-    for sub in (verify_picard_fuchs(data), verify_birkhoff(data), verify_ring_series(data), verify_quantum(data)):
-        rep.checks.extend(sub.checks)
-    return data, rep
+    return data, verify_genus0(data, f"genus zero verification (n={cfg.n}, N={cfg.N})")

@@ -6,11 +6,13 @@ Lam for the rotated series zeta^j L, the column recursion
 
     n D p_k = - sum_{l=2..n} Lam^{1-l} Lop_l (p_{k+1-l}),      D Lam^r = r Lam^r Y,
 
-produces one universal polynomial p_k per order (a nonnegative power series
-in Lam, which certifies membership in C[L]).  The differential operators
-Lop_l are assembled from a two-index table of polynomials H_{m,l} in
-X = Lam^n together with Stirling numbers; their k = 1, 2 instances are
-pinned against closed forms.
+produces one universal polynomial p_k per order, starting from p_0 = 1 (a
+nonnegative power series in Lam, which certifies membership in C[L]).  The
+differential operators Lop_l are assembled from a two-index table of
+polynomials H_{m,l} in X = Lam^n together with Stirling numbers; their
+k = 1, 2 instances are pinned against closed forms.  Every polynomial in Lam
+is an exact :class:`~orbigw.series.Series` (``prec = INF``); the one helper of
+their own is an exact division (:func:`div_exact`).
 
 Every integration step leaves one free constant.  Three policies are
 implemented: ``zero`` (all constants zero), ``symplectic`` (each constant is
@@ -19,7 +21,8 @@ solution matrix, and left at zero where that condition is vacuous), and
 ``custom`` (caller-provided).  The symplectic solve grows one set of series
 tables one order at a time and computes one unitarity residual per order:
 the residual's linear part in the new constant is known in closed form, so
-an order is rebuilt only when a nonzero constant is solved.
+an order is rebuilt only when a nonzero constant is solved, and the grown
+tables are the column's series tables.
 
 The remaining rows are then built twice:
 
@@ -32,181 +35,111 @@ The remaining rows are then built twice:
 ``verify_lift`` certifies the second construction against the first,
 coefficient by coefficient, and ``verify_partial_lemmas`` checks the
 formal partial-derivative identities that drive the anomaly equations.
+``verify_pmatrix`` reads row zero through ``PColumn.row_zero_ring``, the
+lift's starting point, both when it evaluates the polynomial route and when
+it fits the series route in the rational L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from .cyclotomic import Cyclotomic
-from .genus0 import GenusZeroData
+from .genus0 import GenusZeroData, Y_poly, f_n_poly
 from .report import Report
 from .ring import RingContext, RingElement, fit_laurent_in_L
 from .series import Series
 from .stirling import stirling_first
 
-Poly = dict[int, Fraction]  # exponent -> coefficient, one symbol
+Tables = list[list[list[Series]]]  # tables[j][k][i]: column j, order k, row i
 
 
-# -- small exact polynomial helpers -------------------------------------------
+def div_exact(a: Series, b: Series) -> Series:
+    """
+    The quotient of two exact polynomials in Lam; ValueError when the division
+    leaves a remainder.
 
-
-def p_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def p_scale(a: Poly, c: Fraction) -> Poly:
-    if not c:
-        return {}
-    return {e: v * c for e, v in a.items()}
-
-
-def p_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def p_shift(a: Poly, k: int) -> Poly:
-    return {e + k: c for e, c in a.items()}
-
-
-def p_xdx(a: Poly) -> Poly:
-    return {e: c * e for e, c in a.items() if e}
-
-
-def p_subst_power(a: Poly, n: int) -> Poly:
-    return {e * n: c for e, c in a.items()}
-
-
-def p_div_exact(a: Poly, b: Poly) -> Poly:
-    """Exact polynomial division (raises when the division leaves a remainder)."""
+    The quotient can only span the exponents min(a) - min(b) .. max(a) - max(b),
+    so it is read off a power series inverse of b truncated to that many terms
+    and must multiply back to a exactly.
+    """
     if not a:
-        return {}
-    rem = dict(a)
-    out: Poly = {}
-    bmin = min(b)
-    blead = b[bmin]
-    while rem:
-        e = min(rem)
-        q = rem[e] / blead
-        out[e - bmin] = q
-        for be, bc in b.items():
-            t = e - bmin + be
-            s = rem.get(t, Fraction(0)) - q * bc
-            if s:
-                rem[t] = s
-            else:
-                rem.pop(t, None)
-        if rem and min(rem) < e:
-            raise ValueError("inexact polynomial division")
-    return out
-
-
-def p_eval_series(a: Poly, base: Series, cache: dict[int, Series]) -> Series:
-    total = Series.zero()
-    for e, c in a.items():
-        if e not in cache:
-            cache[e] = base**e
-        total = total + cache[e] * c
-    return total
+        return Series.zero()
+    low, high = min(a.coeffs) - min(b.coeffs), max(a.coeffs) - max(b.coeffs)
+    if high >= low:
+        q = Series((a * b.truncate(min(b.coeffs) + high - low + 1).invert()).coeffs)
+        if q * b == a:
+            return q
+    raise ValueError("inexact polynomial division")
 
 
 # -- operator tables -----------------------------------------------------------
 
 
-def build_H_table(n: int, m_max: int) -> dict[tuple[int, int], Poly]:
+def build_H_table(n: int, m_max: int) -> dict[tuple[int, int], Series]:
     """
-    Polynomials H_{m,l} in X from the recursion
+    Polynomials H_{m,l} in X = Lam^n, written in the symbol Lam, from the recursion
 
         H_{m,l} = H_{m-1,l} + n (1 + (-1)^n X / n^n) (X d/dX + (m-l)/n) H_{m-1,l-1},
 
-    with H_{0,l} = delta_{0,l} and H_{m,l} = 0 for l > m.
+    with H_{0,l} = delta_{0,l} and H_{m,l} = 0 for l > m.  As X d/dX = D / n on
+    polynomials in Lam, the second term is Y (D + m - l) H_{m-1,l-1}.
     """
     if m_max < n:
         raise ValueError("m_max must be at least n")
-    Y: Poly = {0: Fraction(1), 1: Fraction((-1) ** n, n**n)}
-    H: dict[tuple[int, int], Poly] = {(0, 0): {0: Fraction(1)}}
+    Y = Y_poly(n)
+    H: dict[tuple[int, int], Series] = {(0, 0): Series.one()}
     for m in range(1, m_max + 1):
         for l in range(0, m + 1):
-            prev = H.get((m - 1, l), {})
-            term = dict(prev)
-            lower = H.get((m - 1, l - 1), {})
+            term = H.get((m - 1, l), Series.zero())
+            lower = H.get((m - 1, l - 1))
             if lower:
-                op = p_add(p_xdx(lower), p_scale(lower, Fraction(m - l, n)))
-                term = p_add(term, p_scale(p_mul(Y, op), Fraction(n)))
+                term = term + Y * (lower.D() + lower * (m - l))
             if term:
                 H[(m, l)] = term
     return H
 
 
-def build_L_operators(n: int) -> list[list[Poly]]:
+def build_L_operators(n: int) -> list[list[Series]]:
     """
-    Coefficient polynomials (in the symbol Lam, after X -> Lam^n) of the
-    operators Lop_k = sum_i c_{k,i} D^i for k = 1..n.  Index [k-1][i].
+    Coefficient polynomials in the symbol Lam of the operators
+    Lop_k = sum_i c_{k,i} D^i for k = 1..n.  Index [k-1][i].
     """
     H = build_H_table(n, n)
-    Y: Poly = {0: Fraction(1), n: Fraction((-1) ** n, n**n)}
-    ops: list[list[Poly]] = []
+    Y = Y_poly(n)
+    zero = Series.zero()
+    ops: list[list[Series]] = []
     for k in range(1, n + 1):
-        coeffs: list[Poly] = []
+        coeffs: list[Series] = []
         for i in range(0, k + 1):
-            c = p_scale(p_subst_power(H.get((n - i, k - i), {}), n), Fraction(comb(n, i)))
-            tail: Poly = {}
+            tail = zero
             for r in range(1, k - i + 1):
-                term = p_scale(
-                    p_subst_power(H.get((n - i - r, k - i - r), {}), n),
-                    Fraction(comb(n - r, i) * stirling_first(n, n - r)),
-                )
-                tail = p_add(tail, term)
-            if tail:
-                c = p_add(c, p_mul(Y, tail))
-            coeffs.append(c)
+                tail = tail + H.get((n - i - r, k - i - r), zero) * (comb(n - r, i) * stirling_first(n, n - r))
+            coeffs.append(H.get((n - i, k - i), zero) * comb(n, i) + Y * tail)
         ops.append(coeffs)
     return ops
 
 
-def apply_operator(coeffs: list[Poly], p: Poly, n: int) -> Poly:
+def apply_operator(coeffs: list[Series], p: Series, n: int) -> Series:
     """Apply sum_i c_i(Lam) D^i to a polynomial in Lam, with D Lam^r = r Lam^r Y."""
-    Y: Poly = {0: Fraction(1), n: Fraction((-1) ** n, n**n)}
-    out: Poly = {}
-    cur = dict(p)
+    Y = Y_poly(n)
+    out = Series.zero()
+    cur = p
     for i, ci in enumerate(coeffs):
         if i > 0:
-            cur = p_mul(p_xdx(cur), Y)
-        if ci and cur:
-            out = p_add(out, p_mul(ci, cur))
+            cur = cur.D() * Y
+        out = out + ci * cur
     return out
-
-
-def f_n_poly(n: int) -> Poly:
-    """f_n(L) = ((-1)^(n-1)/n) C(n+1,4) (1 + (-1)^n L^n/n^n) L^(n-1) / n^n."""
-    pref = Fraction((-1) ** (n - 1) * comb(n + 1, 4), n ** (n + 1))
-    return {n - 1: pref, 2 * n - 1: pref * Fraction((-1) ** n, n**n)}
 
 
 # -- the universal column ---------------------------------------------------------
 
 
-def compute_phis(n: int, k_max: int, normalization: Fraction, constants: list[Fraction]) -> list[Poly]:
+def compute_phis(n: int, k_max: int, constants: list[Fraction]) -> list[Series]:
     """
-    Universal polynomials p_0 .. p_{k_max} with the given integration constants.
+    Universal polynomials p_0 = 1, p_1 .. p_{k_max} with the given integration constants.
 
     Each step divides the right-hand side exactly by Y and by n r on Lam^r,
     asserting on theory violations (a constant term, a negative power, or an
@@ -215,33 +148,29 @@ def compute_phis(n: int, k_max: int, normalization: Fraction, constants: list[Fr
     if len(constants) < k_max:
         raise ValueError("need one constant per order k = 1..k_max")
     ops = build_L_operators(n)
-    Y: Poly = {0: Fraction(1), n: Fraction((-1) ** n, n**n)}
-    phis: list[Poly] = [{0: Fraction(normalization)} if normalization else {}]
+    Y = Y_poly(n)
+    phis: list[Series] = [Series.one()]
     for k in range(1, k_max + 1):
-        rhs: Poly = {}
-        for l in range(2, n + 1):
-            if k + 1 - l < 0:
-                break
-            term = apply_operator(ops[l - 1], phis[k + 1 - l], n)
-            term = p_shift(term, 1 - l)
-            if term and min(term) < 0:
+        rhs = Series.zero()
+        for l in range(2, min(n, k + 1) + 1):
+            term = apply_operator(ops[l - 1], phis[k + 1 - l], n).shift(1 - l)
+            if term.val < 0:
                 raise AssertionError(f"operator term at order {k}, l={l} has a pole")
-            rhs = p_add(rhs, term)
-        rhs = p_scale(rhs, Fraction(-1))
-        quot = p_div_exact(rhs, Y)
-        if 0 in quot:
+            rhs = rhs - term
+        try:
+            quot = div_exact(rhs, Y)
+        except ValueError:
+            raise AssertionError(f"right-hand side at order {k} is not divisible by Y") from None
+        if 0 in quot.coeffs:
             raise AssertionError(f"right-hand side at order {k} has a constant term")
-        phi: Poly = {e: c / (n * e) for e, c in quot.items()}
-        if constants[k - 1]:
-            phi[0] = Fraction(constants[k - 1])
-        phis.append(phi)
+        phis.append(quot.D_inverse() / n + Fraction(constants[k - 1]))
     return phis
 
 
 # -- series route: modified flatness, column by column ------------------------------
 
 
-def extend_tables(data: GenusZeroData, tables: list[list[list[Series]]], constant: Fraction) -> None:
+def extend_tables(data: GenusZeroData, tables: Tables, constant: Fraction) -> None:
     """
     Append the next order k to every column of ``tables``, with integration
     constant ``constant`` at that order.
@@ -272,27 +201,23 @@ def extend_tables(data: GenusZeroData, tables: list[list[list[Series]]], constan
         col.append([f + cum[i] for i in range(n)])
 
 
-def series_tables(
-    data: GenusZeroData, k_max: int, normalization: Fraction, constants: list[Fraction]
-) -> list[list[list[Series]]]:
+def series_tables(data: GenusZeroData, k_max: int, constants: list[Fraction]) -> Tables:
     """
     tables[j][k][i] = the normalized entry at row i, column j, order k, as a series.
 
     Built from the modified flatness recursion alone, one order at a time
-    (:func:`extend_tables`).  The polynomial route never enters; this is the
-    oracle the ring lift is checked against.
+    (:func:`extend_tables`), starting from the unit at order 0.  The polynomial
+    route never enters; this is the oracle the ring lift is checked against.
     """
     n = data.cfg.n
-    unit = Series.monomial(normalization).truncate(data.L.prec)
+    unit = Series.one().truncate(data.L.prec)
     tables = [[[unit for _ in range(n)]] for _ in range(n)]
     for k in range(1, k_max + 1):
         extend_tables(data, tables, constants[k - 1])
     return tables
 
 
-def unitarity_residual(
-    data: GenusZeroData, tables: list[list[list[Series]]], e: int
-) -> list[list[Series]]:
+def unitarity_residual(data: GenusZeroData, tables: Tables, e: int) -> list[list[Series]]:
     """
     The order-e coefficient of the quadratic unitarity condition, as an
     n x n matrix of series; all entries vanish exactly when the condition
@@ -318,38 +243,31 @@ def unitarity_residual(
 
 @dataclass
 class PColumn:
-    """Universal row-zero polynomials with their integration constants."""
+    """Universal row-zero polynomials in Lam (exact ``Series``) with their integration constants."""
 
     n: int
     k_max: int
-    normalization: Fraction
     policy: str
-    phis: list[Poly]
+    phis: list[Series]
     constants: list[Fraction]
     constant_status: list[str]
 
     def row_zero_ring(self, j: int, k: int, zeta) -> RingElement:
         """The lifted row-zero entry at column j and order k (an element of C[L])."""
-        terms = {}
-        for r, c in self.phis[k].items():
-            terms[(r, ())] = zeta((r + k) * j) * c
-        return RingElement(terms)
+        return RingElement({(r, ()): zeta((r + k) * j) * c for r, c in self.phis[k].coeffs.items()})
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "k_max": self.k_max,
-            "normalization": str(self.normalization),
             "policy": self.policy,
-            "phis": [sorted((e, str(c)) for e, c in p.items()) for p in self.phis],
+            "phis": [sorted((e, str(c)) for e, c in p.coeffs.items()) for p in self.phis],
             "constants": [str(c) for c in self.constants],
             "constant_status": list(self.constant_status),
         }
 
 
-def fix_constants_symplectic(
-    data: GenusZeroData, k_max: int, normalization: Fraction
-) -> tuple[list[Fraction], list[str]]:
+def fix_constants_symplectic(data: GenusZeroData, k_max: int) -> tuple[list[Fraction], list[str], Tables]:
     """
     Choose integration constants so the unitarity condition holds order by order.
 
@@ -357,24 +275,25 @@ def fix_constants_symplectic(
     first extended with the constant 0 and the residual is computed once.  The
     condition is affine in the new constant c, and its linear part is known in
     closed form: c adds zeta^{je} c to every row of column j at order e, only
-    the order-0 rows (all equal to the normalization) pair with it, and the sum
-    over r collapses to a Kronecker delta, so the residual moves by
+    the order-0 rows (all equal to 1) pair with it, and the sum over r
+    collapses to a Kronecker delta, so the residual moves by
 
-        (1 + (-1)^e) * normalization * c * delta_ij.
+        (1 + (-1)^e) * c * delta_ij.
 
     Where that slope vanishes the constant is reported free and left at zero;
     otherwise it is fixed and solved from the constant term of entry (0, 0),
     and order e is rebuilt when that constant is nonzero.  Either way the whole
-    residual must vanish.
+    residual must vanish.  Returns the constants, their statuses and the grown
+    tables, which are the series tables of the solved column.
     """
     n = data.cfg.n
-    tables = series_tables(data, 0, normalization, [])
+    tables = series_tables(data, 0, [])
     constants: list[Fraction] = []
     status: list[str] = []
     for e in range(1, k_max + 1):
         extend_tables(data, tables, Fraction(0))
         resid = unitarity_residual(data, tables, e)
-        slope = (1 + (-1) ** e) * Fraction(normalization)
+        slope = Fraction(1 + (-1) ** e)
         status.append("fixed" if slope else "free")
         c = resid[0][0].get(0) / -slope if slope else Fraction(0)
         if isinstance(c, Cyclotomic):
@@ -393,7 +312,7 @@ def fix_constants_symplectic(
         ]
         if bad:
             raise AssertionError(f"unitarity at order {e} not solvable by one constant: {bad[:3]}")
-    return constants, status
+    return constants, status, tables
 
 
 def compute_P_column(
@@ -401,12 +320,15 @@ def compute_P_column(
     k_max: int,
     policy: str = "symplectic",
     data: GenusZeroData | None = None,
-    normalization: Fraction = Fraction(1),
     custom_constants: list[Fraction] | None = None,
-) -> PColumn:
-    """Build the universal column under a constants policy (nonzero normalization)."""
-    if not normalization:
-        raise ValueError("the normalization must be nonzero")
+) -> tuple[PColumn, Tables | None]:
+    """
+    Build the universal column under a constants policy.
+
+    Returns the column and, under the symplectic policy, the series tables the
+    solve grew for it (None under the other policies, which build no tables).
+    """
+    tables = None
     if policy == "zero":
         constants = [Fraction(0)] * k_max
         status = ["zero"] * k_max
@@ -418,11 +340,11 @@ def compute_P_column(
     elif policy == "symplectic":
         if data is None:
             raise ValueError("symplectic policy needs genus zero data")
-        constants, status = fix_constants_symplectic(data, k_max, normalization)
+        constants, status, tables = fix_constants_symplectic(data, k_max)
     else:
         raise ValueError(f"unknown constants policy {policy!r}")
-    phis = compute_phis(n, k_max, normalization, constants)
-    return PColumn(n, k_max, normalization, policy, phis, constants, status)
+    phis = compute_phis(n, k_max, constants)
+    return PColumn(n, k_max, policy, phis, constants, status), tables
 
 
 # -- the ring lift -----------------------------------------------------------------
@@ -458,7 +380,7 @@ def verify_lift(
     data: GenusZeroData,
     col: PColumn,
     lifted: dict[tuple[int, int, int], RingElement],
-    tables: list[list[list[Series]]],
+    tables: Tables,
 ) -> Report:
     """Certify the ring lift against the series oracle, entry by entry."""
     n = ctx.n
@@ -487,7 +409,7 @@ def verify_lift(
         rep.add(f"cycle closure in the ring, column {j}", bad is None, str(bad) if bad else "")
     # membership: row zero entries live in C[L]
     ok = all(
-        not col.row_zero_ring(j, k, zeta=lambda m: data.zeta(m)).uses_negative_L()
+        not col.row_zero_ring(j, k, data.zeta).uses_negative_L()
         for j in range(n)
         for k in range(col.k_max + 1)
     )
@@ -540,7 +462,7 @@ class PMatrixData:
     ctx: RingContext
     data: GenusZeroData
     col: PColumn
-    tables: list[list[list[Series]]]
+    tables: Tables
     lifted: dict[tuple[int, int, int], RingElement]
 
 
@@ -549,103 +471,72 @@ def build_pmatrix(
     data: GenusZeroData,
     k_max: int,
     policy: str = "symplectic",
-    normalization: Fraction = Fraction(1),
     custom_constants: list[Fraction] | None = None,
 ) -> PMatrixData:
-    col = compute_P_column(ctx.n, k_max, policy, data, normalization, custom_constants)
-    tables = series_tables(data, k_max, col.normalization, col.constants)
+    col, tables = compute_P_column(ctx.n, k_max, policy, data, custom_constants)
+    if tables is None:
+        tables = series_tables(data, k_max, col.constants)
     lifted = lift_tables(ctx, col, data.zeta)
     return PMatrixData(ctx, data, col, tables, lifted)
 
 
-def verify_pmatrix(pm: PMatrixData, fit_orders: bool = True) -> Report:
+def verify_pmatrix(pm: PMatrixData) -> Report:
     """The full verification battery for one constants policy."""
     ctx, data, col = pm.ctx, pm.data, pm.col
     n = ctx.n
     rep = Report(f"P-matrix verification (n={n}, k_max={col.k_max}, policy={col.policy})")
 
     ops = build_L_operators(n)
-    rep.add("Lop_1 = n D", not ops[0][0] and ops[0][1] == {0: Fraction(n)})
-    Yp: Poly = {0: Fraction(1), n: Fraction((-1) ** n, n**n)}
-    want2 = [
-        p_scale(p_add(p_mul(Yp, Yp), p_scale(Yp, Fraction(-1))), Fraction(comb(n + 1, 4))),
-        p_scale(Yp, Fraction(-comb(n, 2))),
-        {0: Fraction(comb(n, 2))},
-    ]
-    got2 = ops[1]
-    rep.add("Lop_2 closed form", all(p_add(g, p_scale(w, Fraction(-1))) == {} for g, w in zip(got2, want2)))
+    Y = Y_poly(n)
+    rep.add("Lop_1 = n D", not ops[0][0] and ops[0][1] == Series.monomial(Fraction(n)))
+    want2 = [(Y * Y - Y) * comb(n + 1, 4), Y * -comb(n, 2), Series.monomial(Fraction(comb(n, 2)))]
+    rep.add("Lop_2 closed form", ops[1] == want2)
 
     # congruence mod the ideal (X Y): Lop_k = C(n,k) D (D - Y) ... (D - (k-1)Y),
-    # tested through its classified action on the monomials Lam^r
+    # tested through its classified action on the monomials Lam^r: modulo (X Y),
+    # Y^k = Y, so the right side is C(n,k) r(r-1)..(r-k+1) Lam^r Y (zero for r < k);
+    # the difference must divide exactly by Lam^n Y
+    XY = Y.shift(n)
     for k in range(1, n + 1):
         okk = True
         for r in range(0, k + n + 1):
-            lhs = apply_operator(ops[k - 1], {r: Fraction(1)}, n)
-            # rhs: C(n,k) D(D-Y)...(D-(k-1)Y) Lam^r mod ideal (X Y), computed mod Lam^{2n}
-            # with Y treated exactly; use the classified values: 0 for r < k,
-            # r(r-1)..(r-k+1) Lam^r Y^k for r >= k, all mod X Y
-            rhs: Poly = {}
-            if r >= k:
-                fall = Fraction(comb(n, k))
-                for t in range(k):
-                    fall *= r - t
-                # Lam^r Y^k mod (X Y): Y^k == Y, so Lam^r Y = Lam^r + (-1)^n Lam^{r+n}/n^n
-                rhs = p_scale({r: Fraction(1), r + n: Fraction((-1) ** n, n**n)}, fall)
-            diff = p_add(lhs, p_scale(rhs, Fraction(-1)))
-            # membership of the difference in the ideal (X Y): every term must be
-            # divisible by Lam^n * Y; check by exact division
-            if diff:
-                XY = p_mul({n: Fraction(1)}, Yp)
-                try:
-                    p_div_exact(diff, XY)
-                except ValueError:
-                    okk = False
-                    break
+            lhs = apply_operator(ops[k - 1], Series.monomial(Fraction(1), r), n)
+            try:
+                div_exact(lhs - (Y * (comb(n, k) * perm(r, k))).shift(r), XY)
+            except ValueError:
+                okk = False
+                break
         rep.add(f"Lop_{k} congruence mod (X Y)", okk)
 
-    # D p_1 = f_n p_0
-    ops_done = p_add(
-        apply_operator([{}, {0: Fraction(1)}], col.phis[1], n),
-        p_scale(p_mul(f_n_poly(n), col.phis[0]), Fraction(-1)),
-    )
-    rep.add("D p_1 = f_n p_0", ops_done == {})
+    d_phi1 = apply_operator([Series.zero(), Series.one()], col.phis[1], n)
+    rep.add("D p_1 = f_n p_0", d_phi1 == f_n_poly(n) * col.phis[0])
 
     for k, phi in enumerate(col.phis):
-        rep.add(f"p_{k} has only nonnegative powers", not phi or min(phi) >= 0)
+        rep.add(f"p_{k} has only nonnegative powers", phi.val >= 0)
 
-    # series oracle matches the polynomial route on every column
-    cache: dict[int, dict[int, Series]] = {}
+    # both row-zero checks read the column as the ring elements the lift starts from
+    ev = ctx.evaluator(data)
     for j in range(n):
-        zj = data.zeta(j)
-        base = data.L * zj
-        cache_j = cache.setdefault(j, {})
         bad = None
         for k in range(col.k_max + 1):
-            poly_val = p_eval_series(col.phis[k], base, cache_j) * data.zeta(k * j)
-            d = (poly_val - pm.tables[j][k][0]).zero_order()
+            d = (ev.eval(col.row_zero_ring(j, k, data.zeta)) - pm.tables[j][k][0]).zero_order()
             if d is not None:
                 bad = (k, d)
                 break
         rep.add(f"polynomial vs series route, column {j}", bad is None, str(bad) if bad else "")
 
-    if fit_orders:
-        for j in range(n):
-            zj = data.zeta(j)
-            bad = None
-            for k in range(col.k_max + 1):
-                series_val = pm.tables[j][k][0] * data.zeta(-k * j)  # un-normalized row zero
-                Lj = data.L * zj
-                try:
-                    fit, checked = fit_laurent_in_L(series_val, Lj, 0, (k + 1) * n)
-                except ValueError as exc:
-                    bad = (k, str(exc))
-                    break
-                want = {e: c * Fraction(1) for e, c in col.phis[k].items()}
-                got_rat = {e: (c.to_rational() if isinstance(c, Cyclotomic) else Fraction(c)) for e, c in fit.items()}
-                if got_rat != want:
-                    bad = (k, "fit disagrees with polynomial route")
-                    break
-            rep.add(f"Laurent fit certifies membership, column {j}", bad is None, str(bad) if bad else "")
+    for j in range(n):
+        bad = None
+        for k in range(col.k_max + 1):
+            try:
+                fit, _ = fit_laurent_in_L(pm.tables[j][k][0], data.L, 0, (k + 1) * n)
+            except ValueError as exc:
+                bad = (k, str(exc))
+                break
+            if RingElement.L_poly(Series(fit)) != col.row_zero_ring(j, k, data.zeta):
+                bad = (k, "fit disagrees with polynomial route")
+                break
+        rep.add(f"Laurent fit certifies membership, column {j}", bad is None, str(bad) if bad else "")
 
     sub = verify_lift(ctx, data, col, pm.lifted, pm.tables)
     rep.checks.extend(sub.checks)

@@ -31,10 +31,9 @@ C_i to the normalization factor) is the module's ground truth, and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .cyclotomic import Coefficient, Cyclotomic
-from .genus0 import GenusZeroData, ladder_sum
+from .genus0 import GenusZeroData, Y_poly, f_n_poly, ladder_sum
 from .report import Report
 from .series import Series
 from .stirling import stirling_first
@@ -83,6 +82,11 @@ class RingElement:
     @staticmethod
     def generator(gen: Gen, c: Coefficient = Fraction(1)) -> "RingElement":
         return RingElement({_mono(0, ((gen, 1),)): c})
+
+    @staticmethod
+    def L_poly(p: Series) -> "RingElement":
+        """An exact polynomial in the symbol L as a ring element."""
+        return RingElement({_mono(e): c for e, c in p.coeffs.items()})
 
     # -- structure -------------------------------------------------------------
 
@@ -229,15 +233,6 @@ class RingElement:
             out.append([le, [[list(g), e] for g, e in gens], coeff])
         return out
 
-    @staticmethod
-    def from_json(data: list, order: int) -> "RingElement":
-        terms = {}
-        for le, gens, coeff in data:
-            mono = (le, tuple((tuple(g), e) for g, e in gens))
-            c = Cyclotomic.from_json(order, coeff) if isinstance(coeff, list) else Fraction(coeff)
-            terms[mono] = c
-        return RingElement(terms)
-
 
 def _gen_name(g: Gen) -> str:
     if g[0] == "A":
@@ -268,6 +263,8 @@ class RingContext:
         for i in range(1, self.distinguished):
             self.admitted[i] = n - 2 - i
         self.admitted[self.distinguished] = 0
+        self.Y = RingElement.L_poly(Y_poly(n))
+        self.f_n = RingElement.L_poly(f_n_poly(n))  # drives the closure relation
         self._nf: dict[tuple[int, int], RingElement] = {}
         self._base_rules: dict[int, RingElement] = {}
         self._build_rules()
@@ -306,32 +303,21 @@ class RingContext:
             return RingElement.zero()
         return RingElement.generator(("A", rep, 0), Fraction(sign))
 
-    def Y(self) -> RingElement:
-        n = self.n
-        return RingElement({_ONE_MONO: Fraction(1), _mono(n): Fraction((-1) ** n, n**n)})
-
-    def f_n(self) -> RingElement:
-        """The Laurent polynomial driving the closure relation."""
-        n = self.n
-        pref = Fraction((-1) ** (n - 1) * comb(n + 1, 4), n ** (n + 1))
-        return RingElement({_mono(n - 1): pref, _mono(2 * n - 1): pref * Fraction((-1) ** n, n**n)})
-
     def X_poly(self, i: int) -> RingElement:
         """X_i = DC_i / C_i expressed through A-generators: Y - L A_i + L A_{i-1}."""
         if i == 0:
             return RingElement.zero()
-        return self.Y() - self.A(i).mul_L(1) + self.A(i - 1).mul_L(1)
+        return self.Y - self.A(i).mul_L(1) + self.A(i - 1).mul_L(1)
 
     # -- the derivation --------------------------------------------------------------
 
     def derive(self, e: RingElement, free: bool = False) -> RingElement:
         """Formal D; with free=True derivatives are never rewritten (rule construction)."""
         out = RingElement.zero()
-        Y = self.Y()
         for (le, gens), c in e.terms.items():
             base = RingElement({(le, gens): c})
             if le:
-                out = out + base * Y * le
+                out = out + base * self.Y * le
             for idx, (g, ex) in enumerate(gens):
                 rest = list(gens)
                 if ex == 1:
@@ -387,7 +373,7 @@ class RingContext:
         limit = (n - 1) // 2
         dist = self.distinguished
         # closure relation for the distinguished generator
-        rhs = self.f_n() * Fraction(-n)
+        rhs = self.f_n * Fraction(-n)
         for r in range(1, limit + 1):
             rhs = rhs + (self.A(r) * self.A(r)).mul_L(1)
         for r in range(1, limit):
@@ -397,9 +383,8 @@ class RingContext:
         # ladder relations eliminate the top derivative of every other representative
         for m in range(1, dist):
             rel = self._BK(n, m)
-            Y = self.Y()
             for k in range(m, n):
-                rel = rel + Y * self._BK(k, m) * stirling_first(n, k)
+                rel = rel + self.Y * self._BK(k, m) * stirling_first(n, k)
             target = ("A", m, n - 1 - m)
             coeff_elem = RingElement.zero()
             rest = RingElement.zero()
@@ -471,17 +456,17 @@ class RingEvaluator:
         return total
 
 
-def certify_rules(ctx: RingContext, data: GenusZeroData, depth: int = 2) -> Report:
+def certify_rules(ctx: RingContext, data: GenusZeroData) -> Report:
     """
     Evaluate every rewrite rule against the genus zero series.
 
-    ``depth`` extra derivative levels are certified beyond each base rule, which
-    exercises the lazily derived normal forms as well.
+    Two derivative levels are certified beyond each base rule, which exercises
+    the lazily derived normal forms as well.
     """
     ev = ctx.evaluator(data)
     rep = Report(f"rewrite rule certification (n={ctx.n}, N={data.cfg.N})")
     for i, top in sorted(ctx.admitted.items()):
-        for j in range(top + 1, top + 1 + depth):
+        for j in range(top + 1, top + 3):
             got = ev.eval(ctx.normal_form(i, j))
             want = data.A[i].deriv_pow(j)
             d = (got - want).zero_order()

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
 
 from .cyclotomic import Coefficient, Cyclotomic
 
@@ -260,9 +259,6 @@ class Series:
             out = out.D()
         return out
 
-    def map_coeff(self, f: Callable[[Coefficient], Coefficient]) -> "Series":
-        return Series({e: f(c) for e, c in self.coeffs.items()}, self.prec)
-
     # -- comparisons ------------------------------------------------------------
 
     def difference_order(self, other: "Series") -> int | None:
@@ -291,18 +287,6 @@ class Series:
             "prec": None if math.isinf(self.prec) else int(self.prec),
             "coeffs": {str(e): enc(c) for e, c in sorted(self.coeffs.items())},
         }
-
-    @staticmethod
-    def from_json(data: dict, order: int | None = None) -> "Series":
-        def dec(v):
-            if isinstance(v, list):
-                if order is None:
-                    raise ValueError("cyclotomic coefficients need the field order")
-                return Cyclotomic.from_json(order, v)
-            return Fraction(v)
-
-        prec = INF if data["prec"] is None else data["prec"]
-        return Series({int(e): dec(v) for e, v in data["coeffs"].items()}, prec)
 
 
 def binomial_pow(u: Series, p: int, q: int, prec: float | None = None) -> Series:

@@ -21,6 +21,7 @@ import orbigw
 from orbigw.genus0 import (
     GenusZeroData,
     ModelConfig,
+    f_n_poly,
     verify_birkhoff,
     verify_picard_fuchs,
     verify_ring_series,
@@ -32,9 +33,10 @@ from orbigw.graphs import (
     enumerate_stable_graphs_naive,
 )
 from orbigw.hae import verify_hae
-from orbigw.pmatrix import apply_operator, build_pmatrix, f_n_poly
+from orbigw.pmatrix import apply_operator, build_pmatrix
 from orbigw.psi import psi_genus0, psi_integral, psi_integral_bruteforce
 from orbigw.ring import RingContext, fit_laurent_in_L
+from orbigw.series import Series
 
 _DATA: dict[tuple[int, int], GenusZeroData] = {}
 _CTX: dict[int, RingContext] = {}
@@ -118,7 +120,7 @@ def test_criterion_4_polynomiality():
                     ok, detail = False, "negative power appeared"
                     break
         # D p_1 = f_n p_0 exactly
-        d_phi1 = apply_operator([{}, {0: Fraction(1)}], pm.col.phis[1], n)
+        d_phi1 = apply_operator([Series.zero(), Series.one()], pm.col.phis[1], n)
         if d_phi1 != f_n_poly(n):
             ok, detail = False, f"n={n}: D p_1 != f_n p_0"
     _line(4, "row-zero entries certified in C[L] to order N, and D p_1 = f_n p_0", ok, detail)

