@@ -65,6 +65,7 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 

@@ -10,8 +10,10 @@ h^1 + sum of vertex genera.
 Automorphism counts follow the half-edge convention: a vertex bijection
 that preserves genera, decorations, and the pinned legs contributes
 prod m_{uv}! over parallel classes times prod k_v! 2^{k_v} over loops
-(loops may swap their two half-edges).  This is the decorated count the
-graph-sum formula divides by.
+(loops may swap their two half-edges).  The graph sum itself runs over
+undecorated graphs, each weighted n^V / Aut(G); ``enumerate_decorated`` and
+the decorated counts serve only its oracle, the decorated sum, and the
+Burnside check that ties the two weightings together.
 
 Two enumerators are kept separate on purpose.  The primary one generates
 candidates with pruning and deduplicates through a canonical signature;

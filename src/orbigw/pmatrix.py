@@ -30,7 +30,10 @@ The remaining rows are then built twice:
   through the modified flatness recursion plus one honest quadrature per
   order (this is the oracle route; it never touches the polynomial ring);
 * as elements of the free ring of :mod:`orbigw.ring`, by the same
-  descending recursion with the formal derivation (this is the lift).
+  descending recursion with the formal derivation (this is the lift).  The
+  lift is graded: row zero splits by the residue mod n of its exponents, and
+  the j-independent descent runs once per residue on rational ring elements,
+  so every column is a zeta^j-weighted sum of the same graded pieces.
 
 ``verify_lift`` certifies the second construction against the first,
 coefficient by coefficient, and ``verify_partial_lemmas`` checks the
@@ -350,36 +353,58 @@ def compute_P_column(
 # -- the ring lift -----------------------------------------------------------------
 
 
-def lift_tables(ctx: RingContext, col: PColumn, zeta) -> dict[tuple[int, int, int], RingElement]:
-    """
-    lift[(k, i, j)] = the order-k, row-i, column-j entry in the free ring.
+Lift = dict[tuple[int, int, int], RingElement]
 
-    Rows descend from row zero through the modified flatness recursion; the
+
+def lift_tables(ctx: RingContext, col: PColumn, zeta) -> tuple[Lift, Lift]:
+    """
+    The ring lift, graded by residue, and the entries it assembles to.
+
+    Returns ``(graded, lifted)``: ``graded[(k, i, w)]`` is a ring element with
+    rational coefficients, and the order-k, row-i, column-j entry is
+
+        lifted[(k, i, j)] = sum_w zeta^{wj} graded[(k, i, w)].
+
+    Row zero splits by the residue w = (r + k) mod n of the exponent of L^r in
+    p_k.  The other rows descend from row zero through the modified flatness
+    recursion, which does not depend on j, so it runs once per residue; the
     formal derivation rewrites every derivative that leaves the admitted set.
     """
     n = ctx.n
-    out: dict[tuple[int, int, int], RingElement] = {}
-    for j in range(n):
-        out[(0, 0, j)] = col.row_zero_ring(j, 0, zeta)
-        for i in range(1, n):
-            out[(0, i, j)] = out[(0, 0, j)]
-        for k in range(1, col.k_max + 1):
-            out[(k, 0, j)] = col.row_zero_ring(j, k, zeta)
-            prev0 = out[(k - 1, 0, j)]
-            out[(k, n - 1, j)] = out[(k, 0, j)] + ctx.derive(prev0).mul_L(-1)
+    graded: Lift = {}
+    for w in range(n):
+        for k in range(col.k_max + 1):
+            row0 = {(r, ()): c for r, c in col.phis[k].coeffs.items() if (r + k) % n == w}
+            graded[(k, 0, w)] = RingElement(row0)
+            if k == 0:
+                for i in range(1, n):
+                    graded[(0, i, w)] = graded[(0, 0, w)]
+                continue
+            prev0 = graded[(k - 1, 0, w)]
+            graded[(k, n - 1, w)] = graded[(k, 0, w)] + ctx.derive(prev0).mul_L(-1)
             for i in range(n - 1, 1, -1):
-                prev = out[(k - 1, i, j)]
-                out[(k, i - 1, j)] = (
-                    out[(k, i, j)] + ctx.derive(prev).mul_L(-1) + ctx.A(n - i) * prev
+                prev = graded[(k - 1, i, w)]
+                graded[(k, i - 1, w)] = (
+                    graded[(k, i, w)] + ctx.derive(prev).mul_L(-1) + ctx.A(n - i) * prev
                 )
-    return out
+    lifted: Lift = {}
+    for k in range(col.k_max + 1):
+        for i in range(n):
+            for j in range(n):
+                entry = RingElement.zero()
+                for w in range(n):
+                    part = graded[(k, i, w)]
+                    if part:
+                        entry = entry + (part * zeta(w * j) if w * j % n else part)
+                lifted[(k, i, j)] = entry
+    return graded, lifted
 
 
 def verify_lift(
     ctx: RingContext,
     data: GenusZeroData,
     col: PColumn,
-    lifted: dict[tuple[int, int, int], RingElement],
+    lifted: Lift,
     tables: Tables,
 ) -> Report:
     """Certify the ring lift against the series oracle, entry by entry."""
@@ -417,9 +442,7 @@ def verify_lift(
     return rep
 
 
-def verify_partial_lemmas(
-    ctx: RingContext, lifted: dict[tuple[int, int, int], RingElement], k_max: int
-) -> Report:
+def verify_partial_lemmas(ctx: RingContext, lifted: Lift, k_max: int) -> Report:
     """
     The formal partial derivative of every lifted entry with respect to the
     distinguished generator collapses to the shifted entries predicted by the
@@ -457,13 +480,17 @@ def verify_partial_lemmas(
 
 @dataclass
 class PMatrixData:
-    """Everything the graph sum needs: column polynomials, series oracle, ring lift."""
+    """
+    Everything the graph sum needs: column polynomials, series oracle, ring
+    lift (graded by residue, and assembled per column).
+    """
 
     ctx: RingContext
     data: GenusZeroData
     col: PColumn
     tables: Tables
-    lifted: dict[tuple[int, int, int], RingElement]
+    graded: Lift
+    lifted: Lift
 
 
 def build_pmatrix(
@@ -476,8 +503,8 @@ def build_pmatrix(
     col, tables = compute_P_column(ctx.n, k_max, policy, data, custom_constants)
     if tables is None:
         tables = series_tables(data, k_max, col.constants)
-    lifted = lift_tables(ctx, col, data.zeta)
-    return PMatrixData(ctx, data, col, tables, lifted)
+    graded, lifted = lift_tables(ctx, col, data.zeta)
+    return PMatrixData(ctx, data, col, tables, graded, lifted)
 
 
 def verify_pmatrix(pm: PMatrixData) -> Report:

@@ -1,7 +1,7 @@
 r"""
-Vertex, edge, and leg contributions, and the decorated graph sum.
+Vertex, edge, and leg contributions, and the graph sum as a character sum.
 
-The higher genus potential with m insertions is assembled as
+The higher genus potential with m insertions is the decorated graph sum
 
     F_{g,m} = sum over decorated stable graphs  1/|Aut|
               sum over flag values  prod(vertices) prod(edges) prod(legs),
@@ -19,6 +19,20 @@ formula:
 * a leg with insertion index c and flag a contributes
   ((-1)^a / n) K_{Inv(c)} / L^{Inv(c)} P~^a_{Inv(c),p} zeta^{-(a+Inv(c))p}.
 
+The decorations are summed in closed form.  The lift is graded,
+P~^k_{i,p} = sum_w zeta^{wp} E_{k,i,w} with rational E, so every local factor
+is a character sum sum_u zeta^{u p} X_u in the decorations it touches, with
+rational ring elements X_u.  A flag assignment's product is then
+sum_U zeta^{U.p} X_U over vectors U of per-vertex residues, and
+sum_p zeta^{U.p} = n^V [U = 0]; by Burnside the decorated classes weighted
+1/Aut(G, p) add up to the sum over all decorations divided by Aut(G).  So
+``assemble_F`` sums over undecorated stable graphs only, each weighted
+n^V / Aut(G), reading the all-zero residue component of every product, in
+rational arithmetic.  The decorated sum (:func:`graph_contribution` over
+``enumerate_decorated``) stays as the oracle: it reads every factor at its
+decorations with the explicit zeta weights, and it is the route of the
+series assembly ``assemble_F_series``.
+
 Each leg's scalar prefactor K_{Inv(c)} / L^{Inv(c)} is kept apart from the
 graph sum (it is flag and graph independent), so a potential is a pair
 (prefactor monomial, core); the core of any potential lies in the ring
@@ -34,8 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .graphs import DecoratedGraph, StableGraph, enumerate_decorated
+from .graphs import DecoratedGraph, StableGraph, aut_count, enumerate_decorated, enumerate_stable_graphs
 from .pmatrix import PMatrixData
 from .psi import psi_integral
 from .ring import RingElement
@@ -55,13 +70,41 @@ class Potential:
         return self.prefactor * self.core
 
 
+# A character sum in a decoration p: {u: value} stands for sum_u zeta^{u p} value_u.
+Char = dict
+
+
+def _add_into(out: dict, key, x) -> None:
+    out[key] = out[key] + x if key in out else x
+
+
+def _times(a: Char, b: Char, n: int) -> Char:
+    """The product of two character sums in the same decoration."""
+    out: Char = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            _add_into(out, (u + v) % n, x * y)
+    return out
+
+
+def _scaled(a: Char, c: Fraction) -> Char:
+    return {u: x * c for u, x in a.items()}
+
+
 class ContributionTables:
     """
     The local factors of the graph sum, written once over an entry table.
 
-    Entries P~^k_{i,j} are read through :meth:`entry`; here they come from
-    the ring lift, so every factor is a ring element.  :class:`SeriesTables`
-    reads the same entries from the series oracle instead.
+    Every factor is a character sum in the decoration p of its vertex, a dict
+    ``{u: value}`` standing for sum_u zeta^{u p} value_u (an edge's is keyed
+    by the pair (u1, u2) of its end residues).  Called with p = None a factor
+    is read off the graded lift, whose pieces are rational; called at a given
+    decoration p it is the one value there, held as the component u = 0, with
+    the explicit zeta weights of the classification formula.  Entries
+    P~^k_{i,j} are read through :meth:`entry` and :meth:`graded`; here they
+    come from the ring lift, so every value is a ring element.
+    :class:`SeriesTables` reads the decorated entries from the series oracle
+    instead.
     """
 
     def __init__(self, pm: PMatrixData):
@@ -79,27 +122,37 @@ class ContributionTables:
         """P~^k_{i,j}: order k, row i, column j."""
         return self.pm.lifted[(k, i, j)]
 
+    def graded(self, k: int, i: int) -> dict[int, RingElement]:
+        """The nonzero pieces w of P~^k_{i,j} = sum_w zeta^{wj} graded[(k, i, w)]."""
+        pieces = self.pm.graded
+        return {w: pieces[(k, i, w)] for w in range(self.n) if pieces[(k, i, w)]}
+
     def unit(self) -> RingElement:
         return RingElement.scalar(Fraction(1))
 
     def zero(self) -> RingElement:
         return RingElement.zero()
 
+    def _char(self, k: int, i: int, shift: int, p: int | None) -> Char:
+        """P~^k_{i,p} zeta^{-shift p} as a character sum in p, or its value at p."""
+        if p is None:
+            return {(w - shift) % self.n: piece for w, piece in self.graded(k, i).items()}
+        return {0: self.entry(k, i, p) * self.data.zeta(-shift * p)}
+
     # -- local factors ------------------------------------------------------
 
-    def tail(self, p: int, i: int):
+    def tail(self, p: int | None, i: int) -> Char:
         """T_{p,i}; zero in degrees 0 and 1."""
         if i < 2:
-            return self.zero()
+            return {}
         if i > self.k_max:
             raise ValueError(f"tail order {i} exceeds the lifted depth {self.k_max}")
         key = (p, i)
         if key not in self._tails:
-            w = self.data.zeta(-i * p) * Fraction((-1) ** i, self.n)
-            self._tails[key] = self.entry(i, 0, p) * w
+            self._tails[key] = _scaled(self._char(i, 0, i, p), Fraction((-1) ** i, self.n))
         return self._tails[key]
 
-    def vertex(self, h: int, p: int, flags: tuple[int, ...]):
+    def vertex(self, h: int, p: int | None, flags: tuple[int, ...]) -> Char:
         """Genus-h vertex with decoration p and the given flag exponents."""
         key = (h, p, tuple(sorted(flags)))
         if key in self._vertex:
@@ -108,7 +161,7 @@ class ContributionTables:
         v = len(flags)
         dim = 3 * h - 3 + v
         budget = dim - sum(flags)
-        total = self.zero()
+        total: Char = {}
         for k in range(0, budget + 1):
             # tails of z-degree >= 2 must absorb the whole remaining degree
             target = dim + k - sum(flags)
@@ -126,38 +179,41 @@ class ContributionTables:
                 for cnt in seen.values():
                     for t in range(1, cnt + 1):
                         weight /= t
-                term = self.unit() * (integral * weight * pairing_power)
+                term = {0: self.unit() * (integral * weight * pairing_power)}
                 for r in mult:
-                    term = term * self.tail(p, r)
-                total = total + term
+                    term = _times(term, self.tail(p, r), n)
+                for u, x in term.items():
+                    _add_into(total, u, x)
         self._vertex[key] = total
         return total
 
-    def edge(self, b1: int, b2: int, p1: int, p2: int):
+    def edge(self, b1: int, b2: int, p1: int | None, p2: int | None) -> dict:
+        """The edge factor, a character sum in both end decorations keyed (u1, u2)."""
         key = (b1, b2, p1, p2)
         if key in self._edge:
             return self._edge[key]
         n = self.n
         if b1 + b2 + 1 > self.k_max:
             raise ValueError("edge needs a deeper lifted table")
-        total = self.zero()
+        total: dict = {}
         for m in range(0, b2 + 1):
             for r in range(n):
                 rinv = (-r) % n
-                w = self.data.zeta(-(b1 + m + 1 + rinv) * p1 - (b2 - m + r) * p2) * Fraction((-1) ** m)
-                total = total + self.entry(b1 + m + 1, rinv, p1) * self.entry(b2 - m, r, p2) * w
-        total = total * Fraction((-1) ** (b1 + b2), n)
+                left = self._char(b1 + m + 1, rinv, b1 + m + 1 + rinv, p1)
+                right = self._char(b2 - m, r, b2 - m + r, p2)
+                for u1, x in left.items():
+                    for u2, y in right.items():
+                        _add_into(total, (u1, u2), x * y * Fraction((-1) ** m))
+        total = _scaled(total, Fraction((-1) ** (b1 + b2), n))
         self._edge[key] = total
         return total
 
-    def leg_core(self, a: int, c: int, p: int):
+    def leg_core(self, a: int, c: int, p: int | None) -> Char:
         """Leg factor without the scalar K/L prefactor."""
         key = (a, c, p)
         if key not in self._leg:
-            n = self.n
-            cinv = (-c) % n
-            w = self.data.zeta(-(a + cinv) * p) * Fraction((-1) ** a, n)
-            self._leg[key] = self.entry(a, cinv, p) * w
+            cinv = (-c) % self.n
+            self._leg[key] = _scaled(self._char(a, cinv, a + cinv, p), Fraction((-1) ** a, self.n))
         return self._leg[key]
 
     def leg_prefactor(self, c: int) -> RingElement:
@@ -172,10 +228,16 @@ class ContributionTables:
 
 
 class SeriesTables(ContributionTables):
-    """The same local factors over the series oracle; the ring lift never enters."""
+    """
+    The same local factors over the series oracle, one decoration at a time;
+    the ring lift never enters.
+    """
 
     def entry(self, k: int, i: int, j: int) -> Series:
         return self.pm.tables[j][k][i]
+
+    def graded(self, k: int, i: int):
+        raise TypeError("the series oracle is read one decoration at a time")
 
     def unit(self) -> Series:
         return Series.one()
@@ -203,77 +265,148 @@ def _multisets(total: int, k: int, cap: int):
     yield from rec(total, k, 2)
 
 
-def _flag_slots(graph: StableGraph) -> list[tuple[str, int, int]]:
-    """Flags as (kind, index, vertex): legs first, then half-edges in edge order."""
-    out = [("leg", t, v) for t, v in enumerate(graph.legs)]
-    for e, (u, v) in enumerate(graph.edges):
-        out.append(("half", 2 * e, u))
-        out.append(("half", 2 * e + 1, v))
-    return out
+def _flag_assignments(graph: StableGraph):
+    """
+    Flag values within each vertex's dimension, as (values, per-vertex flags).
+
+    ``values`` lists the legs first, then both half-edges of every edge in edge
+    order; ``flags[v]`` collects the values at vertex v in that order.
+    """
+    ends = list(graph.legs) + [v for edge in graph.edges for v in edge]
+    at = [[s for s, w in enumerate(ends) if w == v] for v in range(graph.num_vertices)]
+    room = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
+    values: list[int] = []
+
+    def rec(idx: int):
+        if idx == len(ends):
+            yield values, [tuple(values[s] for s in slots) for slots in at]
+            return
+        v = ends[idx]
+        for val in range(room[v] + 1):
+            room[v] -= val
+            values.append(val)
+            yield from rec(idx + 1)
+            values.pop()
+            room[v] += val
+
+    yield from rec(0)
 
 
 def graph_contribution(tables: ContributionTables, dec: DecoratedGraph, insertions: tuple[int, ...]):
-    """The core contribution of one decorated graph (leg prefactors excluded)."""
+    """
+    The core contribution of one decorated graph (leg prefactors excluded).
+
+    Summed over ``enumerate_decorated``, this is the decorated sum: the oracle
+    of the character sum, and the route of the series assembly.  Every factor
+    is read at its decorations.
+    """
     graph, p = dec.graph, dec.decorations
     m = len(graph.legs)
-    slots = _flag_slots(graph)
-    dims = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
-    total = tables.zero()
-
-    def rec(idx: int, used: list[int], values: list[int]):
-        nonlocal total
-        if idx == len(slots):
-            # a zero product ends the term: the ring is a domain, and a series
-            # product with no known coefficient carries nothing
-            term = tables.unit()
-            for v, h in enumerate(graph.genera):
-                flags = tuple(values[i] for i, (_, _, w) in enumerate(slots) if w == v)
-                term = term * tables.vertex(h, p[v], flags)
-                if term.is_zero():
-                    return
-            for e, (u, v) in enumerate(graph.edges):
-                term = term * tables.edge(values[m + 2 * e], values[m + 2 * e + 1], p[u], p[v])
-                if term.is_zero():
-                    return
-            for t in range(m):
-                term = term * tables.leg_core(values[t], insertions[t], p[graph.legs[t]])
-                if term.is_zero():
-                    return
+    zero = tables.zero()
+    total = zero
+    for values, flags in _flag_assignments(graph):
+        factors = chain(
+            (tables.vertex(h, p[v], flags[v]).get(0, zero) for v, h in enumerate(graph.genera)),
+            (
+                tables.edge(values[m + 2 * e], values[m + 2 * e + 1], p[a], p[b]).get((0, 0), zero)
+                for e, (a, b) in enumerate(graph.edges)
+            ),
+            (tables.leg_core(values[t], insertions[t], p[graph.legs[t]]).get(0, zero) for t in range(m)),
+        )
+        # a zero product ends the term: the ring is a domain, and a series
+        # product with no known coefficient carries nothing
+        term = tables.unit()
+        for factor in factors:
+            term = term * factor
+            if term.is_zero():
+                break
+        else:
             total = total + term
-            return
-        _, _, v = slots[idx]
-        for val in range(dims[v] - used[v] + 1):
-            used[v] += val
-            values.append(val)
-            rec(idx + 1, used, values)
-            values.pop()
-            used[v] -= val
-
-    rec(0, [0] * graph.num_vertices, [])
     return total * Fraction(1, dec.aut)
 
 
-def _graph_sum(tables: ContributionTables, g: int, insertions: tuple[int, ...]):
-    """Sum of graph_contribution over the decorated stable graphs of type (g, m)."""
+def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertions: tuple[int, ...]) -> RingElement:
+    """
+    The sum of graph_contribution over every decoration of one stable graph.
+
+    Each factor is a character sum in its decorations, so a flag assignment's
+    product is sum_U zeta^{U.p} X_U over vectors U of per-vertex residues, and
+    sum_p zeta^{U.p} = n^V [U = 0].  By Burnside the decorated classes,
+    each weighted 1/Aut(G, p), add up to the sum over all p divided by Aut(G):
+    the graph contributes n^V / Aut(G) times the component X_0.  The product
+    is kept per residue vector; a vertex's own factor (its vertex and legs)
+    is taken once its last edge is in, and only the component that cancels
+    its residue survives.
+    """
+    n = tables.n
+    V = graph.num_vertices
+    m = len(graph.legs)
+    last_edge = {v: e for e, edge in enumerate(graph.edges) for v in edge}
+    closes: list[list[int]] = [[] for _ in graph.edges]
+    for v, e in sorted(last_edge.items()):
+        closes[e].append(v)
+    origin = (0,) * V
+    total = tables.zero()
+    for values, flags in _flag_assignments(graph):
+        local = [tables.vertex(h, None, flags[v]) for v, h in enumerate(graph.genera)]
+        for t in range(m):
+            v = graph.legs[t]
+            local[v] = _times(local[v], tables.leg_core(values[t], insertions[t], None), n)
+        if not all(local):
+            continue
+        state = {origin: tables.unit()}
+        for v in range(V):
+            if v not in last_edge:
+                state = _close(state, v, local[v], n)
+        for e, (a, b) in enumerate(graph.edges):
+            factor = tables.edge(values[m + 2 * e], values[m + 2 * e + 1], None, None)
+            grown: dict = {}
+            for U, x in state.items():
+                for (u1, u2), y in factor.items():
+                    W = list(U)
+                    W[a] = (W[a] + u1) % n
+                    W[b] = (W[b] + u2) % n
+                    # a vertex this edge closes needs a factor to cancel its residue
+                    if all((-W[v]) % n in local[v] for v in closes[e]):
+                        _add_into(grown, tuple(W), x * y)
+            for v in closes[e]:
+                grown = _close(grown, v, local[v], n)
+            state = grown
+        if origin in state:
+            total = total + state[origin]
+    return total * Fraction(n**V, aut_count(graph))
+
+
+def _close(state: dict, v: int, own: Char, n: int) -> dict:
+    """Take vertex v's own factor: only its component cancelling v's residue survives."""
+    out: dict = {}
+    for U, x in state.items():
+        y = own.get((-U[v]) % n)
+        if y is not None:
+            _add_into(out, U[:v] + (0,) + U[v + 1 :], x * y)
+    return out
+
+
+def _check_type(g: int, insertions: tuple[int, ...]) -> None:
     if 2 * g - 2 + len(insertions) <= 0:
         raise ValueError("unstable potential type")
     if g < 1:
         raise ValueError("the graph sum is used for g >= 1 only")
-    core = tables.zero()
-    for dec in enumerate_decorated(g, len(insertions), tables.n):
-        core = core + graph_contribution(tables, dec, insertions)
-    return core
 
 
 def assemble_F(tables: ContributionTables, g: int, insertions: tuple[int, ...] | list[int]) -> Potential:
     """
     The potential F_{g,m}(phi_{c_1}, ..., phi_{c_m}) as a graph sum.
 
-    Graph contributions are added in enumeration order as they are computed;
-    the leg prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as one monomial.
+    The sum runs over undecorated stable graphs in enumeration order, each
+    through the character sum of :func:`graph_character_sum`; the leg prefactors
+    K_{Inv(c)} / L^{Inv(c)} are kept apart as one monomial.
     """
     insertions = tuple(insertions)
-    core = _graph_sum(tables, g, insertions)
+    _check_type(g, insertions)
+    core = tables.zero()
+    for graph in enumerate_stable_graphs(g, len(insertions)):
+        core = core + graph_character_sum(tables, graph, insertions)
     pref = RingElement.scalar(Fraction(1))
     for c in insertions:
         pref = pref * tables.leg_prefactor(c)
@@ -284,14 +417,17 @@ def assemble_F_series(tables: ContributionTables, g: int, insertions: tuple[int,
     """
     The same graph sum evaluated purely at the series level.
 
-    The shared skeleton runs over :class:`SeriesTables` (never the ring
-    lift) and is multiplied by the leg prefactors as series, so agreement
-    with the evaluated ring-level potential certifies the whole polynomial
-    pipeline independently.
+    The decorated sum runs over :class:`SeriesTables` (never the ring lift,
+    nor the character sum) and is multiplied by the leg prefactors as series,
+    so agreement with the evaluated ring-level potential certifies the whole
+    polynomial pipeline independently.
     """
     insertions = tuple(insertions)
+    _check_type(g, insertions)
     series_tables = SeriesTables(tables.pm)
-    total = _graph_sum(series_tables, g, insertions)
+    total = series_tables.zero()
+    for dec in enumerate_decorated(g, len(insertions), tables.n):
+        total = total + graph_contribution(series_tables, dec, insertions)
     data = tables.data
     for c in insertions:
         cinv = (-c) % tables.n
@@ -302,13 +438,15 @@ def assemble_F_series(tables: ContributionTables, g: int, insertions: tuple[int,
 def audit_generators(tables: ContributionTables, pot: Potential) -> dict:
     """
     Finite generation audit: the core must use only A-generators (and L
-    powers); the prefactor only C-generators; vertex factors only L powers.
+    powers); the prefactor only C-generators; every component of every vertex
+    factor only L powers.
     """
     core_gens = pot.core.generators_used()
     pref_gens = pot.prefactor.generators_used()
     vertex_gens = set()
-    for val in tables._vertex.values():
-        vertex_gens |= val.generators_used()
+    for char in tables._vertex.values():
+        for val in char.values():
+            vertex_gens |= val.generators_used()
     return {
         "core_ok": all(g[0] == "A" for g in core_gens),
         "prefactor_ok": all(g[0] == "C" for g in pref_gens),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -53,3 +54,25 @@ def ctx5() -> RingContext:
 def tables3(ctx3, data3) -> ContributionTables:
     pm = build_pmatrix(ctx3, data3, k_max=4, policy="zero")
     return ContributionTables(pm)
+
+
+@pytest.fixture(scope="session")
+def pmatrix_at():
+    """
+    ``pmatrix_at(n, policy)``: the P-matrix data at depth 5 (enough for every
+    tail of F_{2,1}), built once per session; custom constants are nonzero
+    rationals drawn from the test seed.
+    """
+    built: dict = {}
+
+    def get(n: int, policy: str):
+        if (n, policy) not in built:
+            custom = None
+            if policy == "custom":
+                r = random.Random(SEED + n)
+                custom = [Fraction(r.choice((-1, 1)) * r.randint(1, 9), r.randint(1, 9)) for _ in range(5)]
+            data = GenusZeroData.build(ModelConfig(n))
+            built[(n, policy)] = build_pmatrix(RingContext(n), data, 5, policy, custom_constants=custom)
+        return built[(n, policy)]
+
+    return get

@@ -20,7 +20,7 @@ from orbigw.pmatrix import (
     verify_pmatrix,
 )
 from orbigw.report import canonical_json
-from orbigw.ring import RingContext
+from orbigw.ring import RingContext, RingElement
 
 
 def test_H_table_closed_forms():
@@ -224,9 +224,12 @@ def test_tail_consistency_against_series(tables3, data3):
     ev = tables3.ctx.evaluator(data3)
     for p in range(3):
         for i in (2, 3):
-            got = ev.eval(tables3.tail(p, i))
             want = tables3.pm.tables[p][i][0] * data3.zeta(-i * p) * Fraction((-1) ** i, 3)
+            got = ev.eval(tables3.tail(p, i)[0])
             assert (got - want).zero_order() is None
+            # the same tail as a character sum, read at p
+            graded = sum((x * data3.zeta(u * p) for u, x in tables3.tail(None, i).items()), RingElement.zero())
+            assert (ev.eval(graded) - want).zero_order() is None
 
 
 def test_unitarity_order_zero_is_identity(data3):
@@ -244,3 +247,45 @@ def test_unitarity_order_zero_is_identity(data3):
                 acc = term if acc is None else acc + term
             want = Series.monomial(Fraction(1)) if i == j else Series.zero()
             assert (acc - want).zero_order() is None, (i, j)
+
+
+def _column_lift(ctx, col, zeta, j):
+    """The ring lift of column j alone: the descent run on that column's row zero."""
+    n = ctx.n
+    out = {}
+    for k in range(col.k_max + 1):
+        out[(k, 0)] = col.row_zero_ring(j, k, zeta)
+        if k == 0:
+            for i in range(1, n):
+                out[(0, i)] = out[(0, 0)]
+            continue
+        out[(k, n - 1)] = out[(k, 0)] + ctx.derive(out[(k - 1, 0)]).mul_L(-1)
+        for i in range(n - 1, 1, -1):
+            prev = out[(k - 1, i)]
+            out[(k, i - 1)] = out[(k, i)] + ctx.derive(prev).mul_L(-1) + ctx.A(n - i) * prev
+    return out
+
+
+@pytest.mark.parametrize("policy", ["symplectic", "zero", "custom"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_graded_lift(pmatrix_at, n, policy):
+    # every graded piece is rational; zeta^{wj}-weighted, the pieces give each
+    # column's own lift, entry by entry
+    pm = pmatrix_at(n, policy)
+    zeta = pm.data.zeta
+    residues = set()
+    for (k, i, w), piece in pm.graded.items():
+        assert all(type(c) is Fraction for c in piece.terms.values()), (k, i, w)
+        if piece:
+            residues.add(w)
+    # only w = 0 occurs under the zero and symplectic policies; a nonzero
+    # constant at order k adds the residue k mod n
+    assert residues == ({0} if policy != "custom" else set(range(n)))
+    for j in range(n):
+        column = _column_lift(pm.ctx, pm.col, zeta, j)
+        for k in range(pm.col.k_max + 1):
+            for i in range(n):
+                total = RingElement.zero()
+                for w in range(n):
+                    total = total + pm.graded[(k, i, w)] * zeta(w * j)
+                assert total == column[(k, i)] == pm.lifted[(k, i, j)], (k, i, j)

@@ -2,9 +2,24 @@ from fractions import Fraction
 
 import pytest
 
-from orbigw.graphs import enumerate_decorated
-from orbigw.potentials import ContributionTables, _multisets, assemble_F, audit_generators, graph_contribution
+from orbigw.graphs import enumerate_decorated, enumerate_stable_graphs
+from orbigw.potentials import (
+    ContributionTables,
+    _multisets,
+    assemble_F,
+    audit_generators,
+    graph_character_sum,
+    graph_contribution,
+)
 from orbigw.ring import RingElement
+
+
+def _at(char, p, zeta):
+    """A character sum {u: value} read at the decoration p."""
+    total = RingElement.zero()
+    for u, x in char.items():
+        total = total + x * zeta(u * p)
+    return total
 
 
 def test_multiset_enumeration():
@@ -16,21 +31,25 @@ def test_multiset_enumeration():
 
 
 def test_tail_vanishing_and_value(tables3):
-    assert tables3.tail(0, 0).is_zero()
-    assert tables3.tail(0, 1).is_zero()
+    assert not tables3.tail(0, 0) and not tables3.tail(None, 0)
+    assert not tables3.tail(0, 1) and not tables3.tail(None, 1)
     t2 = tables3.tail(0, 2)
     want = tables3.pm.lifted[(2, 0, 0)] * Fraction(1, 3)
-    assert t2 == want  # (-1)^2 zeta^0 / n with n = 3
+    assert t2 == {0: want}  # (-1)^2 zeta^0 / n with n = 3
+    # the character sum read at every decoration gives the decorated tail
+    for p in range(3):
+        assert _at(tables3.tail(None, 2), p, tables3.data.zeta) == tables3.tail(p, 2)[0]
 
 
 def test_vertex_trivalent_genus0(tables3):
     # all flags zero: only k = 0 contributes and the value is n^{2g-2+3} <tau_0^3> = n
     v = tables3.vertex(0, 0, (0, 0, 0))
-    assert v == RingElement.scalar(Fraction(3))
+    assert v == {0: RingElement.scalar(Fraction(3))}
+    assert tables3.vertex(0, None, (0, 0, 0)) == v
     # dimension violating flags vanish
-    assert tables3.vertex(0, 0, (1, 0, 0)).is_zero()
+    assert not tables3.vertex(0, 0, (1, 0, 0))
     # vertex contributions contain no ring generators at all
-    assert not v.generators_used()
+    assert not v[0].generators_used()
 
 
 def test_shallow_table_raises(ctx3, data3):
@@ -45,11 +64,12 @@ def test_shallow_table_raises(ctx3, data3):
 def test_vertex_genus1(tables3):
     # one-valent genus-1 vertex, flag 0: k can be 0 (psi integral <tau_0>_1 = 0
     # by dimension) or 1 with one tail of degree 2
-    v = tables3.vertex(1, 0, (0,))
-    t2 = tables3.tail(0, 2)
-    want = t2 * Fraction(3) * Fraction(1, 24) * Fraction(3)  # n^{2g-2+1+1} <tau_0 tau_2>_1
-    # direct check: n^{2}, psi = 1/24 -> 9/24 times tail
-    assert v == t2 * Fraction(9, 24)
+    # n^{2g-2+1+1} <tau_0 tau_2>_1 = n^2 / 24 times the tail, at one decoration
+    # and componentwise in the character sum
+    for p in (0, None):
+        v = tables3.vertex(1, p, (0,))
+        t2 = tables3.tail(p, 2)
+        assert v == {u: x * Fraction(9, 24) for u, x in t2.items()}
 
 
 def test_edge_symmetry(tables3):
@@ -58,21 +78,26 @@ def test_edge_symmetry(tables3):
         for b2 in range(2):
             for p1 in range(n):
                 for p2 in range(n):
-                    a = tables3.edge(b1, b2, p1, p2)
-                    b = tables3.edge(b2, b1, p2, p1)
+                    a = tables3.edge(b1, b2, p1, p2)[(0, 0)]
+                    b = tables3.edge(b2, b1, p2, p1)[(0, 0)]
                     assert (a - b).is_zero(), (b1, b2, p1, p2)
+            # the character sum is symmetric under swapping the ends
+            a = tables3.edge(b1, b2, None, None)
+            b = tables3.edge(b2, b1, None, None)
+            assert a == {(u2, u1): x for (u1, u2), x in b.items()}
 
 
 def test_edge_membership(tables3):
-    e = tables3.edge(0, 0, 1, 2)
-    for g in e.generators_used():
-        assert g[0] == "A"
+    for e in [tables3.edge(0, 0, 1, 2)[(0, 0)], *tables3.edge(0, 0, None, None).values()]:
+        for g in e.generators_used():
+            assert g[0] == "A"
 
 
 def test_leg_values(tables3):
     # flag 0, insertion 0: core reduces to normalization / n
     leg = tables3.leg_core(0, 0, 1)
-    assert leg == RingElement.scalar(Fraction(1, 3))
+    assert leg == {0: RingElement.scalar(Fraction(1, 3))}
+    assert tables3.leg_core(0, 0, None) == leg
     pref = tables3.leg_prefactor(0)
     assert pref == RingElement.scalar(Fraction(1))
     pref1 = tables3.leg_prefactor(1)
@@ -94,30 +119,40 @@ def test_assemble_F2_structure(tables3):
 
 
 def test_graph_sum_order_independence(tables3):
-    decorated = enumerate_decorated(2, 0, 3)
+    graphs = enumerate_stable_graphs(2, 0)
     total_fwd = RingElement.zero()
-    for d in decorated:
-        total_fwd = total_fwd + graph_contribution(tables3, d, ())
+    for graph in graphs:
+        total_fwd = total_fwd + graph_character_sum(tables3, graph, ())
     total_rev = RingElement.zero()
-    for d in reversed(decorated):
-        total_rev = total_rev + graph_contribution(tables3, d, ())
+    for graph in reversed(graphs):
+        total_rev = total_rev + graph_character_sum(tables3, graph, ())
     assert (total_fwd - total_rev).is_zero()
     assert (assemble_F(tables3, 2, ()).core - total_fwd).is_zero()
 
 
 def test_dropping_any_graph_changes_F2(tables3):
-    decorated = enumerate_decorated(2, 0, 3)
-    underlying = {}
-    for d in decorated:
-        underlying.setdefault(d.graph, []).append(d)
-    assert len(underlying) == 7
+    graphs = enumerate_stable_graphs(2, 0)
+    assert len(graphs) == 7
     full = assemble_F(tables3, 2, ()).core
-    for graph, decs in underlying.items():
+    for graph in graphs:
         partial = RingElement.zero()
-        for d in decorated:
-            if d.graph != graph:
-                partial = partial + graph_contribution(tables3, d, ())
+        for other in graphs:
+            if other != graph:
+                partial = partial + graph_character_sum(tables3, other, ())
         assert not (full - partial).is_zero(), f"dropping {graph} is invisible"
+
+
+@pytest.mark.parametrize("policy", ["symplectic", "zero", "custom"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_character_sum_matches_decorated_oracle(pmatrix_at, n, policy):
+    # the character sum over undecorated graphs equals the decorated sum,
+    # whose factors are read one decoration at a time with explicit zeta weights
+    tables = ContributionTables(pmatrix_at(n, policy))
+    for g, insertions in [(2, ()), (1, (1,)), (1, (1, 2)), (2, (2,))]:
+        want = RingElement.zero()
+        for dec in enumerate_decorated(g, len(insertions), n):
+            want = want + graph_contribution(tables, dec, insertions)
+        assert assemble_F(tables, g, insertions).core == want, (g, insertions)
 
 
 def test_one_point_potential_adds_prefactor(tables3):
@@ -137,7 +172,7 @@ def test_edge_derivative_closed_form_odd(tables3):
         for b2 in range(2):
             for p1 in range(n):
                 for p2 in range(n):
-                    got = tables3.edge(b1, b2, p1, p2).partial(gen)
+                    got = tables3.edge(b1, b2, p1, p2)[(0, 0)].partial(gen)
                     w = tables3.data.zeta(-(b1 + s + 1) * p1 - (b2 + s + 1) * p2)
                     want = (
                         pm.lifted[(b1, s + 1, p1)]
@@ -159,7 +194,7 @@ def test_edge_derivative_closed_form_even(ctx4, data4):
         for b2 in range(2):
             for p1 in range(n):
                 for p2 in range(n):
-                    got = tables.edge(b1, b2, p1, p2).partial(gen)
+                    got = tables.edge(b1, b2, p1, p2)[(0, 0)].partial(gen)
                     w1 = tables.data.zeta(-(b1 + s + 1) * p1 - (b2 + s) * p2)
                     w2 = tables.data.zeta(-(b1 + s) * p1 - (b2 + s + 1) * p2)
                     want = (
