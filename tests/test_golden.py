@@ -1,9 +1,14 @@
-"""Golden pins: the central exact objects (n = 3, zero policy) and the genus-3 verdict."""
+"""Golden pins: the central exact objects (n = 3, zero policy), the genus-3 verdict and CLI outputs."""
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
+import pytest
+
+from orbigw.cli import main
 from orbigw.genus0 import GenusZeroData, ModelConfig
 from orbigw.hae import verify_hae
 from orbigw.pmatrix import build_pmatrix
@@ -38,3 +43,26 @@ def test_genus3_verdict_pinned():
     r = verify_hae(3, 3)
     assert r.verified
     assert hashlib.sha256(canonical_json(r.to_json()).encode()).hexdigest() == GENUS3_SHA256
+
+
+# sha256 of the stdout (trailing newline included) of `orbigw <args> --format json`;
+# the pmatrix runs emit every lifted entry and every per-column check
+CLI_SHA256 = {
+    "pmatrix --n 3 --k-max 5": (0, "5b2c77c90497650ec815af605b9d9d275e55b22a3788fe545cfc836fae57e046"),
+    "pmatrix --n 4 --k-max 5": (0, "345d259a77f4f9f6495a914e0bf43e0f290e8b57e9f8db8711fd52f5766107c3"),
+    "pmatrix --n 5 --k-max 4": (0, "3decd03cb740b3f8bd58cecb3a2c61d4f057432114ecdf3535832a805ab0757b"),
+    "pmatrix --n 3 --k-max 4 --policy zero": (0, "b32f15ab4ed3e6fceff9bdae4fb2e82e4bb7bf669189460dde92226a2bf190cd"),
+    "verify-identities --n 4 --k-max 4": (0, "72dd76b92a54947a3f53183f2faa4ee567bfbc6f9c3e891d9ed4ab72f1116ab5"),
+    # exit 1 with 52 of 58 checks: the n >= 6 cycle closure fails at (4, 21) in every column
+    "pmatrix --n 6 --k-max 4 --policy zero": (1, "d0c1a31ca84b6b745e05c27c5eea98613a1bb1c40a6fac6dff942d3e92ee624a"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(CLI_SHA256))
+def test_cli_output_pinned(args):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(args.split() + ["--format", "json"])
+    want_code, want_sha = CLI_SHA256[args]
+    assert code == want_code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
