@@ -179,6 +179,7 @@ class GenusZeroData:
     DLL: Series
     stirling: StirlingTable
     _zeta_cache: dict[int, Cyclotomic] = field(default_factory=dict, repr=False)
+    _quantum_cache: dict[tuple[int, int], Series] = field(default_factory=dict, repr=False)
 
     # -- construction -------------------------------------------------------
 
@@ -239,7 +240,9 @@ class GenusZeroData:
 
     def quantum_coeff(self, i: int, j: int) -> Series:
         """Structure constant of phi_i * phi_j = (K_{i+j} / K_i K_j) phi_{i+j}."""
-        return self.K_ext(i + j) / (self.K[i] * self.K[j])
+        if (i, j) not in self._quantum_cache:
+            self._quantum_cache[(i, j)] = self.K_ext(i + j) / (self.K[i] * self.K[j])
+        return self._quantum_cache[(i, j)]
 
     def pairing(self, i: int, j: int) -> Fraction:
         return Fraction(1, self.cfg.n) if (i + j) % self.cfg.n == 0 else Fraction(0)
@@ -431,27 +434,20 @@ def verify_ring_series(data: GenusZeroData) -> Report:
     for i in range(n + 1):
         d = (data.A[i] + data.A[n - i]).zero_order()
         rep.add(f"A_{i} + A_{n-i} = 0", d is None)
-    acc = Series.zero()
-    for i in range(n + 1):
-        acc = acc + data.A[i]
-    rep.add("sum of all A_i = 0", acc.zero_order() is None)
+    rep.add("sum of all A_i = 0", sum(data.A, Series.zero()).zero_order() is None)
     if n % 2 == 0:
         rep.add("A_{n/2} = 0", data.A[n // 2].zero_order() is None)
     d = (data.A[0]).zero_order()
     rep.add("A_0 = 0", d is None)
     rep.add("A_n = 0", data.A[n].zero_order() is None)
 
-    acc = Series.zero()
-    for r in range(n + 1):
-        acc = acc + data.X[r][1]
+    acc = sum((data.X[r][1] for r in range(n + 1)), Series.zero())
     rep.add("sum X_r = n DL/L", (acc - data.DLL * n).zero_order() is None)
 
     for m in range(1, n + 1):
         for k in range(1, n + 1):
             lhs = data.I[m].deriv_pow(k)
-            rhs = Series.zero()
-            for p in range(1, k + 1):
-                rhs = rhs + data.B_series(k, p) * data.Z_series(m, p)
+            rhs = sum((data.B_series(k, p) * data.Z_series(m, p) for p in range(1, k + 1)), Series.zero())
             d = (lhs - rhs).zero_order()
             rep.add(f"ladder expansion D^{k} I_{m}", d is None, f"first bad x-power {d}" if d is not None else "")
 

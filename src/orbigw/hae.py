@@ -87,25 +87,35 @@ def prefactor_collapse_check(data: GenusZeroData) -> bool:
 def verify_hae(
     n: int,
     g: int,
-    policy: str = "symplectic",
+    policy: str | None = None,
     custom_constants: list[Fraction] | None = None,
     N: int | None = None,
     tables: ContributionTables | None = None,
 ) -> HaeReport:
     """
-    Build everything for (n, g) under one constants policy and compare both
-    sides of the anomaly equation canonically and under evaluation.
+    Build everything for (n, g) under one constants policy (default symplectic)
+    and compare both sides of the anomaly equation canonically and under
+    evaluation.  Given ``tables``, n, N, the policy and the constants are the
+    tables' own, and an argument naming others raises ValueError.
     """
     if g < 2:
         raise ValueError("the anomaly equation is stated for g >= 2")
-    cfg = ModelConfig(n, N or 0)
     if tables is None:
+        policy = policy or "symplectic"
         ctx = RingContext(n)
-        data = GenusZeroData.build(cfg)
+        data = GenusZeroData.build(ModelConfig(n, N or 0))
         pm = build_pmatrix(ctx, data, 3 * g - 2, policy, custom_constants=custom_constants)
         tables = ContributionTables(pm)
     else:
-        ctx, data = tables.ctx, tables.data
+        ctx, data, col = tables.ctx, tables.data, tables.pm.col
+        given = None if custom_constants is None else [Fraction(c) for c in custom_constants[: col.k_max]]
+        own = {"n": (n, ctx.n), "N": (N, data.cfg.N), "policy": (policy, col.policy)}
+        own["custom_constants"] = (given, col.constants if col.policy == "custom" else None)
+        conflicts = [name for name, (arg, value) in own.items() if arg is not None and arg != value]
+        if conflicts:
+            raise ValueError(f"{', '.join(conflicts)} conflict with the given tables")
+        policy = col.policy
+    cfg = data.cfg
     s = cfg.s
     odd = bool(n % 2)
     dist_gen = ("A", ctx.distinguished, 0)

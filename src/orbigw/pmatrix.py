@@ -19,28 +19,29 @@ implemented: ``zero`` (all constants zero), ``symplectic`` (each constant is
 solved, order by order, from the quadratic unitarity condition on the
 solution matrix, and left at zero where that condition is vacuous), and
 ``custom`` (caller-provided).  The symplectic solve grows one set of series
-tables one order at a time and computes one unitarity residual per order:
-the residual's linear part in the new constant is known in closed form, so
-an order is rebuilt only when a nonzero constant is solved, and the grown
-tables are the column's series tables.
+tables one order at a time and checks one unitarity residual per order, as
+a rational 2D character sum: the residual's linear part in the new constant
+is known in closed form, so an order is rebuilt only when a nonzero
+constant is solved, and the grown tables are the column's series tables.
 
-The remaining rows are then built twice:
+The remaining rows are then built twice, both times graded by residue mod n
+over Q: neither recursion involves the column index j, and column j is the
+zeta^{wj}-weighted sum of the rational pieces w, assembled by :func:`at_column`.
 
-* as exact truncated series, column by column and one order at a time,
+* as exact truncated series, one table per residue and one order at a time,
   through the modified flatness recursion plus one honest quadrature per
   order (this is the oracle route; it never touches the polynomial ring);
 * as elements of the free ring of :mod:`orbigw.ring`, by the same
-  descending recursion with the formal derivation (this is the lift).  The
-  lift is graded: row zero splits by the residue mod n of its exponents, and
-  the j-independent descent runs once per residue on rational ring elements,
-  so every column is a zeta^j-weighted sum of the same graded pieces.
+  descending recursion with the formal derivation (this is the lift): row
+  zero splits by the residue mod n of its exponents, and the descent runs
+  once per residue on rational ring elements.
 
 ``verify_lift`` certifies the second construction against the first,
-coefficient by coefficient, and ``verify_partial_lemmas`` checks the
-formal partial-derivative identities that drive the anomaly equations.
-``verify_pmatrix`` reads row zero through ``PColumn.row_zero_ring``, the
-lift's starting point, both when it evaluates the polynomial route and when
-it fits the series route in the rational L.
+column by column and coefficient by coefficient, and
+``verify_partial_lemmas`` checks the formal partial-derivative identities
+that drive the anomaly equations.  ``verify_pmatrix`` reads each column's
+row zero as the lift assembles it, both when it evaluates the polynomial
+route and when it fits the series route in the rational L.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 
-from .cyclotomic import Cyclotomic
 from .genus0 import GenusZeroData, Y_poly, f_n_poly
 from .report import Report
 from .ring import RingContext, RingElement, fit_laurent_in_L
 from .series import Series
 from .stirling import stirling_first
 
-Tables = list[list[list[Series]]]  # tables[j][k][i]: column j, order k, row i
+Tables = list[list[list[Series]]]  # tables[w][k][i]: residue w, order k, row i (rational)
 
 
 def div_exact(a: Series, b: Series) -> Series:
@@ -170,78 +170,99 @@ def compute_phis(n: int, k_max: int, constants: list[Fraction]) -> list[Series]:
     return phis
 
 
-# -- series route: modified flatness, column by column ------------------------------
+# -- series route: modified flatness, graded by residue -----------------------------
+
+
+def at_column(pieces: list, j: int, zeta):
+    """
+    The column-j entry sum_w zeta^{wj} pieces[w] of an entry graded by residue,
+    zero pieces skipped: the one place the column index enters the P column,
+    for the series oracle and the ring lift alike.
+    """
+    n = len(pieces)
+    terms = [piece * zeta(w * j) if w * j % n else piece for w, piece in enumerate(pieces) if piece]
+    return sum(terms[1:], terms[0]) if terms else pieces[0]
 
 
 def extend_tables(data: GenusZeroData, tables: Tables, constant: Fraction) -> None:
     """
-    Append the next order k to every column of ``tables``, with integration
+    Append the next order k to the table of every residue, with integration
     constant ``constant`` at that order.
 
     The rows at order k are cumulative sums over the known order k-1 data, and
     the row-zero series is recovered by one quadrature from the cycle-closure
-    condition; a constant c adds zeta^{jk} c to every row of column j.
+    condition.  Neither step involves the column index, so each residue's
+    table grows on its own; a constant c adds c to every row of residue k mod n.
     """
     n = data.cfg.n
     inv_L = data.L.invert()
-    for j, col in enumerate(tables):
-        k = len(col)
-        prev = col[k - 1]
+    k = len(tables[0])
+    for w, table in enumerate(tables):
+        prev = table[k - 1]
         cum: list[Series] = [Series.zero() for _ in range(n)]
         cum[n - 1] = prev[0].D() * inv_L
         for i in range(n - 1, 1, -1):
             cum[i - 1] = cum[i] + prev[i].D() * inv_L + data.A[n - i] * prev[i]
-        total_cum = Series.zero()
-        for s in cum:
-            total_cum = total_cum + s
-        rhs = -(total_cum.D())
+        rhs = -(sum(cum, Series.zero()).D())
         for i in range(n):
             rhs = rhs - data.A[(n - i) % n] * cum[i] * data.L
         rhs = rhs / Fraction(n)
         if 0 in rhs.coeffs:
             raise AssertionError("cycle closure has a constant term; flatness violated")
-        f = rhs.D_inverse() + Series.monomial(data.zeta(j) ** k * Fraction(constant))
-        col.append([f + cum[i] for i in range(n)])
+        f = rhs.D_inverse() + (Fraction(constant) if w == k % n else 0)
+        table.append([f + cum[i] for i in range(n)])
 
 
 def series_tables(data: GenusZeroData, k_max: int, constants: list[Fraction]) -> Tables:
     """
-    tables[j][k][i] = the normalized entry at row i, column j, order k, as a series.
+    tables[w][k][i] = the residue-w piece of the normalized entry at row i and
+    order k, a series with rational coefficients; the entry at column j is
+    sum_w zeta^{wj} tables[w][k][i] (:func:`at_column`).
 
     Built from the modified flatness recursion alone, one order at a time
-    (:func:`extend_tables`), starting from the unit at order 0.  The polynomial
-    route never enters; this is the oracle the ring lift is checked against.
+    (:func:`extend_tables`), starting from the unit at order 0, residue 0.
+    The polynomial route never enters; this is the oracle the ring lift is
+    checked against.  With zero constants only residue 0 is nonzero.
     """
     n = data.cfg.n
     unit = Series.one().truncate(data.L.prec)
-    tables = [[[unit for _ in range(n)]] for _ in range(n)]
+    tables = [[[unit if w == 0 else Series.zero(unit.prec) for _ in range(n)]] for w in range(n)]
     for k in range(1, k_max + 1):
         extend_tables(data, tables, constants[k - 1])
     return tables
 
 
-def unitarity_residual(data: GenusZeroData, tables: Tables, e: int) -> list[list[Series]]:
+def unitarity_residual(tables: Tables, e: int) -> list[list[Series]]:
     """
-    The order-e coefficient of the quadratic unitarity condition, as an
-    n x n matrix of series; all entries vanish exactly when the condition
-    holds at this order.
+    The order-e coefficient of the quadratic unitarity condition as a 2D
+    character sum: rational series Y[a][b] with, at the column pair (i, j),
+
+        sum_{c+d=e} sum_r ((-1)^c / n) zeta^{-(c + Inv(r)) i - (d + r) j} P^c_{Inv(r),i} P^d_{r,j}
+            = sum_{a,b} zeta^{a i + b j} Y[a][b],
+
+    where Inv(r) = -r mod n and the product of the pieces u and v of the two
+    entries lands at a = u - c - Inv(r), b = v - d - r.  The DFT on (Z/n)^2 is
+    invertible, so the condition holds at order e exactly when every Y[a][b]
+    vanishes.
     """
-    n = data.cfg.n
-    out: list[list[Series]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Series.zero()
-            for c in range(e + 1):
-                d = e - c
-                sign = (-1) ** c
-                for r in range(n):
-                    rinv = (-r) % n
-                    w = data.zeta(-(c + rinv) * i - (d + r) * j) * Fraction(sign, n)
-                    acc = acc + tables[i][c][rinv] * tables[j][d][r] * w
-            row.append(acc)
-        out.append(row)
-    return out
+    n = len(tables)
+    Y = [[Series.zero() for _ in range(n)] for _ in range(n)]
+    for c in range(e + 1):
+        d = e - c
+        weight = Fraction((-1) ** c, n)
+        for r in range(n):
+            rinv = (-r) % n
+            for u, left in enumerate(tables):
+                x = left[c][rinv]
+                if not x:
+                    continue
+                x = x * weight
+                for v, right in enumerate(tables):
+                    y = right[d][r]
+                    if y:
+                        a, b = (u - c - rinv) % n, (v - d - r) % n
+                        Y[a][b] = Y[a][b] + x * y
+    return Y
 
 
 @dataclass
@@ -254,10 +275,6 @@ class PColumn:
     phis: list[Series]
     constants: list[Fraction]
     constant_status: list[str]
-
-    def row_zero_ring(self, j: int, k: int, zeta) -> RingElement:
-        """The lifted row-zero entry at column j and order k (an element of C[L])."""
-        return RingElement({(r, ()): zeta((r + k) * j) * c for r, c in self.phis[k].coeffs.items()})
 
     def to_json(self) -> dict:
         return {
@@ -274,20 +291,19 @@ def fix_constants_symplectic(data: GenusZeroData, k_max: int) -> tuple[list[Frac
     """
     Choose integration constants so the unitarity condition holds order by order.
 
-    One set of tables grows one order at a time.  At order e the tables are
-    first extended with the constant 0 and the residual is computed once.  The
-    condition is affine in the new constant c, and its linear part is known in
-    closed form: c adds zeta^{je} c to every row of column j at order e, only
-    the order-0 rows (all equal to 1) pair with it, and the sum over r
-    collapses to a Kronecker delta, so the residual moves by
-
-        (1 + (-1)^e) * c * delta_ij.
+    One set of graded tables grows one order at a time.  At order e they are
+    first extended with the constant 0 and the character sum Y of the
+    residual (:func:`unitarity_residual`) is computed once.  The condition is
+    affine in the new constant c, with a linear part known in closed form: c
+    adds c to every row of residue e mod n, only the order-0 rows (all 1, at
+    residue 0) pair with it, and both pairings land on the antidiagonal, so
+    Y[a][-a] moves by (1 + (-1)^e) c / n for every a and nothing else moves.
 
     Where that slope vanishes the constant is reported free and left at zero;
-    otherwise it is fixed and solved from the constant term of entry (0, 0),
-    and order e is rebuilt when that constant is nonzero.  Either way the whole
-    residual must vanish.  Returns the constants, their statuses and the grown
-    tables, which are the series tables of the solved column.
+    otherwise it is fixed and solved from the constant term of Y[0][0], and
+    order e is rebuilt when that constant is nonzero.  Either way every
+    Y[a][b] must vanish.  The solve is rational throughout.  Returns the
+    constants, their statuses and the grown tables (the column's series tables).
     """
     n = data.cfg.n
     tables = series_tables(data, 0, [])
@@ -295,24 +311,17 @@ def fix_constants_symplectic(data: GenusZeroData, k_max: int) -> tuple[list[Frac
     status: list[str] = []
     for e in range(1, k_max + 1):
         extend_tables(data, tables, Fraction(0))
-        resid = unitarity_residual(data, tables, e)
-        slope = Fraction(1 + (-1) ** e)
+        Y = unitarity_residual(tables, e)
+        slope = Fraction(1 + (-1) ** e, n)
         status.append("fixed" if slope else "free")
-        c = resid[0][0].get(0) / -slope if slope else Fraction(0)
-        if isinstance(c, Cyclotomic):
-            c = c.to_rational()
+        c = Y[0][0].get(0) / -slope if slope else Fraction(0)
         if c:
-            for col in tables:
-                col.pop()
+            for table in tables:
+                table.pop()
             extend_tables(data, tables, c)
-            resid = unitarity_residual(data, tables, e)
+            Y = unitarity_residual(tables, e)
         constants.append(c)
-        bad = [
-            (i, j, resid[i][j].zero_order())
-            for i in range(n)
-            for j in range(n)
-            if resid[i][j].zero_order() is not None
-        ]
+        bad = [(a, b, Y[a][b].zero_order()) for a in range(n) for b in range(n) if Y[a][b]]
         if bad:
             raise AssertionError(f"unitarity at order {e} not solvable by one constant: {bad[:3]}")
     return constants, status, tables
@@ -361,9 +370,8 @@ def lift_tables(ctx: RingContext, col: PColumn, zeta) -> tuple[Lift, Lift]:
     The ring lift, graded by residue, and the entries it assembles to.
 
     Returns ``(graded, lifted)``: ``graded[(k, i, w)]`` is a ring element with
-    rational coefficients, and the order-k, row-i, column-j entry is
-
-        lifted[(k, i, j)] = sum_w zeta^{wj} graded[(k, i, w)].
+    rational coefficients, and ``lifted[(k, i, j)]`` is the order-k, row-i,
+    column-j entry sum_w zeta^{wj} graded[(k, i, w)] (:func:`at_column`).
 
     Row zero splits by the residue w = (r + k) mod n of the exponent of L^r in
     p_k.  The other rows descend from row zero through the modified flatness
@@ -390,37 +398,25 @@ def lift_tables(ctx: RingContext, col: PColumn, zeta) -> tuple[Lift, Lift]:
     lifted: Lift = {}
     for k in range(col.k_max + 1):
         for i in range(n):
+            pieces = [graded[(k, i, w)] for w in range(n)]
             for j in range(n):
-                entry = RingElement.zero()
-                for w in range(n):
-                    part = graded[(k, i, w)]
-                    if part:
-                        entry = entry + (part * zeta(w * j) if w * j % n else part)
-                lifted[(k, i, j)] = entry
+                lifted[(k, i, j)] = at_column(pieces, j, zeta)
     return graded, lifted
 
 
-def verify_lift(
-    ctx: RingContext,
-    data: GenusZeroData,
-    col: PColumn,
-    lifted: Lift,
-    tables: Tables,
-) -> Report:
-    """Certify the ring lift against the series oracle, entry by entry."""
+def verify_lift(pm: PMatrixData) -> Report:
+    """Certify the ring lift against the series oracle, entry by entry, column by column."""
+    ctx, data, col, lifted = pm.ctx, pm.data, pm.col, pm.lifted
     n = ctx.n
     ev = ctx.evaluator(data)
     rep = Report(f"lift certification (n={n}, k_max={col.k_max}, policy={col.policy})")
     for j in range(n):
-        worst = None
-        for k in range(col.k_max + 1):
-            for i in range(n):
-                d = (ev.eval(lifted[(k, i, j)]) - tables[j][k][i]).zero_order()
-                if d is not None:
-                    worst = (k, i, d)
-                    break
-            if worst:
-                break
+        diffs = (
+            (k, i, (ev.eval(lifted[(k, i, j)]) - pm.series_entry(k, i, j)).zero_order())
+            for k in range(col.k_max + 1)
+            for i in range(n)
+        )
+        worst = next((x for x in diffs if x[2] is not None), None)
         rep.add(f"column {j} matches series oracle", worst is None, str(worst) if worst else "")
     # the one flatness equation not consumed by the construction must close
     for j in range(n):
@@ -433,11 +429,7 @@ def verify_lift(
                 break
         rep.add(f"cycle closure in the ring, column {j}", bad is None, str(bad) if bad else "")
     # membership: row zero entries live in C[L]
-    ok = all(
-        not col.row_zero_ring(j, k, data.zeta).uses_negative_L()
-        for j in range(n)
-        for k in range(col.k_max + 1)
-    )
+    ok = all(not lifted[(k, 0, j)].uses_negative_L() for j in range(n) for k in range(col.k_max + 1))
     rep.add("row zero entries have no pole in L", ok)
     return rep
 
@@ -458,14 +450,10 @@ def verify_partial_lemmas(ctx: RingContext, lifted: Lift, k_max: int) -> Report:
             for i in range(n):
                 got = lifted[(k, i, j)].partial(gen)
                 want = RingElement.zero()
-                if ctx.odd:
-                    if i == s and k >= 1:
-                        want = lifted[(k - 1, s + 1, j)]
-                else:
-                    if i == s and k >= 1:
-                        want = lifted[(k - 1, s + 1, j)]
-                    elif i == s - 1 and k >= 1:
-                        want = lifted[(k - 1, s, j)]
+                if k >= 1 and i == s:
+                    want = lifted[(k - 1, s + 1, j)]
+                elif k >= 1 and i == s - 1 and not ctx.odd:
+                    want = lifted[(k - 1, s, j)]
                 if not (got - want).is_zero():
                     bad = (k, i)
                     break
@@ -491,6 +479,10 @@ class PMatrixData:
     tables: Tables
     graded: Lift
     lifted: Lift
+
+    def series_entry(self, k: int, i: int, j: int) -> Series:
+        """The series oracle's entry at order k, row i, column j."""
+        return at_column([table[k][i] for table in self.tables], j, self.data.zeta)
 
 
 def build_pmatrix(
@@ -541,12 +533,12 @@ def verify_pmatrix(pm: PMatrixData) -> Report:
     for k, phi in enumerate(col.phis):
         rep.add(f"p_{k} has only nonnegative powers", phi.val >= 0)
 
-    # both row-zero checks read the column as the ring elements the lift starts from
+    # both row-zero checks read each column's row zero as the lift assembles it
     ev = ctx.evaluator(data)
     for j in range(n):
         bad = None
         for k in range(col.k_max + 1):
-            d = (ev.eval(col.row_zero_ring(j, k, data.zeta)) - pm.tables[j][k][0]).zero_order()
+            d = (ev.eval(pm.lifted[(k, 0, j)]) - pm.series_entry(k, 0, j)).zero_order()
             if d is not None:
                 bad = (k, d)
                 break
@@ -556,16 +548,16 @@ def verify_pmatrix(pm: PMatrixData) -> Report:
         bad = None
         for k in range(col.k_max + 1):
             try:
-                fit, _ = fit_laurent_in_L(pm.tables[j][k][0], data.L, 0, (k + 1) * n)
+                fit, _ = fit_laurent_in_L(pm.series_entry(k, 0, j), data.L, 0, (k + 1) * n)
             except ValueError as exc:
                 bad = (k, str(exc))
                 break
-            if RingElement.L_poly(Series(fit)) != col.row_zero_ring(j, k, data.zeta):
+            if RingElement.L_poly(Series(fit)) != pm.lifted[(k, 0, j)]:
                 bad = (k, "fit disagrees with polynomial route")
                 break
         rep.add(f"Laurent fit certifies membership, column {j}", bad is None, str(bad) if bad else "")
 
-    sub = verify_lift(ctx, data, col, pm.lifted, pm.tables)
+    sub = verify_lift(pm)
     rep.checks.extend(sub.checks)
     sub = verify_partial_lemmas(ctx, pm.lifted, col.k_max)
     rep.checks.extend(sub.checks)

@@ -104,7 +104,7 @@ class ContributionTables:
     P~^k_{i,j} are read through :meth:`entry` and :meth:`graded`; here they
     come from the ring lift, so every value is a ring element.
     :class:`SeriesTables` reads the decorated entries from the series oracle
-    instead.
+    instead, assembling each column from its rational residue tables.
     """
 
     def __init__(self, pm: PMatrixData):
@@ -229,12 +229,13 @@ class ContributionTables:
 
 class SeriesTables(ContributionTables):
     """
-    The same local factors over the series oracle, one decoration at a time;
+    The same local factors over the series oracle, one decoration at a time
+    (entries assembled by :func:`~orbigw.pmatrix.at_column`, as in the lift);
     the ring lift never enters.
     """
 
     def entry(self, k: int, i: int, j: int) -> Series:
-        return self.pm.tables[j][k][i]
+        return self.pm.series_entry(k, i, j)
 
     def graded(self, k: int, i: int):
         raise TypeError("the series oracle is read one decoration at a time")

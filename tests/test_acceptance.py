@@ -111,7 +111,7 @@ def test_criterion_4_polynomiality():
         for j in range(n):
             Lj = data.L * data.zeta(j)
             for k in range(8):
-                series_val = pm.tables[j][k][0] * data.zeta(-k * j)
+                series_val = pm.series_entry(k, 0, j) * data.zeta(-k * j)
                 fit, checked = fit_laurent_in_L(series_val, Lj, max_pole=0, max_degree=(k + 1) * n)
                 if checked < N:
                     ok, detail = False, f"n={n} j={j} k={k}: checked only x^{checked}"

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from orbigw.genus0 import (
+    GenusZeroData,
     ModelConfig,
     build_and_verify,
     compute_I,
@@ -145,3 +146,16 @@ def test_ladder_series_example(data3):
 def test_build_and_verify_entry_point():
     data, rep = build_and_verify(ModelConfig(3, 14))
     assert rep.ok
+
+
+def test_quantum_coeff_is_cached_per_instance(data3):
+    n = 3
+    for i in range(n):
+        for j in range(n):
+            first = data3.quantum_coeff(i, j)
+            assert data3.quantum_coeff(i, j) is first
+            assert first == data3.K_ext(i + j) / (data3.K[i] * data3.K[j])
+    # another instance computes its own
+    other = GenusZeroData.build(data3.cfg)
+    assert other.quantum_coeff(1, 2) is not data3.quantum_coeff(1, 2)
+    assert other.quantum_coeff(1, 2) == data3.quantum_coeff(1, 2)

@@ -111,3 +111,38 @@ def test_hae_trivializes_for_n6_at_genus2():
     r = verify_hae(6, 2, policy="zero")
     assert r.verified
     assert r.lhs.is_zero() and r.rhs.is_zero()
+
+
+def test_given_tables_label_the_report(tables3):
+    # tables3 hold n = 3 under the zero policy; the report says so, and an
+    # argument that repeats the tables' own values is accepted
+    r = verify_hae(3, 2, tables=tables3)
+    assert (r.n, r.parity, r.policy, r.status) == (3, "odd", "zero", "verified")
+    assert verify_hae(3, 2, policy="zero", N=30, tables=tables3).to_json() == r.to_json()
+
+
+def test_given_tables_reject_another_n(tables3):
+    with pytest.raises(ValueError, match="^n conflict"):
+        verify_hae(4, 2, tables=tables3)
+
+
+def test_given_tables_reject_another_N(tables3):
+    with pytest.raises(ValueError, match="^N conflict"):
+        verify_hae(3, 2, N=40, tables=tables3)
+
+
+def test_given_tables_reject_another_policy(tables3):
+    with pytest.raises(ValueError, match="^policy conflict"):
+        verify_hae(3, 2, policy="symplectic", tables=tables3)
+
+
+def test_given_tables_reject_other_constants(tables3, pmatrix_at):
+    from orbigw.potentials import ContributionTables
+
+    with pytest.raises(ValueError, match="^custom_constants conflict"):
+        verify_hae(3, 2, custom_constants=[Fraction(0)] * 4, tables=tables3)
+    custom = ContributionTables(pmatrix_at(3, "custom"))
+    own = custom.pm.col.constants
+    with pytest.raises(ValueError, match="^custom_constants conflict"):
+        verify_hae(3, 2, custom_constants=[c + 1 for c in own], tables=custom)
+    assert verify_hae(3, 2, custom_constants=own, tables=custom).policy == "custom"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from math import comb
@@ -6,8 +7,10 @@ import pytest
 
 from orbigw.series import Series
 from orbigw.genus0 import GenusZeroData, ModelConfig, Y_poly, f_n_poly
+from orbigw.cyclotomic import Cyclotomic
 from orbigw.pmatrix import (
     apply_operator,
+    at_column,
     build_H_table,
     build_L_operators,
     build_pmatrix,
@@ -94,36 +97,36 @@ def test_symplectic_constants_status(data3):
     constants, status, grown = fix_constants_symplectic(data3, 4)
     assert len(constants) == 4
     assert status == ["free", "fixed", "free", "fixed"]
-    # the grown tables are the column's tables, and with those constants the
-    # unitarity condition holds at every order
+    # the grown tables are the column's graded tables, and with those constants
+    # every entry of the unitarity character sum vanishes at every order
     tables = series_tables(data3, 4, constants)
     assert grown == tables
     for e in range(1, 5):
-        resid = unitarity_residual(data3, tables, e)
-        assert all(resid[i][j].zero_order() is None for i in range(3) for j in range(3))
+        Y = unitarity_residual(tables, e)
+        assert all(Y[a][b].zero_order() is None for a in range(3) for b in range(3))
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_symplectic_slope_closed_form(n, request):
     # the numeric route the solve once took: bump the order-e constant from 0
-    # to 1 and compare residuals; the closed form says the residual moves by
-    # (1 + (-1)^e) on the diagonal and not at all off it
+    # to 1 and compare character sums; the closed form says Y[a][-a] moves by
+    # (1 + (-1)^e) / n for every a and no other entry moves
     data = request.getfixturevalue(f"data{n}")
     for e in range(1, 5):
         zeros = [Fraction(0)] * (e - 1)
-        r0 = unitarity_residual(data, series_tables(data, e, zeros + [Fraction(0)]), e)
-        r1 = unitarity_residual(data, series_tables(data, e, zeros + [Fraction(1)]), e)
-        slope = Fraction(1 + (-1) ** e)
-        for i in range(n):
-            for j in range(n):
-                want = Series.monomial(slope) if i == j else Series.zero()
-                assert (r1[i][j] - r0[i][j] - want).zero_order() is None, (e, i, j)
+        y0 = unitarity_residual(series_tables(data, e, zeros + [Fraction(0)]), e)
+        y1 = unitarity_residual(series_tables(data, e, zeros + [Fraction(1)]), e)
+        slope = Fraction(1 + (-1) ** e, n)
+        for a in range(n):
+            for b in range(n):
+                want = Series.monomial(slope) if (a + b) % n == 0 else Series.zero()
+                assert (y1[a][b] - y0[a][b] - want).zero_order() is None, (e, a, b)
 
 
 def test_symplectic_solve_rebuilds_a_nonzero_constant(data3, monkeypatch):
-    # shift the constant every table build sees at order 2 by 3/7: the zero
-    # candidate then leaves a residual, the solve must find -3/7 and the
-    # rebuilt order must satisfy unitarity again
+    # shift the constant every table build sees at order 2 (residue 2 of the
+    # graded tables) by 3/7: the zero candidate then leaves a residual, the
+    # solve must find -3/7 and the rebuilt order must satisfy unitarity again
     import orbigw.pmatrix
 
     extend = orbigw.pmatrix.extend_tables
@@ -200,23 +203,30 @@ def test_pcolumn_json_round_trip():
 
 def test_unmodified_flatness_recursion(data3):
     # the raw recursion D P^{k-1}_{i,j} = C_{ion(i)} P^k_{ion(i)-1,j} - P^k_{i,j} L zeta^j
-    # must hold for the series rebuilt from the normalized tables
+    # must hold for the series rebuilt from the normalized tables, column by
+    # column, with zero constants and with nonzero ones at every residue
     n = 3
     k_max = 3
-    tables = series_tables(data3, k_max, [Fraction(0)] * k_max)
     cfg = data3.cfg
-    for j in range(n):
-        zj = data3.zeta(j)
-        P = [
-            [tables[j][k][i] * (data3.K[i] / data3.L**i) * data3.zeta(-(k + i) * j) for i in range(n)]
-            for k in range(k_max + 1)
-        ]
-        for k in range(1, k_max + 1):
-            for i in range(n):
-                ion = cfg.ion(i)
-                lhs = P[k - 1][i].D()
-                rhs = data3.C[ion] * P[k][ion - 1] - P[k][i] * data3.L * zj
-                assert (lhs - rhs).zero_order() is None, (j, k, i)
+    for constants in ([Fraction(0)] * k_max, [Fraction(1, 2), Fraction(-2), Fraction(3)]):
+        tables = series_tables(data3, k_max, constants)
+        for j in range(n):
+            zj = data3.zeta(j)
+            P = [
+                [
+                    at_column([t[k][i] for t in tables], j, data3.zeta)
+                    * (data3.K[i] / data3.L**i)
+                    * data3.zeta(-(k + i) * j)
+                    for i in range(n)
+                ]
+                for k in range(k_max + 1)
+            ]
+            for k in range(1, k_max + 1):
+                for i in range(n):
+                    ion = cfg.ion(i)
+                    lhs = P[k - 1][i].D()
+                    rhs = data3.C[ion] * P[k][ion - 1] - P[k][i] * data3.L * zj
+                    assert (lhs - rhs).zero_order() is None, (constants, j, k, i)
 
 
 def test_tail_consistency_against_series(tables3, data3):
@@ -224,7 +234,7 @@ def test_tail_consistency_against_series(tables3, data3):
     ev = tables3.ctx.evaluator(data3)
     for p in range(3):
         for i in (2, 3):
-            want = tables3.pm.tables[p][i][0] * data3.zeta(-i * p) * Fraction((-1) ** i, 3)
+            want = tables3.pm.series_entry(i, 0, p) * data3.zeta(-i * p) * Fraction((-1) ** i, 3)
             got = ev.eval(tables3.tail(p, i)[0])
             assert (got - want).zero_order() is None
             # the same tail as a character sum, read at p
@@ -234,7 +244,8 @@ def test_tail_consistency_against_series(tables3, data3):
 
 def test_unitarity_order_zero_is_identity(data3):
     # at order zero the quadratic unitarity expression equals the Kronecker
-    # delta; this ties together the K identities and the table normalization
+    # delta; this ties together the K identities and the table normalization.
+    # Its character sum is then Y[a][b] = [a + b = 0] / n.
     n = 3
     tables = series_tables(data3, 0, [])
     for i in range(n):
@@ -243,10 +254,16 @@ def test_unitarity_order_zero_is_identity(data3):
             for r in range(n):
                 rinv = (-r) % n
                 w = data3.zeta(-rinv * i - r * j) * Fraction(1, n)
-                term = tables[i][0][rinv] * tables[j][0][r] * w
+                left = at_column([t[0][rinv] for t in tables], i, data3.zeta)
+                term = left * at_column([t[0][r] for t in tables], j, data3.zeta) * w
                 acc = term if acc is None else acc + term
             want = Series.monomial(Fraction(1)) if i == j else Series.zero()
             assert (acc - want).zero_order() is None, (i, j)
+    Y = unitarity_residual(tables, 0)
+    for a in range(n):
+        for b in range(n):
+            want = Series.monomial(Fraction(1, n)) if (a + b) % n == 0 else Series.zero()
+            assert (Y[a][b] - want).zero_order() is None, (a, b)
 
 
 def _column_lift(ctx, col, zeta, j):
@@ -254,7 +271,7 @@ def _column_lift(ctx, col, zeta, j):
     n = ctx.n
     out = {}
     for k in range(col.k_max + 1):
-        out[(k, 0)] = col.row_zero_ring(j, k, zeta)
+        out[(k, 0)] = RingElement({(r, ()): zeta((r + k) * j) * c for r, c in col.phis[k].coeffs.items()})
         if k == 0:
             for i in range(1, n):
                 out[(0, i)] = out[(0, 0)]
@@ -289,3 +306,140 @@ def test_graded_lift(pmatrix_at, n, policy):
                 for w in range(n):
                     total = total + pm.graded[(k, i, w)] * zeta(w * j)
                 assert total == column[(k, i)] == pm.lifted[(k, i, j)], (k, i, j)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_custom_policy_battery(pmatrix_at, n):
+    # seeded nonzero constants reach every residue of the graded tables and lift
+    rep = verify_pmatrix(pmatrix_at(n, "custom"))
+    assert rep.ok, rep.failures()[:4]
+    assert len(rep.checks) == 6 * n + 10
+
+
+def _column_tables(data, k_max, constants):
+    """
+    The series tables column by column, tables[j][k][i], in cyclotomic
+    arithmetic: the recursion once run per column, kept as the oracle of the
+    graded tables.  A constant c at order k adds zeta^{jk} c to column j.
+    """
+    n = data.cfg.n
+    inv_L = data.L.invert()
+    unit = Series.one().truncate(data.L.prec)
+    cols = [[[unit] * n] for _ in range(n)]
+    for k in range(1, k_max + 1):
+        for j, col in enumerate(cols):
+            prev = col[k - 1]
+            cum = [Series.zero() for _ in range(n)]
+            cum[n - 1] = prev[0].D() * inv_L
+            for i in range(n - 1, 1, -1):
+                cum[i - 1] = cum[i] + prev[i].D() * inv_L + data.A[n - i] * prev[i]
+            rhs = -sum(cum, Series.zero()).D()
+            for i in range(n):
+                rhs = rhs - data.A[(n - i) % n] * cum[i] * data.L
+            f = (rhs / Fraction(n)).D_inverse() + Series.monomial(data.zeta(j) ** k * Fraction(constants[k - 1]))
+            col.append([f + cum[i] for i in range(n)])
+    return cols
+
+
+def _column_residual(data, cols, e):
+    """The order-e unitarity residual at every column pair (i, j), in cyclotomic arithmetic (oracle)."""
+    n = data.cfg.n
+    out = [[Series.zero() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for c in range(e + 1):
+                d = e - c
+                for r in range(n):
+                    rinv = (-r) % n
+                    w = data.zeta(-(c + rinv) * i - (d + r) * j) * Fraction((-1) ** c, n)
+                    out[i][j] = out[i][j] + cols[i][c][rinv] * cols[j][d][r] * w
+    return out
+
+
+@pytest.mark.parametrize("policy", ["symplectic", "zero", "custom"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_graded_tables_match_column_recursion(pmatrix_at, n, policy):
+    # every graded piece is rational; zeta^{wj}-weighted, the pieces give each
+    # column's own series table, entry by entry
+    pm = pmatrix_at(n, policy)
+    k_max = pm.col.k_max
+    residues = set()
+    for w, table in enumerate(pm.tables):
+        for k in range(k_max + 1):
+            for i in range(n):
+                assert all(type(c) is Fraction for c in table[k][i].coeffs.values()), (w, k, i)
+                if table[k][i]:
+                    residues.add(w)
+    assert residues == ({0} if policy != "custom" else set(range(n)))
+    cols = _column_tables(pm.data, k_max, pm.col.constants)
+    for j in range(n):
+        for k in range(k_max + 1):
+            for i in range(n):
+                assert (pm.series_entry(k, i, j) - cols[j][k][i]).zero_order() is None, (j, k, i)
+
+
+@pytest.mark.parametrize("policy", ["symplectic", "zero", "custom"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_grouped_unitarity_matches_column_oracle(pmatrix_at, n, policy):
+    # the 2D DFT of the rational character sum Y is the cyclotomic residual of
+    # every column pair; under custom constants it is nonzero, so the match
+    # is not between zeros
+    pm = pmatrix_at(n, policy)
+    zeta = pm.data.zeta
+    cols = _column_tables(pm.data, pm.col.k_max, pm.col.constants)
+    nonzero = False
+    for e in range(1, pm.col.k_max + 1):
+        resid = _column_residual(pm.data, cols, e)
+        Y = unitarity_residual(pm.tables, e)
+        for i in range(n):
+            for j in range(n):
+                dft = Series.zero()
+                for a in range(n):
+                    for b in range(n):
+                        dft = dft + Y[a][b] * zeta(a * i + b * j)
+                assert (dft - resid[i][j]).zero_order() is None, (e, i, j)
+                nonzero = nonzero or bool(resid[i][j])
+    assert nonzero == (policy == "custom")
+
+
+def test_mutation_at_a_nonzero_residue_is_caught(pmatrix_at, data3, monkeypatch):
+    # bump one input of Y, row 0 of residue 1 at order 2, by the monomial x
+    pm = pmatrix_at(3, "symplectic")
+    tables = [[list(rows) for rows in table] for table in pm.tables]
+    tables[1][2][0] = tables[1][2][0] + Series.x()
+    assert all(not y for row in unitarity_residual(pm.tables, 2) for y in row)
+    assert any(y for row in unitarity_residual(tables, 2) for y in row)
+    # every column reads the bump (weighted zeta^j), so every column's check fails
+    rep = verify_pmatrix(dataclasses.replace(pm, tables=tables))
+    checks = {c.name: c.ok for c in rep.checks}
+    assert not any(checks[f"column {j} matches series oracle"] for j in range(3))
+
+    # the same bump inside the solve fails its grouped check
+    import orbigw.pmatrix
+
+    extend = orbigw.pmatrix.extend_tables
+
+    def bumped(data, tables, constant):
+        extend(data, tables, constant)
+        if len(tables[1]) == 3:
+            tables[1][2][0] = tables[1][2][0] + Series.x()
+
+    monkeypatch.setattr(orbigw.pmatrix, "extend_tables", bumped)
+    with pytest.raises(AssertionError, match="unitarity at order 2"):
+        fix_constants_symplectic(data3, 3)
+
+
+def test_symplectic_solve_is_rational(data5, monkeypatch):
+    # the graded solve multiplies no cyclotomic number
+    calls = []
+    mul = Cyclotomic.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counted)
+    constants, status, _ = fix_constants_symplectic(data5, 4)
+    assert len(calls) == 0
+    assert status == ["free", "fixed", "free", "fixed"]
