@@ -434,20 +434,27 @@ def verify_ring_series(data: GenusZeroData) -> Report:
     for i in range(n + 1):
         d = (data.A[i] + data.A[n - i]).zero_order()
         rep.add(f"A_{i} + A_{n-i} = 0", d is None)
-    rep.add("sum of all A_i = 0", sum(data.A, Series.zero()).zero_order() is None)
+    acc = Series.zero()
+    for i in range(n + 1):
+        acc = acc + data.A[i]
+    rep.add("sum of all A_i = 0", acc.zero_order() is None)
     if n % 2 == 0:
         rep.add("A_{n/2} = 0", data.A[n // 2].zero_order() is None)
     d = (data.A[0]).zero_order()
     rep.add("A_0 = 0", d is None)
     rep.add("A_n = 0", data.A[n].zero_order() is None)
 
-    acc = sum((data.X[r][1] for r in range(n + 1)), Series.zero())
+    acc = Series.zero()
+    for r in range(n + 1):
+        acc = acc + data.X[r][1]
     rep.add("sum X_r = n DL/L", (acc - data.DLL * n).zero_order() is None)
 
     for m in range(1, n + 1):
         for k in range(1, n + 1):
             lhs = data.I[m].deriv_pow(k)
-            rhs = sum((data.B_series(k, p) * data.Z_series(m, p) for p in range(1, k + 1)), Series.zero())
+            rhs = Series.zero()
+            for p in range(1, k + 1):
+                rhs = rhs + data.B_series(k, p) * data.Z_series(m, p)
             d = (lhs - rhs).zero_order()
             rep.add(f"ladder expansion D^{k} I_{m}", d is None, f"first bad x-power {d}" if d is not None else "")
 

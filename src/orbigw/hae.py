@@ -100,22 +100,22 @@ def verify_hae(
     """
     if g < 2:
         raise ValueError("the anomaly equation is stated for g >= 2")
+    cfg = ModelConfig(n, N or 0)
     if tables is None:
         policy = policy or "symplectic"
         ctx = RingContext(n)
-        data = GenusZeroData.build(ModelConfig(n, N or 0))
+        data = GenusZeroData.build(cfg)
         pm = build_pmatrix(ctx, data, 3 * g - 2, policy, custom_constants=custom_constants)
         tables = ContributionTables(pm)
     else:
         ctx, data, col = tables.ctx, tables.data, tables.pm.col
         given = None if custom_constants is None else [Fraction(c) for c in custom_constants[: col.k_max]]
-        own = {"n": (n, ctx.n), "N": (N, data.cfg.N), "policy": (policy, col.policy)}
+        own = {"n": (n, ctx.n), "N": (N or None, data.cfg.N), "policy": (policy, col.policy)}
         own["custom_constants"] = (given, col.constants if col.policy == "custom" else None)
         conflicts = [name for name, (arg, value) in own.items() if arg is not None and arg != value]
         if conflicts:
             raise ValueError(f"{', '.join(conflicts)} conflict with the given tables")
         policy = col.policy
-    cfg = data.cfg
     s = cfg.s
     odd = bool(n % 2)
     dist_gen = ("A", ctx.distinguished, 0)

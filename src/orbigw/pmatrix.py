@@ -18,11 +18,10 @@ Every integration step leaves one free constant.  Three policies are
 implemented: ``zero`` (all constants zero), ``symplectic`` (each constant is
 solved, order by order, from the quadratic unitarity condition on the
 solution matrix, and left at zero where that condition is vacuous), and
-``custom`` (caller-provided).  The symplectic solve grows one set of series
-tables one order at a time and checks one unitarity residual per order, as
-a rational 2D character sum: the residual's linear part in the new constant
-is known in closed form, so an order is rebuilt only when a nonzero
-constant is solved, and the grown tables are the column's series tables.
+``custom`` (caller-provided).  The symplectic solve grows the column's
+series tables one order at a time and checks one unitarity residual per
+order, as a rational 2D character sum whose linear part in the new constant
+is known in closed form, so an order is rebuilt only for a nonzero constant.
 
 The remaining rows are then built twice, both times graded by residue mod n
 over Q: neither recursion involves the column index j, and column j is the
@@ -249,19 +248,14 @@ def unitarity_residual(tables: Tables, e: int) -> list[list[Series]]:
     Y = [[Series.zero() for _ in range(n)] for _ in range(n)]
     for c in range(e + 1):
         d = e - c
-        weight = Fraction((-1) ** c, n)
         for r in range(n):
             rinv = (-r) % n
-            for u, left in enumerate(tables):
-                x = left[c][rinv]
-                if not x:
-                    continue
-                x = x * weight
-                for v, right in enumerate(tables):
-                    y = right[d][r]
-                    if y:
-                        a, b = (u - c - rinv) % n, (v - d - r) % n
-                        Y[a][b] = Y[a][b] + x * y
+            lefts = [(u, t[c][rinv] * Fraction((-1) ** c, n)) for u, t in enumerate(tables) if t[c][rinv]]
+            rights = [(v, t[d][r]) for v, t in enumerate(tables) if t[d][r]]
+            for u, x in lefts:
+                for v, y in rights:
+                    a, b = (u - c - rinv) % n, (v - d - r) % n
+                    Y[a][b] = Y[a][b] + x * y
     return Y
 
 
