@@ -53,6 +53,8 @@ CLI_SHA256 = {
     "pmatrix --n 5 --k-max 4": (0, "3decd03cb740b3f8bd58cecb3a2c61d4f057432114ecdf3535832a805ab0757b"),
     "pmatrix --n 3 --k-max 4 --policy zero": (0, "b32f15ab4ed3e6fceff9bdae4fb2e82e4bb7bf669189460dde92226a2bf190cd"),
     "verify-identities --n 4 --k-max 4": (0, "72dd76b92a54947a3f53183f2faa4ee567bfbc6f9c3e891d9ed4ab72f1116ab5"),
+    # 192 checks, all 52 semisimple-frame checks at n = 5 among them
+    "verify-identities --n 5 --k-max 4": (0, "88fefca8ab444c70c7a9cfc12780c8dd1245e24ad483ef1180daa08c550940ef"),
     # exit 1 with 52 of 58 checks: the n >= 6 cycle closure fails at (4, 21) in every column
     "pmatrix --n 6 --k-max 4 --policy zero": (1, "d0c1a31ca84b6b745e05c27c5eea98613a1bb1c40a6fac6dff942d3e92ee624a"),
 }
