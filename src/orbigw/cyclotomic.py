@@ -5,9 +5,11 @@ Elements are stored in the power basis 1, zeta, ..., zeta^{phi(n)-1} with
 rational coordinates, reduced modulo the n-th cyclotomic polynomial.  All
 operations are exact; there is no floating point anywhere in this module.
 
-The rationals themselves are ``fractions.Fraction`` (arbitrary precision,
-always in lowest terms with positive denominator), which is exactly the
-coefficient type the rest of the engine builds on.
+The coordinates are kept as integer numerators over one positive common
+denominator, in lowest terms, so a product is integer arithmetic and one
+gcd; since Phi_n is monic with integer coefficients, reducing a power of zeta
+stays integral.  The ``coords`` view reads them as ``fractions.Fraction``,
+the coefficient type the rest of the engine builds on.
 
 Example::
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Rational = Fraction
@@ -71,18 +73,18 @@ def euler_phi(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Power basis coordinates of zeta^e mod Phi_n, for e = 0 .. max(n, 2*phi(n)) - 1."""
-    phi = list(cyclotomic_polynomial(n))
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Power basis coordinates of zeta^e mod Phi_n, for e = 0 .. max(n, 2*phi(n)) - 1 (integers)."""
+    phi = [int(c) for c in cyclotomic_polynomial(n)]
     d = len(phi) - 1
     top = max(n, 2 * d)
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * d
-    cur[0] = Fraction(1)
+    rows: list[tuple[int, ...]] = []
+    cur = [0] * d
+    cur[0] = 1
     for _ in range(top):
         rows.append(tuple(cur))
         # multiply by zeta and reduce by Phi_n
-        nxt = [Fraction(0)] + cur
+        nxt = [0] + cur
         if nxt[d]:
             lead = nxt.pop()
             for j in range(d):
@@ -93,19 +95,36 @@ def _power_table(n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
+class _Over(tuple):
+    """(numerators, denominator): integer coordinates over one positive denominator, as the arithmetic passes them."""
+
+
 class Cyclotomic:
     """An exact element of Q(zeta_n) in the power basis of zeta_n."""
 
-    __slots__ = ("order", "coords")
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coords: Iterable[Coefficient]):
         d = euler_phi(order)
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
-        if len(cs) > d:
+        if isinstance(coords, _Over):
+            num, den = coords
+        else:
+            cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
+            den = lcm(*(c.denominator for c in cs))
+            num = [c.numerator * (den // c.denominator) for c in cs]
+        if len(num) > d:
             raise ValueError(f"at most {d} coordinates for order {order}")
-        cs += [Fraction(0)] * (d - len(cs))
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = [a // g for a in num], den // g
         self.order = order
-        self.coords = tuple(cs)
+        self._num = (*num, *(0,) * (d - len(num)))
+        self._den = den
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as rationals."""
+        return tuple(Fraction(a, self._den) for a in self._num)
 
     # -- constructors ------------------------------------------------------
 
@@ -124,7 +143,7 @@ class Cyclotomic:
     @staticmethod
     def zeta(order: int, k: int = 1) -> "Cyclotomic":
         """zeta_n^k, for any integer k (reduced mod n)."""
-        return Cyclotomic(order, _power_table(order)[k % order])
+        return Cyclotomic(order, _Over((_power_table(order)[k % order], 1)))
 
     # -- basic structure ----------------------------------------------------
 
@@ -138,40 +157,46 @@ class Cyclotomic:
         return None
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self._num)
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self._num)
 
     def is_one(self) -> bool:
-        return self.coords[0] == 1 and not any(self.coords[1:])
+        return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self._num[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coords[0]
+        return Fraction(self._num[0], self._den)
 
     # -- arithmetic ----------------------------------------------------------
+
+    def _plus(self, o: "Cyclotomic", sign: int) -> "Cyclotomic":
+        p, q = self._den, o._den
+        if p == q:
+            return Cyclotomic(self.order, _Over(([a + sign * b for a, b in zip(self._num, o._num)], p)))
+        return Cyclotomic(self.order, _Over(([a * q + sign * b * p for a, b in zip(self._num, o._num)], p * q)))
 
     def __add__(self, other: Coefficient):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order, [a + b for a, b in zip(self.coords, o.coords)])
+        return self._plus(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.order, [-a for a in self.coords])
+        return Cyclotomic(self.order, _Over(([-a for a in self._num], self._den)))
 
     def __sub__(self, other: Coefficient):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic(self.order, [a - b for a, b in zip(self.coords, o.coords)])
+        return self._plus(o, -1)
 
     def __rsub__(self, other: Coefficient):
         o = self._coerce(other)
@@ -183,28 +208,27 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Cyclotomic.zero(self.order)
-            return Cyclotomic(self.order, [a * other for a in self.coords])
+            p, q = other.numerator, other.denominator
+            return Cyclotomic(self.order, _Over(([a * p for a in self._num], self._den * q)))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = len(self.coords)
-        raw = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
+        d = len(self._num)
+        raw = [0] * (2 * d - 1)
+        for i, a in enumerate(self._num):
             if not a:
                 continue
-            for j, b in enumerate(o.coords):
+            for j, b in enumerate(o._num):
                 if b:
                     raw[i + j] += a * b
         table = _power_table(self.order)
-        out = list(raw[:d])
         for e in range(d, 2 * d - 1):
             c = raw[e]
             if c:
-                row = table[e]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return Cyclotomic(self.order, out)
+                for j, t in enumerate(table[e]):
+                    if t:
+                        raw[j] += c * t
+        return Cyclotomic(self.order, _Over((raw[:d], self._den * o._den)))
 
     __rmul__ = __mul__
 
@@ -213,7 +237,7 @@ class Cyclotomic:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
-            return Cyclotomic.from_rational(self.order, 1 / self.coords[0])
+            return Cyclotomic.from_rational(self.order, 1 / self.to_rational())
         phi = list(cyclotomic_polynomial(self.order))
         a = list(self.coords)
         while a and not a[-1]:
@@ -253,7 +277,12 @@ class Cyclotomic:
 
     def __truediv__(self, other: Coefficient):
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, [a / other for a in self.coords])
+            p, q = other.numerator, other.denominator
+            if not p:
+                raise ZeroDivisionError("cyclotomic number divided by zero")
+            if p < 0:
+                p, q = -p, -q
+            return Cyclotomic(self.order, _Over(([a * q for a in self._num], self._den * p)))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -279,14 +308,14 @@ class Cyclotomic:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coords[0] == other
+            return self.is_rational() and self.to_rational() == other
         if isinstance(other, Cyclotomic):
-            return self.order == other.order and self.coords == other.coords
+            return self.order == other.order and self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():
-            return hash(self.coords[0])
+            return hash(self.to_rational())
         return hash((self.order, self.coords))
 
     def __repr__(self) -> str:

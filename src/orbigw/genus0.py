@@ -29,8 +29,11 @@ with Lop_i = C_i^{-1} D.  Their agreement, the Picard-Fuchs residuals, and
 the product identities are exposed as verification reports rather than
 assumed.
 
-All arithmetic is exact; coefficients are rational until roots of unity
-enter through the idempotent frame (Psi and its inverse).
+All arithmetic is exact and rational.  The semisimple frame (idempotents,
+Psi and its inverse) carries roots of unity only as DFT weights on rational
+series, so ``verify_quantum`` checks it through rational differences, and
+:func:`at_column` is the one place a root of unity enters, here and in the
+P column.
 """
 
 from __future__ import annotations
@@ -247,42 +250,6 @@ class GenusZeroData:
     def pairing(self, i: int, j: int) -> Fraction:
         return Fraction(1, self.cfg.n) if (i + j) % self.cfg.n == 0 else Fraction(0)
 
-    def psi_matrix(self) -> list[list[Series]]:
-        """Psi[alpha][i] = (1/n) zeta^{alpha i} L^i / K_i."""
-        n = self.cfg.n
-        units = [self.L**i / self.K[i] for i in range(n)]
-        return [
-            [units[i] * (self.zeta(a * i) / Fraction(n)) for i in range(n)]
-            for a in range(n)
-        ]
-
-    def psi_inverse_matrix(self) -> list[list[Series]]:
-        """PsiInv[j][beta] = zeta^{-beta j} K_j / L^j."""
-        n = self.cfg.n
-        units = [self.K[j] / self.L**j for j in range(n)]
-        return [[units[j] * self.zeta(-b * j) for b in range(n)] for j in range(n)]
-
-    def idempotent(self, alpha: int) -> list[Series]:
-        """Coordinates of e_alpha in the phi basis: (1/n) zeta^{-alpha i} K_i / L^i."""
-        n = self.cfg.n
-        return [
-            (self.K[i] / self.L**i) * (self.zeta(-alpha * i) / Fraction(n))
-            for i in range(n)
-        ]
-
-    def phi_product(self, a: list[Series], b: list[Series]) -> list[Series]:
-        """Quantum product of two vectors written in the phi basis."""
-        n = self.cfg.n
-        out: list[Series] = [Series.zero(min(s.prec for s in a + b)) for _ in range(n)]
-        for i in range(n):
-            if a[i].is_zero():
-                continue
-            for j in range(n):
-                if b[j].is_zero():
-                    continue
-                out[(i + j) % n] = out[(i + j) % n] + a[i] * b[j] * self.quantum_coeff(i, j)
-        return out
-
     # -- the B / Z ladder -----------------------------------------------------
 
     def Z_series(self, m: int, k: int) -> Series:
@@ -329,6 +296,17 @@ def ladder_sum(k: int, p: int, block, one):
 
     rec(1, k, one, 1)
     return reduce(add, terms)
+
+
+def at_column(pieces: list, j: int, zeta):
+    """
+    The DFT value sum_w zeta^{wj} pieces[w] of pieces graded by residue, zero
+    pieces skipped: the one place a root of unity enters the frame battery
+    and the P column (its series oracle and ring lift alike).
+    """
+    n = len(pieces)
+    terms = [piece * zeta(w * j) if w * j % n else piece for w, piece in enumerate(pieces) if piece]
+    return sum(terms[1:], terms[0]) if terms else pieces[0]
 
 
 # -- verification -------------------------------------------------------------
@@ -479,7 +457,23 @@ def verify_ring_series(data: GenusZeroData) -> Report:
 
 
 def verify_quantum(data: GenusZeroData) -> Report:
-    """Idempotents, pairing normalization, transition matrix, canonical coordinates."""
+    r"""
+    Idempotents, pairing normalization, transition matrix, canonical coordinates.
+
+    The frame e_a = sum_i zeta^{-ai} (1/n) U_i phi_i, U_i = K_i / L^i, carries
+    its roots of unity as DFT weights on rational series, so every check reads
+    a rational difference that is a root-of-unity unit times the frame's own:
+
+    * (e_a e_b - delta_ab e_b)_k = zeta^{-bk} / n^2 sum_i zeta^{(b-a)i} D_{k,i},
+      D_{k,i} = U_i U_{k-i} q(i, k-i) - U_k, q the structure constants;
+    * (phi_1 e_a - (L/C_1) zeta^a e_a)_k = zeta^{a-ak} / n (U_{k-1} q(1, k-1) - U_k L/C_1);
+    * (Psi Psi^{-1} - Id)_{ab} = (1/n) sum_i zeta^{(a-b)i} ((L^i/K_i)(K_i/L^i) - 1);
+    * in g(e_a, e_a) and du^a/dx the weights cancel term by term.
+
+    A unit moves no zero order, so each verdict and failure detail is the
+    frame's.  The zeta-sums go through :func:`at_column`, which skips zero
+    pieces: a passing battery builds no cyclotomic number.
+    """
     cfg = data.cfg
     n = cfg.n
     rep = Report(f"quantum structure (n={n}, N={cfg.N})")
@@ -494,57 +488,42 @@ def verify_quantum(data: GenusZeroData) -> Report:
         d = (data.two_point(i).D() - data.C[i + 1] / n).zero_order()
         rep.add(f"D of two-point function, i={i}", d is None)
 
-    es = [data.idempotent(a) for a in range(n)]
+    def first_bad(diffs) -> str:
+        """'(k, d)' for the first component k that is nonzero from x^d on, else ''."""
+        bad = next(((k, d) for k, d in enumerate(s.zero_order() for s in diffs) if d is not None), None)
+        return str(bad) if bad else ""
+
+    units = [data.K[i] / data.L**i for i in range(n)]
+    D = [
+        [units[i] * units[(k - i) % n] * data.quantum_coeff(i, (k - i) % n) - units[k] for i in range(n)]
+        for k in range(n)
+    ]
     for a in range(n):
         for b in range(n):
-            prod = data.phi_product(es[a], es[b])
-            target = es[b] if a == b else [Series.zero() for _ in range(n)]
-            bad = None
-            for i in range(n):
-                d = (prod[i] - target[i]).zero_order()
-                if d is not None:
-                    bad = (i, d)
-                    break
-            rep.add(f"idempotency e_{a} * e_{b}", bad is None, str(bad) if bad else "")
+            bad = first_bad(at_column(D[k], b - a, data.zeta) for k in range(n))
+            rep.add(f"idempotency e_{a} * e_{b}", not bad, bad)
 
+    pair = reduce(add, (units[i] * units[-i % n] for i in range(n))) - Series.monomial(Fraction(n))
     for a in range(n):
-        val = Series.zero()
-        for i in range(n):
-            val = val + es[a][i] * es[a][(n - i) % n] * data.pairing(i, (n - i) % n)
-        d = (val - Series.monomial(Fraction(1, n**2))).zero_order()
-        rep.add(f"g(e_{a}, e_{a}) = 1/n^2", d is None)
+        rep.add(f"g(e_{a}, e_{a}) = 1/n^2", pair.zero_order() is None)
 
-    psi = data.psi_matrix()
-    psi_inv = data.psi_inverse_matrix()
+    pieces = [(data.L**i / data.K[i]) * (data.K[i] / data.L**i) - Series.one() for i in range(n)]
+    orders = [at_column(pieces, j, data.zeta).zero_order() for j in range(n)]
     bad = None
     for a in range(n):
         for b in range(n):
-            acc = Series.zero()
-            for i in range(n):
-                acc = acc + psi[a][i] * psi_inv[i][b]
-            target = Series.one() if a == b else Series.zero()
-            d = (acc - target).zero_order()
-            if d is not None:
-                bad = (a, b, d)
+            if orders[(a - b) % n] is not None:
+                bad = (a, b, orders[(a - b) % n])
     rep.add("Psi Psi^{-1} = Id", bad is None, str(bad) if bad else "")
 
     # canonical coordinate eigenvalue: phi_1 * e_alpha = (zeta^alpha L / C_1) e_alpha
-    phi1 = [Series.zero() for _ in range(n)]
-    phi1[1] = Series.one()
+    slope = data.L / data.C[1]
+    eig = first_bad(units[k - 1] * data.quantum_coeff(1, (k - 1) % n) - units[k] * slope for k in range(n))
+    du = (slope * data.Theta.D() - data.L).zero_order()
     for a in range(n):
-        prod = data.phi_product(phi1, es[a])
-        eig = data.L / data.C[1] * data.zeta(a)
-        bad = None
-        for i in range(n):
-            d = (prod[i] - es[a][i] * eig).zero_order()
-            if d is not None:
-                bad = (i, d)
-                break
-        rep.add(f"canonical coordinate eigenvalue, alpha={a}", bad is None, str(bad) if bad else "")
+        rep.add(f"canonical coordinate eigenvalue, alpha={a}", not eig, eig)
         # du/dx form: eigenvalue times D(Theta)/x equals zeta^alpha L / x
-        lhs = eig * data.Theta.D()
-        rhs = data.L * data.zeta(a)
-        rep.add(f"du^{a}/dx = zeta^{a} L / x", (lhs - rhs).zero_order() is None)
+        rep.add(f"du^{a}/dx = zeta^{a} L / x", du is None)
     return rep
 
 

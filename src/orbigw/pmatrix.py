@@ -25,7 +25,8 @@ is known in closed form, so an order is rebuilt only for a nonzero constant.
 
 The remaining rows are then built twice, both times graded by residue mod n
 over Q: neither recursion involves the column index j, and column j is the
-zeta^{wj}-weighted sum of the rational pieces w, assembled by :func:`at_column`.
+zeta^{wj}-weighted sum of the rational pieces w, assembled by the one DFT
+helper :func:`~orbigw.genus0.at_column`.
 
 * as exact truncated series, one table per residue and one order at a time,
   through the modified flatness recursion plus one honest quadrature per
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 
-from .genus0 import GenusZeroData, Y_poly, f_n_poly
+from .genus0 import GenusZeroData, Y_poly, at_column, f_n_poly
 from .report import Report
 from .ring import RingContext, RingElement, fit_laurent_in_L
 from .series import Series
@@ -172,17 +173,6 @@ def compute_phis(n: int, k_max: int, constants: list[Fraction]) -> list[Series]:
 # -- series route: modified flatness, graded by residue -----------------------------
 
 
-def at_column(pieces: list, j: int, zeta):
-    """
-    The column-j entry sum_w zeta^{wj} pieces[w] of an entry graded by residue,
-    zero pieces skipped: the one place the column index enters the P column,
-    for the series oracle and the ring lift alike.
-    """
-    n = len(pieces)
-    terms = [piece * zeta(w * j) if w * j % n else piece for w, piece in enumerate(pieces) if piece]
-    return sum(terms[1:], terms[0]) if terms else pieces[0]
-
-
 def extend_tables(data: GenusZeroData, tables: Tables, constant: Fraction) -> None:
     """
     Append the next order k to the table of every residue, with integration
@@ -216,7 +206,7 @@ def series_tables(data: GenusZeroData, k_max: int, constants: list[Fraction]) ->
     """
     tables[w][k][i] = the residue-w piece of the normalized entry at row i and
     order k, a series with rational coefficients; the entry at column j is
-    sum_w zeta^{wj} tables[w][k][i] (:func:`at_column`).
+    sum_w zeta^{wj} tables[w][k][i] (:func:`~orbigw.genus0.at_column`).
 
     Built from the modified flatness recursion alone, one order at a time
     (:func:`extend_tables`), starting from the unit at order 0, residue 0.
@@ -365,7 +355,7 @@ def lift_tables(ctx: RingContext, col: PColumn, zeta) -> tuple[Lift, Lift]:
 
     Returns ``(graded, lifted)``: ``graded[(k, i, w)]`` is a ring element with
     rational coefficients, and ``lifted[(k, i, j)]`` is the order-k, row-i,
-    column-j entry sum_w zeta^{wj} graded[(k, i, w)] (:func:`at_column`).
+    column-j entry sum_w zeta^{wj} graded[(k, i, w)] (:func:`~orbigw.genus0.at_column`).
 
     Row zero splits by the residue w = (r + k) mod n of the exponent of L^r in
     p_k.  The other rows descend from row zero through the modified flatness

@@ -230,7 +230,7 @@ class ContributionTables:
 class SeriesTables(ContributionTables):
     """
     The same local factors over the series oracle, one decoration at a time
-    (entries assembled by :func:`~orbigw.pmatrix.at_column`, as in the lift);
+    (entries assembled by :func:`~orbigw.genus0.at_column`, as in the lift);
     the ring lift never enters.
     """
 

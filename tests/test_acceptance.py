@@ -119,6 +119,9 @@ def test_criterion_4_polynomiality():
                 if fit and min(fit) < 0:
                     ok, detail = False, "negative power appeared"
                     break
+                if fit != dict(pm.col.phis[k].coeffs):
+                    ok, detail = False, f"n={n} j={j} k={k}: the fit in L is not p_k"
+                    break
         # D p_1 = f_n p_0 exactly
         d_phi1 = apply_operator([Series.zero(), Series.one()], pm.col.phis[1], n)
         if d_phi1 != f_n_poly(n):

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from orbigw.cyclotomic import Cyclotomic
 from orbigw.genus0 import (
     GenusZeroData,
     ModelConfig,
@@ -14,6 +16,7 @@ from orbigw.genus0 import (
     verify_quantum,
     verify_ring_series,
 )
+from orbigw.report import Report
 from orbigw.series import Series
 
 
@@ -98,9 +101,9 @@ def test_ring_series_reports(n, request):
     assert rep.ok, rep.failures()[:3]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_quantum_reports(n, request):
-    data = request.getfixturevalue(f"data{n}")
+    data = request.getfixturevalue(f"data{n}") if n < 6 else GenusZeroData.build(ModelConfig(n))
     rep = verify_quantum(data)
     assert rep.ok, rep.failures()[:3]
 
@@ -159,3 +162,176 @@ def test_quantum_coeff_is_cached_per_instance(data3):
     other = GenusZeroData.build(data3.cfg)
     assert other.quantum_coeff(1, 2) is not data3.quantum_coeff(1, 2)
     assert other.quantum_coeff(1, 2) == data3.quantum_coeff(1, 2)
+
+
+# -- the semisimple frame in cyclotomic arithmetic: the oracle of verify_quantum --
+
+
+def psi_matrix(data: GenusZeroData) -> list[list[Series]]:
+    """Psi[alpha][i] = (1/n) zeta^{alpha i} L^i / K_i."""
+    n = data.cfg.n
+    units = [data.L**i / data.K[i] for i in range(n)]
+    return [[units[i] * (data.zeta(a * i) / Fraction(n)) for i in range(n)] for a in range(n)]
+
+
+def psi_inverse_matrix(data: GenusZeroData) -> list[list[Series]]:
+    """PsiInv[j][beta] = zeta^{-beta j} K_j / L^j."""
+    n = data.cfg.n
+    units = [data.K[j] / data.L**j for j in range(n)]
+    return [[units[j] * data.zeta(-b * j) for b in range(n)] for j in range(n)]
+
+
+def idempotent(data: GenusZeroData, alpha: int) -> list[Series]:
+    """Coordinates of e_alpha in the phi basis: (1/n) zeta^{-alpha i} K_i / L^i."""
+    n = data.cfg.n
+    return [(data.K[i] / data.L**i) * (data.zeta(-alpha * i) / Fraction(n)) for i in range(n)]
+
+
+def phi_product(data: GenusZeroData, a: list[Series], b: list[Series]) -> list[Series]:
+    """Quantum product of two vectors written in the phi basis."""
+    n = data.cfg.n
+    out: list[Series] = [Series.zero(min(s.prec for s in a + b)) for _ in range(n)]
+    for i in range(n):
+        if a[i].is_zero():
+            continue
+        for j in range(n):
+            if b[j].is_zero():
+                continue
+            out[(i + j) % n] = out[(i + j) % n] + a[i] * b[j] * data.quantum_coeff(i, j)
+    return out
+
+
+def verify_quantum_cyclotomic(data: GenusZeroData) -> Report:
+    """verify_quantum on the frame itself: idempotents, Psi and products over Q(zeta_n)."""
+    cfg = data.cfg
+    n = cfg.n
+    rep = Report(f"quantum structure (n={n}, N={cfg.N})")
+
+    for i in range(n):
+        d = (data.quantum_coeff(1, i) - data.C[i + 1] / data.C[1]).zero_order()
+        rep.add(f"phi_1 * phi_{i} multiplier", d is None)
+
+    d = (data.two_point(0) - data.Theta / n).zero_order()
+    rep.add("two-point value at i = 0", d is None)
+    for i in range(n):
+        d = (data.two_point(i).D() - data.C[i + 1] / n).zero_order()
+        rep.add(f"D of two-point function, i={i}", d is None)
+
+    es = [idempotent(data, a) for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            prod = phi_product(data, es[a], es[b])
+            target = es[b] if a == b else [Series.zero() for _ in range(n)]
+            bad = None
+            for i in range(n):
+                d = (prod[i] - target[i]).zero_order()
+                if d is not None:
+                    bad = (i, d)
+                    break
+            rep.add(f"idempotency e_{a} * e_{b}", bad is None, str(bad) if bad else "")
+
+    for a in range(n):
+        val = Series.zero()
+        for i in range(n):
+            val = val + es[a][i] * es[a][(n - i) % n] * data.pairing(i, (n - i) % n)
+        d = (val - Series.monomial(Fraction(1, n**2))).zero_order()
+        rep.add(f"g(e_{a}, e_{a}) = 1/n^2", d is None)
+
+    psi = psi_matrix(data)
+    psi_inv = psi_inverse_matrix(data)
+    bad = None
+    for a in range(n):
+        for b in range(n):
+            acc = Series.zero()
+            for i in range(n):
+                acc = acc + psi[a][i] * psi_inv[i][b]
+            target = Series.one() if a == b else Series.zero()
+            d = (acc - target).zero_order()
+            if d is not None:
+                bad = (a, b, d)
+    rep.add("Psi Psi^{-1} = Id", bad is None, str(bad) if bad else "")
+
+    phi1 = [Series.zero() for _ in range(n)]
+    phi1[1] = Series.one()
+    for a in range(n):
+        prod = phi_product(data, phi1, es[a])
+        eig = data.L / data.C[1] * data.zeta(a)
+        bad = None
+        for i in range(n):
+            d = (prod[i] - es[a][i] * eig).zero_order()
+            if d is not None:
+                bad = (i, d)
+                break
+        rep.add(f"canonical coordinate eigenvalue, alpha={a}", bad is None, str(bad) if bad else "")
+        lhs = eig * data.Theta.D()
+        rhs = data.L * data.zeta(a)
+        rep.add(f"du^{a}/dx = zeta^{a} L / x", (lhs - rhs).zero_order() is None)
+    return rep
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quantum_matches_cyclotomic_frame(n, request):
+    data = request.getfixturevalue(f"data{n}")
+    assert verify_quantum(data).to_json() == verify_quantum_cyclotomic(data).to_json()
+
+
+def _bump(s: Series, e: int) -> Series:
+    return s + Series.monomial(Fraction(1), e)
+
+
+def _copy(data: GenusZeroData, **fields) -> GenusZeroData:
+    """A copy with some series replaced and empty caches of its own."""
+    return replace(data, _quantum_cache={}, _zeta_cache={}, **fields)
+
+
+def _mutants(data: GenusZeroData):
+    """(name, mutated copy, whether only the diagonal idempotency checks fail among them)."""
+    n = data.cfg.n
+    for (i, j), e in (((1, 2), 3), ((0, 0), 5), ((2, 2), 1)):
+        out = _copy(data)
+        out._quantum_cache[(i, j)] = _bump(data.quantum_coeff(i, j), e)
+        yield f"q({i},{j}) at x^{e}", out, False
+    # U_i U_{1-i} q(i, 1-i) gains x^4 for every i: each D_{1,i} moves by the same
+    # x^4, whose DFT is nonzero only at b - a = 0
+    units = [data.K[i] / data.L**i for i in range(n)]
+    out = _copy(data)
+    for i in range(n):
+        key = (i, (1 - i) % n)
+        out._quantum_cache[key] = data.quantum_coeff(*key) + Series.monomial(Fraction(1), 4) / (units[i] * units[key[1]])
+    yield "x^4 on every D_{1,i}", out, True
+    for name, e in (("K", 1), ("K", 2), ("C", 1)):
+        seq = list(getattr(data, name))
+        seq[e] = _bump(seq[e], e + 2)
+        yield f"{name}_{e} at x^{e + 2}", _copy(data, **{name: seq}), False
+    yield "L at x^6", _copy(data, L=_bump(data.L, 6)), False
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quantum_mutations_match_cyclotomic_frame(n, request):
+    data = request.getfixturevalue(f"data{n}")
+    for name, mutant, diagonal in _mutants(data):
+        got = verify_quantum(mutant)
+        assert not got.ok, name
+        assert got.to_json() == verify_quantum_cyclotomic(mutant).to_json(), name
+        if diagonal:
+            failed = {c.name for c in got.failures() if c.name.startswith("idempotency")}
+            assert failed == {f"idempotency e_{a} * e_{a}" for a in range(n)}, name
+
+
+def test_quantum_builds_no_cyclotomic(data5, monkeypatch):
+    calls = {"__init__": 0, "__mul__": 0}
+
+    def counted(name):
+        orig = getattr(Cyclotomic, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(Cyclotomic, name, wrapper)
+
+    counted("__init__")
+    counted("__mul__")
+    assert verify_quantum(_copy(data5)).ok
+    # the cyclotomic frame builds 170,625 numbers and 73,315 products here
+    assert calls == {"__init__": 0, "__mul__": 0}

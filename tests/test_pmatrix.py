@@ -6,11 +6,10 @@ from math import comb
 import pytest
 
 from orbigw.series import Series
-from orbigw.genus0 import GenusZeroData, ModelConfig, Y_poly, f_n_poly
+from orbigw.genus0 import GenusZeroData, ModelConfig, Y_poly, at_column, f_n_poly
 from orbigw.cyclotomic import Cyclotomic
 from orbigw.pmatrix import (
     apply_operator,
-    at_column,
     build_H_table,
     build_L_operators,
     build_pmatrix,
