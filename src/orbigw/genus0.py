@@ -518,7 +518,7 @@ def verify_quantum(data: GenusZeroData) -> Report:
 
     # canonical coordinate eigenvalue: phi_1 * e_alpha = (zeta^alpha L / C_1) e_alpha
     slope = data.L / data.C[1]
-    eig = first_bad(units[k - 1] * data.quantum_coeff(1, (k - 1) % n) - units[k] * slope for k in range(n))
+    eig = first_bad(units[(k - 1) % n] * data.quantum_coeff(1, (k - 1) % n) - units[k] * slope for k in range(n))
     du = (slope * data.Theta.D() - data.L).zero_order()
     for a in range(n):
         rep.add(f"canonical coordinate eigenvalue, alpha={a}", not eig, eig)
