@@ -29,9 +29,9 @@ with Lop_i = C_i^{-1} D.  Their agreement, the Picard-Fuchs residuals, and
 the product identities are exposed as verification reports rather than
 assumed.
 
-All arithmetic is exact and rational.  The semisimple frame (idempotents,
-Psi and its inverse) carries roots of unity only as DFT weights on rational
-series, so ``verify_quantum`` checks it through rational differences, and
+All arithmetic is exact.  The semisimple frame (idempotents, Psi and its
+inverse) carries roots of unity only as DFT weights on rational series, so
+``verify_quantum`` checks it through rational differences, and
 :func:`at_column` is the one place a root of unity enters, here and in the
 P column.
 """
