@@ -15,18 +15,35 @@ undecorated graphs, each weighted n^V / Aut(G); ``enumerate_decorated`` and
 the decorated counts serve only its oracle, the decorated sum, and the
 Burnside check that ties the two weightings together.
 
-Two enumerators are kept separate on purpose.  The primary one generates
-candidates with pruning and deduplicates through a canonical signature;
-the naive one generates everything within bounds and deduplicates by
-pairwise isomorphism search.  Their counts are compared in the tests for
-(g, m) up to (3, 0).
+Canonical form.  Each vertex starts from the invariant (genus, labels of
+the legs it carries, loops, degree), with its decoration appended when
+there is one; rounds of refinement then add the multiset of (neighbour
+class, edge multiplicity) until no class splits.  Every step commutes with
+isomorphisms, so sorting the vertices by class is canonical up to
+permutations inside blocks of equal class, and the canonical key
+(``StableGraph.signature``) is the least relabeled graph over those
+permutations only.  The vertex symmetries behind ``aut_count`` are searched
+inside the same blocks.
+
+Two enumerators are kept separate on purpose.  The primary one lists vertex
+genera up to order (non-increasing) and builds edge layouts by backtracking
+with a half-edge budget: vertex v lacks max(0, 3 - 2 g(v)) half-edges, and a
+partial layout is cut once the total it lacks exceeds 2 (edges left) + m, or
+once its finished vertices lack more than m.  It checks connectivity once per
+layout, places legs only where they leave no vertex unstable, and
+deduplicates through the canonical key; its representatives are the
+canonical graphs themselves.  The naive one builds every product of genera,
+edge distributions and leg placements and deduplicates by pairwise
+isomorphism search over all vertex permutations.  The tests compare their
+classes on (0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
+(2, 2) and (3, 0).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import factorial
 
 
@@ -78,9 +95,17 @@ class StableGraph:
         return StableGraph(tuple(genera), legs, edges)
 
     def signature(self, decorations: tuple[int, ...] | None = None):
-        """Lexicographic minimum over vertex relabelings; decorations ride along."""
+        """
+        Canonical key: the least relabeled (genera, legs, edges, decorations)
+        over the relabelings that put the vertices in block order.
+        """
+        blocks = _blocks(self, decorations)
+        runs, start = [], 0
+        for block in blocks:
+            runs.append(range(start, start + len(block)))
+            start += len(block)
         best = None
-        for perm in permutations(range(self.num_vertices)):
+        for perm in _block_maps(blocks, runs):
             g2 = self.relabeled(perm)
             dec = None
             if decorations is not None:
@@ -101,22 +126,65 @@ class StableGraph:
         }
 
 
-def vertex_symmetries(graph: StableGraph, decorations: tuple[int, ...] | None = None):
-    """Vertex permutations preserving genera, legs pointwise, edges, decorations."""
+def _ranks(values: list) -> list[int]:
+    index = {x: i for i, x in enumerate(sorted(set(values)))}
+    return [index[x] for x in values]
+
+
+def _blocks(graph: StableGraph, decorations: tuple[int, ...] | None = None) -> list[list[int]]:
+    """
+    The vertices grouped into classes of the refined invariant, classes in
+    their canonical order (see the module docstring).
+    """
     V = graph.num_vertices
-    out = []
-    for perm in permutations(range(V)):
-        g2 = graph.relabeled(perm)
-        if g2.genera != graph.genera or g2.legs != graph.legs or g2.edges != graph.edges:
-            continue
-        if decorations is not None:
-            d2 = [0] * V
-            for v, p in enumerate(decorations):
-                d2[perm[v]] = p
-            if tuple(d2) != decorations:
-                continue
-        out.append(perm)
-    return out
+    carried: list[list[int]] = [[] for _ in range(V)]
+    for t, v in enumerate(graph.legs):
+        carried[v].append(t)
+    loops = [0] * V
+    degree = [0] * V
+    nbrs: list[dict[int, int]] = [{} for _ in range(V)]
+    for (a, b) in graph.edges:
+        degree[a] += 1
+        degree[b] += 1
+        if a == b:
+            loops[a] += 1
+        else:
+            nbrs[a][b] = nbrs[a].get(b, 0) + 1
+            nbrs[b][a] = nbrs[b].get(a, 0) + 1
+    dec = decorations or (0,) * V
+    cls = _ranks([(h, tuple(carried[v]), loops[v], degree[v], dec[v]) for v, h in enumerate(graph.genera)])
+    while True:
+        finer = _ranks([(cls[v], tuple(sorted((cls[w], k) for w, k in nbrs[v].items()))) for v in range(V)])
+        if max(finer) == max(cls):
+            break
+        cls = finer
+    blocks: list[list[int]] = [[] for _ in range(max(cls) + 1)]
+    for v, c in enumerate(cls):
+        blocks[c].append(v)
+    return blocks
+
+
+def _block_maps(blocks: list[list[int]], targets: list):
+    """Every vertex map sending each block bijectively onto its target."""
+    V = sum(len(block) for block in blocks)
+    choices = [[tuple(zip(block, p)) for p in permutations(target)] for block, target in zip(blocks, targets)]
+    for pick in product(*choices):
+        perm = [0] * V
+        for pairs in pick:
+            for v, w in pairs:
+                perm[v] = w
+        yield tuple(perm)
+
+
+def vertex_symmetries(graph: StableGraph, decorations: tuple[int, ...] | None = None):
+    """
+    Vertex permutations preserving genera, legs pointwise, edges, decorations.
+
+    A symmetry keeps every refined class, so only permutations inside the
+    blocks are tried, and these already fix genera, legs and decorations.
+    """
+    blocks = _blocks(graph, decorations)
+    return [perm for perm in _block_maps(blocks, blocks) if graph.relabeled(perm) == graph]
 
 
 def aut_count(graph: StableGraph, decorations: tuple[int, ...] | None = None) -> int:
@@ -143,6 +211,106 @@ def aut_count(graph: StableGraph, decorations: tuple[int, ...] | None = None) ->
 # -- enumeration ----------------------------------------------------------------
 
 
+def _edge_layouts(lack: list[int], E: int, m: int):
+    """
+    Sorted edge tuples of E edges (loops allowed) after which the vertices
+    lack at most m half-edges in total, lack[v] being what vertex v needs to
+    be stable.  Slots (a, b), a <= b, are filled in lexicographic order, and
+    a partial layout is cut once what it lacks exceeds 2 (edges left) + m,
+    as each further edge covers at most two, or once the vertices whose
+    slots are all filled lack more than m.
+    """
+    V = len(lack)
+    slots = [(a, b) for a in range(V) for b in range(a, V)]
+    short = list(lack)
+    edges: list[tuple[int, int]] = []
+    deficit = sum(short)
+
+    def rec(i: int, left: int, spare: int):
+        # spare: the legs not yet owed to a vertex whose slots are all filled
+        nonlocal deficit
+        if left == 0:
+            yield tuple(edges)
+            return
+        if i == len(slots):
+            return
+        a, b = slots[i]
+        added = 0
+        while True:
+            rest = spare - max(0, short[a]) if b == V - 1 else spare
+            if rest >= 0:
+                yield from rec(i + 1, left - added, rest)
+            if added == left:
+                break
+            for v in (a, b):
+                deficit -= short[v] > 0
+                short[v] -= 1
+            edges.append((a, b))
+            added += 1
+            if deficit > 2 * (left - added) + m:
+                break
+        for _ in range(added):
+            edges.pop()
+            for v in (a, b):
+                short[v] += 1
+                deficit += short[v] > 0
+
+    if deficit <= 2 * E + m:
+        yield from rec(0, E, m)
+
+
+def _leg_placements(short: list[int], m: int):
+    """Leg tuples (legs[t] = vertex of leg t+1) that give every vertex v at least short[v] legs."""
+    V = len(short)
+    short = list(short)
+    owed = sum(short)
+    legs: list[int] = []
+
+    def rec(t: int):
+        nonlocal owed
+        if t == m:
+            yield tuple(legs)
+            return
+        for v in range(V):
+            covers = short[v] > 0
+            if owed - covers > m - t - 1:
+                continue
+            short[v] -= covers
+            owed -= covers
+            legs.append(v)
+            yield from rec(t + 1)
+            legs.pop()
+            short[v] += covers
+            owed += covers
+
+    if owed <= m:
+        yield from rec(0)
+
+
+@lru_cache(maxsize=None)
+def enumerate_stable_graphs(g: int, m: int) -> tuple[StableGraph, ...]:
+    """One canonical representative per isomorphism class of stable graphs of type (g, m)."""
+    if 2 * g - 2 + m <= 0:
+        raise ValueError("unstable type")
+    found: set = set()
+    for V in range(1, 2 * g - 2 + m + 1):
+        for genera in combinations_with_replacement(range(g, -1, -1), V):
+            if sum(genera) > g:
+                continue
+            lack = [max(0, 3 - 2 * h) for h in genera]
+            for edges in _edge_layouts(lack, g - sum(genera) + V - 1, m):
+                layout = StableGraph(genera, (), edges)
+                if not layout.is_connected():
+                    continue
+                short = [max(0, lack[v] - layout.valence(v)) for v in range(V)]
+                for legs in _leg_placements(short, m):
+                    graph = StableGraph(genera, legs, edges)
+                    if graph.genus() != g:
+                        raise AssertionError(f"enumerated graph has genus {graph.genus()}, expected {g}")
+                    found.add(graph.signature())
+    return tuple(StableGraph(*key[:3]) for key in sorted(found))
+
+
 def _edge_distributions(V: int, E: int):
     """All ways to place E edges as loops per vertex plus multiplicities per pair."""
     pairs = [(a, b) for a in range(V) for b in range(a + 1, V)]
@@ -160,38 +328,6 @@ def _edge_distributions(V: int, E: int):
         return
     for dist in rec(0, E, []):
         yield (dist[:V], list(zip(pairs, dist[V:])))
-
-
-@lru_cache(maxsize=None)
-def enumerate_stable_graphs(g: int, m: int) -> tuple[StableGraph, ...]:
-    """One representative per isomorphism class of stable graphs of type (g, m)."""
-    if 2 * g - 2 + m <= 0:
-        raise ValueError("unstable type")
-    found: dict = {}
-    max_V = 2 * g - 2 + m
-    for V in range(1, max_V + 1):
-        for genera in product(range(g + 1), repeat=V):
-            if sum(genera) > g:
-                continue
-            E = g - sum(genera) + V - 1
-            if E < 0:
-                continue
-            for loops, pair_mults in _edge_distributions(V, E):
-                edges = []
-                for v, k in enumerate(loops):
-                    edges += [(v, v)] * k
-                for (pair, mult) in pair_mults:
-                    edges += [pair] * mult
-                for legs in product(range(V), repeat=m):
-                    graph = StableGraph(tuple(genera), tuple(legs), tuple(sorted(edges)))
-                    if not graph.is_connected() or not graph.is_stable():
-                        continue
-                    if graph.genus() != g:
-                        raise AssertionError(f"enumerated graph has genus {graph.genus()}, expected {g}")
-                    sig = graph.signature()
-                    if sig not in found:
-                        found[sig] = graph
-    return tuple(found[k] for k in sorted(found))
 
 
 def enumerate_stable_graphs_naive(g: int, m: int) -> list[StableGraph]:
@@ -231,6 +367,7 @@ def _isomorphic(a: StableGraph, b: StableGraph) -> bool:
         if g2.genera == b.genera and g2.legs == b.legs and g2.edges == b.edges:
             return True
     return False
+
 
 
 @dataclass(frozen=True)

@@ -126,15 +126,13 @@ def verify_hae(
     legs_two = (s, s) if odd else (s - 1, s)
     F_two = assemble_F(tables, g - 1, legs_two)
     rhs_core = F_two.core
-    one_left = {}
-    one_right = {}
-    for i in range(1, g):
-        ca = s if odd else s - 1
-        if (g - i) not in one_left:
-            one_left[g - i] = assemble_F(tables, g - i, (ca,))
-        if i not in one_right:
-            one_right[i] = assemble_F(tables, i, (s,))
-        rhs_core = rhs_core + one_left[g - i].core * one_right[i].core
+    # for odd n both one-leg insertions are s: each potential is assembled once
+    ca = s if odd else s - 1
+    one_leg = {(h, c): assemble_F(tables, h, (c,)) for h in range(1, g) for c in {ca, s}}
+    one_left = [one_leg[(g - i, ca)] for i in range(1, g)]
+    one_right = [one_leg[(i, s)] for i in range(1, g)]
+    for left, right in zip(one_left, one_right):
+        rhs_core = rhs_core + left.core * right.core
     if odd:
         rhs_core = rhs_core * Fraction(1, 2)
 
@@ -162,7 +160,7 @@ def verify_hae(
     audits = [
         audit_generators(tables, Fg),
         audit_generators(tables, F_two),
-    ] + [audit_generators(tables, p) for p in list(one_left.values()) + list(one_right.values())]
+    ] + [audit_generators(tables, p) for p in one_left + one_right]
 
     return HaeReport(
         n,
