@@ -41,6 +41,9 @@ def _validate(args) -> None:
     for c in getattr(args, "insertions", ()):
         if not 0 <= c < args.n:
             raise ValueError(f"insertion index {c} is outside 0..{args.n - 1}")
+    for policy in args.policies.split(",") if getattr(args, "policies", "") else ():
+        if policy not in ("symplectic", "zero", "custom"):
+            raise ValueError(f"unknown constants policy {policy!r} in --policies")
 
 
 def _emit(payload: dict, report: Report | None, fmt: str, out) -> None:

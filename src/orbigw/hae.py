@@ -102,7 +102,7 @@ def verify_hae(
         raise ValueError("the anomaly equation is stated for g >= 2")
     cfg = ModelConfig(n, N or 0)
     if tables is None:
-        policy = policy or "symplectic"
+        policy = "symplectic" if policy is None else policy
         ctx = RingContext(n)
         data = GenusZeroData.build(cfg)
         pm = build_pmatrix(ctx, data, 3 * g - 2, policy, custom_constants=custom_constants)

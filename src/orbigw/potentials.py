@@ -22,15 +22,13 @@ formula:
 The decorations are summed in closed form.  The lift is graded,
 P~^k_{i,p} = sum_w zeta^{wp} E_{k,i,w} with rational E, so every local factor
 is a character sum sum_u zeta^{u p} X_u in the decorations it touches, with
-rational ring elements X_u.  A flag assignment's product is then
-sum_U zeta^{U.p} X_U over vectors U of per-vertex residues, and
-sum_p zeta^{U.p} = n^V [U = 0]; by Burnside the decorated classes weighted
-1/Aut(G, p) add up to the sum over all decorations divided by Aut(G).  So
-``assemble_F`` sums over undecorated stable graphs only, each weighted
-n^V / Aut(G), reading the all-zero residue component of every product, in
-rational arithmetic.  The decorated sum (:func:`graph_contribution` over
-``enumerate_decorated``) stays as the oracle: it reads every factor at its
-decorations with the explicit zeta weights, and it is the route of the
+rational ring elements X_u, and sum_p zeta^{U.p} = n^V [U = 0] over vectors
+U of per-vertex residues.  By Burnside ``assemble_F`` sums over undecorated
+stable graphs only, each weighted n^V / Aut(G), reading the all-zero residue
+component, with the flags summed edge by edge (:func:`graph_character_sum`).
+The decorated sum (:func:`graph_contribution` over ``enumerate_decorated``,
+every joint flag assignment) stays as the oracle: it reads every factor at
+its decorations with explicit zeta weights, and it is the route of the
 series assembly ``assemble_F_series``.
 
 Each leg's scalar prefactor K_{Inv(c)} / L^{Inv(c)} is kept apart from the
@@ -48,7 +46,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import cache
+from itertools import chain, product
 
 from .graphs import DecoratedGraph, StableGraph, aut_count, enumerate_decorated, enumerate_stable_graphs
 from .pmatrix import PMatrixData
@@ -268,7 +267,8 @@ def _multisets(total: int, k: int, cap: int):
 
 def _flag_assignments(graph: StableGraph):
     """
-    Flag values within each vertex's dimension, as (values, per-vertex flags).
+    Every joint flag assignment within each vertex's dimension, as (values,
+    per-vertex flags); only the decorated oracle visits them.
 
     ``values`` lists the legs first, then both half-edges of every edge in edge
     order; ``flags[v]`` collects the values at vertex v in that order.
@@ -332,60 +332,58 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
 
     Each factor is a character sum in its decorations, so a flag assignment's
     product is sum_U zeta^{U.p} X_U over vectors U of per-vertex residues, and
-    sum_p zeta^{U.p} = n^V [U = 0].  By Burnside the decorated classes,
-    each weighted 1/Aut(G, p), add up to the sum over all p divided by Aut(G):
-    the graph contributes n^V / Aut(G) times the component X_0.  The product
-    is kept per residue vector; a vertex's own factor (its vertex and legs)
-    is taken once its last edge is in, and only the component that cancels
-    its residue survives.
+    sum_p zeta^{U.p} = n^V [U = 0].  By Burnside the decorated classes, each
+    weighted 1/Aut(G, p), add up to the sum over all p divided by Aut(G): the
+    graph contributes n^V / Aut(G) times X_0.  The flags are summed edge by edge,
+    keyed by the sorted flags and the residue of each open vertex; a vertex's
+    last edge takes its own factor (vertex and legs) at the component
+    cancelling its residue, and the vertex is forgotten.
     """
-    n = tables.n
-    V = graph.num_vertices
-    m = len(graph.legs)
+    n, V = tables.n, graph.num_vertices
+    room = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
     last_edge = {v: e for e, edge in enumerate(graph.edges) for v in edge}
-    closes: list[list[int]] = [[] for _ in graph.edges]
-    for v, e in sorted(last_edge.items()):
-        closes[e].append(v)
-    origin = (0,) * V
-    total = tables.zero()
-    for values, flags in _flag_assignments(graph):
-        local = [tables.vertex(h, None, flags[v]) for v, h in enumerate(graph.genera)]
-        for t in range(m):
-            v = graph.legs[t]
-            local[v] = _times(local[v], tables.leg_core(values[t], insertions[t], None), n)
-        if not all(local):
-            continue
-        state = {origin: tables.unit()}
-        for v in range(V):
-            if v not in last_edge:
-                state = _close(state, v, local[v], n)
-        for e, (a, b) in enumerate(graph.edges):
-            factor = tables.edge(values[m + 2 * e], values[m + 2 * e + 1], None, None)
-            grown: dict = {}
-            for U, x in state.items():
-                for (u1, u2), y in factor.items():
-                    W = list(U)
-                    W[a] = (W[a] + u1) % n
-                    W[b] = (W[b] + u2) % n
-                    # a vertex this edge closes needs a factor to cancel its residue
-                    if all((-W[v]) % n in local[v] for v in closes[e]):
-                        _add_into(grown, tuple(W), x * y)
-            for v in closes[e]:
-                grown = _close(grown, v, local[v], n)
-            state = grown
-        if origin in state:
-            total = total + state[origin]
-    return total * Fraction(n**V, aut_count(graph))
 
+    @cache
+    def own(v: int, flags: tuple[int, ...]) -> Char:
+        """Vertex v times its legs, the leg flags summed within the room ``flags`` leave."""
+        legs = [t for t, w in enumerate(graph.legs) if w == v]
+        budget = room[v] - sum(flags)
+        total: Char = {}
+        for leg_flags in (f for f in product(range(budget + 1), repeat=len(legs)) if sum(f) <= budget):
+            term = tables.vertex(graph.genera[v], None, flags + leg_flags)
+            for t, a in zip(legs, leg_flags):
+                term = _times(term, tables.leg_core(a, insertions[t], None), n)
+            for u, x in term.items():
+                _add_into(total, u, x)
+        return total
 
-def _close(state: dict, v: int, own: Char, n: int) -> dict:
-    """Take vertex v's own factor: only its component cancelling v's residue survives."""
-    out: dict = {}
-    for U, x in state.items():
-        y = own.get((-U[v]) % n)
-        if y is not None:
-            _add_into(out, U[:v] + (0,) + U[v + 1 :], x * y)
-    return out
+    blank = ((), 0)
+    # the edgeless one-vertex graph is closed from the start
+    state = {(blank,) * V: tables.unit() if graph.edges else own(0, ()).get(0, tables.zero())}
+    for e, (a, b) in enumerate(graph.edges):
+        closing = {v for v in (a, b) if last_edge[v] == e}
+        grown: dict = {}
+        for key, x in state.items():
+            # the small factors are added per new key before one product with x
+            coeffs: dict = {}
+            left, right = (room[v] - sum(key[v][0]) for v in (a, b))
+            for b1 in range(left + 1):
+                for b2 in range((left - b1 if a == b else right) + 1):
+                    for (u1, u2), y in tables.edge(b1, b2, None, None).items():
+                        ends = list(key)
+                        for v, value, u in ((a, b1, u1), (b, b2, u2)):
+                            ends[v] = (tuple(sorted(ends[v][0] + (value,))), (ends[v][1] + u) % n)
+                        for v in closing:
+                            z = own(v, ends[v][0]).get((-ends[v][1]) % n)
+                            if z is None:
+                                break
+                            y, ends[v] = y * z, blank
+                        else:
+                            _add_into(coeffs, tuple(ends), y)
+            for new, y in coeffs.items():
+                _add_into(grown, new, x * y)
+        state = grown
+    return state.get((blank,) * V, tables.zero()) * Fraction(n**V, aut_count(graph))
 
 
 def _check_type(g: int, insertions: tuple[int, ...]) -> None:

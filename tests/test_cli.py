@@ -49,6 +49,8 @@ def test_invalid_order_is_config_error():
         ["potential", "--n", "3", "--g", "1", "--insertions", "-2"],
         ["pmatrix", "--n", "3", "--k-max", "0"],
         ["pmatrix", "--n", "3", "--k-max", "-1"],
+        ["verify-hae", "--n", "3", "--g", "2", "--policies", "symplectic,,zero"],
+        ["verify-hae", "--n", "3", "--g", "2", "--policies", "symplectic,bogus"],
     ],
 )
 def test_out_of_range_input_is_config_error(args):

@@ -29,6 +29,12 @@ def test_parity_dispatch():
         verify_hae(3, 1)
 
 
+def test_empty_policy_is_rejected():
+    # only a missing policy defaults to symplectic
+    with pytest.raises(ValueError, match="unknown constants policy"):
+        verify_hae(3, 2, policy="")
+
+
 def test_policy_independence_n3():
     rep, results = verify_hae_policies(3, 2, ["zero", "custom"])
     assert rep.ok

@@ -146,12 +146,17 @@ def test_dropping_any_graph_changes_F2(tables3):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_character_sum_matches_decorated_oracle(pmatrix_at, n, policy):
     # the character sum over undecorated graphs equals the decorated sum,
-    # whose factors are read one decoration at a time with explicit zeta weights
+    # whose factors are read one decoration at a time with explicit zeta
+    # weights, graph by graph, so errors cancelling between graphs show too
     tables = ContributionTables(pmatrix_at(n, policy))
     for g, insertions in [(2, ()), (1, (1,)), (1, (1, 2)), (2, (2,))]:
-        want = RingElement.zero()
+        per_graph = {graph: RingElement.zero() for graph in enumerate_stable_graphs(g, len(insertions))}
         for dec in enumerate_decorated(g, len(insertions), n):
-            want = want + graph_contribution(tables, dec, insertions)
+            per_graph[dec.graph] = per_graph[dec.graph] + graph_contribution(tables, dec, insertions)
+        want = RingElement.zero()
+        for graph, contribution in per_graph.items():
+            assert graph_character_sum(tables, graph, insertions) == contribution, (g, insertions, graph)
+            want = want + contribution
         assert assemble_F(tables, g, insertions).core == want, (g, insertions)
 
 
