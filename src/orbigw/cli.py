@@ -11,20 +11,24 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when any verification fails or an internal
 invariant breaks (reported as a failing ``internal invariant`` check), 2 on
-configuration errors.  Input is range-checked in one place before any work
-starts.  ``--format`` selects json, csv or text output.  Every run recomputes
-everything; outputs are byte-identical across runs and hash seeds.
+configuration errors.  Input is checked in one place before any work starts:
+the ranges of n, N, --k-max and the insertion indices, the --policies list,
+the potential type (g, insertions) and the directory of --out.  ``--format``
+selects json, csv or text output.  Every run recomputes everything; outputs
+are byte-identical across runs and hash seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from itertools import product
 
 from .genus0 import GenusZeroData, ModelConfig, verify_genus0
 from .hae import verify_hae_policies
 from .pmatrix import build_pmatrix, verify_pmatrix
-from .potentials import ContributionTables, assemble_F, audit_generators
+from .potentials import ContributionTables, _check_type, assemble_F, audit_generators
 from .report import Report, canonical_json
 from .ring import RingContext, certify_rules
 
@@ -44,6 +48,10 @@ def _validate(args) -> None:
     for policy in args.policies.split(",") if getattr(args, "policies", "") else ():
         if policy not in ("symplectic", "zero", "custom"):
             raise ValueError(f"unknown constants policy {policy!r} in --policies")
+    if args.command == "potential":
+        _check_type(args.g, args.insertions)
+    if args.out != "-" and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"the directory of --out {args.out!r} does not exist")
 
 
 def _emit(payload: dict, report: Report | None, fmt: str, out) -> None:
@@ -95,12 +103,13 @@ def cmd_pmatrix(args) -> tuple[dict, Report]:
     pm = build_pmatrix(ctx, data, args.k_max, args.policy)
     rep = certify_rules(ctx, data)
     rep.checks.extend(verify_pmatrix(pm).checks)
+    entries = product(range(args.k_max + 1), range(cfg.n), range(cfg.n))
     payload = {
         "n": cfg.n,
         "k_max": args.k_max,
         "policy": args.policy,
         "column": pm.col.to_json(),
-        "lifted": {f"{k},{i},{j}": e.to_json() for (k, i, j), e in sorted(pm.lifted.items())},
+        "lifted": {f"{k},{i},{j}": pm.lift_entry(k, i, j).to_json() for k, i, j in entries},
     }
     return payload, rep
 

@@ -16,7 +16,7 @@ Everything downstream is built from a handful of explicit series in x:
 * the normalization factors C_i produced by iterating the operator
   M F = z D (F / F(x, infinity)), together with the running products
   K_l = C_0 ... C_l;
-* the logarithmic data X_{k,l} = D^l C_k / C_k and the combinations
+* the logarithmic derivatives X_k = D C_k / C_k and the combinations
   A_i = (i DL/L - sum_{r<=i} X_r) / L in which the higher genus theory is
   polynomial;
 * the two explicit polynomials in the symbol L that the ring and the
@@ -176,7 +176,7 @@ class GenusZeroData:
     C: list[Series]
     C_alt: list[Series]
     K: list[Series]
-    X: list[list[Series]]
+    X: list[Series]
     A: list[Series]
     Theta: Series
     DLL: Series
@@ -196,20 +196,13 @@ class GenusZeroData:
         K = [C[0]]
         for l in range(1, n + 1):
             K.append(K[-1] * C[l])
-        X: list[list[Series]] = []
-        for k in range(n + 1):
-            row = [Series.one().truncate(C[k].prec)]
-            d = C[k]
-            for _ in range(n + 1):
-                d = d.D()
-                row.append(d / C[k])
-            X.append(row)
+        X = [C[r].D() / C[r] for r in range(n + 1)]
         DLL = L.D() / L
         A = []
         for i in range(n + 1):
             acc = DLL * i
             for r in range(1, i + 1):
-                acc = acc - X[r][1]
+                acc = acc - X[r]
             A.append(acc / L)
         st = StirlingTable.build(max(n + 1, 9))
         return GenusZeroData(cfg, slots, L, C, C_alt, K, X, A, slots[1], DLL, st)
@@ -424,22 +417,25 @@ def verify_ring_series(data: GenusZeroData) -> Report:
 
     acc = Series.zero()
     for r in range(n + 1):
-        acc = acc + data.X[r][1]
+        acc = acc + data.X[r]
     rep.add("sum X_r = n DL/L", (acc - data.DLL * n).zero_order() is None)
 
+    # every ladder sum B_{k,p} and every Z_{m,p} the two checks read, built once
+    B = {(k, p): data.B_series(k, p) for k in range(1, n + 1) for p in range(1, k + 1)}
+    Z = {(m, p): data.Z_series(m, p) for m in range(1, n + 1) for p in range(1, n + 1)}
     for m in range(1, n + 1):
         for k in range(1, n + 1):
             lhs = data.I[m].deriv_pow(k)
             rhs = Series.zero()
             for p in range(1, k + 1):
-                rhs = rhs + data.B_series(k, p) * data.Z_series(m, p)
+                rhs = rhs + B[(k, p)] * Z[(m, p)]
             d = (lhs - rhs).zero_order()
             rep.add(f"ladder expansion D^{k} I_{m}", d is None, f"first bad x-power {d}" if d is not None else "")
 
     for m in range(1, n):
-        resid = data.B_series(n, m)
+        resid = B[(n, m)]
         for k in range(m, n):
-            resid = resid + data.DLL * data.B_series(k, m) * st.s(n, k)
+            resid = resid + data.DLL * B[(k, m)] * st.s(n, k)
         d = resid.zero_order()
         rep.add(f"graded ladder relation, column {m}", d is None, f"first bad x-power {d}" if d is not None else "")
 

@@ -24,9 +24,10 @@ order, as a rational 2D character sum whose linear part in the new constant
 is known in closed form, so an order is rebuilt only for a nonzero constant.
 
 The remaining rows are then built twice, both times graded by residue mod n
-over Q: neither recursion involves the column index j, and column j is the
-zeta^{wj}-weighted sum of the rational pieces w, assembled by the one DFT
-helper :func:`~orbigw.genus0.at_column`.
+over Q and stored only in that form: neither recursion involves the column
+index j, and column j is the zeta^{wj}-weighted sum of the rational pieces w,
+assembled on demand (``PMatrixData.series_entry`` and ``lift_entry``) by the
+one DFT helper :func:`~orbigw.genus0.at_column`.
 
 * as exact truncated series, one table per residue and one order at a time,
   through the modified flatness recursion plus one honest quadrature per
@@ -39,9 +40,10 @@ helper :func:`~orbigw.genus0.at_column`.
 ``verify_lift`` certifies the second construction against the first,
 column by column and coefficient by coefficient, and
 ``verify_partial_lemmas`` checks the formal partial-derivative identities
-that drive the anomaly equations.  ``verify_pmatrix`` reads each column's
-row zero as the lift assembles it, both when it evaluates the polynomial
-route and when it fits the series route in the rational L.
+that drive the anomaly equations.  Every check of the battery computes its
+difference once per residue; these differences are linear in the entries, so
+column j reads its verdict off their zeta^{wj}-weighted sum, and a passing
+battery builds no cyclotomic number.
 """
 
 from __future__ import annotations
@@ -349,13 +351,11 @@ def compute_P_column(
 Lift = dict[tuple[int, int, int], RingElement]
 
 
-def lift_tables(ctx: RingContext, col: PColumn, zeta) -> tuple[Lift, Lift]:
+def lift_tables(ctx: RingContext, col: PColumn) -> Lift:
     """
-    The ring lift, graded by residue, and the entries it assembles to.
-
-    Returns ``(graded, lifted)``: ``graded[(k, i, w)]`` is a ring element with
-    rational coefficients, and ``lifted[(k, i, j)]`` is the order-k, row-i,
-    column-j entry sum_w zeta^{wj} graded[(k, i, w)] (:func:`~orbigw.genus0.at_column`).
+    The ring lift, graded by residue: ``graded[(k, i, w)]`` is a ring element
+    with rational coefficients, and the order-k, row-i, column-j entry is
+    sum_w zeta^{wj} graded[(k, i, w)] (:meth:`PMatrixData.lift_entry`).
 
     Row zero splits by the residue w = (r + k) mod n of the exponent of L^r in
     p_k.  The other rows descend from row zero through the modified flatness
@@ -376,74 +376,78 @@ def lift_tables(ctx: RingContext, col: PColumn, zeta) -> tuple[Lift, Lift]:
             graded[(k, n - 1, w)] = graded[(k, 0, w)] + ctx.derive(prev0).mul_L(-1)
             for i in range(n - 1, 1, -1):
                 prev = graded[(k - 1, i, w)]
-                graded[(k, i - 1, w)] = (
-                    graded[(k, i, w)] + ctx.derive(prev).mul_L(-1) + ctx.A(n - i) * prev
-                )
-    lifted: Lift = {}
-    for k in range(col.k_max + 1):
-        for i in range(n):
-            pieces = [graded[(k, i, w)] for w in range(n)]
-            for j in range(n):
-                lifted[(k, i, j)] = at_column(pieces, j, zeta)
-    return graded, lifted
+                graded[(k, i - 1, w)] = graded[(k, i, w)] + ctx.derive(prev).mul_L(-1) + ctx.A(n - i) * prev
+    return graded
 
 
-def verify_lift(pm: PMatrixData) -> Report:
-    """Certify the ring lift against the series oracle, entry by entry, column by column."""
-    ctx, data, col, lifted = pm.ctx, pm.data, pm.col, pm.lifted
+def _add_columns(rep: Report, name: str, pm: PMatrixData, diffs: dict, detail, failed: str = "") -> None:
+    """
+    Add the check ``name.format(j)`` for every column j.  ``diffs[key][w]`` is
+    the residue-w piece of a difference linear in the entries, so column j's own
+    difference is d = sum_w zeta^{wj} diffs[key][w]; the column fails with
+    ``detail(key, d)`` at the first key (in dict order) where d is nonzero, else
+    with ``failed`` if that is given.  A passing check sums only zero pieces.
+    """
+    for j in range(pm.ctx.n):
+        bad = next((detail(key, d) for key, ws in diffs.items() if (d := at_column(ws, j, pm.data.zeta))), None)
+        bad = str(bad) if bad else failed
+        rep.add(name.format(j), not bad, bad)
+
+
+def route_differences(pm: PMatrixData) -> dict[tuple[int, int], list[Series]]:
+    """diffs[(k, i)][w] = eval(graded[(k, i, w)]) - tables[w][k][i], the two routes' difference by residue."""
+    ev = pm.ctx.evaluator(pm.data)
+    return {
+        (k, i): [ev.eval(pm.graded[(k, i, w)]) - table[k][i] for w, table in enumerate(pm.tables)]
+        for k in range(pm.col.k_max + 1)
+        for i in range(pm.ctx.n)
+    }
+
+
+def verify_lift(pm: PMatrixData, diffs: dict[tuple[int, int], list[Series]]) -> Report:
+    """
+    Certify the ring lift against the series oracle through the route
+    differences ``diffs`` (:func:`route_differences`), entry by entry, column
+    by column; close the cycle in the ring; and read the pole check off the
+    graded row zero (the DFT is invertible, so a column has a pole in L
+    exactly when some residue has one).
+    """
+    ctx, col, graded = pm.ctx, pm.col, pm.graded
     n = ctx.n
-    ev = ctx.evaluator(data)
     rep = Report(f"lift certification (n={n}, k_max={col.k_max}, policy={col.policy})")
-    for j in range(n):
-        diffs = (
-            (k, i, (ev.eval(lifted[(k, i, j)]) - pm.series_entry(k, i, j)).zero_order())
-            for k in range(col.k_max + 1)
-            for i in range(n)
-        )
-        worst = next((x for x in diffs if x[2] is not None), None)
-        rep.add(f"column {j} matches series oracle", worst is None, str(worst) if worst else "")
+    _add_columns(rep, "column {} matches series oracle", pm, diffs, lambda key, d: (*key, d.zero_order()))
+
     # the one flatness equation not consumed by the construction must close
-    for j in range(n):
-        bad = None
-        for k in range(1, col.k_max + 1):
-            prev = lifted[(k - 1, 1, j)]
-            resid = lifted[(k, 0, j)] - lifted[(k, 1, j)] - ctx.derive(prev).mul_L(-1) - ctx.A(n - 1) * prev
-            if not resid.is_zero():
-                bad = (k, resid.monomial_count())
-                break
-        rep.add(f"cycle closure in the ring, column {j}", bad is None, str(bad) if bad else "")
+    def closure(k: int, w: int) -> RingElement:
+        prev = graded[(k - 1, 1, w)]
+        return graded[(k, 0, w)] - graded[(k, 1, w)] - ctx.derive(prev).mul_L(-1) - ctx.A(n - 1) * prev
+
+    resid = {k: [closure(k, w) for w in range(n)] for k in range(1, col.k_max + 1)}
+    _add_columns(rep, "cycle closure in the ring, column {}", pm, resid, lambda k, d: (k, d.monomial_count()))
     # membership: row zero entries live in C[L]
-    ok = all(not lifted[(k, 0, j)].uses_negative_L() for j in range(n) for k in range(col.k_max + 1))
+    ok = all(not graded[(k, 0, w)].uses_negative_L() for w in range(n) for k in range(col.k_max + 1))
     rep.add("row zero entries have no pole in L", ok)
     return rep
 
 
-def verify_partial_lemmas(ctx: RingContext, lifted: Lift, k_max: int) -> Report:
+def verify_partial_lemmas(pm: PMatrixData) -> Report:
     """
     The formal partial derivative of every lifted entry with respect to the
     distinguished generator collapses to the shifted entries predicted by the
     flatness structure (one Kronecker delta for odd n, two for even n).
     """
-    n = ctx.n
-    s = ctx.s
+    ctx, graded = pm.ctx, pm.graded
+    n, s = ctx.n, ctx.s
     gen = ("A", ctx.distinguished, 0)
     rep = Report(f"partial derivative lemmas (n={n})")
-    for j in range(n):
-        bad = None
-        for k in range(k_max + 1):
-            for i in range(n):
-                got = lifted[(k, i, j)].partial(gen)
-                want = RingElement.zero()
-                if k >= 1 and i == s:
-                    want = lifted[(k - 1, s + 1, j)]
-                elif k >= 1 and i == s - 1 and not ctx.odd:
-                    want = lifted[(k - 1, s, j)]
-                if not (got - want).is_zero():
-                    bad = (k, i)
-                    break
-            if bad:
-                break
-        rep.add(f"partial lemma, column {j}", bad is None, str(bad) if bad else "")
+    shifted = {s: s + 1} if ctx.odd else {s: s + 1, s - 1: s}  # row i at order k -> row at order k - 1
+    diffs = {}
+    for k in range(pm.col.k_max + 1):
+        for i in range(n):
+            r = shifted.get(i) if k >= 1 else None
+            want = [RingElement.zero() if r is None else graded[(k - 1, r, w)] for w in range(n)]
+            diffs[(k, i)] = [graded[(k, i, w)].partial(gen) - want[w] for w in range(n)]
+    _add_columns(rep, "partial lemma, column {}", pm, diffs, lambda key, d: key)
     return rep
 
 
@@ -453,8 +457,8 @@ def verify_partial_lemmas(ctx: RingContext, lifted: Lift, k_max: int) -> Report:
 @dataclass
 class PMatrixData:
     """
-    Everything the graph sum needs: column polynomials, series oracle, ring
-    lift (graded by residue, and assembled per column).
+    Everything the graph sum needs: column polynomials, and the series oracle
+    and ring lift, each graded by residue.
     """
 
     ctx: RingContext
@@ -462,11 +466,14 @@ class PMatrixData:
     col: PColumn
     tables: Tables
     graded: Lift
-    lifted: Lift
 
     def series_entry(self, k: int, i: int, j: int) -> Series:
         """The series oracle's entry at order k, row i, column j."""
         return at_column([table[k][i] for table in self.tables], j, self.data.zeta)
+
+    def lift_entry(self, k: int, i: int, j: int) -> RingElement:
+        """The ring lift's entry P~^k_{i,j} at order k, row i, column j."""
+        return at_column([self.graded[(k, i, w)] for w in range(self.ctx.n)], j, self.data.zeta)
 
 
 def build_pmatrix(
@@ -479,8 +486,7 @@ def build_pmatrix(
     col, tables = compute_P_column(ctx.n, k_max, policy, data, custom_constants)
     if tables is None:
         tables = series_tables(data, k_max, col.constants)
-    graded, lifted = lift_tables(ctx, col, data.zeta)
-    return PMatrixData(ctx, data, col, tables, graded, lifted)
+    return PMatrixData(ctx, data, col, tables, lift_tables(ctx, col))
 
 
 def verify_pmatrix(pm: PMatrixData) -> Report:
@@ -517,32 +523,23 @@ def verify_pmatrix(pm: PMatrixData) -> Report:
     for k, phi in enumerate(col.phis):
         rep.add(f"p_{k} has only nonnegative powers", phi.val >= 0)
 
-    # both row-zero checks read each column's row zero as the lift assembles it
-    ev = ctx.evaluator(data)
-    for j in range(n):
-        bad = None
-        for k in range(col.k_max + 1):
-            d = (ev.eval(pm.lifted[(k, 0, j)]) - pm.series_entry(k, 0, j)).zero_order()
-            if d is not None:
-                bad = (k, d)
-                break
-        rep.add(f"polynomial vs series route, column {j}", bad is None, str(bad) if bad else "")
+    # both row-zero checks read differences by residue; a successful fit is
+    # linear, so a column fits as its residues do, and a residue that does
+    # not fit fails every column at that order
+    diffs = route_differences(pm)
+    row0 = {k: diffs[(k, 0)] for k in range(col.k_max + 1)}
+    _add_columns(rep, "polynomial vs series route, column {}", pm, row0, lambda k, d: (k, d.zero_order()))
+    fits, raised = {}, ""
+    for k in range(col.k_max + 1):
+        try:
+            fitted = [fit_laurent_in_L(table[k][0], data.L, 0, (k + 1) * n)[0] for table in pm.tables]
+        except ValueError as exc:
+            raised = str((k, str(exc)))
+            break
+        fits[k] = [RingElement.L_poly(Series(fit)) - pm.graded[(k, 0, w)] for w, fit in enumerate(fitted)]
+    disagrees = "fit disagrees with polynomial route"
+    _add_columns(rep, "Laurent fit certifies membership, column {}", pm, fits, lambda k, d: (k, disagrees), raised)
 
-    for j in range(n):
-        bad = None
-        for k in range(col.k_max + 1):
-            try:
-                fit, _ = fit_laurent_in_L(pm.series_entry(k, 0, j), data.L, 0, (k + 1) * n)
-            except ValueError as exc:
-                bad = (k, str(exc))
-                break
-            if RingElement.L_poly(Series(fit)) != pm.lifted[(k, 0, j)]:
-                bad = (k, "fit disagrees with polynomial route")
-                break
-        rep.add(f"Laurent fit certifies membership, column {j}", bad is None, str(bad) if bad else "")
-
-    sub = verify_lift(pm)
-    rep.checks.extend(sub.checks)
-    sub = verify_partial_lemmas(ctx, pm.lifted, col.k_max)
-    rep.checks.extend(sub.checks)
+    rep.checks.extend(verify_lift(pm, diffs).checks)
+    rep.checks.extend(verify_partial_lemmas(pm).checks)
     return rep

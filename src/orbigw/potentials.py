@@ -119,7 +119,7 @@ class ContributionTables:
 
     def entry(self, k: int, i: int, j: int) -> RingElement:
         """P~^k_{i,j}: order k, row i, column j."""
-        return self.pm.lifted[(k, i, j)]
+        return self.pm.lift_entry(k, i, j)
 
     def graded(self, k: int, i: int) -> dict[int, RingElement]:
         """The nonzero pieces w of P~^k_{i,j} = sum_w zeta^{wj} graded[(k, i, w)]."""

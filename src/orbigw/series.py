@@ -261,16 +261,6 @@ class Series:
 
     # -- comparisons ------------------------------------------------------------
 
-    def difference_order(self, other: "Series") -> int | None:
-        """Exponent of the first known coefficient where the two differ, or None."""
-        prec = min(self.prec, other.prec)
-        exps = {e for e in self.coeffs if e < prec} | {e for e in other.coeffs if e < prec}
-        bad = sorted(e for e in exps if self.coeffs.get(e, _ZERO) != other.coeffs.get(e, _ZERO))
-        return bad[0] if bad else None
-
-    def eq_to_prec(self, other: "Series") -> bool:
-        return self.difference_order(other) is None
-
     def zero_order(self) -> int | None:
         """Exponent of the first known nonzero coefficient, or None when zero to precision."""
         return min(self.coeffs) if self.coeffs else None

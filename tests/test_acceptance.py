@@ -142,17 +142,17 @@ def test_criterion_5_derivative_lemmas():
         for j in range(n):
             for k in range(8):
                 for i in range(n):
-                    got = pm.lifted[(k, i, j)].partial(gen)
+                    got = pm.lift_entry(k, i, j).partial(gen)
                     want = RingElement.zero()
                     if k >= 1:
                         if n % 2:
                             if i == s:
-                                want = pm.lifted[(k - 1, s + 1, j)]
+                                want = pm.lift_entry(k - 1, s + 1, j)
                         else:
                             if i == s:
-                                want = pm.lifted[(k - 1, s + 1, j)]
+                                want = pm.lift_entry(k - 1, s + 1, j)
                             elif i == s - 1:
-                                want = pm.lifted[(k - 1, s, j)]
+                                want = pm.lift_entry(k - 1, s, j)
                     if not (got - want).is_zero():
                         ok = False
     _line(5, "flatness partial-derivative lemmas hold canonically for n=3,5 (odd) and n=4 (even), k <= 7", ok)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from orbigw.cli import build_parser, main
+from orbigw.genus0 import GenusZeroData
 from orbigw.potentials import assemble_F
 from orbigw.report import canonical_json
 
@@ -51,10 +52,24 @@ def test_invalid_order_is_config_error():
         ["pmatrix", "--n", "3", "--k-max", "-1"],
         ["verify-hae", "--n", "3", "--g", "2", "--policies", "symplectic,,zero"],
         ["verify-hae", "--n", "3", "--g", "2", "--policies", "symplectic,bogus"],
+        ["potential", "--n", "3", "--g", "0", "--insertions", "1,1,1"],
     ],
 )
-def test_out_of_range_input_is_config_error(args):
+def test_out_of_range_input_is_config_error(args, monkeypatch):
+    # rejected before any work: no genus-zero data is built
+    monkeypatch.setattr(GenusZeroData, "build", _no_work)
     assert main(args) == 2
+
+
+def _no_work(*args, **kwargs):
+    pytest.fail("work started before the input was checked")
+
+
+def test_output_into_a_missing_directory_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(GenusZeroData, "build", _no_work)
+    target = tmp_path / "missing" / "report.json"
+    assert main(["genus0", "--n", "3", "--N", "14", "--out", str(target)]) == 2
+    assert not target.parent.exists()
 
 
 def test_cli_offers_no_custom_policy_and_no_normalization():

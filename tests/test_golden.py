@@ -33,7 +33,7 @@ def test_frozen_objects_unchanged():
         "policy": "zero",
         "F2_core": F2.core.to_json(),
         "phis": [sorted((e, str(c)) for e, c in p.coeffs.items()) for p in pm.col.phis],
-        "lifted_2_1_1": pm.lifted[(2, 1, 1)].to_json(),
+        "lifted_2_1_1": pm.lift_entry(2, 1, 1).to_json(),
     }
     want = json.loads(GOLDEN.read_text())
     assert json.loads(canonical_json(payload)) == want

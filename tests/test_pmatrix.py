@@ -171,23 +171,23 @@ def test_lift_examples(ctx3, data3):
     # order zero: all rows are the constant normalization
     for i in range(n):
         for j in range(n):
-            assert pm.lifted[(0, i, j)] == pm.lifted[(0, 0, j)]
+            assert pm.lift_entry(0, i, j) == pm.lift_entry(0, 0, j)
     # row n-1 at order k has no A-generators (it lives in C[L^{+-1}])
     for j in range(n):
         for k in range(1, 4):
-            gens = pm.lifted[(k, n - 1, j)].generators_used()
+            gens = pm.lift_entry(k, n - 1, j).generators_used()
             assert not gens, (k, j, gens)
     # first order rows: P~^1_{n-i,j} = P~^1_{0,j} + sum_{r<i} A_r (normalization 1)
     for j in range(n):
-        base = pm.lifted[(1, 0, j)]
-        assert pm.lifted[(1, 2, j)] == base  # i = 1: adds A_0 = 0
-        assert pm.lifted[(1, 1, j)] == base + ctx3.A(1)  # i = 2: adds A_0 + A_1
+        base = pm.lift_entry(1, 0, j)
+        assert pm.lift_entry(1, 2, j) == base  # i = 1: adds A_0 = 0
+        assert pm.lift_entry(1, 1, j) == base + ctx3.A(1)  # i = 2: adds A_0 + A_1
 
 
 def test_partial_lemma_reports(ctx3, ctx4, data3, data4):
     for ctx, data in ((ctx3, data3), (ctx4, data4)):
         pm = build_pmatrix(ctx, data, 4, policy="zero")
-        rep = verify_partial_lemmas(ctx, pm.lifted, 4)
+        rep = verify_partial_lemmas(pm)
         assert rep.ok, rep.failures()[:3]
 
 
@@ -304,15 +304,28 @@ def test_graded_lift(pmatrix_at, n, policy):
                 total = RingElement.zero()
                 for w in range(n):
                     total = total + pm.graded[(k, i, w)] * zeta(w * j)
-                assert total == column[(k, i)] == pm.lifted[(k, i, j)], (k, i, j)
+                assert total == column[(k, i)] == pm.lift_entry(k, i, j), (k, i, j)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_custom_policy_battery(pmatrix_at, n):
-    # seeded nonzero constants reach every residue of the graded tables and lift
-    rep = verify_pmatrix(pmatrix_at(n, "custom"))
+def test_custom_policy_battery(pmatrix_at, n, monkeypatch):
+    # seeded nonzero constants reach every residue of the graded tables and
+    # lift; the battery still reads only rational differences, so a passing
+    # run multiplies no cyclotomic number
+    pm = pmatrix_at(n, "custom")
+    calls = []
+    mul = Cyclotomic.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclotomic, "__mul__", counted)
+    monkeypatch.setattr(Cyclotomic, "__rmul__", counted)
+    rep = verify_pmatrix(pm)
     assert rep.ok, rep.failures()[:4]
     assert len(rep.checks) == 6 * n + 10
+    assert len(calls) == 0
 
 
 def _column_tables(data, k_max, constants):
@@ -413,6 +426,21 @@ def test_mutation_at_a_nonzero_residue_is_caught(pmatrix_at, data3, monkeypatch)
     checks = {c.name: c.ok for c in rep.checks}
     assert not any(checks[f"column {j} matches series oracle"] for j in range(3))
 
+    # the same bump at every residue reaches column 0 alone: sum_w zeta^{wj} = 0
+    # for j != 0, so each column reads its own difference.  The bumped
+    # residues no longer fit in L, and a residue that does not fit fails
+    # every column's Laurent fit at that order.
+    tables = [[list(rows) for rows in table] for table in pm.tables]
+    for table in tables:
+        table[2][0] = table[2][0] + Series.x()
+    rep = verify_pmatrix(dataclasses.replace(pm, tables=tables))
+    failed = {c.name for c in rep.checks if not c.ok}
+    assert failed == {
+        "polynomial vs series route, column 0",
+        "column 0 matches series oracle",
+        *(f"Laurent fit certifies membership, column {j}" for j in range(3)),
+    }
+
     # the same bump inside the solve fails its grouped check
     import orbigw.pmatrix
 
@@ -442,3 +470,4 @@ def test_symplectic_solve_is_rational(data5, monkeypatch):
     constants, status, _ = fix_constants_symplectic(data5, 4)
     assert len(calls) == 0
     assert status == ["free", "fixed", "free", "fixed"]
+

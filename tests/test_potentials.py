@@ -34,7 +34,7 @@ def test_tail_vanishing_and_value(tables3):
     assert not tables3.tail(0, 0) and not tables3.tail(None, 0)
     assert not tables3.tail(0, 1) and not tables3.tail(None, 1)
     t2 = tables3.tail(0, 2)
-    want = tables3.pm.lifted[(2, 0, 0)] * Fraction(1, 3)
+    want = tables3.pm.lift_entry(2, 0, 0) * Fraction(1, 3)
     assert t2 == {0: want}  # (-1)^2 zeta^0 / n with n = 3
     # the character sum read at every decoration gives the decorated tail
     for p in range(3):
@@ -180,8 +180,8 @@ def test_edge_derivative_closed_form_odd(tables3):
                     got = tables3.edge(b1, b2, p1, p2)[(0, 0)].partial(gen)
                     w = tables3.data.zeta(-(b1 + s + 1) * p1 - (b2 + s + 1) * p2)
                     want = (
-                        pm.lifted[(b1, s + 1, p1)]
-                        * pm.lifted[(b2, s + 1, p2)]
+                        pm.lift_entry(b1, s + 1, p1)
+                        * pm.lift_entry(b2, s + 1, p2)
                         * w
                         * Fraction((-1) ** (b1 + b2), n)
                     )
@@ -203,8 +203,8 @@ def test_edge_derivative_closed_form_even(ctx4, data4):
                     w1 = tables.data.zeta(-(b1 + s + 1) * p1 - (b2 + s) * p2)
                     w2 = tables.data.zeta(-(b1 + s) * p1 - (b2 + s + 1) * p2)
                     want = (
-                        pm.lifted[(b1, s + 1, p1)] * pm.lifted[(b2, s, p2)] * w1
-                        + pm.lifted[(b1, s, p1)] * pm.lifted[(b2, s + 1, p2)] * w2
+                        pm.lift_entry(b1, s + 1, p1) * pm.lift_entry(b2, s, p2) * w1
+                        + pm.lift_entry(b1, s, p1) * pm.lift_entry(b2, s + 1, p2) * w2
                     ) * Fraction((-1) ** (b1 + b2), n)
                     assert (got - want).is_zero(), (b1, b2, p1, p2)
 
