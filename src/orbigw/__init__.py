@@ -11,13 +11,13 @@ Everything is exact rational or cyclotomic arithmetic; there is no floating
 point in the computational core.
 """
 
-from .cyclotomic import Cyclotomic, Rational
+from .cyclotomic import Cyclotomic
 from .genus0 import GenusZeroData, ModelConfig
-from .graphs import DecoratedGraph, StableGraph, enumerate_decorated, enumerate_stable_graphs
+from .graphs import StableGraph, enumerate_stable_graphs
 from .hae import HaeReport, verify_finite_generation, verify_hae, verify_hae_policies
 from .pmatrix import PColumn, PMatrixData, build_pmatrix, compute_P_column, verify_pmatrix
-from .potentials import ContributionTables, Potential, assemble_F, assemble_F_series, audit_generators
-from .psi import psi_integral, psi_integral_bruteforce
+from .potentials import ContributionTables, Potential, assemble_F, audit_generators
+from .psi import psi_integral
 from .report import Report
 from .ring import RingContext, RingElement, certify_rules, fit_laurent_in_L
 from .series import Series, binomial_pow
@@ -25,7 +25,6 @@ from .stirling import StirlingTable, stirling_first, stirling_second
 
 __all__ = [
     "Cyclotomic",
-    "Rational",
     "Series",
     "binomial_pow",
     "StirlingTable",
@@ -43,15 +42,11 @@ __all__ = [
     "compute_P_column",
     "verify_pmatrix",
     "psi_integral",
-    "psi_integral_bruteforce",
     "StableGraph",
-    "DecoratedGraph",
     "enumerate_stable_graphs",
-    "enumerate_decorated",
     "ContributionTables",
     "Potential",
     "assemble_F",
-    "assemble_F_series",
     "audit_generators",
     "HaeReport",
     "verify_hae",

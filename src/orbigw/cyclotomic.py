@@ -27,8 +27,6 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Union
 
-Rational = Fraction
-
 Coefficient = Union["Cyclotomic", Fraction, int]
 
 

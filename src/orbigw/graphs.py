@@ -1,5 +1,5 @@
 r"""
-Stable graphs with decorations and automorphisms.
+Stable graphs, their canonical form and their automorphisms.
 
 A stable graph is stored as vertex genera, a leg-to-vertex assignment (legs
 carry fixed labels 1..m), and a sorted multiset of edges (self loops
@@ -8,35 +8,34 @@ n(v) counts incident legs and half-edges; the graph genus is
 h^1 + sum of vertex genera.
 
 Automorphism counts follow the half-edge convention: a vertex bijection
-that preserves genera, decorations, and the pinned legs contributes
-prod m_{uv}! over parallel classes times prod k_v! 2^{k_v} over loops
-(loops may swap their two half-edges).  The graph sum itself runs over
-undecorated graphs, each weighted n^V / Aut(G); ``enumerate_decorated`` and
-the decorated counts serve only its oracle, the decorated sum, and the
-Burnside check that ties the two weightings together.
+that preserves genera and the pinned legs contributes prod m_{uv}! over
+parallel classes times prod k_v! 2^{k_v} over loops (loops may swap their
+two half-edges).  The graph sum runs over undecorated graphs, each weighted
+n^V / Aut(G).  Decorated graphs and their automorphism counts belong only to
+its oracle, the decorated sum, which finds them by brute force over every
+vertex permutation (``tests/oracles.py``); the Burnside check ties the two
+weightings together.
 
 Canonical form.  Each vertex starts from the invariant (genus, labels of
-the legs it carries, loops, degree), with its decoration appended when
-there is one; rounds of refinement then add the multiset of (neighbour
-class, edge multiplicity) until no class splits.  Every step commutes with
-isomorphisms, so sorting the vertices by class is canonical up to
-permutations inside blocks of equal class, and the canonical key
-(``StableGraph.signature``) is the least relabeled graph over those
+the legs it carries, loops, degree); rounds of refinement then add the
+multiset of (neighbour class, edge multiplicity) until no class splits.
+Every step commutes with isomorphisms, so sorting the vertices by class is
+canonical up to permutations inside blocks of equal class, and the canonical
+key (``StableGraph.signature``) is the least relabeled graph over those
 permutations only.  The vertex symmetries behind ``aut_count`` are searched
 inside the same blocks.
 
-Two enumerators are kept separate on purpose.  The primary one lists vertex
-genera up to order (non-increasing) and builds edge layouts by backtracking
-with a half-edge budget: vertex v lacks max(0, 3 - 2 g(v)) half-edges, and a
-partial layout is cut once the total it lacks exceeds 2 (edges left) + m, or
-once its finished vertices lack more than m.  It checks connectivity once per
-layout, places legs only where they leave no vertex unstable, and
-deduplicates through the canonical key; its representatives are the
-canonical graphs themselves.  The naive one builds every product of genera,
-edge distributions and leg placements and deduplicates by pairwise
-isomorphism search over all vertex permutations.  The tests compare their
-classes on (0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
-(2, 2) and (3, 0).
+The enumerator lists vertex genera up to order (non-increasing) and builds
+edge layouts by backtracking with a half-edge budget: vertex v lacks
+max(0, 3 - 2 g(v)) half-edges, and a partial layout is cut once the total it
+lacks exceeds 2 (edges left) + m, or once its finished vertices lack more
+than m.  It checks connectivity once per layout, places legs only where they
+leave no vertex unstable, and deduplicates through the canonical key; its
+representatives are the canonical graphs themselves.  Its oracle, a naive
+enumerator deduplicating by pairwise isomorphism search over all vertex
+permutations, lives in the test suite (``tests/oracles.py``), which
+compares their classes on (0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3),
+(2, 0), (2, 1), (2, 2) and (3, 0).
 """
 
 from __future__ import annotations
@@ -94,29 +93,17 @@ class StableGraph:
         edges = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for (a, b) in self.edges))
         return StableGraph(tuple(genera), legs, edges)
 
-    def signature(self, decorations: tuple[int, ...] | None = None):
+    def signature(self) -> tuple:
         """
-        Canonical key: the least relabeled (genera, legs, edges, decorations)
-        over the relabelings that put the vertices in block order.
+        Canonical key: the least relabeled (genera, legs, edges) over the
+        relabelings that put the vertices in block order.
         """
-        blocks = _blocks(self, decorations)
+        blocks = _blocks(self)
         runs, start = [], 0
         for block in blocks:
             runs.append(range(start, start + len(block)))
             start += len(block)
-        best = None
-        for perm in _block_maps(blocks, runs):
-            g2 = self.relabeled(perm)
-            dec = None
-            if decorations is not None:
-                d2 = [0] * self.num_vertices
-                for v, p in enumerate(decorations):
-                    d2[perm[v]] = p
-                dec = tuple(d2)
-            key = (g2.genera, g2.legs, g2.edges, dec)
-            if best is None or key < best:
-                best = key
-        return best
+        return min((g.genera, g.legs, g.edges) for g in map(self.relabeled, _block_maps(blocks, runs)))
 
     def to_json(self) -> dict:
         return {
@@ -131,7 +118,7 @@ def _ranks(values: list) -> list[int]:
     return [index[x] for x in values]
 
 
-def _blocks(graph: StableGraph, decorations: tuple[int, ...] | None = None) -> list[list[int]]:
+def _blocks(graph: StableGraph) -> list[list[int]]:
     """
     The vertices grouped into classes of the refined invariant, classes in
     their canonical order (see the module docstring).
@@ -151,8 +138,7 @@ def _blocks(graph: StableGraph, decorations: tuple[int, ...] | None = None) -> l
         else:
             nbrs[a][b] = nbrs[a].get(b, 0) + 1
             nbrs[b][a] = nbrs[b].get(a, 0) + 1
-    dec = decorations or (0,) * V
-    cls = _ranks([(h, tuple(carried[v]), loops[v], degree[v], dec[v]) for v, h in enumerate(graph.genera)])
+    cls = _ranks([(h, tuple(carried[v]), loops[v], degree[v]) for v, h in enumerate(graph.genera)])
     while True:
         finer = _ranks([(cls[v], tuple(sorted((cls[w], k) for w, k in nbrs[v].items()))) for v in range(V)])
         if max(finer) == max(cls):
@@ -176,18 +162,18 @@ def _block_maps(blocks: list[list[int]], targets: list):
         yield tuple(perm)
 
 
-def vertex_symmetries(graph: StableGraph, decorations: tuple[int, ...] | None = None):
+def vertex_symmetries(graph: StableGraph):
     """
-    Vertex permutations preserving genera, legs pointwise, edges, decorations.
+    Vertex permutations preserving genera, legs pointwise and edges.
 
     A symmetry keeps every refined class, so only permutations inside the
-    blocks are tried, and these already fix genera, legs and decorations.
+    blocks are tried, and these already fix genera and legs.
     """
-    blocks = _blocks(graph, decorations)
+    blocks = _blocks(graph)
     return [perm for perm in _block_maps(blocks, blocks) if graph.relabeled(perm) == graph]
 
 
-def aut_count(graph: StableGraph, decorations: tuple[int, ...] | None = None) -> int:
+def aut_count(graph: StableGraph) -> int:
     """
     Order of the automorphism group in the half-edge convention: for every
     admissible vertex permutation, parallel edges may be permuted and each
@@ -205,7 +191,7 @@ def aut_count(graph: StableGraph, decorations: tuple[int, ...] | None = None) ->
         half_edge_factor *= factorial(k) * 2**k
     for mult in par.values():
         half_edge_factor *= factorial(mult)
-    return len(vertex_symmetries(graph, decorations)) * half_edge_factor
+    return len(vertex_symmetries(graph)) * half_edge_factor
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -287,11 +273,17 @@ def _leg_placements(short: list[int], m: int):
         yield from rec(0)
 
 
-@lru_cache(maxsize=None)
 def enumerate_stable_graphs(g: int, m: int) -> tuple[StableGraph, ...]:
     """One canonical representative per isomorphism class of stable graphs of type (g, m)."""
+    if g < 0 or m < 0:
+        raise ValueError(f"graph type (g={g}, m={m}) needs g >= 0 and m >= 0")
     if 2 * g - 2 + m <= 0:
         raise ValueError("unstable type")
+    return _enumerate(g, m)
+
+
+@lru_cache(maxsize=None)
+def _enumerate(g: int, m: int) -> tuple[StableGraph, ...]:
     found: set = set()
     for V in range(1, 2 * g - 2 + m + 1):
         for genera in combinations_with_replacement(range(g, -1, -1), V):
@@ -308,88 +300,4 @@ def enumerate_stable_graphs(g: int, m: int) -> tuple[StableGraph, ...]:
                     if graph.genus() != g:
                         raise AssertionError(f"enumerated graph has genus {graph.genus()}, expected {g}")
                     found.add(graph.signature())
-    return tuple(StableGraph(*key[:3]) for key in sorted(found))
-
-
-def _edge_distributions(V: int, E: int):
-    """All ways to place E edges as loops per vertex plus multiplicities per pair."""
-    pairs = [(a, b) for a in range(V) for b in range(a + 1, V)]
-    slots = V + len(pairs)
-
-    def rec(idx: int, remaining: int, acc: list[int]):
-        if idx == slots - 1:
-            yield acc + [remaining]
-            return
-        for c in range(remaining + 1):
-            yield from rec(idx + 1, remaining - c, acc + [c])
-
-    if slots == 1:
-        yield ([E], [])
-        return
-    for dist in rec(0, E, []):
-        yield (dist[:V], list(zip(pairs, dist[V:])))
-
-
-def enumerate_stable_graphs_naive(g: int, m: int) -> list[StableGraph]:
-    """
-    Independent generator: exhaustive candidates, deduplicated by pairwise
-    isomorphism search instead of canonical signatures.
-    """
-    reps: list[StableGraph] = []
-    max_V = 2 * g - 2 + m
-    for V in range(1, max_V + 1):
-        for genera in product(range(g + 1), repeat=V):
-            E = g - sum(genera) + V - 1
-            if E < 0:
-                continue
-            for loops, pair_mults in _edge_distributions(V, E):
-                edges = []
-                for v, k in enumerate(loops):
-                    edges += [(v, v)] * k
-                for (pair, mult) in pair_mults:
-                    edges += [pair] * mult
-                for legs in product(range(V), repeat=m):
-                    graph = StableGraph(tuple(genera), tuple(legs), tuple(sorted(edges)))
-                    if graph.genus() != g or not graph.is_connected() or not graph.is_stable():
-                        continue
-                    if not any(_isomorphic(graph, r) for r in reps):
-                        reps.append(graph)
-    return reps
-
-
-def _isomorphic(a: StableGraph, b: StableGraph) -> bool:
-    if a.num_vertices != b.num_vertices or len(a.edges) != len(b.edges):
-        return False
-    if sorted(a.genera) != sorted(b.genera):
-        return False
-    for perm in permutations(range(a.num_vertices)):
-        g2 = a.relabeled(perm)
-        if g2.genera == b.genera and g2.legs == b.legs and g2.edges == b.edges:
-            return True
-    return False
-
-
-
-@dataclass(frozen=True)
-class DecoratedGraph:
-    graph: StableGraph
-    decorations: tuple[int, ...]
-    aut: int
-
-
-@lru_cache(maxsize=None)
-def enumerate_decorated(g: int, m: int, n: int) -> tuple[DecoratedGraph, ...]:
-    """
-    One representative per isomorphism class of decorated stable graphs,
-    decorations in {0..n-1}, with decorated automorphism counts.
-    """
-    out: list[DecoratedGraph] = []
-    for graph in enumerate_stable_graphs(g, m):
-        seen: set = set()
-        for dec in product(range(n), repeat=graph.num_vertices):
-            sig = graph.signature(dec)
-            if sig in seen:
-                continue
-            seen.add(sig)
-            out.append(DecoratedGraph(graph, dec, aut_count(graph, dec)))
-    return tuple(out)
+    return tuple(StableGraph(*key) for key in sorted(found))

@@ -26,8 +26,8 @@ is known in closed form, so an order is rebuilt only for a nonzero constant.
 The remaining rows are then built twice, both times graded by residue mod n
 over Q and stored only in that form: neither recursion involves the column
 index j, and column j is the zeta^{wj}-weighted sum of the rational pieces w,
-assembled on demand (``PMatrixData.series_entry`` and ``lift_entry``) by the
-one DFT helper :func:`~orbigw.genus0.at_column`.
+assembled on demand (``PMatrixData.lift_entry``; the tests do the same for
+the series tables) by the one DFT helper :func:`~orbigw.genus0.at_column`.
 
 * as exact truncated series, one table per residue and one order at a time,
   through the modified flatness recursion plus one honest quadrature per
@@ -466,10 +466,6 @@ class PMatrixData:
     col: PColumn
     tables: Tables
     graded: Lift
-
-    def series_entry(self, k: int, i: int, j: int) -> Series:
-        """The series oracle's entry at order k, row i, column j."""
-        return at_column([table[k][i] for table in self.tables], j, self.data.zeta)
 
     def lift_entry(self, k: int, i: int, j: int) -> RingElement:
         """The ring lift's entry P~^k_{i,j} at order k, row i, column j."""

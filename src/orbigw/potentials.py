@@ -26,10 +26,9 @@ rational ring elements X_u, and sum_p zeta^{U.p} = n^V [U = 0] over vectors
 U of per-vertex residues.  By Burnside ``assemble_F`` sums over undecorated
 stable graphs only, each weighted n^V / Aut(G), reading the all-zero residue
 component, with the flags summed edge by edge (:func:`graph_character_sum`).
-The decorated sum (:func:`graph_contribution` over ``enumerate_decorated``,
-every joint flag assignment) stays as the oracle: it reads every factor at
-its decorations with explicit zeta weights, and it is the route of the
-series assembly ``assemble_F_series``.
+The decorated sum, which reads every factor at its decorations and visits
+every joint flag assignment, is the oracle of this sum and the route of the
+series assembly; both live in the test suite (``tests/oracles.py``).
 
 Each leg's scalar prefactor K_{Inv(c)} / L^{Inv(c)} is kept apart from the
 graph sum (it is flag and graph independent), so a potential is a pair
@@ -47,13 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, product
+from itertools import product
 
-from .graphs import DecoratedGraph, StableGraph, aut_count, enumerate_decorated, enumerate_stable_graphs
+from .graphs import StableGraph, aut_count, enumerate_stable_graphs
 from .pmatrix import PMatrixData
 from .psi import psi_integral
 from .ring import RingElement
-from .series import Series
 
 
 @dataclass
@@ -92,18 +90,14 @@ def _scaled(a: Char, c: Fraction) -> Char:
 
 class ContributionTables:
     """
-    The local factors of the graph sum, written once over an entry table.
+    The local factors of the graph sum, written once over the graded lift.
 
     Every factor is a character sum in the decoration p of its vertex, a dict
     ``{u: value}`` standing for sum_u zeta^{u p} value_u (an edge's is keyed
-    by the pair (u1, u2) of its end residues).  Called with p = None a factor
-    is read off the graded lift, whose pieces are rational; called at a given
-    decoration p it is the one value there, held as the component u = 0, with
-    the explicit zeta weights of the classification formula.  Entries
-    P~^k_{i,j} are read through :meth:`entry` and :meth:`graded`; here they
-    come from the ring lift, so every value is a ring element.
-    :class:`SeriesTables` reads the decorated entries from the series oracle
-    instead, assembling each column from its rational residue tables.
+    by the pair (u1, u2) of its end residues).  Entries P~^k_{i,p} are read
+    through :meth:`graded` as their rational pieces, so every value is a
+    rational ring element and no root of unity enters.  The series oracle of
+    the tests overrides :meth:`graded`, :meth:`unit` and :meth:`zero`.
     """
 
     def __init__(self, pm: PMatrixData):
@@ -117,10 +111,6 @@ class ContributionTables:
         self._edge: dict = {}
         self._leg: dict = {}
 
-    def entry(self, k: int, i: int, j: int) -> RingElement:
-        """P~^k_{i,j}: order k, row i, column j."""
-        return self.pm.lift_entry(k, i, j)
-
     def graded(self, k: int, i: int) -> dict[int, RingElement]:
         """The nonzero pieces w of P~^k_{i,j} = sum_w zeta^{wj} graded[(k, i, w)]."""
         pieces = self.pm.graded
@@ -132,28 +122,25 @@ class ContributionTables:
     def zero(self) -> RingElement:
         return RingElement.zero()
 
-    def _char(self, k: int, i: int, shift: int, p: int | None) -> Char:
-        """P~^k_{i,p} zeta^{-shift p} as a character sum in p, or its value at p."""
-        if p is None:
-            return {(w - shift) % self.n: piece for w, piece in self.graded(k, i).items()}
-        return {0: self.entry(k, i, p) * self.data.zeta(-shift * p)}
+    def _char(self, k: int, i: int, shift: int) -> Char:
+        """P~^k_{i,p} zeta^{-shift p} as a character sum in p."""
+        return {(w - shift) % self.n: piece for w, piece in self.graded(k, i).items()}
 
     # -- local factors ------------------------------------------------------
 
-    def tail(self, p: int | None, i: int) -> Char:
+    def tail(self, i: int) -> Char:
         """T_{p,i}; zero in degrees 0 and 1."""
         if i < 2:
             return {}
         if i > self.k_max:
             raise ValueError(f"tail order {i} exceeds the lifted depth {self.k_max}")
-        key = (p, i)
-        if key not in self._tails:
-            self._tails[key] = _scaled(self._char(i, 0, i, p), Fraction((-1) ** i, self.n))
-        return self._tails[key]
+        if i not in self._tails:
+            self._tails[i] = _scaled(self._char(i, 0, i), Fraction((-1) ** i, self.n))
+        return self._tails[i]
 
-    def vertex(self, h: int, p: int | None, flags: tuple[int, ...]) -> Char:
-        """Genus-h vertex with decoration p and the given flag exponents."""
-        key = (h, p, tuple(sorted(flags)))
+    def vertex(self, h: int, flags: tuple[int, ...]) -> Char:
+        """Genus-h vertex with the given flag exponents."""
+        key = (h, tuple(sorted(flags)))
         if key in self._vertex:
             return self._vertex[key]
         n = self.n
@@ -180,15 +167,15 @@ class ContributionTables:
                         weight /= t
                 term = {0: self.unit() * (integral * weight * pairing_power)}
                 for r in mult:
-                    term = _times(term, self.tail(p, r), n)
+                    term = _times(term, self.tail(r), n)
                 for u, x in term.items():
                     _add_into(total, u, x)
         self._vertex[key] = total
         return total
 
-    def edge(self, b1: int, b2: int, p1: int | None, p2: int | None) -> dict:
+    def edge(self, b1: int, b2: int) -> dict:
         """The edge factor, a character sum in both end decorations keyed (u1, u2)."""
-        key = (b1, b2, p1, p2)
+        key = (b1, b2)
         if key in self._edge:
             return self._edge[key]
         n = self.n
@@ -198,8 +185,8 @@ class ContributionTables:
         for m in range(0, b2 + 1):
             for r in range(n):
                 rinv = (-r) % n
-                left = self._char(b1 + m + 1, rinv, b1 + m + 1 + rinv, p1)
-                right = self._char(b2 - m, r, b2 - m + r, p2)
+                left = self._char(b1 + m + 1, rinv, b1 + m + 1 + rinv)
+                right = self._char(b2 - m, r, b2 - m + r)
                 for u1, x in left.items():
                     for u2, y in right.items():
                         _add_into(total, (u1, u2), x * y * Fraction((-1) ** m))
@@ -207,12 +194,12 @@ class ContributionTables:
         self._edge[key] = total
         return total
 
-    def leg_core(self, a: int, c: int, p: int | None) -> Char:
+    def leg_core(self, a: int, c: int) -> Char:
         """Leg factor without the scalar K/L prefactor."""
-        key = (a, c, p)
+        key = (a, c)
         if key not in self._leg:
             cinv = (-c) % self.n
-            self._leg[key] = _scaled(self._char(a, cinv, a + cinv, p), Fraction((-1) ** a, self.n))
+            self._leg[key] = _scaled(self._char(a, cinv, a + cinv), Fraction((-1) ** a, self.n))
         return self._leg[key]
 
     def leg_prefactor(self, c: int) -> RingElement:
@@ -224,26 +211,6 @@ class ContributionTables:
             gens[g] = gens.get(g, 0) + 1
         mono = (-cinv, tuple(sorted(gens.items())))
         return RingElement({mono: Fraction(1)})
-
-
-class SeriesTables(ContributionTables):
-    """
-    The same local factors over the series oracle, one decoration at a time
-    (entries assembled by :func:`~orbigw.genus0.at_column`, as in the lift);
-    the ring lift never enters.
-    """
-
-    def entry(self, k: int, i: int, j: int) -> Series:
-        return self.pm.series_entry(k, i, j)
-
-    def graded(self, k: int, i: int):
-        raise TypeError("the series oracle is read one decoration at a time")
-
-    def unit(self) -> Series:
-        return Series.one()
-
-    def zero(self) -> Series:
-        return Series.zero()
 
 
 def _multisets(total: int, k: int, cap: int):
@@ -265,70 +232,9 @@ def _multisets(total: int, k: int, cap: int):
     yield from rec(total, k, 2)
 
 
-def _flag_assignments(graph: StableGraph):
-    """
-    Every joint flag assignment within each vertex's dimension, as (values,
-    per-vertex flags); only the decorated oracle visits them.
-
-    ``values`` lists the legs first, then both half-edges of every edge in edge
-    order; ``flags[v]`` collects the values at vertex v in that order.
-    """
-    ends = list(graph.legs) + [v for edge in graph.edges for v in edge]
-    at = [[s for s, w in enumerate(ends) if w == v] for v in range(graph.num_vertices)]
-    room = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
-    values: list[int] = []
-
-    def rec(idx: int):
-        if idx == len(ends):
-            yield values, [tuple(values[s] for s in slots) for slots in at]
-            return
-        v = ends[idx]
-        for val in range(room[v] + 1):
-            room[v] -= val
-            values.append(val)
-            yield from rec(idx + 1)
-            values.pop()
-            room[v] += val
-
-    yield from rec(0)
-
-
-def graph_contribution(tables: ContributionTables, dec: DecoratedGraph, insertions: tuple[int, ...]):
-    """
-    The core contribution of one decorated graph (leg prefactors excluded).
-
-    Summed over ``enumerate_decorated``, this is the decorated sum: the oracle
-    of the character sum, and the route of the series assembly.  Every factor
-    is read at its decorations.
-    """
-    graph, p = dec.graph, dec.decorations
-    m = len(graph.legs)
-    zero = tables.zero()
-    total = zero
-    for values, flags in _flag_assignments(graph):
-        factors = chain(
-            (tables.vertex(h, p[v], flags[v]).get(0, zero) for v, h in enumerate(graph.genera)),
-            (
-                tables.edge(values[m + 2 * e], values[m + 2 * e + 1], p[a], p[b]).get((0, 0), zero)
-                for e, (a, b) in enumerate(graph.edges)
-            ),
-            (tables.leg_core(values[t], insertions[t], p[graph.legs[t]]).get(0, zero) for t in range(m)),
-        )
-        # a zero product ends the term: the ring is a domain, and a series
-        # product with no known coefficient carries nothing
-        term = tables.unit()
-        for factor in factors:
-            term = term * factor
-            if term.is_zero():
-                break
-        else:
-            total = total + term
-    return total * Fraction(1, dec.aut)
-
-
 def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertions: tuple[int, ...]) -> RingElement:
     """
-    The sum of graph_contribution over every decoration of one stable graph.
+    The contribution of one stable graph, summed over its decorations.
 
     Each factor is a character sum in its decorations, so a flag assignment's
     product is sum_U zeta^{U.p} X_U over vectors U of per-vertex residues, and
@@ -350,9 +256,9 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
         budget = room[v] - sum(flags)
         total: Char = {}
         for leg_flags in (f for f in product(range(budget + 1), repeat=len(legs)) if sum(f) <= budget):
-            term = tables.vertex(graph.genera[v], None, flags + leg_flags)
+            term = tables.vertex(graph.genera[v], flags + leg_flags)
             for t, a in zip(legs, leg_flags):
-                term = _times(term, tables.leg_core(a, insertions[t], None), n)
+                term = _times(term, tables.leg_core(a, insertions[t]), n)
             for u, x in term.items():
                 _add_into(total, u, x)
         return total
@@ -369,7 +275,7 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
             left, right = (room[v] - sum(key[v][0]) for v in (a, b))
             for b1 in range(left + 1):
                 for b2 in range((left - b1 if a == b else right) + 1):
-                    for (u1, u2), y in tables.edge(b1, b2, None, None).items():
+                    for (u1, u2), y in tables.edge(b1, b2).items():
                         ends = list(key)
                         for v, value, u in ((a, b1, u1), (b, b2, u2)):
                             ends[v] = (tuple(sorted(ends[v][0] + (value,))), (ends[v][1] + u) % n)
@@ -410,28 +316,6 @@ def assemble_F(tables: ContributionTables, g: int, insertions: tuple[int, ...] |
     for c in insertions:
         pref = pref * tables.leg_prefactor(c)
     return Potential(g, insertions, pref, core)
-
-
-def assemble_F_series(tables: ContributionTables, g: int, insertions: tuple[int, ...] | list[int]) -> Series:
-    """
-    The same graph sum evaluated purely at the series level.
-
-    The decorated sum runs over :class:`SeriesTables` (never the ring lift,
-    nor the character sum) and is multiplied by the leg prefactors as series,
-    so agreement with the evaluated ring-level potential certifies the whole
-    polynomial pipeline independently.
-    """
-    insertions = tuple(insertions)
-    _check_type(g, insertions)
-    series_tables = SeriesTables(tables.pm)
-    total = series_tables.zero()
-    for dec in enumerate_decorated(g, len(insertions), tables.n):
-        total = total + graph_contribution(series_tables, dec, insertions)
-    data = tables.data
-    for c in insertions:
-        cinv = (-c) % tables.n
-        total = total * (data.K[cinv] / data.L**cinv)
-    return total
 
 
 def audit_generators(tables: ContributionTables, pot: Potential) -> dict:

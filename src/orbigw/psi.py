@@ -13,12 +13,13 @@ T_a = (2a+1)!! tau_a:
 
 with ordered inner sums and unstable brackets read as zero.
 
-Two implementations are kept deliberately separate: a memoized one that
-always removes the largest exponent, and a plain recursive one that reduces
-through the string and dilaton equations first and removes the smallest
-non-special exponent otherwise.  They share nothing but the seed, and the
-test suite plays them against each other and against the genus zero closed
-form; these numbers poison every higher genus potential if they are wrong.
+The recursion here is memoized and always removes the largest exponent.
+Its oracle, a plain recursion that reduces through the string and dilaton
+equations first and removes the smallest non-special exponent otherwise,
+lives in the test suite (``tests/oracles.py``).  The two share nothing but
+the seed, and the tests play them against each other and against the genus
+zero closed form; these numbers poison every higher genus potential if they
+are wrong.
 """
 
 from __future__ import annotations
@@ -103,8 +104,11 @@ def psi_integral(g: int, exponents: tuple[int, ...] | list[int]) -> Fraction:
     """
     <tau_{a_1} ... tau_{a_m}>_g, exact.
 
-    Raises on unstable (g, m); returns 0 on a dimension mismatch.
+    Raises on a negative genus or exponent and on unstable (g, m); returns 0
+    on a dimension mismatch.
     """
+    if g < 0:
+        raise ValueError(f"negative genus {g}")
     key = tuple(sorted(int(a) for a in exponents))
     if any(a < 0 for a in key):
         raise ValueError("negative psi exponent")
@@ -116,79 +120,3 @@ def psi_integral(g: int, exponents: tuple[int, ...] | list[int]) -> Fraction:
     for a in key:
         norm *= double_factorial(a)
     return _normalized(g, key) / norm
-
-
-def psi_integral_bruteforce(g: int, exponents: tuple[int, ...] | list[int]) -> Fraction:
-    """
-    Independent implementation: string and dilaton reductions first, then the
-    recursion on the smallest removable exponent.  No memoization.
-    """
-    key = tuple(sorted(int(a) for a in exponents))
-    if not is_stable(g, len(key)):
-        raise ValueError(f"unstable moduli space (g={g}, m={len(key)})")
-    if not dimension_ok(g, key):
-        return Fraction(0)
-    return _brute(g, key)
-
-
-def _brute(g: int, key: tuple[int, ...]) -> Fraction:
-    m = len(key)
-    if not is_stable(g, m) or not dimension_ok(g, key):
-        return Fraction(0)
-    if g == 0 and m == 3:
-        return Fraction(1)
-    if g == 1 and key == (1,):
-        # solved from the recursion instance on <tau_3 tau_0 tau_0>_1, which the
-        # string equation ties back to <tau_1>_1 = y:
-        #   105 y = 2 * 15 y + (1/2)(2 <T_0 T_0 T_0 T_1>_0 + 2 <T_0^3>_0 <T_1>_1),
-        # i.e. (105 - 30 - 3) y = <T_0 T_0 T_0 T_1>_0.
-        b = _brute(0, (0, 0, 0, 1)) * double_factorial(1)
-        return b / (double_factorial(3) - 30 - 3)
-    # string equation
-    if 0 in key and (g, m) != (0, 3):
-        rest = list(key)
-        rest.remove(0)
-        total = Fraction(0)
-        for i in range(len(rest)):
-            if rest[i] >= 1:
-                total += _brute(g, tuple(sorted(rest[:i] + [rest[i] - 1] + rest[i + 1 :])))
-        return total
-    # dilaton equation
-    if 1 in key and m >= 2:
-        rest = list(key)
-        rest.remove(1)
-        return (2 * g - 2 + (m - 1)) * _brute(g, tuple(rest))
-    if g == 0:
-        return psi_genus0(key)
-    # recursion on the smallest exponent (>= 2 at this point)
-    low, rest = key[0], key[1:]
-    k = low - 1
-
-    def norm_val(gg: int, kk: tuple[int, ...]) -> Fraction:
-        if not is_stable(gg, len(kk)) or not dimension_ok(gg, kk):
-            return Fraction(0)
-        v = _brute(gg, kk)
-        for a in kk:
-            v *= double_factorial(a)
-        return v
-
-    total = Fraction(0)
-    for idx in range(len(rest)):
-        merged = tuple(sorted(rest[:idx] + (rest[idx] + k,) + rest[idx + 1 :]))
-        total += (2 * rest[idx] + 1) * norm_val(g, merged)
-    for b in range(k):
-        c = k - 1 - b
-        total += Fraction(1, 2) * norm_val(g - 1, tuple(sorted(rest + (b, c))))
-        for g1 in range(g + 1):
-            g2 = g - g1
-            idxs = range(len(rest))
-            for r in range(len(rest) + 1):
-                for I in combinations(idxs, r):
-                    Iset = set(I)
-                    left = tuple(sorted(tuple(rest[i] for i in I) + (b,)))
-                    right = tuple(sorted(tuple(rest[i] for i in idxs if i not in Iset) + (c,)))
-                    total += Fraction(1, 2) * norm_val(g1, left) * norm_val(g2, right)
-    denom = 1
-    for a in key:
-        denom *= double_factorial(a)
-    return total / denom

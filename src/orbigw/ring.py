@@ -30,6 +30,7 @@ C_i to the normalization factor) is the module's ground truth, and
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cyclotomic import Coefficient, Cyclotomic
@@ -510,9 +511,7 @@ def fit_laurent_in_L(
     while True:
         lead = residual.first_nonzero()
         if lead is None:
-            import math as _math
-
-            return out, (-1 if _math.isinf(residual.prec) else int(residual.prec) - 1)
+            return out, (-1 if math.isinf(residual.prec) else int(residual.prec) - 1)
         e, c = lead
         if e < -max_pole:
             raise ValueError(f"pole order exceeds {max_pole} at L^{e}")
@@ -521,6 +520,6 @@ def fit_laurent_in_L(
         if e not in pows:
             pows[e] = L**e
         unit = pows[e].get(e)
-        coeff = c * unit.inverse() if isinstance(unit, Cyclotomic) else c / unit
+        coeff = c / unit
         out[e] = coeff
         residual = residual - pows[e] * coeff

@@ -1,0 +1,323 @@
+"""
+The deliberate oracles, kept out of the package: the decorated graph sum
+(``graph_contribution`` over ``enumerate_decorated``, classes and Aut(G, p)
+found by brute force over every vertex permutation; over
+:class:`SeriesTables` it is ``assemble_F_series``), the naive stable-graph
+enumerator, the second psi recursion (``psi_integral_bruteforce``) and the
+series oracle's column entries (``series_entry``).  Each is an independent
+route to a number the package computes another way.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
+from itertools import chain, combinations, permutations, product
+from math import factorial
+
+from orbigw.genus0 import at_column
+from orbigw.graphs import StableGraph, enumerate_stable_graphs
+from orbigw.pmatrix import PMatrixData
+from orbigw.potentials import ContributionTables, _check_type
+from orbigw.psi import dimension_ok, double_factorial, is_stable, psi_genus0
+from orbigw.series import Series
+
+
+def series_entry(pm: PMatrixData, k: int, i: int, j: int) -> Series:
+    """The series oracle's entry at order k, row i, column j."""
+    return at_column([table[k][i] for table in pm.tables], j, pm.data.zeta)
+
+
+@dataclass(frozen=True)
+class DecoratedGraph:
+    graph: StableGraph
+    decorations: tuple[int, ...]
+    aut: int
+
+
+def vertex_automorphisms(graph: StableGraph) -> list[tuple[int, ...]]:
+    """The vertex permutations fixing the graph, found among all V! of them."""
+    return [perm for perm in permutations(range(graph.num_vertices)) if graph.relabeled(perm) == graph]
+
+
+def half_edge_factor(graph: StableGraph) -> int:
+    """The edge permutations over a fixed vertex map, counted edge by edge."""
+    factor = 1
+    for edge in set(graph.edges):
+        k = graph.edges.count(edge)
+        factor *= factorial(k) * (2**k if edge[0] == edge[1] else 1)
+    return factor
+
+
+@cache
+def enumerate_decorated(g: int, m: int, n: int) -> tuple[DecoratedGraph, ...]:
+    """
+    One representative per isomorphism class of decorated stable graphs,
+    decorations in {0..n-1}, with decorated automorphism counts: a class is an
+    orbit of the vertex automorphisms, represented by its least member, and
+    Aut(G, p) is its stabiliser times the half-edge factor.
+    """
+    out: list[DecoratedGraph] = []
+    for graph in enumerate_stable_graphs(g, m):
+        syms = vertex_automorphisms(graph)
+        for dec in product(range(n), repeat=graph.num_vertices):
+            orbit = {tuple(dec[v] for v in perm) for perm in syms}
+            if dec == min(orbit):
+                out.append(DecoratedGraph(graph, dec, len(syms) // len(orbit) * half_edge_factor(graph)))
+    return tuple(out)
+
+
+class Decorated:
+    """
+    The local factors of ``tables`` read at decorations, each value cached:
+    ``at(factor, args, p)`` is the character sum ``tables.<factor>(*args)``
+    at p, sum_u zeta^{u p} X_u, or sum zeta^{u1 p1 + u2 p2} X for an edge,
+    whose p is the pair (p1, p2).
+    """
+
+    def __init__(self, tables: ContributionTables):
+        self.tables = tables
+        self._values: dict = {}
+
+    def __call__(self, factor: str, args: tuple, p):
+        key = (factor, args, p)
+        if key not in self._values:
+            tables = self.tables
+            ps = p if isinstance(p, tuple) else (p,)
+            total = tables.zero()
+            for u, x in getattr(tables, factor)(*args).items():
+                e = sum(a * b for a, b in zip(u if isinstance(u, tuple) else (u,), ps)) % tables.n
+                total = total + (x * tables.data.zeta(e) if e else x)
+            self._values[key] = total
+        return self._values[key]
+
+
+def _flag_assignments(graph: StableGraph):
+    """
+    Every joint flag assignment within each vertex's dimension, as (values,
+    per-vertex flags).
+
+    ``values`` lists the legs first, then both half-edges of every edge in edge
+    order; ``flags[v]`` collects the values at vertex v in that order.
+    """
+    ends = list(graph.legs) + [v for edge in graph.edges for v in edge]
+    at = [[s for s, w in enumerate(ends) if w == v] for v in range(graph.num_vertices)]
+    room = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
+    values: list[int] = []
+
+    def rec(idx: int):
+        if idx == len(ends):
+            yield values, [tuple(values[s] for s in slots) for slots in at]
+            return
+        v = ends[idx]
+        for val in range(room[v] + 1):
+            room[v] -= val
+            values.append(val)
+            yield from rec(idx + 1)
+            values.pop()
+            room[v] += val
+
+    yield from rec(0)
+
+
+def graph_contribution(at: Decorated, dec: DecoratedGraph, insertions: tuple[int, ...]):
+    """
+    The core contribution of one decorated graph (leg prefactors excluded).
+
+    Summed over ``enumerate_decorated``, this is the decorated sum.  Every
+    factor is read at its decorations.
+    """
+    graph, p = dec.graph, dec.decorations
+    m = len(graph.legs)
+    tables = at.tables
+    total = tables.zero()
+    for values, flags in _flag_assignments(graph):
+        factors = chain(
+            (at("vertex", (h, tuple(sorted(flags[v]))), p[v]) for v, h in enumerate(graph.genera)),
+            (
+                at("edge", (values[m + 2 * e], values[m + 2 * e + 1]), (p[a], p[b]))
+                for e, (a, b) in enumerate(graph.edges)
+            ),
+            (at("leg_core", (values[t], insertions[t]), p[graph.legs[t]]) for t in range(m)),
+        )
+        # a zero product ends the term: the ring is a domain, and a series
+        # product with no known coefficient carries nothing
+        term = tables.unit()
+        for factor in factors:
+            term = term * factor
+            if term.is_zero():
+                break
+        else:
+            total = total + term
+    return total * Fraction(1, dec.aut)
+
+
+class SeriesTables(ContributionTables):
+    """
+    The same local factors over the series oracle: the graded pieces are the
+    P column's rational residue tables, so the ring lift never enters.
+    """
+
+    def graded(self, k: int, i: int) -> dict[int, Series]:
+        return {w: table[k][i] for w, table in enumerate(self.pm.tables) if table[k][i]}
+
+    def unit(self) -> Series:
+        return Series.one()
+
+    def zero(self) -> Series:
+        return Series.zero()
+
+
+def assemble_F_series(tables: ContributionTables, g: int, insertions: tuple[int, ...] | list[int]) -> Series:
+    """
+    The graph sum evaluated purely at the series level.
+
+    The decorated sum runs over :class:`SeriesTables` (never the ring lift,
+    nor the character sum) and is multiplied by the leg prefactors as series,
+    so agreement with the evaluated ring-level potential certifies the whole
+    polynomial pipeline independently.
+    """
+    insertions = tuple(insertions)
+    _check_type(g, insertions)
+    at = Decorated(SeriesTables(tables.pm))
+    total = Series.zero()
+    for dec in enumerate_decorated(g, len(insertions), tables.n):
+        total = total + graph_contribution(at, dec, insertions)
+    data = tables.data
+    for c in insertions:
+        cinv = (-c) % tables.n
+        total = total * (data.K[cinv] / data.L**cinv)
+    return total
+
+
+def _edge_distributions(V: int, E: int):
+    """All ways to place E edges as loops per vertex plus multiplicities per pair."""
+    pairs = [(a, b) for a in range(V) for b in range(a + 1, V)]
+    slots = V + len(pairs)
+
+    def rec(idx: int, remaining: int, acc: list[int]):
+        if idx == slots - 1:
+            yield acc + [remaining]
+            return
+        for c in range(remaining + 1):
+            yield from rec(idx + 1, remaining - c, acc + [c])
+
+    if slots == 1:
+        yield ([E], [])
+        return
+    for dist in rec(0, E, []):
+        yield (dist[:V], list(zip(pairs, dist[V:])))
+
+
+def enumerate_stable_graphs_naive(g: int, m: int) -> list[StableGraph]:
+    """
+    Independent generator: exhaustive candidates, deduplicated by pairwise
+    isomorphism search instead of canonical signatures.
+    """
+    reps: list[StableGraph] = []
+    max_V = 2 * g - 2 + m
+    for V in range(1, max_V + 1):
+        for genera in product(range(g + 1), repeat=V):
+            E = g - sum(genera) + V - 1
+            if E < 0:
+                continue
+            for loops, pair_mults in _edge_distributions(V, E):
+                edges = []
+                for v, k in enumerate(loops):
+                    edges += [(v, v)] * k
+                for (pair, mult) in pair_mults:
+                    edges += [pair] * mult
+                for legs in product(range(V), repeat=m):
+                    graph = StableGraph(tuple(genera), tuple(legs), tuple(sorted(edges)))
+                    if graph.genus() != g or not graph.is_connected() or not graph.is_stable():
+                        continue
+                    if not any(_isomorphic(graph, r) for r in reps):
+                        reps.append(graph)
+    return reps
+
+
+def _isomorphic(a: StableGraph, b: StableGraph) -> bool:
+    if a.num_vertices != b.num_vertices or len(a.edges) != len(b.edges):
+        return False
+    if sorted(a.genera) != sorted(b.genera):
+        return False
+    for perm in permutations(range(a.num_vertices)):
+        g2 = a.relabeled(perm)
+        if g2.genera == b.genera and g2.legs == b.legs and g2.edges == b.edges:
+            return True
+    return False
+
+
+def psi_integral_bruteforce(g: int, exponents: tuple[int, ...] | list[int]) -> Fraction:
+    """
+    Independent implementation: string and dilaton reductions first, then the
+    recursion on the smallest removable exponent.  No memoization.
+    """
+    key = tuple(sorted(int(a) for a in exponents))
+    if not is_stable(g, len(key)):
+        raise ValueError(f"unstable moduli space (g={g}, m={len(key)})")
+    if not dimension_ok(g, key):
+        return Fraction(0)
+    return _brute(g, key)
+
+
+def _brute(g: int, key: tuple[int, ...]) -> Fraction:
+    m = len(key)
+    if not is_stable(g, m) or not dimension_ok(g, key):
+        return Fraction(0)
+    if g == 0 and m == 3:
+        return Fraction(1)
+    if g == 1 and key == (1,):
+        # solved from the recursion instance on <tau_3 tau_0 tau_0>_1, which the
+        # string equation ties back to <tau_1>_1 = y:
+        #   105 y = 2 * 15 y + (1/2)(2 <T_0 T_0 T_0 T_1>_0 + 2 <T_0^3>_0 <T_1>_1),
+        # i.e. (105 - 30 - 3) y = <T_0 T_0 T_0 T_1>_0.
+        b = _brute(0, (0, 0, 0, 1)) * double_factorial(1)
+        return b / (double_factorial(3) - 30 - 3)
+    # string equation
+    if 0 in key and (g, m) != (0, 3):
+        rest = list(key)
+        rest.remove(0)
+        total = Fraction(0)
+        for i in range(len(rest)):
+            if rest[i] >= 1:
+                total += _brute(g, tuple(sorted(rest[:i] + [rest[i] - 1] + rest[i + 1 :])))
+        return total
+    # dilaton equation
+    if 1 in key and m >= 2:
+        rest = list(key)
+        rest.remove(1)
+        return (2 * g - 2 + (m - 1)) * _brute(g, tuple(rest))
+    if g == 0:
+        return psi_genus0(key)
+    # recursion on the smallest exponent (>= 2 at this point)
+    low, rest = key[0], key[1:]
+    k = low - 1
+
+    def norm_val(gg: int, kk: tuple[int, ...]) -> Fraction:
+        if not is_stable(gg, len(kk)) or not dimension_ok(gg, kk):
+            return Fraction(0)
+        v = _brute(gg, kk)
+        for a in kk:
+            v *= double_factorial(a)
+        return v
+
+    total = Fraction(0)
+    for idx in range(len(rest)):
+        merged = tuple(sorted(rest[:idx] + (rest[idx] + k,) + rest[idx + 1 :]))
+        total += (2 * rest[idx] + 1) * norm_val(g, merged)
+    for b in range(k):
+        c = k - 1 - b
+        total += Fraction(1, 2) * norm_val(g - 1, tuple(sorted(rest + (b, c))))
+        for g1 in range(g + 1):
+            g2 = g - g1
+            idxs = range(len(rest))
+            for r in range(len(rest) + 1):
+                for I in combinations(idxs, r):
+                    Iset = set(I)
+                    left = tuple(sorted(tuple(rest[i] for i in I) + (b,)))
+                    right = tuple(sorted(tuple(rest[i] for i in idxs if i not in Iset) + (c,)))
+                    total += Fraction(1, 2) * norm_val(g1, left) * norm_val(g2, right)
+    denom = 1
+    for a in key:
+        denom *= double_factorial(a)
+    return total / denom

@@ -1,15 +1,9 @@
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
 
-from orbigw.graphs import (
-    StableGraph,
-    _isomorphic,
-    aut_count,
-    enumerate_decorated,
-    enumerate_stable_graphs,
-    enumerate_stable_graphs_naive,
-)
+import pytest
+
+from oracles import _isomorphic, enumerate_decorated, enumerate_stable_graphs_naive, half_edge_factor, vertex_automorphisms
+from orbigw.graphs import StableGraph, _enumerate, aut_count, enumerate_stable_graphs
 
 
 def test_counts_match_between_generators():
@@ -32,6 +26,15 @@ def test_classical_counts():
     assert len(enumerate_stable_graphs(3, 0)) == 42
     # agrees class by class with the previous enumerator (which took 33 s)
     assert len(enumerate_stable_graphs(3, 1)) == 181
+
+
+def test_invalid_type_rejected_before_any_work():
+    # a negative genus or leg count raises before the cached enumeration runs
+    before = _enumerate.cache_info()
+    for g, m in [(-1, 5), (2, -1)]:
+        with pytest.raises(ValueError):
+            enumerate_stable_graphs(g, m)
+    assert _enumerate.cache_info() == before
 
 
 def test_decorated_counts_one_vertex():
@@ -59,8 +62,8 @@ def test_loop_aut_example():
     # one genus-1 vertex with a self loop: the half-edge swap gives order 2
     graph = StableGraph((1,), (), ((0, 0),))
     assert aut_count(graph) == 2
-    # uniform decoration keeps it
-    assert aut_count(graph, (0,)) == 2
+    # every decoration keeps it
+    assert all(d.aut == 2 for d in enumerate_decorated(2, 0, 3) if d.graph == graph)
 
 
 def test_burnside_orbit_stabilizer():
@@ -75,10 +78,12 @@ def test_burnside_orbit_stabilizer():
 
 
 def test_symmetric_split_aut():
-    # two genus-1 vertices joined by an edge; swapping the halves is the Z_2
+    # two genus-1 vertices joined by an edge; swapping the halves is the Z_2,
+    # which unequal decorations break
     graph = StableGraph((1, 1), (), ((0, 1),))
-    assert aut_count(graph, (0, 0)) == 2
-    assert aut_count(graph, (0, 1)) == 1
+    assert aut_count(graph) == 2
+    auts = {d.decorations: d.aut for d in enumerate_decorated(2, 0, 2) if d.graph == graph}
+    assert auts == {(0, 0): 2, (0, 1): 1, (1, 1): 2}
 
 
 def test_graph_json():
@@ -87,50 +92,20 @@ def test_graph_json():
     assert set(js) == {"genera", "legs", "edges"}
 
 
-def _relabel_decorations(decorations, perm):
-    out = [0] * len(decorations)
-    for v, p in enumerate(decorations):
-        out[perm[v]] = p
-    return tuple(out)
-
-
 def test_canonical_key_under_random_relabelings(rng):
     for (g, m) in [(3, 0), (2, 2)]:
         for graph in enumerate_stable_graphs(g, m):
             key = graph.signature()
             # the representative is its own canonical form
-            assert StableGraph(*key[:3]) == graph
-            dec = tuple(rng.randrange(3) for _ in graph.genera)
-            dec_key = graph.signature(dec)
+            assert StableGraph(*key) == graph
             for _ in range(5):
                 perm = list(range(graph.num_vertices))
                 rng.shuffle(perm)
-                other = graph.relabeled(tuple(perm))
-                assert other.signature() == key
-                assert other.signature(_relabel_decorations(dec, perm)) == dec_key
+                assert graph.relabeled(tuple(perm)).signature() == key
 
 
-def _brute_force_aut(graph, decorations=None):
-    """Every vertex permutation, times the half-edge factor counted edge by edge."""
-    V = graph.num_vertices
-    vertex = 0
-    for perm in permutations(range(V)):
-        if graph.relabeled(perm) != graph:
-            continue
-        if decorations is not None and _relabel_decorations(decorations, perm) != decorations:
-            continue
-        vertex += 1
-    factor = 1
-    for edge in set(graph.edges):
-        k = graph.edges.count(edge)
-        factor *= factorial(k) * (2**k if edge[0] == edge[1] else 1)
-    return vertex * factor
-
-
-def test_aut_count_matches_brute_force(rng):
+def test_aut_count_matches_brute_force():
+    # every vertex permutation, times the half-edge factor counted edge by edge
     for (g, m) in [(3, 0), (2, 2), (3, 1)]:
         for graph in enumerate_stable_graphs(g, m):
-            V = graph.num_vertices
-            assert aut_count(graph) == _brute_force_aut(graph)
-            for dec in [(0,) * V] + [tuple(rng.randrange(2) for _ in range(V)) for _ in range(2)]:
-                assert aut_count(graph, dec) == _brute_force_aut(graph, dec)
+            assert aut_count(graph) == len(vertex_automorphisms(graph)) * half_edge_factor(graph)

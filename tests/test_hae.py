@@ -58,7 +58,7 @@ def test_sensitivity_edge_perturbation(tables3):
 
     # the graph sum reads the edge as a character sum; bumping its (0, 0)
     # component adds the same to the edge at every pair of decorations
-    key = (0, 0, None, None)
+    key = (0, 0)
 
     def bumped(tables, extra):
         char = dict(tables.edge(*key))

@@ -1,25 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from orbigw.graphs import enumerate_decorated, enumerate_stable_graphs
-from orbigw.potentials import (
-    ContributionTables,
-    _multisets,
-    assemble_F,
-    audit_generators,
-    graph_character_sum,
-    graph_contribution,
-)
+from oracles import Decorated, SeriesTables, assemble_F_series, enumerate_decorated, graph_contribution, series_entry
+from orbigw.graphs import enumerate_stable_graphs
+from orbigw.potentials import ContributionTables, _multisets, assemble_F, audit_generators, graph_character_sum
 from orbigw.ring import RingElement
-
-
-def _at(char, p, zeta):
-    """A character sum {u: value} read at the decoration p."""
-    total = RingElement.zero()
-    for u, x in char.items():
-        total = total + x * zeta(u * p)
-    return total
 
 
 def test_multiset_enumeration():
@@ -31,23 +18,35 @@ def test_multiset_enumeration():
 
 
 def test_tail_vanishing_and_value(tables3):
-    assert not tables3.tail(0, 0) and not tables3.tail(None, 0)
-    assert not tables3.tail(0, 1) and not tables3.tail(None, 1)
-    t2 = tables3.tail(0, 2)
-    want = tables3.pm.lift_entry(2, 0, 0) * Fraction(1, 3)
-    assert t2 == {0: want}  # (-1)^2 zeta^0 / n with n = 3
-    # the character sum read at every decoration gives the decorated tail
+    assert not tables3.tail(0) and not tables3.tail(1)
+    # the character sum read at every decoration gives (-1)^2 zeta^{-2p} / n P~^2_{0,p}
     for p in range(3):
-        assert _at(tables3.tail(None, 2), p, tables3.data.zeta) == tables3.tail(p, 2)[0]
+        want = tables3.pm.lift_entry(2, 0, p) * tables3.data.zeta(-2 * p) * Fraction(1, 3)
+        assert Decorated(tables3)("tail", (2,), p) == want
+
+
+@pytest.mark.parametrize("policy", ["symplectic", "zero", "custom"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_char_at_a_decoration_matches_entry(pmatrix_at, n, policy):
+    # every factor is built from _char; read at p, it is the column-p entry
+    # with its explicit zeta weight, over the lift and over the series tables
+    pm = pmatrix_at(n, policy)
+    zeta = pm.data.zeta
+    for tables, entry in ((ContributionTables(pm), pm.lift_entry), (SeriesTables(pm), lambda *a: series_entry(pm, *a))):
+        at = Decorated(tables)
+        for k, i, p in product(range(pm.col.k_max + 1), range(n), range(n)):
+            value = entry(k, i, p)
+            for shift in range(2 * n + 1):
+                got = at("_char", (k, i, shift), p)
+                assert (got - value * zeta(-shift * p)).is_zero(), (k, i, shift, p)
 
 
 def test_vertex_trivalent_genus0(tables3):
     # all flags zero: only k = 0 contributes and the value is n^{2g-2+3} <tau_0^3> = n
-    v = tables3.vertex(0, 0, (0, 0, 0))
+    v = tables3.vertex(0, (0, 0, 0))
     assert v == {0: RingElement.scalar(Fraction(3))}
-    assert tables3.vertex(0, None, (0, 0, 0)) == v
     # dimension violating flags vanish
-    assert not tables3.vertex(0, 0, (1, 0, 0))
+    assert not tables3.vertex(0, (1, 0, 0))
     # vertex contributions contain no ring generators at all
     assert not v[0].generators_used()
 
@@ -58,46 +57,37 @@ def test_shallow_table_raises(ctx3, data3):
 
     shallow = ContributionTables(build_pmatrix(ctx3, data3, 1, policy="zero"))
     with pytest.raises(ValueError):
-        shallow.vertex(1, 0, (0,))
+        shallow.vertex(1, (0,))
 
 
 def test_vertex_genus1(tables3):
     # one-valent genus-1 vertex, flag 0: k can be 0 (psi integral <tau_0>_1 = 0
     # by dimension) or 1 with one tail of degree 2
-    # n^{2g-2+1+1} <tau_0 tau_2>_1 = n^2 / 24 times the tail, at one decoration
-    # and componentwise in the character sum
-    for p in (0, None):
-        v = tables3.vertex(1, p, (0,))
-        t2 = tables3.tail(p, 2)
-        assert v == {u: x * Fraction(9, 24) for u, x in t2.items()}
+    # n^{2g-2+1+1} <tau_0 tau_2>_1 = n^2 / 24 times the tail, componentwise in
+    # the character sum
+    v = tables3.vertex(1, (0,))
+    assert v == {u: x * Fraction(9, 24) for u, x in tables3.tail(2).items()}
 
 
 def test_edge_symmetry(tables3):
-    n = 3
+    # the character sum is symmetric under swapping the ends
     for b1 in range(2):
         for b2 in range(2):
-            for p1 in range(n):
-                for p2 in range(n):
-                    a = tables3.edge(b1, b2, p1, p2)[(0, 0)]
-                    b = tables3.edge(b2, b1, p2, p1)[(0, 0)]
-                    assert (a - b).is_zero(), (b1, b2, p1, p2)
-            # the character sum is symmetric under swapping the ends
-            a = tables3.edge(b1, b2, None, None)
-            b = tables3.edge(b2, b1, None, None)
+            a = tables3.edge(b1, b2)
+            b = tables3.edge(b2, b1)
             assert a == {(u2, u1): x for (u1, u2), x in b.items()}
 
 
 def test_edge_membership(tables3):
-    for e in [tables3.edge(0, 0, 1, 2)[(0, 0)], *tables3.edge(0, 0, None, None).values()]:
+    for e in tables3.edge(0, 0).values():
         for g in e.generators_used():
             assert g[0] == "A"
 
 
 def test_leg_values(tables3):
     # flag 0, insertion 0: core reduces to normalization / n
-    leg = tables3.leg_core(0, 0, 1)
+    leg = tables3.leg_core(0, 0)
     assert leg == {0: RingElement.scalar(Fraction(1, 3))}
-    assert tables3.leg_core(0, 0, None) == leg
     pref = tables3.leg_prefactor(0)
     assert pref == RingElement.scalar(Fraction(1))
     pref1 = tables3.leg_prefactor(1)
@@ -149,10 +139,11 @@ def test_character_sum_matches_decorated_oracle(pmatrix_at, n, policy):
     # whose factors are read one decoration at a time with explicit zeta
     # weights, graph by graph, so errors cancelling between graphs show too
     tables = ContributionTables(pmatrix_at(n, policy))
+    at = Decorated(tables)
     for g, insertions in [(2, ()), (1, (1,)), (1, (1, 2)), (2, (2,))]:
         per_graph = {graph: RingElement.zero() for graph in enumerate_stable_graphs(g, len(insertions))}
         for dec in enumerate_decorated(g, len(insertions), n):
-            per_graph[dec.graph] = per_graph[dec.graph] + graph_contribution(tables, dec, insertions)
+            per_graph[dec.graph] = per_graph[dec.graph] + graph_contribution(at, dec, insertions)
         want = RingElement.zero()
         for graph, contribution in per_graph.items():
             assert graph_character_sum(tables, graph, insertions) == contribution, (g, insertions, graph)
@@ -173,11 +164,12 @@ def test_edge_derivative_closed_form_odd(tables3):
     n, s = 3, 1
     pm = tables3.pm
     gen = ("A", s, 0)
+    at = Decorated(tables3)
     for b1 in range(2):
         for b2 in range(2):
             for p1 in range(n):
                 for p2 in range(n):
-                    got = tables3.edge(b1, b2, p1, p2)[(0, 0)].partial(gen)
+                    got = at("edge", (b1, b2), (p1, p2)).partial(gen)
                     w = tables3.data.zeta(-(b1 + s + 1) * p1 - (b2 + s + 1) * p2)
                     want = (
                         pm.lift_entry(b1, s + 1, p1)
@@ -195,11 +187,12 @@ def test_edge_derivative_closed_form_even(ctx4, data4):
     pm = build_pmatrix(ctx4, data4, 4, policy="zero")
     tables = ContributionTables(pm)
     gen = ("A", s - 1, 0)
+    at = Decorated(tables)
     for b1 in range(2):
         for b2 in range(2):
             for p1 in range(n):
                 for p2 in range(n):
-                    got = tables.edge(b1, b2, p1, p2)[(0, 0)].partial(gen)
+                    got = at("edge", (b1, b2), (p1, p2)).partial(gen)
                     w1 = tables.data.zeta(-(b1 + s + 1) * p1 - (b2 + s) * p2)
                     w2 = tables.data.zeta(-(b1 + s) * p1 - (b2 + s + 1) * p2)
                     want = (
@@ -212,8 +205,6 @@ def test_edge_derivative_closed_form_even(ctx4, data4):
 def test_series_assembly_cross_checks_ring_pipeline(tables3):
     # the graph sum computed purely with series must match the evaluated
     # ring-level potential, prefactors included
-    from orbigw.potentials import assemble_F_series
-
     ev = tables3.ctx.evaluator(tables3.data)
     for (g, ins) in [(2, ()), (1, (1,)), (1, (1, 2))]:
         ring_val = ev.eval(assemble_F(tables3, g, ins).full())
@@ -223,7 +214,6 @@ def test_series_assembly_cross_checks_ring_pipeline(tables3):
 
 def test_series_assembly_cross_checks_ring_pipeline_even(ctx4, data4):
     from orbigw.pmatrix import build_pmatrix
-    from orbigw.potentials import assemble_F_series
 
     pm = build_pmatrix(ctx4, data4, 4, policy="zero")
     tables = ContributionTables(pm)

@@ -3,7 +3,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from orbigw.psi import psi_genus0, psi_integral, psi_integral_bruteforce
+from oracles import psi_integral_bruteforce
+from orbigw.psi import psi_genus0, psi_integral
 
 # classical values, frozen after computing them with both recursions
 KNOWN = {
@@ -42,6 +43,9 @@ def test_stability_gate():
         psi_integral(0, (0, 0))
     with pytest.raises(ValueError):
         psi_integral(1, ())
+    # a negative genus is rejected, though (-1, (0,) * 6) passes both gates
+    with pytest.raises(ValueError):
+        psi_integral(-1, (0,) * 6)
 
 
 def test_genus0_closed_form_agrees_with_recursion_m_up_to_10():
