@@ -16,33 +16,43 @@ its oracle, the decorated sum, which finds them by brute force over every
 vertex permutation (``tests/oracles.py``); the Burnside check ties the two
 weightings together.
 
-Canonical form.  Each vertex starts from the invariant (genus, labels of
-the legs it carries, loops, degree); rounds of refinement then add the
-multiset of (neighbour class, edge multiplicity) until no class splits.
-Every step commutes with isomorphisms, so sorting the vertices by class is
-canonical up to permutations inside blocks of equal class, and the canonical
-key (``StableGraph.signature``) is the least relabeled graph over those
-permutations only.  The vertex symmetries behind ``aut_count`` are searched
-inside the same blocks.
+Canonical form, by individualization-refinement (McKay and Piperno,
+"Practical graph isomorphism, II", JSC 60, 2014).  Each vertex starts from
+the invariant (genus, labels of the legs it carries, loops, degree); rounds
+of refinement then add the multiset of (neighbour class, edge multiplicity)
+until no class splits.  While a class has more than one member, the search
+individualises each vertex of the first such class in turn (it moves ahead
+of its class), refines again and recurses.  Every step commutes with
+isomorphisms, so the leaves, each an ordering of the vertices, are canonical
+as a set, and the canonical key (``StableGraph.signature``) is the least
+relabeled graph over them.  Two leaves give the same relabeled graph exactly
+when they differ by a vertex symmetry, so the leaves that reach the key are
+as many as the vertex symmetries, and ``aut_count`` reads them off the same
+search.
 
-The enumerator lists vertex genera up to order (non-increasing) and builds
-edge layouts by backtracking with a half-edge budget: vertex v lacks
-max(0, 3 - 2 g(v)) half-edges, and a partial layout is cut once the total it
-lacks exceeds 2 (edges left) + m, or once its finished vertices lack more
-than m.  It checks connectivity once per layout, places legs only where they
-leave no vertex unstable, and deduplicates through the canonical key; its
-representatives are the canonical graphs themselves.  Its oracle, a naive
-enumerator deduplicating by pairwise isomorphism search over all vertex
-permutations, lives in the test suite (``tests/oracles.py``), which
-compares their classes on (0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3),
-(2, 0), (2, 1), (2, 2) and (3, 0).
+The enumerator starts from the one-vertex graph of type (g, m) and, level by
+level, applies every one-edge degeneration to the canonical representatives
+with one edge fewer: a loop at a vertex of positive genus, which lowers that
+genus by one, or a split of a vertex into two stable vertices joined by the
+new edge, the genus shared between them and each leg and half-edge at the
+vertex either staying or moving.  Contracting any edge of a stable graph
+gives a stable graph with one edge fewer, so every class is reached.  Each
+unordered split is generated once: the vertex keeps the larger genus, and on
+a tie it keeps its first flag (leg or half-edge).  The level is deduplicated
+first as labeled graphs (moving either half of a loop gives the same one)
+and then through the canonical key, and its representatives are the
+canonical graphs themselves.  Its oracle, a naive enumerator deduplicating by
+pairwise isomorphism search over all vertex permutations, lives in the test
+suite (``tests/oracles.py``), which compares their classes on (0, 3),
+(0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2) and (3, 0).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import product
 from math import factorial
 
 
@@ -94,23 +104,8 @@ class StableGraph:
         return StableGraph(tuple(genera), legs, edges)
 
     def signature(self) -> tuple:
-        """
-        Canonical key: the least relabeled (genera, legs, edges) over the
-        relabelings that put the vertices in block order.
-        """
-        blocks = _blocks(self)
-        runs, start = [], 0
-        for block in blocks:
-            runs.append(range(start, start + len(block)))
-            start += len(block)
-        return min((g.genera, g.legs, g.edges) for g in map(self.relabeled, _block_maps(blocks, runs)))
-
-    def to_json(self) -> dict:
-        return {
-            "genera": list(self.genera),
-            "legs": list(self.legs),
-            "edges": [list(e) for e in self.edges],
-        }
+        """Canonical key: the least relabeled (genera, legs, edges) over the search leaves."""
+        return _search(self)[0]
 
 
 def _ranks(values: list) -> list[int]:
@@ -118,10 +113,10 @@ def _ranks(values: list) -> list[int]:
     return [index[x] for x in values]
 
 
-def _blocks(graph: StableGraph) -> list[list[int]]:
+def _search(graph: StableGraph) -> tuple[tuple, int]:
     """
-    The vertices grouped into classes of the refined invariant, classes in
-    their canonical order (see the module docstring).
+    The individualization-refinement search (see the module docstring): the
+    canonical key and the number of leaves that reach it.
     """
     V = graph.num_vertices
     carried: list[list[int]] = [[] for _ in range(V)]
@@ -138,46 +133,40 @@ def _blocks(graph: StableGraph) -> list[list[int]]:
         else:
             nbrs[a][b] = nbrs[a].get(b, 0) + 1
             nbrs[b][a] = nbrs[b].get(a, 0) + 1
-    cls = _ranks([(h, tuple(carried[v]), loops[v], degree[v]) for v, h in enumerate(graph.genera)])
-    while True:
-        finer = _ranks([(cls[v], tuple(sorted((cls[w], k) for w, k in nbrs[v].items()))) for v in range(V)])
-        if max(finer) == max(cls):
-            break
-        cls = finer
-    blocks: list[list[int]] = [[] for _ in range(max(cls) + 1)]
-    for v, c in enumerate(cls):
-        blocks[c].append(v)
-    return blocks
+    best, hits = None, 0
 
+    def visit(cls: list[int]):
+        nonlocal best, hits
+        while True:
+            finer = _ranks([(cls[v], tuple(sorted((cls[w], k) for w, k in nbrs[v].items()))) for v in range(V)])
+            if max(finer) == max(cls):
+                break
+            cls = finer
+        sizes = Counter(cls)
+        target = min((c for c, size in sizes.items() if size > 1), default=None)
+        if target is None:
+            leaf = graph.relabeled(tuple(cls))
+            key = (leaf.genera, leaf.legs, leaf.edges)
+            if best is None or key < best:
+                best, hits = key, 1
+            elif key == best:
+                hits += 1
+            return
+        for v in range(V):
+            if cls[v] == target:
+                visit(_ranks([(c, w != v) for w, c in enumerate(cls)]))
 
-def _block_maps(blocks: list[list[int]], targets: list):
-    """Every vertex map sending each block bijectively onto its target."""
-    V = sum(len(block) for block in blocks)
-    choices = [[tuple(zip(block, p)) for p in permutations(target)] for block, target in zip(blocks, targets)]
-    for pick in product(*choices):
-        perm = [0] * V
-        for pairs in pick:
-            for v, w in pairs:
-                perm[v] = w
-        yield tuple(perm)
-
-
-def vertex_symmetries(graph: StableGraph):
-    """
-    Vertex permutations preserving genera, legs pointwise and edges.
-
-    A symmetry keeps every refined class, so only permutations inside the
-    blocks are tried, and these already fix genera and legs.
-    """
-    blocks = _blocks(graph)
-    return [perm for perm in _block_maps(blocks, blocks) if graph.relabeled(perm) == graph]
+    visit(_ranks([(h, tuple(carried[v]), loops[v], degree[v]) for v, h in enumerate(graph.genera)]))
+    return best, hits
 
 
 def aut_count(graph: StableGraph) -> int:
     """
     Order of the automorphism group in the half-edge convention: for every
     admissible vertex permutation, parallel edges may be permuted and each
-    loop may additionally swap its half-edges.
+    loop may additionally swap its half-edges.  The admissible vertex
+    permutations are counted as the search leaves that reach the canonical
+    key.
     """
     loops: dict[int, int] = {}
     par: dict[tuple[int, int], int] = {}
@@ -191,86 +180,39 @@ def aut_count(graph: StableGraph) -> int:
         half_edge_factor *= factorial(k) * 2**k
     for mult in par.values():
         half_edge_factor *= factorial(mult)
-    return len(vertex_symmetries(graph)) * half_edge_factor
+    return _search(graph)[1] * half_edge_factor
 
 
 # -- enumeration ----------------------------------------------------------------
 
 
-def _edge_layouts(lack: list[int], E: int, m: int):
-    """
-    Sorted edge tuples of E edges (loops allowed) after which the vertices
-    lack at most m half-edges in total, lack[v] being what vertex v needs to
-    be stable.  Slots (a, b), a <= b, are filled in lexicographic order, and
-    a partial layout is cut once what it lacks exceeds 2 (edges left) + m,
-    as each further edge covers at most two, or once the vertices whose
-    slots are all filled lack more than m.
-    """
-    V = len(lack)
-    slots = [(a, b) for a in range(V) for b in range(a, V)]
-    short = list(lack)
-    edges: list[tuple[int, int]] = []
-    deficit = sum(short)
-
-    def rec(i: int, left: int, spare: int):
-        # spare: the legs not yet owed to a vertex whose slots are all filled
-        nonlocal deficit
-        if left == 0:
-            yield tuple(edges)
-            return
-        if i == len(slots):
-            return
-        a, b = slots[i]
-        added = 0
-        while True:
-            rest = spare - max(0, short[a]) if b == V - 1 else spare
-            if rest >= 0:
-                yield from rec(i + 1, left - added, rest)
-            if added == left:
-                break
-            for v in (a, b):
-                deficit -= short[v] > 0
-                short[v] -= 1
-            edges.append((a, b))
-            added += 1
-            if deficit > 2 * (left - added) + m:
-                break
-        for _ in range(added):
-            edges.pop()
-            for v in (a, b):
-                short[v] += 1
-                deficit += short[v] > 0
-
-    if deficit <= 2 * E + m:
-        yield from rec(0, E, m)
-
-
-def _leg_placements(short: list[int], m: int):
-    """Leg tuples (legs[t] = vertex of leg t+1) that give every vertex v at least short[v] legs."""
-    V = len(short)
-    short = list(short)
-    owed = sum(short)
-    legs: list[int] = []
-
-    def rec(t: int):
-        nonlocal owed
-        if t == m:
-            yield tuple(legs)
-            return
-        for v in range(V):
-            covers = short[v] > 0
-            if owed - covers > m - t - 1:
-                continue
-            short[v] -= covers
-            owed -= covers
-            legs.append(v)
-            yield from rec(t + 1)
-            legs.pop()
-            short[v] += covers
-            owed += covers
-
-    if owed <= m:
-        yield from rec(0)
+def _degenerations(graph: StableGraph):
+    """The stable graphs with one edge more that contract back to ``graph`` (see the module docstring)."""
+    V = graph.num_vertices
+    for v, h in enumerate(graph.genera):
+        if h > 0:
+            genera = graph.genera[:v] + (h - 1,) + graph.genera[v + 1:]
+            yield StableGraph(genera, graph.legs, tuple(sorted(graph.edges + ((v, v),))))
+        # the flags at v: (None, t) for the leg labeled t+1, (i, end) for a half-edge of edge i
+        flags = [(None, t) for t, u in enumerate(graph.legs) if u == v]
+        flags += [(i, end) for i, e in enumerate(graph.edges) for end in (0, 1) if e[end] == v]
+        for kept in range(h - h // 2, h + 1):
+            genera = graph.genera[:v] + (kept,) + graph.genera[v + 1:] + (h - kept,)
+            for moves in product((False, True), repeat=len(flags)):
+                moved = sum(moves)
+                if 2 * kept - 1 + len(flags) - moved <= 0 or 2 * (h - kept) - 1 + moved <= 0:
+                    continue
+                if 2 * kept == h and moves and moves[0]:
+                    continue
+                legs = list(graph.legs)
+                edges = [list(e) for e in graph.edges]
+                for (i, x), move in zip(flags, moves):
+                    if move and i is None:
+                        legs[x] = V
+                    elif move:
+                        edges[i][x] = V
+                edges = sorted(tuple(sorted(e)) for e in edges + [[v, V]])
+                yield StableGraph(genera, tuple(legs), tuple(edges))
 
 
 def enumerate_stable_graphs(g: int, m: int) -> tuple[StableGraph, ...]:
@@ -285,19 +227,13 @@ def enumerate_stable_graphs(g: int, m: int) -> tuple[StableGraph, ...]:
 @lru_cache(maxsize=None)
 def _enumerate(g: int, m: int) -> tuple[StableGraph, ...]:
     found: set = set()
-    for V in range(1, 2 * g - 2 + m + 1):
-        for genera in combinations_with_replacement(range(g, -1, -1), V):
-            if sum(genera) > g:
-                continue
-            lack = [max(0, 3 - 2 * h) for h in genera]
-            for edges in _edge_layouts(lack, g - sum(genera) + V - 1, m):
-                layout = StableGraph(genera, (), edges)
-                if not layout.is_connected():
-                    continue
-                short = [max(0, lack[v] - layout.valence(v)) for v in range(V)]
-                for legs in _leg_placements(short, m):
-                    graph = StableGraph(genera, legs, edges)
-                    if graph.genus() != g:
-                        raise AssertionError(f"enumerated graph has genus {graph.genus()}, expected {g}")
-                    found.add(graph.signature())
-    return tuple(StableGraph(*key) for key in sorted(found))
+    level = {((g,), (0,) * m, ())}
+    while level:
+        found |= level
+        candidates = {d for key in level for d in _degenerations(StableGraph(*key))}
+        level = {d.signature() for d in candidates}
+    graphs = tuple(StableGraph(*key) for key in sorted(found))
+    for graph in graphs:
+        if graph.genus() != g or not graph.is_stable() or not graph.is_connected():
+            raise AssertionError(f"enumerated graph {graph} is not a connected stable graph of genus {g}")
+    return graphs

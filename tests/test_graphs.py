@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import _isomorphic, enumerate_decorated, enumerate_stable_graphs_naive, half_edge_factor, vertex_automorphisms
+from orbigw import graphs
 from orbigw.graphs import StableGraph, _enumerate, aut_count, enumerate_stable_graphs
 
 
@@ -24,8 +25,12 @@ def test_classical_counts():
     # frozen counts established by the two independent generators agreeing
     assert len(enumerate_stable_graphs(2, 1)) == 16
     assert len(enumerate_stable_graphs(3, 0)) == 42
-    # agrees class by class with the previous enumerator (which took 33 s)
+    # agree class by class with the layout enumerator that preceded the
+    # one-edge degenerations
     assert len(enumerate_stable_graphs(3, 1)) == 181
+    assert len(enumerate_stable_graphs(4, 0)) == 379
+    assert len(enumerate_stable_graphs(3, 2)) == 1355
+    assert len(enumerate_stable_graphs(4, 1)) == 2666
 
 
 def test_invalid_type_rejected_before_any_work():
@@ -35,6 +40,17 @@ def test_invalid_type_rejected_before_any_work():
         with pytest.raises(ValueError):
             enumerate_stable_graphs(g, m)
     assert _enumerate.cache_info() == before
+
+
+def test_enumeration_checks_every_representative(monkeypatch):
+    # a degeneration that leaves a genus-0 vertex of valence 1 is reported,
+    # by a raise that python -O keeps
+    def broken(graph):
+        return [StableGraph(graph.genera + (0,), graph.legs, ((0, 1),))] if not graph.edges else []
+
+    monkeypatch.setattr(graphs, "_degenerations", broken)
+    with pytest.raises(AssertionError, match="not a connected stable graph"):
+        _enumerate.__wrapped__(2, 0)
 
 
 def test_decorated_counts_one_vertex():
@@ -86,14 +102,8 @@ def test_symmetric_split_aut():
     assert auts == {(0, 0): 2, (0, 1): 1, (1, 1): 2}
 
 
-def test_graph_json():
-    graph = enumerate_stable_graphs(2, 0)[0]
-    js = graph.to_json()
-    assert set(js) == {"genera", "legs", "edges"}
-
-
 def test_canonical_key_under_random_relabelings(rng):
-    for (g, m) in [(3, 0), (2, 2)]:
+    for (g, m) in [(3, 0), (2, 2), (4, 0)]:
         for graph in enumerate_stable_graphs(g, m):
             key = graph.signature()
             # the representative is its own canonical form
@@ -102,6 +112,20 @@ def test_canonical_key_under_random_relabelings(rng):
                 perm = list(range(graph.num_vertices))
                 rng.shuffle(perm)
                 assert graph.relabeled(tuple(perm)).signature() == key
+
+
+def test_cycle_of_eight_looped_vertices(rng):
+    # eight genus-0 vertices in a cycle, each with a loop (genus 9): refinement
+    # leaves one block of 8, and Aut is the dihedral group times the loop swaps
+    cycle = [(v, v + 1) for v in range(7)] + [(0, 7)]
+    graph = StableGraph((0,) * 8, (), tuple(sorted(cycle + [(v, v) for v in range(8)])))
+    assert graph.genus() == 9 and graph.is_stable()
+    assert aut_count(graph) == 16 * 2**8
+    key = graph.signature()
+    for _ in range(10):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        assert graph.relabeled(tuple(perm)).signature() == key
 
 
 def test_aut_count_matches_brute_force():
