@@ -27,7 +27,7 @@ from itertools import product
 
 from .genus0 import GenusZeroData, ModelConfig, verify_genus0
 from .hae import verify_hae_policies
-from .pmatrix import build_pmatrix, verify_pmatrix
+from .pmatrix import build_pmatrix, entry_to_json, verify_pmatrix
 from .potentials import ContributionTables, _check_type, assemble_F, audit_generators
 from .report import Report, canonical_json
 from .ring import RingContext, certify_rules
@@ -109,7 +109,7 @@ def cmd_pmatrix(args) -> tuple[dict, Report]:
         "k_max": args.k_max,
         "policy": args.policy,
         "column": pm.col.to_json(),
-        "lifted": {f"{k},{i},{j}": pm.lift_entry(k, i, j).to_json() for k, i, j in entries},
+        "lifted": {f"{k},{i},{j}": entry_to_json(pm.lift_entry(k, i, j)) for k, i, j in entries},
     }
     return payload, rep
 

@@ -28,6 +28,9 @@ over Q and stored only in that form: neither recursion involves the column
 index j, and column j is the zeta^{wj}-weighted sum of the rational pieces w,
 assembled on demand (``PMatrixData.lift_entry``; the tests do the same for
 the series tables) by the one DFT helper :func:`~orbigw.genus0.at_column`.
+The ring is rational, so a lifted column entry is no ring element but a dict
+{monomial: coefficient}, each coefficient the DFT of that monomial's
+per-residue rationals (:func:`entry_at_column`).
 
 * as exact truncated series, one table per residue and one order at a time,
   through the modified flatness recursion plus one honest quadrature per
@@ -52,9 +55,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
 
+from .cyclotomic import Coefficient, Cyclotomic
 from .genus0 import GenusZeroData, Y_poly, at_column, f_n_poly
 from .report import Report
-from .ring import RingContext, RingElement, fit_laurent_in_L
+from .ring import Monomial, RingContext, RingElement, fit_laurent_in_L, terms_to_json
 from .series import Series
 from .stirling import stirling_first
 
@@ -349,6 +353,27 @@ def compute_P_column(
 
 
 Lift = dict[tuple[int, int, int], RingElement]
+Entry = dict[Monomial, Coefficient]  # one column's entry: nonzero coefficients in Q(zeta_n)
+
+
+def entry_at_column(pieces: list[RingElement], j: int, zeta) -> Entry:
+    """
+    The column-j entry sum_w zeta^{wj} pieces[w] of rational ring elements
+    graded by residue: each monomial's coefficient is the DFT
+    (:func:`~orbigw.genus0.at_column`) of its per-residue rationals, a
+    ``Fraction`` when it is rational, a ``Cyclotomic`` otherwise.
+    """
+    out: Entry = {}
+    for m in dict.fromkeys(m for piece in pieces for m in piece.nums):
+        c = at_column([Fraction(piece.nums.get(m, 0), piece.den) for piece in pieces], j, zeta)
+        if c:
+            out[m] = c.to_rational() if isinstance(c, Cyclotomic) and c.is_rational() else c
+    return out
+
+
+def entry_to_json(entry: Entry) -> list:
+    """The JSON of a column entry, in the ring's term layout; a rational coefficient is its string."""
+    return terms_to_json(entry, lambda c: c.to_json() if isinstance(c, Cyclotomic) else str(c))
 
 
 def lift_tables(ctx: RingContext, col: PColumn) -> Lift:
@@ -384,14 +409,21 @@ def _add_columns(rep: Report, name: str, pm: PMatrixData, diffs: dict, detail, f
     """
     Add the check ``name.format(j)`` for every column j.  ``diffs[key][w]`` is
     the residue-w piece of a difference linear in the entries, so column j's own
-    difference is d = sum_w zeta^{wj} diffs[key][w]; the column fails with
-    ``detail(key, d)`` at the first key (in dict order) where d is nonzero, else
-    with ``failed`` if that is given.  A passing check sums only zero pieces.
+    difference is d = sum_w zeta^{wj} diffs[key][w] (a series, or for ring
+    pieces an :data:`Entry`); the column fails with ``detail(key, d)`` at the
+    first key (in dict order) where d is nonzero, else with ``failed`` if that
+    is given.  A passing check sums only zero pieces.
     """
+    zeta = pm.data.zeta
     for j in range(pm.ctx.n):
-        bad = next((detail(key, d) for key, ws in diffs.items() if (d := at_column(ws, j, pm.data.zeta))), None)
+        bad = next((detail(key, d) for key, ws in diffs.items() if (d := _column(ws, j, zeta))), None)
         bad = str(bad) if bad else failed
         rep.add(name.format(j), not bad, bad)
+
+
+def _column(pieces: list, j: int, zeta):
+    """Column j of pieces graded by residue: a series, or for ring pieces an entry."""
+    return (entry_at_column if isinstance(pieces[0], RingElement) else at_column)(pieces, j, zeta)
 
 
 def route_differences(pm: PMatrixData) -> dict[tuple[int, int], list[Series]]:
@@ -423,7 +455,7 @@ def verify_lift(pm: PMatrixData, diffs: dict[tuple[int, int], list[Series]]) -> 
         return graded[(k, 0, w)] - graded[(k, 1, w)] - ctx.derive(prev).mul_L(-1) - ctx.A(n - 1) * prev
 
     resid = {k: [closure(k, w) for w in range(n)] for k in range(1, col.k_max + 1)}
-    _add_columns(rep, "cycle closure in the ring, column {}", pm, resid, lambda k, d: (k, d.monomial_count()))
+    _add_columns(rep, "cycle closure in the ring, column {}", pm, resid, lambda k, d: (k, len(d)))
     # membership: row zero entries live in C[L]
     ok = all(not graded[(k, 0, w)].uses_negative_L() for w in range(n) for k in range(col.k_max + 1))
     rep.add("row zero entries have no pole in L", ok)
@@ -467,9 +499,9 @@ class PMatrixData:
     tables: Tables
     graded: Lift
 
-    def lift_entry(self, k: int, i: int, j: int) -> RingElement:
-        """The ring lift's entry P~^k_{i,j} at order k, row i, column j."""
-        return at_column([self.graded[(k, i, w)] for w in range(self.ctx.n)], j, self.data.zeta)
+    def lift_entry(self, k: int, i: int, j: int) -> Entry:
+        """The ring lift's entry P~^k_{i,j} at order k, row i, column j (:func:`entry_at_column`)."""
+        return entry_at_column([self.graded[(k, i, w)] for w in range(self.ctx.n)], j, self.data.zeta)
 
 
 def build_pmatrix(

@@ -1,7 +1,7 @@
 r"""
 The free Laurent-polynomial ring that certifies finite generation.
 
-Ring elements are polynomials over Q(zeta_n) in
+Ring elements are polynomials over Q in
 
 * integer powers of the symbol L,
 * the admitted A-generators D^j A_i (a finite set fixed per n),
@@ -20,6 +20,12 @@ families of relations:
   pushing the rank-n differential equation through the ladder expansion of
   D^k I_m, which eliminates D^{n-1-m} A_m.
 
+An element keeps integer numerators per monomial over one positive common
+denominator, in lowest terms, so a product is integer arithmetic and one
+gcd, and equality is structural.  Roots of unity never enter: a column of
+the P matrix is a zeta-weighted sum of rational ring elements, assembled
+outside the ring (:mod:`orbigw.pmatrix`).
+
 The rewrite rules are constructed symbolically once per n.  They are not
 trusted: ``certify_rules`` evaluates every rule against the genus zero
 series and fails loudly on the first mismatched coefficient.  The evaluation
@@ -30,10 +36,9 @@ C_i to the normalization factor) is the module's ground truth, and
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import gcd, isinf, lcm
 
-from .cyclotomic import Coefficient, Cyclotomic
 from .genus0 import GenusZeroData, Y_poly, f_n_poly, ladder_sum
 from .report import Report
 from .series import Series
@@ -42,6 +47,7 @@ from .stirling import stirling_first
 # generator keys: ("A", i, j) stands for D^j A_i, ("C", i) for C_i
 Gen = tuple
 Monomial = tuple  # (L_exponent, ((gen, exp), ...)) with gens sorted
+_RATIONAL = (int, Fraction)  # the coefficient types a ring element admits
 
 
 def _mono(L_exp: int = 0, gens: tuple = ()) -> Monomial:
@@ -51,20 +57,56 @@ def _mono(L_exp: int = 0, gens: tuple = ()) -> Monomial:
 _ONE_MONO = _mono()
 
 
+def _merge(g1: tuple, g2: tuple) -> tuple:
+    """The generator part of a product of two monomials."""
+    if not g2:
+        return g1
+    if not g1:
+        return g2
+    acc = dict(g1)
+    for g, e in g2:
+        acc[g] = acc.get(g, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+def _reduced(nums: dict[Monomial, int], den: int) -> "RingElement":
+    """The element nums / den (den > 0) in normal form: zero numerators dropped, one gcd."""
+    if 0 in nums.values():
+        nums = {m: c for m, c in nums.items() if c}
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums = {m: c // g for m, c in nums.items()}
+            den //= g
+    return _normal(nums, den)
+
+
+def _normal(nums: dict[Monomial, int], den: int) -> "RingElement":
+    """Wrap numerators and a denominator already in normal form."""
+    e = object.__new__(RingElement)
+    e.nums, e.den = nums, den
+    return e
+
+
 class RingElement:
-    """Polynomial in L^{+-1} and the ring generators, with exact coefficients."""
+    """
+    Polynomial in L^{+-1} and the ring generators over Q: ``nums`` maps each
+    monomial to an integer numerator, over the one denominator ``den``.
+    Normal form: ``den > 0``, gcd(den, *nums) == 1, no zero numerator, and
+    zero has ``den == 1``.
+    """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, terms: dict[Monomial, Coefficient] | None = None):
-        out = {}
-        for m, c in (terms or {}).items():
-            if not c:
-                continue
-            if isinstance(c, Cyclotomic) and c.is_rational():
-                c = c.to_rational()
-            out[m] = c
-        self.terms = out
+    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
+        terms = terms or {}
+        for c in terms.values():
+            if not isinstance(c, _RATIONAL):
+                raise TypeError(f"ring coefficients are rational, not {type(c).__name__}")
+        den = lcm(*(c.denominator for c in terms.values() if c))
+        # over the lcm of lowest-terms denominators the numerators share no factor with it
+        self.nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}
+        self.den = den
 
     # -- constructors ---------------------------------------------------------
 
@@ -73,111 +115,102 @@ class RingElement:
         return RingElement()
 
     @staticmethod
-    def scalar(c: Coefficient) -> "RingElement":
+    def scalar(c: int | Fraction) -> "RingElement":
         return RingElement({_ONE_MONO: c})
 
     @staticmethod
-    def L_power(k: int, c: Coefficient = Fraction(1)) -> "RingElement":
+    def L_power(k: int, c: int | Fraction = 1) -> "RingElement":
         return RingElement({_mono(k): c})
 
     @staticmethod
-    def generator(gen: Gen, c: Coefficient = Fraction(1)) -> "RingElement":
+    def generator(gen: Gen, c: int | Fraction = 1) -> "RingElement":
         return RingElement({_mono(0, ((gen, 1),)): c})
 
     @staticmethod
     def L_poly(p: Series) -> "RingElement":
-        """An exact polynomial in the symbol L as a ring element."""
+        """An exact polynomial in the symbol L (rational coefficients) as a ring element."""
         return RingElement({_mono(e): c for e, c in p.coeffs.items()})
 
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RingElement):
-            return self.terms == other.terms
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def generators_used(self) -> set[Gen]:
         out: set[Gen] = set()
-        for (_, gens) in self.terms:
+        for (_, gens) in self.nums:
             out.update(g for g, _ in gens)
         return out
 
     def uses_negative_L(self) -> bool:
-        return any(le < 0 for (le, _) in self.terms)
+        return any(le < 0 for (le, _) in self.nums)
 
     def monomial_count(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     # -- arithmetic --------------------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = RingElement.scalar(other)
+    def _plus(self, other, sign: int):
         if not isinstance(other, RingElement):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return RingElement(out)
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            other = RingElement.scalar(other)
+        if not other.nums:
+            return self
+        p, q = self.den, other.den
+        g = gcd(p, q)
+        a, b = q // g, sign * (p // g)
+        out = {m: c * a for m, c in self.nums.items()} if a != 1 else dict(self.nums)
+        get = out.get
+        for m, c in other.nums.items():
+            out[m] = get(m, 0) + c * b
+        return _reduced(out, p * a)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return RingElement({m: -c for m, c in self.terms.items()})
-
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = RingElement.scalar(other)
-        if not isinstance(other, RingElement):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return RingElement.scalar(other) + (-self)
+        if not isinstance(other, _RATIONAL):
+            return NotImplemented
+        return RingElement.scalar(other)._plus(self, -1)
+
+    def __neg__(self):
+        return _normal({m: -c for m, c in self.nums.items()}, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            if not other:
-                return RingElement()
-            return RingElement({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, RingElement):
-            return NotImplemented
-        out: dict[Monomial, Coefficient] = {}
-        for (l1, g1), c1 in self.terms.items():
-            for (l2, g2), c2 in other.terms.items():
-                if not g2:
-                    merged = g1
-                elif not g1:
-                    merged = g2
-                else:
-                    acc = dict(g1)
-                    for g, e in g2:
-                        acc[g] = acc.get(g, 0) + e
-                    merged = tuple(sorted(acc.items()))
-                m = (l1 + l2, merged)
-                s = out.get(m, 0) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return RingElement(out)
+            if not isinstance(other, _RATIONAL):
+                return NotImplemented
+            p = other.numerator
+            return _reduced({m: c * p for m, c in self.nums.items()}, self.den * other.denominator)
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for (l1, g1), c1 in self.nums.items():
+            for (l2, g2), c2 in other.nums.items():
+                # the empty generator parts, most of them, skip the call
+                m = (l1 + l2, g1 if not g2 else g2 if not g1 else _merge(g1, g2))
+                out[m] = get(m, 0) + c1 * c2
+        return _reduced(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "RingElement":
         if k < 0:
             raise ValueError("negative powers of general ring elements are not defined")
-        result = RingElement.scalar(Fraction(1))
+        result = RingElement.scalar(1)
         base = self
         while k:
             if k & 1:
@@ -187,52 +220,50 @@ class RingElement:
         return result
 
     def mul_L(self, k: int) -> "RingElement":
-        return RingElement({(le + k, gens): c for (le, gens), c in self.terms.items()})
+        return _normal({(le + k, gens): c for (le, gens), c in self.nums.items()}, self.den)
 
     # -- calculus -------------------------------------------------------------------
 
     def partial(self, gen: Gen) -> "RingElement":
         """Formal partial derivative with respect to one generator."""
-        out: dict[Monomial, Coefficient] = {}
-        for (le, gens), c in self.terms.items():
+        out: dict[Monomial, int] = {}
+        for (le, gens), c in self.nums.items():
             for idx, (g, e) in enumerate(gens):
                 if g == gen:
-                    rest = list(gens)
-                    if e == 1:
-                        rest.pop(idx)
-                    else:
-                        rest[idx] = (g, e - 1)
-                    m = (le, tuple(rest))
-                    s = out.get(m, 0) + c * e
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
+                    m = (le, _lower(gens, idx))
+                    out[m] = out.get(m, 0) + c * e
                     break
-        return RingElement(out)
+        return _reduced(out, self.den)
 
     # -- rendering and serialization ---------------------------------------------------
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "RingElement(0)"
         bits = []
-        for (le, gens), c in sorted(self.terms.items())[:6]:
+        for (le, gens), c in sorted(self.nums.items())[:6]:
             gtxt = "*".join(
                 (f"{_gen_name(g)}^{e}" if e > 1 else _gen_name(g)) for g, e in gens
             )
             ltxt = f"L^{le}" if le else ""
             body = "*".join(t for t in (ltxt, gtxt) if t) or "1"
-            bits.append(f"({c})*{body}" if not isinstance(c, Cyclotomic) else f"({c!r})*{body}")
-        tail = " + ..." if len(self.terms) > 6 else ""
+            bits.append(f"({Fraction(c, self.den)})*{body}")
+        tail = " + ..." if len(self.nums) > 6 else ""
         return " + ".join(bits) + tail
 
     def to_json(self) -> list:
-        out = []
-        for (le, gens), c in sorted(self.terms.items()):
-            coeff = c.to_json() if isinstance(c, Cyclotomic) else str(c)
-            out.append([le, [[list(g), e] for g, e in gens], coeff])
-        return out
+        return terms_to_json(self.nums, lambda c: str(Fraction(c, self.den)))
+
+
+def terms_to_json(terms: dict[Monomial, object], coeff_json) -> list:
+    """[L exponent, [[generator, exponent], ...], coeff_json(coefficient)] per monomial, in monomial order."""
+    return [[le, [[list(g), e] for g, e in gens], coeff_json(terms[(le, gens)])] for le, gens in sorted(terms)]
+
+
+def _lower(gens: tuple, idx: int) -> tuple:
+    """The generator part with the exponent at position idx lowered by one."""
+    g, e = gens[idx]
+    return gens[:idx] + gens[idx + 1 :] if e == 1 else gens[:idx] + ((g, e - 1),) + gens[idx + 1 :]
 
 
 def _gen_name(g: Gen) -> str:
@@ -267,6 +298,7 @@ class RingContext:
         self.Y = RingElement.L_poly(Y_poly(n))
         self.f_n = RingElement.L_poly(f_n_poly(n))  # drives the closure relation
         self._nf: dict[tuple[int, int], RingElement] = {}
+        self._dgen: dict[tuple[Gen, bool], RingElement] = {}
         self._base_rules: dict[int, RingElement] = {}
         self._build_rules()
 
@@ -302,7 +334,7 @@ class RingContext:
         rep, sign = self.a_rep(i)
         if sign == 0:
             return RingElement.zero()
-        return RingElement.generator(("A", rep, 0), Fraction(sign))
+        return RingElement.generator(("A", rep, 0), sign)
 
     def X_poly(self, i: int) -> RingElement:
         """X_i = DC_i / C_i expressed through A-generators: Y - L A_i + L A_{i-1}."""
@@ -313,32 +345,44 @@ class RingContext:
     # -- the derivation --------------------------------------------------------------
 
     def derive(self, e: RingElement, free: bool = False) -> RingElement:
-        """Formal D; with free=True derivatives are never rewritten (rule construction)."""
-        out = RingElement.zero()
-        for (le, gens), c in e.terms.items():
-            base = RingElement({(le, gens): c})
+        """
+        Formal D; with free=True derivatives are never rewritten (rule construction).
+
+        By the Leibniz rule every term contributes cofactor * D(factor) for its
+        L-power (D L^k = k L^k Y) and each generator; the contributions are
+        summed over the lcm of the D(factor) denominators, with one gcd at the end.
+        """
+        parts = []  # (L exponent, generator part, integer cofactor, D(factor))
+        for (le, gens), c in e.nums.items():
             if le:
-                out = out + base * self.Y * le
+                parts.append((le, gens, c * le, self.Y))
             for idx, (g, ex) in enumerate(gens):
-                rest = list(gens)
-                if ex == 1:
-                    rest.pop(idx)
-                else:
-                    rest[idx] = (g, ex - 1)
-                cof = RingElement({(le, tuple(rest)): c * ex})
-                out = out + cof * self._d_gen(g, free)
-        return out
+                parts.append((le, _lower(gens, idx), c * ex, self._d_gen(g, free)))
+        den = lcm(*{d.den for *_, d in parts})
+        out: dict[Monomial, int] = {}
+        get = out.get
+        for le, gens, c, d in parts:
+            c *= den // d.den
+            for (l2, g2), c2 in d.nums.items():
+                m = (le + l2, _merge(gens, g2))
+                out[m] = get(m, 0) + c * c2
+        return _reduced(out, den * e.den)
 
     def _d_gen(self, g: Gen, free: bool) -> RingElement:
-        if g[0] == "A":
-            _, i, j = g
-            if free or j + 1 <= self.admitted.get(i, -1):
-                return RingElement.generator(("A", i, j + 1))
-            return self.normal_form(i, j + 1)
-        # D C_i = C_i X_i; the stored index is already canonical and
-        # X is palindrome-symmetric in the same way (X_i = X_{n+1-i})
-        i = g[1]
-        return RingElement.generator(g) * self.X_poly(i)
+        key = (g, free)
+        if key not in self._dgen:
+            if g[0] == "A":
+                _, i, j = g
+                if free or j + 1 <= self.admitted.get(i, -1):
+                    d = RingElement.generator(("A", i, j + 1))
+                else:
+                    d = self.normal_form(i, j + 1)
+            else:
+                # D C_i = C_i X_i; the stored index is already canonical and
+                # X is palindrome-symmetric in the same way (X_i = X_{n+1-i})
+                d = RingElement.generator(g) * self.X_poly(g[1])
+            self._dgen[key] = d
+        return self._dgen[key]
 
     def normal_form(self, i: int, j: int) -> RingElement:
         """Normal form of D^j A_i for j beyond the admitted bound."""
@@ -358,7 +402,7 @@ class RingContext:
     def _X_ladder(self, k: int, l: int) -> RingElement:
         """X_{k,l} = (D + X_k)^{l-1} X_k in the free ring; X_{k,0} = 1."""
         if l == 0:
-            return RingElement.scalar(Fraction(1))
+            return RingElement.scalar(1)
         xk = self.X_poly(k)
         t = xk
         for _ in range(l - 1):
@@ -367,18 +411,18 @@ class RingContext:
 
     def _BK(self, k: int, p: int) -> RingElement:
         """B_{k,p} / K_p in the free ring, expanded through the X ladder."""
-        return ladder_sum(k, p, self._X_ladder, RingElement.scalar(Fraction(1)))
+        return ladder_sum(k, p, self._X_ladder, RingElement.scalar(1))
 
     def _build_rules(self):
         n = self.n
         limit = (n - 1) // 2
         dist = self.distinguished
         # closure relation for the distinguished generator
-        rhs = self.f_n * Fraction(-n)
+        rhs = self.f_n * -n
         for r in range(1, limit + 1):
             rhs = rhs + (self.A(r) * self.A(r)).mul_L(1)
         for r in range(1, limit):
-            rhs = rhs - RingElement.generator(("A", r, 1)) * Fraction(n - 2 * r)
+            rhs = rhs - RingElement.generator(("A", r, 1)) * (n - 2 * r)
         self._base_rules[dist] = rhs * Fraction(1, n - 2 * limit)
 
         # ladder relations eliminate the top derivative of every other representative
@@ -387,23 +431,24 @@ class RingContext:
             for k in range(m, n):
                 rel = rel + self.Y * self._BK(k, m) * stirling_first(n, k)
             target = ("A", m, n - 1 - m)
-            coeff_elem = RingElement.zero()
-            rest = RingElement.zero()
-            for (le, gens), c in rel.terms.items():
+            pivot: dict[Monomial, int] = {}
+            rest: dict[Monomial, int] = {}
+            for (le, gens), c in rel.nums.items():
                 hit = [e for g, e in gens if g == target]
                 if hit:
                     if hit[0] != 1:
                         raise AssertionError(f"relation not linear in {target}")
-                    reduced = tuple((g, e) for g, e in gens if g != target)
-                    coeff_elem = coeff_elem + RingElement({(le, reduced): c})
+                    pivot[(le, tuple((g, e) for g, e in gens if g != target))] = c
                 else:
-                    rest = rest + RingElement({(le, gens): c})
-            if len(coeff_elem.terms) != 1:
-                raise AssertionError(f"unexpected pivot for {target}: {coeff_elem!r}")
-            (le, gens), c = next(iter(coeff_elem.terms.items()))
+                    rest[(le, gens)] = c
+            if len(pivot) != 1:
+                raise AssertionError(f"unexpected pivot for {target}: {pivot!r}")
+            ((le, gens), c), = pivot.items()
             if gens:
                 raise AssertionError(f"pivot for {target} is not a pure L power")
-            rule = rest.mul_L(-le) * (Fraction(-1) / c)
+            # rel = c L^le target / den + rest / den = 0, so target = -rest / (c L^le)
+            sign = -1 if c > 0 else 1
+            rule = _reduced({(l2 - le, g2): sign * c2 for (l2, g2), c2 in rest.items()}, abs(c))
             bad = [g for g in rule.generators_used() if g[0] == "A" and g[2] > self.admitted.get(g[1], -1)]
             if bad:
                 raise AssertionError(f"rule for {target} mentions inadmissible {bad}")
@@ -448,13 +493,14 @@ class RingEvaluator:
         return self._gen_series[g]
 
     def eval(self, e: RingElement) -> Series:
+        """The series of e: each monomial's series scaled by its numerator, then one division by the denominator."""
         total = Series.zero()
-        for (le, gens), c in e.terms.items():
+        for (le, gens), c in e.nums.items():
             term = self.L_pow(le)
             for g, ex in gens:
                 term = term * self.gen_series(g) ** ex
             total = total + term * c
-        return total
+        return total / e.den if e.den != 1 else total
 
 
 def certify_rules(ctx: RingContext, data: GenusZeroData) -> Report:
@@ -490,9 +536,7 @@ def certify_rules(ctx: RingContext, data: GenusZeroData) -> Report:
     return rep
 
 
-def fit_laurent_in_L(
-    f: Series, L: Series, max_pole: int, max_degree: int
-) -> tuple[dict[int, Coefficient], int]:
+def fit_laurent_in_L(f: Series, L: Series, max_pole: int, max_degree: int) -> tuple[dict, int]:
     """
     The unique Laurent polynomial p(L) with p(L(x)) = f to the available order.
 
@@ -505,13 +549,13 @@ def fit_laurent_in_L(
     lead_base = L.first_nonzero()
     if lead_base is None or lead_base[0] != 1:
         raise ValueError("the base series must have valuation exactly 1")
-    out: dict[int, Coefficient] = {}
+    out: dict = {}
     residual = f
     pows: dict[int, Series] = {}
     while True:
         lead = residual.first_nonzero()
         if lead is None:
-            return out, (-1 if math.isinf(residual.prec) else int(residual.prec) - 1)
+            return out, (-1 if isinf(residual.prec) else int(residual.prec) - 1)
         e, c = lead
         if e < -max_pole:
             raise ValueError(f"pole order exceeds {max_pole} at L^{e}")

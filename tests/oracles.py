@@ -6,6 +6,11 @@ found by brute force over every vertex permutation; over
 enumerator, the second psi recursion (``psi_integral_bruteforce``) and the
 series oracle's column entries (``series_entry``).  Each is an independent
 route to a number the package computes another way.
+
+The package's ring is rational.  The decorated sum reads every factor at its
+decorations with explicit roots of unity, so over the lift its values live in
+:class:`CyclotomicPoly`, the oracle's own polynomials over Q(zeta_n), as do the
+lift's column entries read through ``lifted_entry``.
 """
 
 from dataclasses import dataclass
@@ -14,17 +19,134 @@ from functools import cache
 from itertools import chain, combinations, permutations, product
 from math import factorial
 
+from orbigw.cyclotomic import Cyclotomic
 from orbigw.genus0 import at_column
 from orbigw.graphs import StableGraph, enumerate_stable_graphs
 from orbigw.pmatrix import PMatrixData
 from orbigw.potentials import ContributionTables, _check_type
 from orbigw.psi import dimension_ok, double_factorial, is_stable, psi_genus0
+from orbigw.ring import RingElement
 from orbigw.series import Series
+
+
+class CyclotomicPoly:
+    """
+    A polynomial in the ring's monomials with coefficients in Q(zeta_n), each
+    a ``Fraction`` or a non-rational ``Cyclotomic``, so equality is
+    structural.  Built from a dict {monomial: coefficient} (such as a column
+    entry of the lift) or from a ``RingElement``, which it also takes as an
+    operand.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        if isinstance(terms, RingElement):
+            terms = {m: Fraction(c, terms.den) for m, c in terms.nums.items()}
+        out = {}
+        for m, c in (terms or {}).items():
+            if c:
+                out[m] = c.to_rational() if isinstance(c, Cyclotomic) and c.is_rational() else c
+        self.terms = out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        other = _as_poly(other)
+        return NotImplemented if other is None else self.terms == other.terms
+
+    def generators_used(self) -> set:
+        return {g for _, gens in self.terms for g, _ in gens}
+
+    def __add__(self, other):
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return CyclotomicPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return CyclotomicPoly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = _as_poly(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = _as_poly(other)
+        return NotImplemented if other is None else other + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return CyclotomicPoly({m: c * other for m, c in self.terms.items()})
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        out = {}
+        for (l1, g1), c1 in self.terms.items():
+            for (l2, g2), c2 in other.terms.items():
+                if not g2:
+                    merged = g1
+                elif not g1:
+                    merged = g2
+                else:
+                    acc = dict(g1)
+                    for g, e in g2:
+                        acc[g] = acc.get(g, 0) + e
+                    merged = tuple(sorted(acc.items()))
+                m = (l1 + l2, merged)
+                out[m] = out.get(m, 0) + c1 * c2
+        return CyclotomicPoly(out)
+
+    __rmul__ = __mul__
+
+    def partial(self, gen) -> "CyclotomicPoly":
+        """Formal partial derivative with respect to one generator."""
+        out = {}
+        for (le, gens), c in self.terms.items():
+            for idx, (g, e) in enumerate(gens):
+                if g == gen:
+                    rest = gens[:idx] + gens[idx + 1 :] if e == 1 else gens[:idx] + ((g, e - 1),) + gens[idx + 1 :]
+                    out[(le, rest)] = out.get((le, rest), 0) + c * e
+        return CyclotomicPoly(out)
+
+    def apply(self, f) -> "CyclotomicPoly":
+        """The Q(zeta_n)-linear extension of a Q-linear map f of ring elements, applied monomial by monomial."""
+        total = CyclotomicPoly()
+        for m, c in self.terms.items():
+            total = total + CyclotomicPoly(f(RingElement({m: 1}))) * c
+        return total
+
+    def evaluate(self, ev) -> Series:
+        """The series value under a ring evaluator, monomial by monomial."""
+        total = Series.zero()
+        for m, c in self.terms.items():
+            total = total + ev.eval(RingElement({m: 1})) * c
+        return total
+
+
+def _as_poly(x):
+    if isinstance(x, CyclotomicPoly):
+        return x
+    return CyclotomicPoly(x) if isinstance(x, RingElement) else None
 
 
 def series_entry(pm: PMatrixData, k: int, i: int, j: int) -> Series:
     """The series oracle's entry at order k, row i, column j."""
     return at_column([table[k][i] for table in pm.tables], j, pm.data.zeta)
+
+
+def lifted_entry(pm: PMatrixData, k: int, i: int, j: int) -> CyclotomicPoly:
+    """The ring lift's entry at order k, row i, column j, as a polynomial over Q(zeta_n)."""
+    return CyclotomicPoly(pm.lift_entry(k, i, j))
 
 
 @dataclass(frozen=True)
@@ -71,11 +193,14 @@ class Decorated:
     The local factors of ``tables`` read at decorations, each value cached:
     ``at(factor, args, p)`` is the character sum ``tables.<factor>(*args)``
     at p, sum_u zeta^{u p} X_u, or sum zeta^{u1 p1 + u2 p2} X for an edge,
-    whose p is the pair (p1, p2).
+    whose p is the pair (p1, p2).  Over the lift the values are
+    :class:`CyclotomicPoly`; over :class:`SeriesTables` they are series.
     """
 
     def __init__(self, tables: ContributionTables):
         self.tables = tables
+        self.read = (lambda x: x) if isinstance(tables, SeriesTables) else CyclotomicPoly
+        self.unit, self.zero = self.read(tables.unit()), self.read(tables.zero())
         self._values: dict = {}
 
     def __call__(self, factor: str, args: tuple, p):
@@ -83,9 +208,10 @@ class Decorated:
         if key not in self._values:
             tables = self.tables
             ps = p if isinstance(p, tuple) else (p,)
-            total = tables.zero()
+            total = self.zero
             for u, x in getattr(tables, factor)(*args).items():
                 e = sum(a * b for a, b in zip(u if isinstance(u, tuple) else (u,), ps)) % tables.n
+                x = self.read(x)
                 total = total + (x * tables.data.zeta(e) if e else x)
             self._values[key] = total
         return self._values[key]
@@ -128,8 +254,7 @@ def graph_contribution(at: Decorated, dec: DecoratedGraph, insertions: tuple[int
     """
     graph, p = dec.graph, dec.decorations
     m = len(graph.legs)
-    tables = at.tables
-    total = tables.zero()
+    total = at.zero
     for values, flags in _flag_assignments(graph):
         factors = chain(
             (at("vertex", (h, tuple(sorted(flags[v]))), p[v]) for v, h in enumerate(graph.genera)),
@@ -141,7 +266,7 @@ def graph_contribution(at: Decorated, dec: DecoratedGraph, insertions: tuple[int
         )
         # a zero product ends the term: the ring is a domain, and a series
         # product with no known coefficient carries nothing
-        term = tables.unit()
+        term = at.unit
         for factor in factors:
             term = term * factor
             if term.is_zero():

@@ -11,7 +11,7 @@ import pytest
 from orbigw.cli import main
 from orbigw.genus0 import GenusZeroData, ModelConfig
 from orbigw.hae import verify_hae
-from orbigw.pmatrix import build_pmatrix
+from orbigw.pmatrix import build_pmatrix, entry_to_json
 from orbigw.potentials import ContributionTables, assemble_F
 from orbigw.report import canonical_json
 from orbigw.ring import RingContext
@@ -33,7 +33,7 @@ def test_frozen_objects_unchanged():
         "policy": "zero",
         "F2_core": F2.core.to_json(),
         "phis": [sorted((e, str(c)) for e, c in p.coeffs.items()) for p in pm.col.phis],
-        "lifted_2_1_1": pm.lift_entry(2, 1, 1).to_json(),
+        "lifted_2_1_1": entry_to_json(pm.lift_entry(2, 1, 1)),
     }
     want = json.loads(GOLDEN.read_text())
     assert json.loads(canonical_json(payload)) == want

@@ -1,9 +1,13 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbigw.cyclotomic import Cyclotomic
+from orbigw.pmatrix import entry_to_json
 from orbigw.report import canonical_json
 from orbigw.ring import RingContext, RingElement, certify_rules, fit_laurent_in_L
 from orbigw.series import Series
@@ -142,14 +146,142 @@ def test_fit_laurent_rejects_non_members(data3):
         fit_laurent_in_L(x, data3.L, max_pole=0, max_degree=4)
 
 
-def test_ring_json_round_trip(ctx5):
+def test_ring_json_round_trip():
+    # a column entry of the lift may carry a cyclotomic coefficient; its
+    # canonical JSON text records every monomial and coefficient exactly
     z = Cyclotomic.zeta(5)
-    e = RingElement.generator(("A", 1, 1)) * z + RingElement.L_power(-2, Fraction(3, 7))
-    # the canonical JSON text records every monomial and coefficient exactly
+    entry = {(0, ((("A", 1, 1), 1),)): z, (-2, ()): Fraction(3, 7)}
+    text = canonical_json(entry_to_json(entry))
+    assert text == '[[-2,[],"3/7"],[0,[[["A",1,1],1]],["0","1","0","0"]]]'
     terms = {
         (le, tuple((tuple(g), ex) for g, ex in gens)): (
             Cyclotomic(5, [Fraction(c) for c in coeff]) if isinstance(coeff, list) else Fraction(coeff)
         )
-        for le, gens, coeff in json.loads(canonical_json(e.to_json()))
+        for le, gens, coeff in json.loads(text)
     }
-    assert RingElement(terms) == e
+    assert terms == entry
+
+
+def test_ring_json_matches_entry_json():
+    # a rational element serializes as its column entry does
+    e = RingElement.generator(("A", 1, 1), Fraction(-5, 6)) + RingElement.L_power(-2, Fraction(3, 7))
+    entry = {m: Fraction(c, e.den) for m, c in e.nums.items()}
+    assert e.to_json() == entry_to_json(entry)
+    assert canonical_json(e.to_json()) == '[[-2,[],"3/7"],[0,[[["A",1,1],1]],"-5/6"]]'
+
+
+def test_non_rational_operands_rejected():
+    z = Cyclotomic.zeta(5)
+    with pytest.raises(TypeError):
+        RingElement.scalar(z)
+    with pytest.raises(TypeError):
+        RingElement({(0, ()): Cyclotomic.one(5)})  # rational in value, but not a rational type
+    with pytest.raises(TypeError):
+        RingElement.scalar(Series.one())
+    with pytest.raises(TypeError):
+        RingElement.L_power(1, 0.5)
+    a = RingElement.generator(("A", 1, 0))
+    for other in (z, Series.one()):
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            assert getattr(a, op)(other) is NotImplemented, (other, op)
+        with pytest.raises(TypeError):
+            a * other
+        with pytest.raises(TypeError):
+            other - a
+        with pytest.raises(TypeError):
+            a + other
+
+
+# -- properties of the integer form on random rational elements --------------------------
+
+_GENS = [("A", 1, 0), ("A", 1, 1), ("A", 2, 0), ("C", 1), ("C", 2)]
+_monomials = st.tuples(
+    st.integers(-4, 4),
+    st.lists(st.tuples(st.sampled_from(_GENS), st.integers(1, 3)), max_size=3, unique_by=lambda t: t[0]).map(
+        lambda gs: tuple(sorted(gs))
+    ),
+)
+_rationals = st.fractions(max_denominator=10**12).filter(bool) | st.integers(-(10**30), 10**30)
+_elements = st.dictionaries(_monomials, _rationals, max_size=5).map(RingElement)
+
+
+def _fraction_terms(e: RingElement) -> dict:
+    return {m: Fraction(c, e.den) for m, c in e.nums.items()}
+
+
+def _reference_product(a: RingElement, b: RingElement) -> dict:
+    """The product with one Fraction per term, written independently of the ring."""
+    out: dict = {}
+    for (l1, g1), c1 in _fraction_terms(a).items():
+        for (l2, g2), c2 in _fraction_terms(b).items():
+            gens = dict(g1)
+            for g, e in g2:
+                gens[g] = gens.get(g, 0) + e
+            m = (l1 + l2, tuple(sorted(gens.items())))
+            out[m] = out.get(m, Fraction(0)) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _assert_normal(e: RingElement) -> None:
+    assert type(e.den) is int and e.den > 0
+    assert all(type(c) is int and c for c in e.nums.values())
+    assert math.gcd(e.den, *e.nums.values()) == 1
+    if not e.nums:
+        assert e.den == 1
+
+
+_property = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+@_property
+@given(_elements, _elements, _elements)
+def test_ring_axioms(a, b, c):
+    one, zero = RingElement.scalar(1), RingElement.zero()
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) + c == a + (b + c)
+    assert a * b == b * a and a + b == b + a
+    assert a - a == zero and (a - a).den == 1
+    assert a * 1 == a == a * one == one * a and a + zero == a
+    assert -(-a) == a and a - b == -(b - a)
+    for e in (a * b, a + b, a - b, a * c - b, a * Fraction(-3, 8), (a * b).partial(("A", 1, 0))):
+        _assert_normal(e)
+
+
+@_property
+@given(_elements, _elements, _rationals)
+def test_product_matches_fraction_reference(a, b, q):
+    assert _fraction_terms(a * b) == _reference_product(a, b)
+    assert _fraction_terms(a * q) == {m: c * q for m, c in _fraction_terms(a).items() if q}
+    assert _fraction_terms(a + b) == {
+        m: c for m in {**a.nums, **b.nums} if (c := _fraction_terms(a).get(m, 0) + _fraction_terms(b).get(m, 0))
+    }
+    # construction from Fraction terms is exact and lands in normal form
+    assert RingElement(_fraction_terms(a)) == a
+    _assert_normal(a)
+
+
+def _context_elements(n: int):
+    ctx = RingContext(n)
+    gens = ctx.a_gens() + [ctx.c_gen(i) for i in range(1, n // 2 + 1)]
+    monos = st.tuples(
+        st.integers(-3, 3),
+        st.lists(st.tuples(st.sampled_from(gens), st.integers(1, 2)), max_size=2, unique_by=lambda t: t[0]).map(
+            lambda gs: tuple(sorted(gs))
+        ),
+    )
+    return st.dictionaries(monos, _rationals, max_size=3).map(RingElement)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_leibniz_rule(n):
+    ctx = RingContext(n)
+
+    @_property
+    @given(_context_elements(n), _context_elements(n))
+    def check(a, b):
+        d_ab = ctx.derive(a * b)
+        assert d_ab == ctx.derive(a) * b + a * ctx.derive(b)
+        _assert_normal(d_ab)
+
+    check()
