@@ -19,8 +19,8 @@ from orbigw.genus0 import (
 
 
 def leading(series, count=4):
-    items = sorted(series.coeffs.items())[:count]
-    return " + ".join(f"({c}) x^{e}" for e, c in items) or "0"
+    exponents = sorted(series.nums)[:count]
+    return " + ".join(f"({series.get(e)}) x^{e}" for e in exponents) or "0"
 
 
 def main():

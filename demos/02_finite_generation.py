@@ -52,7 +52,7 @@ def main():
     print("generator audit:", audit["core_gens"], "->",
           "inside the finite generation ring" if audit["core_ok"] else "FAILED")
     series = ctx.evaluator(data).eval(pot.core)
-    print("its expansion starts:", sorted(series.coeffs.items())[:3])
+    print("its expansion starts:", [(e, series.get(e)) for e in sorted(series.nums)[:3]])
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ higher genus potentials are finitely generated, assembles those potentials
 through the semisimple classification graph sum, and machine-verifies the
 holomorphic anomaly equations as exact identities in the free ring.
 
-Everything is exact rational or cyclotomic arithmetic; there is no floating
-point in the computational core.
+Everything is exact: series and ring elements are rational, and cyclotomic
+numbers in Q(zeta_n) appear only where a column of the P matrix is written
+out or a check fails.  There is no floating point in the computational core.
 """
 
 from .cyclotomic import Cyclotomic

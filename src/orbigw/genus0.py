@@ -33,7 +33,8 @@ All arithmetic is exact.  The semisimple frame (idempotents, Psi and its
 inverse) carries roots of unity only as DFT weights on rational series, so
 ``verify_quantum`` checks it through rational differences, and
 :func:`at_column` is the one place a root of unity enters, here and in the
-P column.
+P column: a zeta-weighted sum of series or ring elements is no series or
+ring element but a dict {key: coefficient} (:func:`entry_at_column`).
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ class GenusZeroData:
 
     def at_L(self, p: Series) -> Series:
         """An exact polynomial in the symbol L, evaluated at the series L(x)."""
-        return reduce(add, (self.L**e * c for e, c in sorted(p.coeffs.items())), Series.zero())
+        return reduce(add, (self.L**e * c for e, c in sorted(p.nums.items())), Series.zero()) / p.den
 
     def K_ext(self, l: int) -> Series:
         """K_l for any l >= 0 through K_{n+l} = L^n K_l."""
@@ -300,6 +301,29 @@ def at_column(pieces: list, j: int, zeta):
     n = len(pieces)
     terms = [piece * zeta(w * j) if w * j % n else piece for w, piece in enumerate(pieces) if piece]
     return sum(terms[1:], terms[0]) if terms else pieces[0]
+
+
+def entry_at_column(pieces: list, j: int, zeta) -> dict:
+    """
+    The column-j entry sum_w zeta^{wj} pieces[w] of rational pieces graded by
+    residue, each a ring element or a series (integer ``nums`` over one
+    ``den``): a dict {key: coefficient} over the pieces' monomials or
+    exponents, each coefficient the DFT (:func:`at_column`) of that key's
+    per-residue rationals, a ``Fraction`` when it is rational, a
+    ``Cyclotomic`` otherwise.  A series entry is known below the least
+    truncation bound of its nonzero pieces, and stops there.  Zero pieces give
+    the empty entry and build no cyclotomic number.
+    """
+    live = [piece for piece in pieces if piece]
+    if live and isinstance(live[0], Series):
+        known = min(piece.prec for piece in live)
+        pieces = [piece.truncate(known) for piece in pieces]
+    out = {}
+    for key in dict.fromkeys(key for piece in pieces for key in piece.nums):
+        c = at_column([Fraction(piece.nums.get(key, 0), piece.den) for piece in pieces], j, zeta)
+        if c:
+            out[key] = c.to_rational() if isinstance(c, Cyclotomic) and c.is_rational() else c
+    return out
 
 
 # -- verification -------------------------------------------------------------
@@ -467,8 +491,10 @@ def verify_quantum(data: GenusZeroData) -> Report:
     * in g(e_a, e_a) and du^a/dx the weights cancel term by term.
 
     A unit moves no zero order, so each verdict and failure detail is the
-    frame's.  The zeta-sums go through :func:`at_column`, which skips zero
-    pieces: a passing battery builds no cyclotomic number.
+    frame's.  The zeta-sums are entries {exponent: coefficient}
+    (:func:`entry_at_column`), whose least exponent is the zero order; zero
+    pieces give the empty entry, so a passing battery builds no cyclotomic
+    number.
     """
     cfg = data.cfg
     n = cfg.n
@@ -485,8 +511,8 @@ def verify_quantum(data: GenusZeroData) -> Report:
         rep.add(f"D of two-point function, i={i}", d is None)
 
     def first_bad(diffs) -> str:
-        """'(k, d)' for the first component k that is nonzero from x^d on, else ''."""
-        bad = next(((k, d) for k, d in enumerate(s.zero_order() for s in diffs) if d is not None), None)
+        """'(k, d)' for the first component k whose {exponent: coefficient} is nonzero from x^d on, else ''."""
+        bad = next(((k, min(d)) for k, d in enumerate(diffs) if d), None)
         return str(bad) if bad else ""
 
     units = [data.K[i] / data.L**i for i in range(n)]
@@ -496,7 +522,7 @@ def verify_quantum(data: GenusZeroData) -> Report:
     ]
     for a in range(n):
         for b in range(n):
-            bad = first_bad(at_column(D[k], b - a, data.zeta) for k in range(n))
+            bad = first_bad(entry_at_column(D[k], b - a, data.zeta) for k in range(n))
             rep.add(f"idempotency e_{a} * e_{b}", not bad, bad)
 
     pair = reduce(add, (units[i] * units[-i % n] for i in range(n))) - Series.monomial(Fraction(n))
@@ -504,7 +530,7 @@ def verify_quantum(data: GenusZeroData) -> Report:
         rep.add(f"g(e_{a}, e_{a}) = 1/n^2", pair.zero_order() is None)
 
     pieces = [(data.L**i / data.K[i]) * (data.K[i] / data.L**i) - Series.one() for i in range(n)]
-    orders = [at_column(pieces, j, data.zeta).zero_order() for j in range(n)]
+    orders = [min(entry_at_column(pieces, j, data.zeta), default=None) for j in range(n)]
     bad = None
     for a in range(n):
         for b in range(n):
@@ -514,7 +540,7 @@ def verify_quantum(data: GenusZeroData) -> Report:
 
     # canonical coordinate eigenvalue: phi_1 * e_alpha = (zeta^alpha L / C_1) e_alpha
     slope = data.L / data.C[1]
-    eig = first_bad(units[(k - 1) % n] * data.quantum_coeff(1, (k - 1) % n) - units[k] * slope for k in range(n))
+    eig = first_bad((units[(k - 1) % n] * data.quantum_coeff(1, (k - 1) % n) - units[k] * slope).nums for k in range(n))
     du = (slope * data.Theta.D() - data.L).zero_order()
     for a in range(n):
         rep.add(f"canonical coordinate eigenvalue, alpha={a}", not eig, eig)

@@ -28,9 +28,10 @@ over Q and stored only in that form: neither recursion involves the column
 index j, and column j is the zeta^{wj}-weighted sum of the rational pieces w,
 assembled on demand (``PMatrixData.lift_entry``; the tests do the same for
 the series tables) by the one DFT helper :func:`~orbigw.genus0.at_column`.
-The ring is rational, so a lifted column entry is no ring element but a dict
-{monomial: coefficient}, each coefficient the DFT of that monomial's
-per-residue rationals (:func:`entry_at_column`).
+The ring and the series are rational, so a column entry is neither a ring
+element nor a series but a dict {monomial or exponent: coefficient}, each
+coefficient the DFT of that key's per-residue rationals
+(:func:`~orbigw.genus0.entry_at_column`).
 
 * as exact truncated series, one table per residue and one order at a time,
   through the modified flatness recursion plus one honest quadrature per
@@ -56,7 +57,7 @@ from fractions import Fraction
 from math import comb, perm
 
 from .cyclotomic import Coefficient, Cyclotomic
-from .genus0 import GenusZeroData, Y_poly, at_column, f_n_poly
+from .genus0 import GenusZeroData, Y_poly, entry_at_column, f_n_poly
 from .report import Report
 from .ring import Monomial, RingContext, RingElement, fit_laurent_in_L, terms_to_json
 from .series import Series
@@ -76,9 +77,10 @@ def div_exact(a: Series, b: Series) -> Series:
     """
     if not a:
         return Series.zero()
-    low, high = min(a.coeffs) - min(b.coeffs), max(a.coeffs) - max(b.coeffs)
+    low, high = min(a.nums) - min(b.nums), max(a.nums) - max(b.nums)
     if high >= low:
-        q = Series((a * b.truncate(min(b.coeffs) + high - low + 1).invert()).coeffs)
+        head = a * b.truncate(min(b.nums) + high - low + 1).invert()
+        q = Series({e: head.get(e) for e in head.nums})
         if q * b == a:
             return q
     raise ValueError("inexact polynomial division")
@@ -170,7 +172,7 @@ def compute_phis(n: int, k_max: int, constants: list[Fraction]) -> list[Series]:
             quot = div_exact(rhs, Y)
         except ValueError:
             raise AssertionError(f"right-hand side at order {k} is not divisible by Y") from None
-        if 0 in quot.coeffs:
+        if 0 in quot.nums:
             raise AssertionError(f"right-hand side at order {k} has a constant term")
         phis.append(quot.D_inverse() / n + Fraction(constants[k - 1]))
     return phis
@@ -202,7 +204,7 @@ def extend_tables(data: GenusZeroData, tables: Tables, constant: Fraction) -> No
         for i in range(n):
             rhs = rhs - data.A[(n - i) % n] * cum[i] * data.L
         rhs = rhs / Fraction(n)
-        if 0 in rhs.coeffs:
+        if 0 in rhs.nums:
             raise AssertionError("cycle closure has a constant term; flatness violated")
         f = rhs.D_inverse() + (Fraction(constant) if w == k % n else 0)
         table.append([f + cum[i] for i in range(n)])
@@ -271,7 +273,7 @@ class PColumn:
             "n": self.n,
             "k_max": self.k_max,
             "policy": self.policy,
-            "phis": [sorted((e, str(c)) for e, c in p.coeffs.items()) for p in self.phis],
+            "phis": [sorted((e, str(p.get(e))) for e in p.nums) for p in self.phis],
             "constants": [str(c) for c in self.constants],
             "constant_status": list(self.constant_status),
         }
@@ -356,21 +358,6 @@ Lift = dict[tuple[int, int, int], RingElement]
 Entry = dict[Monomial, Coefficient]  # one column's entry: nonzero coefficients in Q(zeta_n)
 
 
-def entry_at_column(pieces: list[RingElement], j: int, zeta) -> Entry:
-    """
-    The column-j entry sum_w zeta^{wj} pieces[w] of rational ring elements
-    graded by residue: each monomial's coefficient is the DFT
-    (:func:`~orbigw.genus0.at_column`) of its per-residue rationals, a
-    ``Fraction`` when it is rational, a ``Cyclotomic`` otherwise.
-    """
-    out: Entry = {}
-    for m in dict.fromkeys(m for piece in pieces for m in piece.nums):
-        c = at_column([Fraction(piece.nums.get(m, 0), piece.den) for piece in pieces], j, zeta)
-        if c:
-            out[m] = c.to_rational() if isinstance(c, Cyclotomic) and c.is_rational() else c
-    return out
-
-
 def entry_to_json(entry: Entry) -> list:
     """The JSON of a column entry, in the ring's term layout; a rational coefficient is its string."""
     return terms_to_json(entry, lambda c: c.to_json() if isinstance(c, Cyclotomic) else str(c))
@@ -391,7 +378,7 @@ def lift_tables(ctx: RingContext, col: PColumn) -> Lift:
     graded: Lift = {}
     for w in range(n):
         for k in range(col.k_max + 1):
-            row0 = {(r, ()): c for r, c in col.phis[k].coeffs.items() if (r + k) % n == w}
+            row0 = {(r, ()): col.phis[k].get(r) for r in col.phis[k].nums if (r + k) % n == w}
             graded[(k, 0, w)] = RingElement(row0)
             if k == 0:
                 for i in range(1, n):
@@ -408,22 +395,18 @@ def lift_tables(ctx: RingContext, col: PColumn) -> Lift:
 def _add_columns(rep: Report, name: str, pm: PMatrixData, diffs: dict, detail, failed: str = "") -> None:
     """
     Add the check ``name.format(j)`` for every column j.  ``diffs[key][w]`` is
-    the residue-w piece of a difference linear in the entries, so column j's own
-    difference is d = sum_w zeta^{wj} diffs[key][w] (a series, or for ring
-    pieces an :data:`Entry`); the column fails with ``detail(key, d)`` at the
-    first key (in dict order) where d is nonzero, else with ``failed`` if that
-    is given.  A passing check sums only zero pieces.
+    the residue-w piece of a difference linear in the entries, a series or a
+    ring element, so column j's own difference is the entry
+    d = sum_w zeta^{wj} diffs[key][w] (:func:`~orbigw.genus0.entry_at_column`,
+    keyed by exponent or monomial); the column fails with ``detail(key, d)``
+    at the first key (in dict order) where d is nonzero, else with ``failed``
+    if that is given.  A passing check sums only zero pieces.
     """
     zeta = pm.data.zeta
     for j in range(pm.ctx.n):
-        bad = next((detail(key, d) for key, ws in diffs.items() if (d := _column(ws, j, zeta))), None)
+        bad = next((detail(key, d) for key, ws in diffs.items() if (d := entry_at_column(ws, j, zeta))), None)
         bad = str(bad) if bad else failed
         rep.add(name.format(j), not bad, bad)
-
-
-def _column(pieces: list, j: int, zeta):
-    """Column j of pieces graded by residue: a series, or for ring pieces an entry."""
-    return (entry_at_column if isinstance(pieces[0], RingElement) else at_column)(pieces, j, zeta)
 
 
 def route_differences(pm: PMatrixData) -> dict[tuple[int, int], list[Series]]:
@@ -447,7 +430,7 @@ def verify_lift(pm: PMatrixData, diffs: dict[tuple[int, int], list[Series]]) -> 
     ctx, col, graded = pm.ctx, pm.col, pm.graded
     n = ctx.n
     rep = Report(f"lift certification (n={n}, k_max={col.k_max}, policy={col.policy})")
-    _add_columns(rep, "column {} matches series oracle", pm, diffs, lambda key, d: (*key, d.zero_order()))
+    _add_columns(rep, "column {} matches series oracle", pm, diffs, lambda key, d: (*key, min(d)))
 
     # the one flatness equation not consumed by the construction must close
     def closure(k: int, w: int) -> RingElement:
@@ -556,7 +539,7 @@ def verify_pmatrix(pm: PMatrixData) -> Report:
     # not fit fails every column at that order
     diffs = route_differences(pm)
     row0 = {k: diffs[(k, 0)] for k in range(col.k_max + 1)}
-    _add_columns(rep, "polynomial vs series route, column {}", pm, row0, lambda k, d: (k, d.zero_order()))
+    _add_columns(rep, "polynomial vs series route, column {}", pm, row0, lambda k, d: (k, min(d)))
     fits, raised = {}, ""
     for k in range(col.k_max + 1):
         try:

@@ -129,7 +129,7 @@ class RingElement:
     @staticmethod
     def L_poly(p: Series) -> "RingElement":
         """An exact polynomial in the symbol L (rational coefficients) as a ring element."""
-        return RingElement({_mono(e): c for e, c in p.coeffs.items()})
+        return _normal({_mono(e): c for e, c in p.nums.items()}, p.den)
 
     # -- structure -------------------------------------------------------------
 

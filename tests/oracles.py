@@ -7,12 +7,15 @@ enumerator, the second psi recursion (``psi_integral_bruteforce``) and the
 series oracle's column entries (``series_entry``).  Each is an independent
 route to a number the package computes another way.
 
-The package's ring is rational.  The decorated sum reads every factor at its
-decorations with explicit roots of unity, so over the lift its values live in
-:class:`CyclotomicPoly`, the oracle's own polynomials over Q(zeta_n), as do the
-lift's column entries read through ``lifted_entry``.
+The package's ring and series are rational.  The decorated sum reads every
+factor at its decorations with explicit roots of unity, so over the lift its
+values live in :class:`CyclotomicPoly`, the oracle's own polynomials over
+Q(zeta_n), as do the lift's column entries read through ``lifted_entry``;
+over the series tables they live in :class:`CyclotomicSeries`, the oracle's
+own truncated series over Q(zeta_n), as do the series oracle's column entries.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -26,7 +29,203 @@ from orbigw.pmatrix import PMatrixData
 from orbigw.potentials import ContributionTables, _check_type
 from orbigw.psi import dimension_ok, double_factorial, is_stable, psi_genus0
 from orbigw.ring import RingElement
-from orbigw.series import Series
+from orbigw.series import INF, PrecisionError, Series
+
+
+class CyclotomicSeries:
+    """
+    A truncated Laurent series over Q(zeta_n): coefficients of x^e are known
+    exactly for e < ``prec``, each a ``Fraction`` or a ``Cyclotomic`` (the two
+    mix freely), stored one per exponent in ``coeffs``.  Built from a dict
+    {exponent: coefficient} or from a rational :class:`Series`, which it also
+    takes as an operand.  The arithmetic is the plain coefficient recurrence,
+    independent of the package's integer form and Newton inversion.
+    """
+
+    __slots__ = ("coeffs", "prec")
+
+    def __init__(self, coeffs=None, prec: float = INF):
+        if isinstance(coeffs, Series):
+            coeffs, prec = {e: coeffs.get(e) for e in coeffs.nums}, coeffs.prec
+        cs = {}
+        for e, c in (coeffs or {}).items():
+            if c and e < prec:
+                cs[e] = Fraction(c) if isinstance(c, int) else c
+        self.coeffs = cs
+        self.prec = prec
+
+    @staticmethod
+    def zero(prec: float = INF) -> "CyclotomicSeries":
+        return CyclotomicSeries({}, prec)
+
+    @staticmethod
+    def one() -> "CyclotomicSeries":
+        return CyclotomicSeries({0: Fraction(1)})
+
+    @property
+    def val(self) -> float:
+        return min(self.coeffs) if self.coeffs else self.prec
+
+    def get(self, e: int):
+        if e >= self.prec:
+            raise PrecisionError(f"coefficient of x^{e} unknown (prec={self.prec})")
+        return self.coeffs.get(e, Fraction(0))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def zero_order(self) -> int | None:
+        return min(self.coeffs) if self.coeffs else None
+
+    def first_nonzero(self):
+        e = self.zero_order()
+        return None if e is None else (e, self.coeffs[e])
+
+    def truncate(self, prec: float) -> "CyclotomicSeries":
+        return self if prec >= self.prec else CyclotomicSeries(self.coeffs, prec)
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        return NotImplemented if o is None else (self.coeffs == o.coeffs and self.prec == o.prec)
+
+    def __repr__(self) -> str:
+        terms = " + ".join(f"({self.coeffs[e]})*x^{e}" for e in sorted(self.coeffs)[:8]) or "0"
+        return f"<{terms}{'' if math.isinf(self.prec) else f' + O(x^{int(self.prec)})'}>"
+
+    def _coerce(self, other) -> "CyclotomicSeries | None":
+        if isinstance(other, CyclotomicSeries):
+            return other
+        if isinstance(other, Series):
+            return CyclotomicSeries(other)
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return CyclotomicSeries({0: other})
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self.coeffs)
+        for e, c in o.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        return CyclotomicSeries(out, min(self.prec, o.prec))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "CyclotomicSeries":
+        return CyclotomicSeries({e: -c for e, c in self.coeffs.items()}, self.prec)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return CyclotomicSeries({e: c * other for e, c in self.coeffs.items()}, self.prec)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        prec = min(self.prec + o.val, o.prec + self.val)
+        out = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in o.coeffs.items():
+                if e1 + e2 < prec:
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return CyclotomicSeries(out, prec)
+
+    __rmul__ = __mul__
+
+    def shift(self, k: int) -> "CyclotomicSeries":
+        return CyclotomicSeries({e + k: c for e, c in self.coeffs.items()}, self.prec + k)
+
+    def invert(self) -> "CyclotomicSeries":
+        """The inverse by the coefficient recurrence w_m = -(sum_{k=1..m} u_k w_{m-k}) / u_0."""
+        if not self.coeffs:
+            raise ZeroDivisionError("cannot invert a series with no known nonzero coefficient")
+        e0 = min(self.coeffs)
+        c0 = self.coeffs[e0]
+        rel = self.prec - e0
+        u = {e - e0: c for e, c in self.coeffs.items()}
+        inv0 = 1 / c0 if isinstance(c0, Fraction) else c0.inverse()
+        if math.isinf(rel) and len(u) == 1:
+            return CyclotomicSeries({-e0: inv0})
+        if math.isinf(rel):
+            raise PrecisionError("inverse of an exact non-monomial is an infinite series; truncate first")
+        w = {0: inv0}
+        for m in range(1, int(rel)):
+            acc = sum((uk * w[m - k] for k, uk in u.items() if 1 <= k <= m and m - k in w), Fraction(0))
+            if acc:
+                w[m] = -(acc * inv0)
+        return CyclotomicSeries({e - e0: c for e, c in w.items()}, rel - e0)
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CyclotomicSeries({e: c / other for e, c in self.coeffs.items()}, self.prec)
+        if isinstance(other, Cyclotomic):
+            return self * other.inverse()
+        o = self._coerce(other)
+        return NotImplemented if o is None else self * o.invert()
+
+    def __pow__(self, k: int) -> "CyclotomicSeries":
+        if k < 0:
+            return self.invert() ** (-k)
+        if k == 0:
+            return CyclotomicSeries.one()
+        result, base, k = self, self, k - 1
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    def D(self) -> "CyclotomicSeries":
+        return CyclotomicSeries({e: c * e for e, c in self.coeffs.items()}, self.prec)
+
+    def D_inverse(self) -> "CyclotomicSeries":
+        if 0 in self.coeffs:
+            raise ValueError("D_inverse requires a zero constant term")
+        if self.coeffs and min(self.coeffs) < 0:
+            raise ValueError("D_inverse requires nonnegative valuation")
+        return CyclotomicSeries({e: c / e for e, c in self.coeffs.items()}, self.prec)
+
+    def to_json(self) -> dict:
+        def enc(c):
+            return c.to_json() if isinstance(c, Cyclotomic) else str(c)
+
+        return {
+            "prec": None if math.isinf(self.prec) else int(self.prec),
+            "coeffs": {str(e): enc(c) for e, c in sorted(self.coeffs.items())},
+        }
+
+
+def cyclotomic_binomial_pow(u: CyclotomicSeries, p: int, q: int, prec: float | None = None) -> CyclotomicSeries:
+    """(1 + u)^(p/q) for u of positive valuation, summed term by term from the binomial series."""
+    if u.coeffs and min(u.coeffs) < 1:
+        raise ValueError("binomial_pow requires u(0) = 0")
+    if prec is None:
+        prec = u.prec
+    alpha = Fraction(p, q)
+    if math.isinf(prec) and u.coeffs and not (alpha.denominator == 1 and alpha >= 0):
+        raise PrecisionError("fractional or negative power of an exact series needs an explicit prec")
+    out = CyclotomicSeries.one().truncate(prec)
+    term, coeff, j = CyclotomicSeries.one(), Fraction(1), 0
+    while u.coeffs and (math.isinf(prec) or j * min(u.coeffs) < prec):
+        j += 1
+        coeff = coeff * (alpha - (j - 1)) / j
+        term = (term * u).truncate(prec)
+        if not coeff or not term.coeffs:
+            break
+        out = out + term * coeff
+    return out.truncate(prec)
 
 
 class CyclotomicPoly:
@@ -125,11 +324,11 @@ class CyclotomicPoly:
             total = total + CyclotomicPoly(f(RingElement({m: 1}))) * c
         return total
 
-    def evaluate(self, ev) -> Series:
+    def evaluate(self, ev) -> CyclotomicSeries:
         """The series value under a ring evaluator, monomial by monomial."""
-        total = Series.zero()
+        total = CyclotomicSeries.zero()
         for m, c in self.terms.items():
-            total = total + ev.eval(RingElement({m: 1})) * c
+            total = total + CyclotomicSeries(ev.eval(RingElement({m: 1}))) * c
         return total
 
 
@@ -139,9 +338,9 @@ def _as_poly(x):
     return CyclotomicPoly(x) if isinstance(x, RingElement) else None
 
 
-def series_entry(pm: PMatrixData, k: int, i: int, j: int) -> Series:
+def series_entry(pm: PMatrixData, k: int, i: int, j: int) -> CyclotomicSeries:
     """The series oracle's entry at order k, row i, column j."""
-    return at_column([table[k][i] for table in pm.tables], j, pm.data.zeta)
+    return at_column([CyclotomicSeries(table[k][i]) for table in pm.tables], j, pm.data.zeta)
 
 
 def lifted_entry(pm: PMatrixData, k: int, i: int, j: int) -> CyclotomicPoly:
@@ -194,12 +393,13 @@ class Decorated:
     ``at(factor, args, p)`` is the character sum ``tables.<factor>(*args)``
     at p, sum_u zeta^{u p} X_u, or sum zeta^{u1 p1 + u2 p2} X for an edge,
     whose p is the pair (p1, p2).  Over the lift the values are
-    :class:`CyclotomicPoly`; over :class:`SeriesTables` they are series.
+    :class:`CyclotomicPoly`; over :class:`SeriesTables` they are
+    :class:`CyclotomicSeries`.
     """
 
     def __init__(self, tables: ContributionTables):
         self.tables = tables
-        self.read = (lambda x: x) if isinstance(tables, SeriesTables) else CyclotomicPoly
+        self.read = CyclotomicSeries if isinstance(tables, SeriesTables) else CyclotomicPoly
         self.unit, self.zero = self.read(tables.unit()), self.read(tables.zero())
         self._values: dict = {}
 
@@ -292,7 +492,7 @@ class SeriesTables(ContributionTables):
         return Series.zero()
 
 
-def assemble_F_series(tables: ContributionTables, g: int, insertions: tuple[int, ...] | list[int]) -> Series:
+def assemble_F_series(tables: ContributionTables, g: int, insertions: tuple[int, ...] | list[int]) -> CyclotomicSeries:
     """
     The graph sum evaluated purely at the series level.
 
@@ -304,7 +504,7 @@ def assemble_F_series(tables: ContributionTables, g: int, insertions: tuple[int,
     insertions = tuple(insertions)
     _check_type(g, insertions)
     at = Decorated(SeriesTables(tables.pm))
-    total = Series.zero()
+    total = CyclotomicSeries.zero()
     for dec in enumerate_decorated(g, len(insertions), tables.n):
         total = total + graph_contribution(at, dec, insertions)
     data = tables.data

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from oracles import CyclotomicSeries
 from orbigw.cyclotomic import Cyclotomic
 from orbigw.genus0 import (
     GenusZeroData,
@@ -167,30 +168,30 @@ def test_quantum_coeff_is_cached_per_instance(data3):
 # -- the semisimple frame in cyclotomic arithmetic: the oracle of verify_quantum --
 
 
-def psi_matrix(data: GenusZeroData) -> list[list[Series]]:
+def psi_matrix(data: GenusZeroData) -> list[list[CyclotomicSeries]]:
     """Psi[alpha][i] = (1/n) zeta^{alpha i} L^i / K_i."""
     n = data.cfg.n
-    units = [data.L**i / data.K[i] for i in range(n)]
+    units = [CyclotomicSeries(data.L**i / data.K[i]) for i in range(n)]
     return [[units[i] * (data.zeta(a * i) / Fraction(n)) for i in range(n)] for a in range(n)]
 
 
-def psi_inverse_matrix(data: GenusZeroData) -> list[list[Series]]:
+def psi_inverse_matrix(data: GenusZeroData) -> list[list[CyclotomicSeries]]:
     """PsiInv[j][beta] = zeta^{-beta j} K_j / L^j."""
     n = data.cfg.n
-    units = [data.K[j] / data.L**j for j in range(n)]
+    units = [CyclotomicSeries(data.K[j] / data.L**j) for j in range(n)]
     return [[units[j] * data.zeta(-b * j) for b in range(n)] for j in range(n)]
 
 
-def idempotent(data: GenusZeroData, alpha: int) -> list[Series]:
+def idempotent(data: GenusZeroData, alpha: int) -> list[CyclotomicSeries]:
     """Coordinates of e_alpha in the phi basis: (1/n) zeta^{-alpha i} K_i / L^i."""
     n = data.cfg.n
-    return [(data.K[i] / data.L**i) * (data.zeta(-alpha * i) / Fraction(n)) for i in range(n)]
+    return [CyclotomicSeries(data.K[i] / data.L**i) * (data.zeta(-alpha * i) / Fraction(n)) for i in range(n)]
 
 
-def phi_product(data: GenusZeroData, a: list[Series], b: list[Series]) -> list[Series]:
+def phi_product(data: GenusZeroData, a: list, b: list) -> list[CyclotomicSeries]:
     """Quantum product of two vectors written in the phi basis."""
     n = data.cfg.n
-    out: list[Series] = [Series.zero(min(s.prec for s in a + b)) for _ in range(n)]
+    out = [CyclotomicSeries.zero(min(s.prec for s in a + b)) for _ in range(n)]
     for i in range(n):
         if a[i].is_zero():
             continue
@@ -255,7 +256,7 @@ def verify_quantum_cyclotomic(data: GenusZeroData) -> Report:
     phi1[1] = Series.one()
     for a in range(n):
         prod = phi_product(data, phi1, es[a])
-        eig = data.L / data.C[1] * data.zeta(a)
+        eig = CyclotomicSeries(data.L / data.C[1]) * data.zeta(a)
         bad = None
         for i in range(n):
             d = (prod[i] - es[a][i] * eig).zero_order()
@@ -264,7 +265,7 @@ def verify_quantum_cyclotomic(data: GenusZeroData) -> Report:
                 break
         rep.add(f"canonical coordinate eigenvalue, alpha={a}", bad is None, str(bad) if bad else "")
         lhs = eig * data.Theta.D()
-        rhs = data.L * data.zeta(a)
+        rhs = CyclotomicSeries(data.L) * data.zeta(a)
         rep.add(f"du^{a}/dx = zeta^{a} L / x", (lhs - rhs).zero_order() is None)
     return rep
 
@@ -335,3 +336,19 @@ def test_quantum_builds_no_cyclotomic(data5, monkeypatch):
     assert verify_quantum(_copy(data5)).ok
     # the cyclotomic frame builds 170,625 numbers and 73,315 products here
     assert calls == {"__init__": 0, "__mul__": 0}
+
+
+@pytest.mark.parametrize(
+    ("n", "key", "e", "detail"),
+    [(3, (1, 2), 3, "(0, 3)"), (4, (1, 2), 3, "(3, 3)"), (4, (0, 0), 5, "(0, 5)"), (5, (2, 2), 1, "(4, 1)")],
+)
+def test_mutated_structure_constant_fails_idempotency(n, key, e, detail, request):
+    # each idempotency column is an entry {exponent: coefficient}: a genus-zero
+    # structure constant bumped at x^e fails every idempotency check, with the
+    # (component k, zero order) the summed cyclotomic series gave
+    data = request.getfixturevalue(f"data{n}")
+    mutant = _copy(data)
+    mutant._quantum_cache[key] = _bump(data.quantum_coeff(*key), e)
+    checks = [c for c in verify_quantum(mutant).checks if c.name.startswith("idempotency")]
+    assert len(checks) == n * n
+    assert all(not c.ok and c.detail == detail for c in checks), [(c.name, c.detail) for c in checks]

@@ -32,7 +32,7 @@ def test_frozen_objects_unchanged():
         "n": 3,
         "policy": "zero",
         "F2_core": F2.core.to_json(),
-        "phis": [sorted((e, str(c)) for e, c in p.coeffs.items()) for p in pm.col.phis],
+        "phis": [sorted((e, str(p.get(e))) for e in p.nums) for p in pm.col.phis],
         "lifted_2_1_1": entry_to_json(pm.lift_entry(2, 1, 1)),
     }
     want = json.loads(GOLDEN.read_text())

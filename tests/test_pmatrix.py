@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from oracles import CyclotomicPoly, Decorated, lifted_entry, series_entry
+from oracles import CyclotomicPoly, CyclotomicSeries, Decorated, lifted_entry, series_entry
 from orbigw.series import Series
 from orbigw.genus0 import GenusZeroData, ModelConfig, Y_poly, at_column, f_n_poly
 from orbigw.cyclotomic import Cyclotomic
@@ -62,7 +62,7 @@ def test_phi_normalization_and_first_step():
         d_phi1 = apply_operator([Series.zero(), Series.one()], col.phis[1], n)
         assert d_phi1 == f_n_poly(n)
         for phi in col.phis:
-            assert all(isinstance(c, Fraction) for c in phi.coeffs.values())
+            assert type(phi.den) is int and phi.den > 0 and all(type(c) is int for c in phi.nums.values())
             assert phi.val >= 0
 
 
@@ -85,7 +85,7 @@ def test_custom_policy_constants():
     col, tables = compute_P_column(3, 3, policy="custom", custom_constants=[Fraction(1), Fraction(0), Fraction(2)])
     assert tables is None
     assert col.phis[1].get(0) == Fraction(1)
-    assert 0 not in col.phis[2].coeffs
+    assert 0 not in col.phis[2].nums
     assert col.phis[3].get(0) == Fraction(2)
     with pytest.raises(ValueError):
         compute_P_column(3, 3, policy="custom")
@@ -214,7 +214,7 @@ def test_unmodified_flatness_recursion(data3):
             zj = data3.zeta(j)
             P = [
                 [
-                    at_column([t[k][i] for t in tables], j, data3.zeta)
+                    at_column([CyclotomicSeries(t[k][i]) for t in tables], j, data3.zeta)
                     * (data3.K[i] / data3.L**i)
                     * data3.zeta(-(k + i) * j)
                     for i in range(n)
@@ -252,8 +252,8 @@ def test_unitarity_order_zero_is_identity(data3):
             for r in range(n):
                 rinv = (-r) % n
                 w = data3.zeta(-rinv * i - r * j) * Fraction(1, n)
-                left = at_column([t[0][rinv] for t in tables], i, data3.zeta)
-                term = left * at_column([t[0][r] for t in tables], j, data3.zeta) * w
+                left = at_column([CyclotomicSeries(t[0][rinv]) for t in tables], i, data3.zeta)
+                term = left * at_column([CyclotomicSeries(t[0][r]) for t in tables], j, data3.zeta) * w
                 acc = term if acc is None else acc + term
             want = Series.monomial(Fraction(1)) if i == j else Series.zero()
             assert (acc - want).zero_order() is None, (i, j)
@@ -276,7 +276,7 @@ def _column_lift(ctx, col, zeta, j):
         return ctx.derive(e).mul_L(-1)
 
     for k in range(col.k_max + 1):
-        out[(k, 0)] = CyclotomicPoly({(r, ()): zeta((r + k) * j) * c for r, c in col.phis[k].coeffs.items()})
+        out[(k, 0)] = CyclotomicPoly({(r, ()): zeta((r + k) * j) * col.phis[k].get(r) for r in col.phis[k].nums})
         if k == 0:
             for i in range(1, n):
                 out[(0, i)] = out[(0, 0)]
@@ -344,7 +344,7 @@ def _column_tables(data, k_max, constants):
     """
     n = data.cfg.n
     inv_L = data.L.invert()
-    unit = Series.one().truncate(data.L.prec)
+    unit = CyclotomicSeries(Series.one().truncate(data.L.prec))
     cols = [[[unit] * n] for _ in range(n)]
     for k in range(1, k_max + 1):
         for j, col in enumerate(cols):
@@ -356,7 +356,7 @@ def _column_tables(data, k_max, constants):
             rhs = -sum(cum, Series.zero()).D()
             for i in range(n):
                 rhs = rhs - data.A[(n - i) % n] * cum[i] * data.L
-            f = (rhs / Fraction(n)).D_inverse() + Series.monomial(data.zeta(j) ** k * Fraction(constants[k - 1]))
+            f = (rhs / Fraction(n)).D_inverse() + CyclotomicSeries({0: data.zeta(j) ** k * Fraction(constants[k - 1])})
             col.append([f + cum[i] for i in range(n)])
     return cols
 
@@ -387,7 +387,9 @@ def test_graded_tables_match_column_recursion(pmatrix_at, n, policy):
     for w, table in enumerate(pm.tables):
         for k in range(k_max + 1):
             for i in range(n):
-                assert all(type(c) is Fraction for c in table[k][i].coeffs.values()), (w, k, i)
+                piece = table[k][i]
+                assert type(piece.den) is int and piece.den > 0, (w, k, i)
+                assert all(type(c) is int for c in piece.nums.values()), (w, k, i)
                 if table[k][i]:
                     residues.add(w)
     assert residues == ({0} if policy != "custom" else set(range(n)))
@@ -416,7 +418,7 @@ def test_grouped_unitarity_matches_column_oracle(pmatrix_at, n, policy):
                 dft = Series.zero()
                 for a in range(n):
                     for b in range(n):
-                        dft = dft + Y[a][b] * zeta(a * i + b * j)
+                        dft = dft + CyclotomicSeries(Y[a][b]) * zeta(a * i + b * j)
                 assert (dft - resid[i][j]).zero_order() is None, (e, i, j)
                 nonzero = nonzero or bool(resid[i][j])
     assert nonzero == (policy == "custom")
@@ -479,3 +481,21 @@ def test_symplectic_solve_is_rational(data5, monkeypatch):
     assert len(calls) == 0
     assert status == ["free", "fixed", "free", "fixed"]
 
+
+
+@pytest.mark.parametrize(("n", "policy"), [(3, "symplectic"), (4, "custom")])
+def test_mutated_table_piece_fails_with_its_zero_order(pmatrix_at, n, policy):
+    # each column of the route differences is an entry {exponent: coefficient}:
+    # a table piece bumped at x^6 (row 1, order 2, residue 1) fails every
+    # column's oracle match with (k, i, zero order) = (2, 1, 6), and one bumped
+    # at x^9 (row 0, order 3, residue 0) the polynomial route with (3, 9), as
+    # the summed cyclotomic series did
+    pm = pmatrix_at(n, policy)
+    tables = [[list(rows) for rows in table] for table in pm.tables]
+    tables[1][2][1] = tables[1][2][1] + Series.monomial(Fraction(5, 7), 6)
+    tables[0][3][0] = tables[0][3][0] + Series.monomial(Fraction(1), 9)
+    failed = {c.name: c.detail for c in verify_pmatrix(dataclasses.replace(pm, tables=tables)).checks if not c.ok}
+    for j in range(n):
+        assert failed.pop(f"column {j} matches series oracle") == "(2, 1, 6)", j
+        assert failed.pop(f"polynomial vs series route, column {j}") == "(3, 9)", j
+    assert set(failed) == {f"Laurent fit certifies membership, column {j}" for j in range(n)}

@@ -1,12 +1,15 @@
 import json
+import math
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import CyclotomicSeries, cyclotomic_binomial_pow
 from orbigw.cyclotomic import Cyclotomic
+from orbigw.genus0 import at_column, entry_at_column
 from orbigw.report import canonical_json
 from orbigw.series import INF, PrecisionError, Series, binomial_pow
 
@@ -110,12 +113,51 @@ def test_precision_tracking():
 
 
 def test_cyclotomic_coefficients_mix():
+    # series over Q(zeta_n) are the oracle's own type; they take a rational series as an operand
     z = Cyclotomic.zeta(5)
-    f = Series({0: Fraction(1), 1: z}, 8)
+    f = CyclotomicSeries({0: Fraction(1), 1: z}, 8)
     g = f * f
     assert g.get(1) == z * 2
     assert g.get(2) == z * z
     assert (f * z).get(0) == z
+    h = Series({0: Fraction(2), 3: Fraction(-1, 4)}, 8)
+    assert (f * h).get(1) == z * 2 and (h * f).get(3) == Fraction(-1, 4)
+
+
+def test_non_rational_coefficients_rejected():
+    z = Cyclotomic.zeta(5)
+    for bad in (z, Cyclotomic.one(5), 0.5):
+        with pytest.raises(TypeError):
+            Series({0: Fraction(1), 1: bad})
+        with pytest.raises(TypeError):
+            Series.monomial(bad, 2)
+    f = Series({0: Fraction(1), 1: Fraction(2, 3)}, 8)
+    for other in (z, 1.0):
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"):
+            assert getattr(f, op)(other) is NotImplemented, (other, op)
+    with pytest.raises(TypeError):
+        f * z
+    with pytest.raises(TypeError):
+        z * f
+    with pytest.raises(TypeError):
+        f / z
+    with pytest.raises(TypeError):
+        f + 1.0
+    with pytest.raises(TypeError):
+        1.0 - f
+
+
+def test_column_entry_of_series_matches_oracle():
+    # the column of series pieces is a dict {exponent: coefficient}, known
+    # below the least bound of its nonzero pieces: at column 0 the x^27 terms
+    # cancel, and x^29 lies beyond what the column knows
+    zeta = lambda k: Cyclotomic.zeta(3, k)
+    pieces = [Series({27: 1}, 28), Series.zero(25), Series({27: -1, 29: 1}, 30)]
+    for j in range(3):
+        want = at_column([CyclotomicSeries(p) for p in pieces], j, zeta)
+        assert entry_at_column(pieces, j, zeta) == want.coeffs, j
+    assert entry_at_column(pieces, 0, zeta) == {}
+    assert entry_at_column([Series.zero(5)] * 3, 1, zeta) == {}
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,14 +190,101 @@ def test_json_round_trip():
     # the canonical JSON text of a series records its coefficients and bound exactly
     def decode(text: str) -> Series:
         js = json.loads(text)
-        coeffs = {
-            int(e): Cyclotomic(3, [Fraction(c) for c in v]) if isinstance(v, list) else Fraction(v)
-            for e, v in js["coeffs"].items()
-        }
+        coeffs = {int(e): Fraction(v) for e, v in js["coeffs"].items()}
         return Series(coeffs, INF if js["prec"] is None else js["prec"])
 
-    z = Cyclotomic.zeta(3)
-    f = Series({-2: Fraction(3, 4), 1: z}, 9)
-    assert decode(canonical_json(f.to_json())) == f
+    f = Series({-2: Fraction(3, 4), 1: Fraction(-5, 6), 4: 2}, 9)
+    text = canonical_json(f.to_json())
+    assert text == '{"coeffs":{"-2":"3/4","1":"-5/6","4":"2"},"prec":9}'
+    assert decode(text) == f
+    assert canonical_json(CyclotomicSeries(f).to_json()) == text
     exact = Series({5: Fraction(1)})
     assert decode(canonical_json(exact.to_json())) == exact
+    # a Q(zeta_n) coefficient is written as its power-basis coordinates, by the oracle's type
+    z = Cyclotomic.zeta(3)
+    g = CyclotomicSeries({-2: Fraction(3, 4), 1: z}, 9)
+    assert canonical_json(g.to_json()) == '{"coeffs":{"-2":"3/4","1":["0","1"]},"prec":9}'
+
+
+# -- the integer form against the oracle's coefficient arithmetic, on random rational operands --------
+
+_rationals = st.fractions(max_denominator=10**9).filter(bool) | st.integers(-(10**25), 10**25)
+_precs = st.integers(0, 14) | st.just(INF)
+
+
+@st.composite
+def _series(draw, low=-3, prec=_precs):
+    p = draw(prec)
+    return Series(draw(st.dictionaries(st.integers(low, 13), _rationals, max_size=6)), p)
+
+
+def _units(low=-3):
+    """Series with a known nonzero leading coefficient that can be inverted."""
+    return _series(low, st.integers(1, 14)).filter(bool) | _series(low, st.just(INF)).filter(
+        lambda s: len(s.nums) == 1
+    )
+
+
+def _assert_normal(s: Series) -> None:
+    assert type(s.den) is int and s.den > 0
+    assert all(type(c) is int and c for c in s.nums.values())
+    assert all(e < s.prec for e in s.nums)
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    if not s.nums:
+        assert s.den == 1
+
+
+def _agree(got: Series, want: CyclotomicSeries) -> None:
+    _assert_normal(got)
+    assert CyclotomicSeries(got) == want
+    assert all(type(c) is Fraction for c in want.coeffs.values())
+
+
+_property = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@_property
+@given(_series(), _series(), _rationals)
+def test_ring_operations_match_oracle(a, b, q):
+    A, B = CyclotomicSeries(a), CyclotomicSeries(b)
+    _assert_normal(a)
+    _agree(a + b, A + B)
+    _agree(a - b, A - B)
+    _agree(a * b, A * B)
+    _agree(-a, -A)
+    _agree(a * q, A * q)
+    _agree(a / q, A / q)
+    _agree(q - a, q - A)
+    _agree(a + q, A + q)
+    assert a - a == Series.zero(a.prec) and (a - a).den == 1
+
+
+@_property
+@given(_units(), _series(), st.integers(-3, 4))
+def test_inverse_quotient_and_powers_match_oracle(u, a, k):
+    U, A = CyclotomicSeries(u), CyclotomicSeries(a)
+    _agree(u.invert(), U.invert())
+    _agree(a / u, A / U)
+    _agree(u**k, U**k)
+    if k >= 0:
+        _agree(a**k, A**k)
+
+
+@_property
+@given(_series(), st.integers(-4, 4), st.integers(-2, 16) | st.just(INF))
+def test_calculus_shift_and_truncate_match_oracle(a, k, bound):
+    A = CyclotomicSeries(a)
+    _agree(a.D(), A.D())
+    _agree(a.shift(k), A.shift(k))
+    _agree(a.truncate(bound), A.truncate(bound))
+    b = a.truncate(bound) if bound < a.prec else a
+    c = Series({e: b.get(e) for e in b.nums if e > 0}, b.prec)
+    _agree(c.D_inverse(), CyclotomicSeries(c).D_inverse())
+    assert c.D_inverse().D() == c
+
+
+@_property
+@given(_series(low=1, prec=st.integers(1, 14)), st.integers(-4, 4), st.integers(1, 4), st.integers(1, 14) | st.none())
+def test_binomial_pow_matches_series_oracle(u, p, q, prec):
+    assume(u.val >= 1)
+    _agree(binomial_pow(u, p, q, prec), cyclotomic_binomial_pow(CyclotomicSeries(u), p, q, prec))
