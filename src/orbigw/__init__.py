@@ -15,7 +15,7 @@ out or a check fails.  There is no floating point in the computational core.
 from .cyclotomic import Cyclotomic
 from .genus0 import GenusZeroData, ModelConfig
 from .graphs import StableGraph, enumerate_stable_graphs
-from .hae import HaeReport, verify_finite_generation, verify_hae, verify_hae_policies
+from .hae import HaeReport, check_hae, verify_finite_generation, verify_hae, verify_hae_policies
 from .pmatrix import PColumn, PMatrixData, build_pmatrix, compute_P_column, verify_pmatrix
 from .potentials import ContributionTables, Potential, assemble_F, audit_generators
 from .psi import psi_integral
@@ -50,6 +50,7 @@ __all__ = [
     "assemble_F",
     "audit_generators",
     "HaeReport",
+    "check_hae",
     "verify_hae",
     "verify_hae_policies",
     "verify_finite_generation",

@@ -1,21 +1,17 @@
 r"""
 Exact arithmetic in the cyclotomic field Q(zeta_n).
 
-Elements are stored in the power basis 1, zeta, ..., zeta^{phi(n)-1} with
-rational coordinates, reduced modulo the n-th cyclotomic polynomial.  All
-operations are exact; there is no floating point anywhere in this module.
-
-The coordinates are kept as integer numerators over one positive common
-denominator, in lowest terms, so a product is integer arithmetic and one
-gcd; since Phi_n is monic with integer coefficients, reducing a power of zeta
-stays integral.  The ``coords`` view reads them as ``fractions.Fraction``,
-the coefficient type the rest of the engine builds on.
+An element is a :class:`~orbigw.qvector.QVector` keyed by power-basis index
+(1, zeta, ..., zeta^{phi(n)-1}), beside its ``order`` n.  It adds the product
+reduced modulo the n-th cyclotomic polynomial (monic with integer
+coefficients, so reducing a power of zeta stays integral), ``inverse``, and
+``coords``/``to_json``, which read all phi(n) coordinates as rationals.
 
 Example::
 
     >>> z = Cyclotomic.zeta(5)
     >>> sum(z**k for k in range(5))
-    Cyclotomic(5, [0])
+    Cyclotomic(5, ['0'])
     >>> (z**3 * z**2).is_one()
     True
 """
@@ -24,8 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Union
+
+from .qvector import QVector
 
 Coefficient = Union["Cyclotomic", Fraction, int]
 
@@ -93,36 +91,41 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-class _Over(tuple):
-    """(numerators, denominator): integer coordinates over one positive denominator, as the arithmetic passes them."""
+def _fold(raw: dict, order: int) -> dict:
+    """Coefficients {power of zeta: c} reduced by Phi_n to {power-basis index: c}, zeros kept."""
+    d = euler_phi(order)
+    table = _power_table(order)
+    out = {e: c for e, c in raw.items() if e < d}
+    for e, c in raw.items():
+        if e >= d:
+            for j, t in enumerate(table[e]):
+                if t:
+                    out[j] = out.get(j, 0) + c * t
+    return out
 
 
-class Cyclotomic:
-    """An exact element of Q(zeta_n) in the power basis of zeta_n."""
+class Cyclotomic(QVector):
+    """An exact element of Q(zeta_n), n = ``order``: ``nums`` keyed by power-basis index."""
 
-    __slots__ = ("order", "_num", "_den")
+    __slots__ = ("order",)
 
-    def __init__(self, order: int, coords: Iterable[Coefficient]):
+    def __init__(self, order: int, coords: Iterable[int | Fraction]):
+        coords = dict(enumerate(coords))
         d = euler_phi(order)
-        if isinstance(coords, _Over):
-            num, den = coords
-        else:
-            cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
-            den = lcm(*(c.denominator for c in cs))
-            num = [c.numerator * (den // c.denominator) for c in cs]
-        if len(num) > d:
+        if len(coords) > d:
             raise ValueError(f"at most {d} coordinates for order {order}")
-        g = gcd(den, *num)
-        if g != 1:
-            num, den = [a // g for a in num], den // g
+        super().__init__(coords)
         self.order = order
-        self._num = (*num, *(0,) * (d - len(num)))
-        self._den = den
+
+    def _new(self, nums: dict[int, int], den: int, context=None) -> "Cyclotomic":
+        z = object.__new__(Cyclotomic)
+        z.nums, z.den, z.order = nums, den, self.order
+        return z
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        """The power-basis coordinates as rationals."""
-        return tuple(Fraction(a, self._den) for a in self._num)
+        """All phi(n) power-basis coordinates as rationals."""
+        return tuple(Fraction(self.nums.get(i, 0), self.den) for i in range(euler_phi(self.order)))
 
     # -- constructors ------------------------------------------------------
 
@@ -132,110 +135,47 @@ class Cyclotomic:
 
     @staticmethod
     def one(order: int) -> "Cyclotomic":
-        return Cyclotomic(order, [Fraction(1)])
+        return Cyclotomic(order, [1])
 
     @staticmethod
     def from_rational(order: int, q: Fraction | int) -> "Cyclotomic":
-        return Cyclotomic(order, [Fraction(q)])
+        return Cyclotomic(order, [q])
 
     @staticmethod
     def zeta(order: int, k: int = 1) -> "Cyclotomic":
         """zeta_n^k, for any integer k (reduced mod n)."""
-        return Cyclotomic(order, _Over((_power_table(order)[k % order], 1)))
+        return Cyclotomic(order, _power_table(order)[k % order])
 
     # -- basic structure ----------------------------------------------------
 
-    def _coerce(self, other: Coefficient) -> "Cyclotomic | None":
-        if isinstance(other, Cyclotomic):
-            if other.order != self.order:
-                raise ValueError(f"mixed cyclotomic orders {self.order} and {other.order}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.order, other)
-        return None
-
-    def __bool__(self) -> bool:
-        return any(self._num)
-
-    def is_zero(self) -> bool:
-        return not any(self._num)
-
     def is_one(self) -> bool:
-        return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
+        return self.den == 1 and self.nums == {0: 1}
 
     def is_rational(self) -> bool:
-        return not any(self._num[1:])
+        return self.nums.keys() <= {0}
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self._num[0], self._den)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _plus(self, o: "Cyclotomic", sign: int) -> "Cyclotomic":
-        p, q = self._den, o._den
-        if p == q:
-            return Cyclotomic(self.order, _Over(([a + sign * b for a, b in zip(self._num, o._num)], p)))
-        return Cyclotomic(self.order, _Over(([a * q + sign * b * p for a, b in zip(self._num, o._num)], p * q)))
-
-    def __add__(self, other: Coefficient):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Cyclotomic":
-        return Cyclotomic(self.order, _Over(([-a for a in self._num], self._den)))
-
-    def __sub__(self, other: Coefficient):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._plus(o, -1)
-
-    def __rsub__(self, other: Coefficient):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other: Coefficient):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Cyclotomic.zero(self.order)
-            p, q = other.numerator, other.denominator
-            return Cyclotomic(self.order, _Over(([a * p for a in self._num], self._den * q)))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = len(self._num)
-        raw = [0] * (2 * d - 1)
-        for i, a in enumerate(self._num):
-            if not a:
-                continue
-            for j, b in enumerate(o._num):
-                if b:
-                    raw[i + j] += a * b
-        table = _power_table(self.order)
-        for e in range(d, 2 * d - 1):
-            c = raw[e]
-            if c:
-                for j, t in enumerate(table[e]):
-                    if t:
-                        raw[j] += c * t
-        return Cyclotomic(self.order, _Over((raw[:d], self._den * o._den)))
-
-    __rmul__ = __mul__
+    def _times(self, other: "Cyclotomic") -> "Cyclotomic":
+        if other.order != self.order:
+            raise ValueError(f"mixed cyclotomic orders {self.order} and {other.order}")
+        raw: dict[int, int] = {}
+        for i, a in self.nums.items():
+            for j, b in other.nums.items():
+                raw[i + j] = raw.get(i + j, 0) + a * b
+        return self._reduced(_fold(raw, self.order), self.den * other.den)
 
     def inverse(self) -> "Cyclotomic":
         """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
-            return Cyclotomic.from_rational(self.order, 1 / self.to_rational())
+            return self._const(1 / self.to_rational())
         phi = list(cyclotomic_polynomial(self.order))
         a = list(self.coords)
         while a and not a[-1]:
@@ -257,59 +197,12 @@ class Cyclotomic:
             if len(r1) == 1 and r1[0]:
                 break
         unit = r1[0]
-        inv = [c / unit for c in s1]
-        d = euler_phi(self.order)
-        # s1 may exceed the basis length; reduce by the power table
-        table = _power_table(self.order)
-        out = [Fraction(0)] * d
-        for e, c in enumerate(inv):
-            if c:
-                row = table[e]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        result = Cyclotomic(self.order, out)
+        # s1 may exceed the basis length; reduce by Phi_n
+        inv = _fold({e: c / unit for e, c in enumerate(s1)}, self.order)
+        result = Cyclotomic(self.order, [inv.get(i, 0) for i in range(euler_phi(self.order))])
         if not (result * self).is_one():
             raise AssertionError(f"inverse check failed in Q(zeta_{self.order})")
         return result
-
-    def __truediv__(self, other: Coefficient):
-        if isinstance(other, (int, Fraction)):
-            p, q = other.numerator, other.denominator
-            if not p:
-                raise ZeroDivisionError("cyclotomic number divided by zero")
-            if p < 0:
-                p, q = -p, -q
-            return Cyclotomic(self.order, _Over(([a * q for a in self._num], self._den * p)))
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other: Coefficient):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int) -> "Cyclotomic":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Cyclotomic.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.to_rational() == other
-        if isinstance(other, Cyclotomic):
-            return self.order == other.order and self._num == other._num and self._den == other._den
-        return NotImplemented
 
     def __hash__(self) -> int:
         if self.is_rational():

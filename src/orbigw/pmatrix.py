@@ -79,7 +79,7 @@ def div_exact(a: Series, b: Series) -> Series:
         return Series.zero()
     low, high = min(a.nums) - min(b.nums), max(a.nums) - max(b.nums)
     if high >= low:
-        head = a * b.truncate(min(b.nums) + high - low + 1).invert()
+        head = a * b.truncate(min(b.nums) + high - low + 1).inverse()
         q = Series({e: head.get(e) for e in head.nums})
         if q * b == a:
             return q
@@ -192,7 +192,7 @@ def extend_tables(data: GenusZeroData, tables: Tables, constant: Fraction) -> No
     table grows on its own; a constant c adds c to every row of residue k mod n.
     """
     n = data.cfg.n
-    inv_L = data.L.invert()
+    inv_L = data.L.inverse()
     k = len(tables[0])
     for w, table in enumerate(tables):
         prev = table[k - 1]

@@ -20,10 +20,9 @@ families of relations:
   pushing the rank-n differential equation through the ladder expansion of
   D^k I_m, which eliminates D^{n-1-m} A_m.
 
-An element keeps integer numerators per monomial over one positive common
-denominator, in lowest terms, so a product is integer arithmetic and one
-gcd, and equality is structural.  Roots of unity never enter: a column of
-the P matrix is a zeta-weighted sum of rational ring elements, assembled
+An element is a :class:`~orbigw.qvector.QVector` keyed by monomial; it adds
+the product, ``mul_L`` and ``partial``.  Roots of unity never enter: a column
+of the P matrix is a zeta-weighted sum of rational ring elements, assembled
 outside the ring (:mod:`orbigw.pmatrix`).
 
 The rewrite rules are constructed symbolically once per n.  They are not
@@ -37,9 +36,10 @@ C_i to the normalization factor) is the module's ground truth, and
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isinf, lcm
+from math import isinf, lcm
 
 from .genus0 import GenusZeroData, Y_poly, f_n_poly, ladder_sum
+from .qvector import QVector
 from .report import Report
 from .series import Series
 from .stirling import stirling_first
@@ -47,7 +47,6 @@ from .stirling import stirling_first
 # generator keys: ("A", i, j) stands for D^j A_i, ("C", i) for C_i
 Gen = tuple
 Monomial = tuple  # (L_exponent, ((gen, exp), ...)) with gens sorted
-_RATIONAL = (int, Fraction)  # the coefficient types a ring element admits
 
 
 def _mono(L_exp: int = 0, gens: tuple = ()) -> Monomial:
@@ -69,44 +68,15 @@ def _merge(g1: tuple, g2: tuple) -> tuple:
     return tuple(sorted(acc.items()))
 
 
-def _reduced(nums: dict[Monomial, int], den: int) -> "RingElement":
-    """The element nums / den (den > 0) in normal form: zero numerators dropped, one gcd."""
-    if 0 in nums.values():
-        nums = {m: c for m, c in nums.items() if c}
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {m: c // g for m, c in nums.items()}
-            den //= g
-    return _normal(nums, den)
-
-
-def _normal(nums: dict[Monomial, int], den: int) -> "RingElement":
-    """Wrap numerators and a denominator already in normal form."""
-    e = object.__new__(RingElement)
-    e.nums, e.den = nums, den
-    return e
-
-
-class RingElement:
+class RingElement(QVector):
     """
     Polynomial in L^{+-1} and the ring generators over Q: ``nums`` maps each
     monomial to an integer numerator, over the one denominator ``den``.
-    Normal form: ``den > 0``, gcd(den, *nums) == 1, no zero numerator, and
-    zero has ``den == 1``.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
-    def __init__(self, terms: dict[Monomial, int | Fraction] | None = None):
-        terms = terms or {}
-        for c in terms.values():
-            if not isinstance(c, _RATIONAL):
-                raise TypeError(f"ring coefficients are rational, not {type(c).__name__}")
-        den = lcm(*(c.denominator for c in terms.values() if c))
-        # over the lcm of lowest-terms denominators the numerators share no factor with it
-        self.nums = {m: c.numerator * (den // c.denominator) for m, c in terms.items() if c}
-        self.den = den
+    ONE = _ONE_MONO
 
     # -- constructors ---------------------------------------------------------
 
@@ -129,20 +99,9 @@ class RingElement:
     @staticmethod
     def L_poly(p: Series) -> "RingElement":
         """An exact polynomial in the symbol L (rational coefficients) as a ring element."""
-        return _normal({_mono(e): c for e, c in p.nums.items()}, p.den)
+        return RingElement({_mono(e): p.get(e) for e in p.nums})
 
     # -- structure -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RingElement):
-            return self.den == other.den and self.nums == other.nums
-        return NotImplemented
 
     def generators_used(self) -> set[Gen]:
         out: set[Gen] = set()
@@ -158,44 +117,7 @@ class RingElement:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _plus(self, other, sign: int):
-        if not isinstance(other, RingElement):
-            if not isinstance(other, _RATIONAL):
-                return NotImplemented
-            other = RingElement.scalar(other)
-        if not other.nums:
-            return self
-        p, q = self.den, other.den
-        g = gcd(p, q)
-        a, b = q // g, sign * (p // g)
-        out = {m: c * a for m, c in self.nums.items()} if a != 1 else dict(self.nums)
-        get = out.get
-        for m, c in other.nums.items():
-            out[m] = get(m, 0) + c * b
-        return _reduced(out, p * a)
-
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        if not isinstance(other, _RATIONAL):
-            return NotImplemented
-        return RingElement.scalar(other)._plus(self, -1)
-
-    def __neg__(self):
-        return _normal({m: -c for m, c in self.nums.items()}, self.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, RingElement):
-            if not isinstance(other, _RATIONAL):
-                return NotImplemented
-            p = other.numerator
-            return _reduced({m: c * p for m, c in self.nums.items()}, self.den * other.denominator)
+    def _times(self, other: "RingElement") -> "RingElement":
         out: dict[Monomial, int] = {}
         get = out.get
         for (l1, g1), c1 in self.nums.items():
@@ -203,24 +125,10 @@ class RingElement:
                 # the empty generator parts, most of them, skip the call
                 m = (l1 + l2, g1 if not g2 else g2 if not g1 else _merge(g1, g2))
                 out[m] = get(m, 0) + c1 * c2
-        return _reduced(out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "RingElement":
-        if k < 0:
-            raise ValueError("negative powers of general ring elements are not defined")
-        result = RingElement.scalar(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return self._reduced(out, self.den * other.den)
 
     def mul_L(self, k: int) -> "RingElement":
-        return _normal({(le + k, gens): c for (le, gens), c in self.nums.items()}, self.den)
+        return self._new({(le + k, gens): c for (le, gens), c in self.nums.items()}, self.den)
 
     # -- calculus -------------------------------------------------------------------
 
@@ -233,7 +141,7 @@ class RingElement:
                     m = (le, _lower(gens, idx))
                     out[m] = out.get(m, 0) + c * e
                     break
-        return _reduced(out, self.den)
+        return self._reduced(out, self.den)
 
     # -- rendering and serialization ---------------------------------------------------
 
@@ -366,7 +274,7 @@ class RingContext:
             for (l2, g2), c2 in d.nums.items():
                 m = (le + l2, _merge(gens, g2))
                 out[m] = get(m, 0) + c * c2
-        return _reduced(out, den * e.den)
+        return e._reduced(out, den * e.den)
 
     def _d_gen(self, g: Gen, free: bool) -> RingElement:
         key = (g, free)
@@ -448,7 +356,7 @@ class RingContext:
                 raise AssertionError(f"pivot for {target} is not a pure L power")
             # rel = c L^le target / den + rest / den = 0, so target = -rest / (c L^le)
             sign = -1 if c > 0 else 1
-            rule = _reduced({(l2 - le, g2): sign * c2 for (l2, g2), c2 in rest.items()}, abs(c))
+            rule = rel._reduced({(l2 - le, g2): sign * c2 for (l2, g2), c2 in rest.items()}, abs(c))
             bad = [g for g in rule.generators_used() if g[0] == "A" and g[2] > self.admitted.get(g[1], -1)]
             if bad:
                 raise AssertionError(f"rule for {target} mentions inadmissible {bad}")

@@ -1,22 +1,17 @@
 r"""
 Truncated Laurent series in one variable x with rational coefficients.
 
-A :class:`Series` stores finitely many nonzero coefficients together with a
-truncation bound ``prec``: coefficients of x^e are known exactly for every
-e < prec and unknown beyond.  ``prec = INF`` marks an exact Laurent
-polynomial.  Coefficients are rational: the constructor and the operators
-admit ``int`` and ``fractions.Fraction`` only.  Roots of unity never enter; a
-zeta-weighted sum of series is assembled outside the type, as a dict
-{exponent: coefficient} (:func:`~orbigw.genus0.entry_at_column`).
-
-A series keeps integer numerators per exponent (``nums``) over one positive
-common denominator (``den``), the form :class:`~orbigw.ring.RingElement`
-keeps.  Normal form: ``den > 0``, gcd(den, *nums) == 1, no zero numerator, no
-exponent at or beyond ``prec``, and zero has ``den == 1``.  So equality is
-structural, and every operation is integer arithmetic with one gcd per
-result.  ``invert`` is Newton iteration (Brent and Kung, "Fast algorithms for
-manipulating formal power series", JACM 1978): w <- w (2 - u w) doubles the
-number of known coefficients of 1/u through one pair of integer products.
+A :class:`Series` is a :class:`~orbigw.qvector.QVector` keyed by exponent,
+with a truncation bound ``prec``: coefficients of x^e are known exactly for
+every e < prec and unknown beyond, and the normal form keeps no exponent at
+or beyond it.  ``prec = INF`` marks an exact Laurent polynomial.  Roots of
+unity never enter; a zeta-weighted sum of series is assembled outside the
+type, as a dict {exponent: coefficient}
+(:func:`~orbigw.genus0.entry_at_column`).  The type adds the truncating sum
+and product, and ``inverse`` by Newton iteration (Brent and Kung, "Fast
+algorithms for manipulating formal power series", JACM 1978): w <- w (2 - u w)
+doubles the number of known coefficients of 1/u through one pair of integer
+products.
 
 Negative exponents are allowed because the engine routinely divides by
 series of positive valuation (all the Birkhoff factors vanish at x = 0).
@@ -35,66 +30,49 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+
+from .qvector import RATIONAL, QVector
 
 INF = math.inf
-
-_RATIONAL = (int, Fraction)  # the coefficient types a series admits
 
 
 class PrecisionError(ValueError):
     """Raised when a coefficient beyond the known truncation order is requested."""
 
 
-def _reduced(nums: dict[int, int], den: int, prec: float) -> "Series":
-    """The series nums / den (den > 0) + O(x^prec) in normal form: zero numerators dropped, one gcd."""
-    if 0 in nums.values():
-        nums = {e: c for e, c in nums.items() if c}
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g != 1:
-            nums = {e: c // g for e, c in nums.items()}
-            den //= g
-    return _normal(nums, den, prec)
-
-
-def _normal(nums: dict[int, int], den: int, prec: float) -> "Series":
-    """Wrap numerators, a denominator and a bound already in normal form."""
-    s = object.__new__(Series)
-    s.nums, s.den, s.prec = nums, den, prec
-    return s
-
-
-class Series:
+class Series(QVector):
     """
     A truncated Laurent series sum_e c_e x^e, exact below its truncation
-    bound: ``nums`` maps each exponent to an integer numerator over the one
-    denominator ``den``.
+    bound ``prec``: ``nums`` maps each exponent to an integer numerator over
+    the one denominator ``den``.
     """
 
-    __slots__ = ("nums", "den", "prec")
+    __slots__ = ("prec",)
 
     def __init__(self, coeffs: dict[int, int | Fraction] | None = None, prec: float = INF):
-        coeffs = coeffs or {}
-        for c in coeffs.values():
-            if not isinstance(c, _RATIONAL):
-                raise TypeError(f"series coefficients are rational, not {type(c).__name__}")
-        live = {e: c for e, c in coeffs.items() if c and e < prec}
-        den = lcm(*(c.denominator for c in live.values()))
-        # over the lcm of lowest-terms denominators the numerators share no factor with it
-        self.nums = {e: c.numerator * (den // c.denominator) for e, c in live.items()}
-        self.den = den
+        # terms at or beyond prec are unknown and dropped, but a non-rational one is still rejected
+        super().__init__({e: c for e, c in (coeffs or {}).items() if e < prec or not isinstance(c, RATIONAL)})
         self.prec = prec
+
+    def _new(self, nums: dict[int, int], den: int, prec: float | None = None) -> "Series":
+        """A series in normal form, bounded by prec (default: self's bound)."""
+        s = object.__new__(Series)
+        s.nums, s.den, s.prec = nums, den, self.prec if prec is None else prec
+        return s
+
+    def _const(self, q: int | Fraction) -> "Series":
+        return self._new({0: q.numerator}, q.denominator, INF) if q else self._new({}, 1, INF)
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def zero(prec: float = INF) -> "Series":
-        return _normal({}, 1, prec)
+        return Series(None, prec)
 
     @staticmethod
     def one() -> "Series":
-        return _normal({0: 1}, 1, INF)
+        return Series({0: 1})
 
     @staticmethod
     def monomial(coeff: int | Fraction, exponent: int = 0) -> "Series":
@@ -102,7 +80,7 @@ class Series:
 
     @staticmethod
     def x() -> "Series":
-        return _normal({1: 1}, 1, INF)
+        return Series({1: 1})
 
     # -- structure ----------------------------------------------------------
 
@@ -116,10 +94,6 @@ class Series:
             raise PrecisionError(f"coefficient of x^{e} unknown (prec={self.prec})")
         return Fraction(self.nums.get(e, 0), self.den)
 
-    def is_zero(self) -> bool:
-        """True when every known coefficient vanishes."""
-        return not self.nums
-
     def first_nonzero(self) -> tuple[int, Fraction] | None:
         if not self.nums:
             return None
@@ -129,15 +103,7 @@ class Series:
     def truncate(self, prec: float) -> "Series":
         if prec >= self.prec:
             return self
-        return _reduced({e: c for e, c in self.nums.items() if e < prec}, self.den, prec)
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Series):
-            return self.den == other.den and self.prec == other.prec and self.nums == other.nums
-        return NotImplemented
+        return self._reduced({e: c for e, c in self.nums.items() if e < prec}, self.den, prec)
 
     def __repr__(self) -> str:
         if not self.nums:
@@ -153,43 +119,23 @@ class Series:
     # -- ring operations ------------------------------------------------------
 
     def _plus(self, other, sign: int):
-        if not isinstance(other, Series):
-            if not isinstance(other, _RATIONAL):
+        """self + sign * other, known below the lesser bound."""
+        if other.__class__ is not Series:
+            if not isinstance(other, RATIONAL):
                 return NotImplemented
-            other = Series({0: other})
+            other = self._const(other)
         prec = min(self.prec, other.prec)
         p, q = self.den, other.den
-        g = gcd(p, q)
-        a, b = q // g, sign * (p // g)
+        den = lcm(p, q)
+        a, b = den // p, sign * (den // q)
         out = {e: c * a for e, c in self.nums.items() if e < prec}
         get = out.get
         for e, c in other.nums.items():
             if e < prec:
                 out[e] = get(e, 0) + c * b
-        return _reduced(out, p * a, prec)
+        return self._reduced(out, den, prec)
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Series":
-        return _normal({e: -c for e, c in self.nums.items()}, self.den, self.prec)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        if not isinstance(other, _RATIONAL):
-            return NotImplemented
-        return Series({0: other})._plus(self, -1)
-
-    def __mul__(self, other):
-        if not isinstance(other, Series):
-            if not isinstance(other, _RATIONAL):
-                return NotImplemented
-            p = other.numerator
-            return _reduced({e: c * p for e, c in self.nums.items()}, self.den * other.denominator, self.prec)
+    def _times(self, other: "Series") -> "Series":
         prec = min(self.prec + other.val, other.prec + self.val)
         out: dict[int, int] = {}
         get = out.get
@@ -201,15 +147,13 @@ class Series:
                     break
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-        return _reduced(out, self.den * other.den, prec)
-
-    __rmul__ = __mul__
+        return self._reduced(out, self.den * other.den, prec)
 
     def shift(self, k: int) -> "Series":
         """Multiply by x^k."""
-        return _normal({e + k: c for e, c in self.nums.items()}, self.den, self.prec + k)
+        return self._new({e + k: c for e, c in self.nums.items()}, self.den, self.prec + k)
 
-    def invert(self) -> "Series":
+    def inverse(self) -> "Series":
         """Multiplicative inverse; the lowest-order coefficient must be known and nonzero."""
         lead = self.first_nonzero()
         if lead is None:
@@ -223,47 +167,19 @@ class Series:
         u = sorted((e - e0, c) for e, c in self.nums.items())
         # Newton: w is the exact polynomial of the first m coefficients of 1/u,
         # and w (2 - u w) holds the first 2m (Brent and Kung)
-        w, m = Series({0: 1 / c0}), 1
+        w, m = self._const(1 / c0), 1
         while m < rel:
             m = min(2 * m, rel)
-            head = _reduced({e: c for e, c in u if e < m}, self.den, m)
+            head = self._reduced({e: c for e, c in u if e < m}, self.den, m)
             w = w * (2 - head * w)
-            w = _normal(w.nums, w.den, INF)
-        return _normal({e - e0: c for e, c in w.nums.items()}, w.den, rel - e0)
-
-    def __truediv__(self, other):
-        if isinstance(other, _RATIONAL):
-            if not other:
-                raise ZeroDivisionError("series division by zero")
-            p, q = other.numerator, other.denominator
-            if p < 0:
-                p, q = -p, -q
-            return _reduced({e: c * q for e, c in self.nums.items()}, self.den * p, self.prec)
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self * other.invert()
-
-    def __pow__(self, k: int) -> "Series":
-        if k < 0:
-            return self.invert() ** (-k)
-        if k == 0:
-            return Series.one()
-        result = self
-        base = self
-        k -= 1
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+            w = w._new(w.nums, w.den, INF)
+        return w._new({e - e0: c for e, c in w.nums.items()}, w.den, rel - e0)
 
     # -- calculus -------------------------------------------------------------
 
     def D(self) -> "Series":
         """Apply x d/dx: multiply the coefficient of x^e by e."""
-        return _reduced({e: c * e for e, c in self.nums.items() if e}, self.den, self.prec)
+        return self._reduced({e: c * e for e, c in self.nums.items() if e}, self.den)
 
     def D_inverse(self) -> "Series":
         """Invert D on series with zero constant term and nonnegative valuation."""
@@ -272,7 +188,7 @@ class Series:
         if self.nums and min(self.nums) < 0:
             raise ValueError("D_inverse requires nonnegative valuation")
         scale = lcm(*self.nums)
-        return _reduced({e: c * (scale // e) for e, c in self.nums.items()}, self.den * scale, self.prec)
+        return self._reduced({e: c * (scale // e) for e, c in self.nums.items()}, self.den * scale)
 
     def deriv_pow(self, k: int) -> "Series":
         out = self

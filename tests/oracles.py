@@ -22,7 +22,7 @@ from functools import cache
 from itertools import chain, combinations, permutations, product
 from math import factorial
 
-from orbigw.cyclotomic import Cyclotomic
+from orbigw.cyclotomic import Cyclotomic, euler_phi
 from orbigw.genus0 import at_column
 from orbigw.graphs import StableGraph, enumerate_stable_graphs
 from orbigw.pmatrix import PMatrixData
@@ -30,6 +30,24 @@ from orbigw.potentials import ContributionTables, _check_type
 from orbigw.psi import dimension_ok, double_factorial, is_stable, psi_genus0
 from orbigw.ring import RingElement
 from orbigw.series import INF, PrecisionError, Series
+
+
+def assert_normal(v) -> None:
+    """
+    The normal form of a series, ring element or Q(zeta_n) element: integer
+    numerators over a positive denominator in lowest terms, no zero
+    numerator, no key beyond a series' bound or a field's power basis, and
+    zero over 1.
+    """
+    assert type(v.den) is int and v.den > 0
+    assert all(type(c) is int and c for c in v.nums.values())
+    assert math.gcd(v.den, *v.nums.values()) == 1
+    if isinstance(v, Series):
+        assert all(e < v.prec for e in v.nums)
+    if isinstance(v, Cyclotomic):
+        assert all(0 <= i < euler_phi(v.order) for i in v.nums)
+    if not v.nums:
+        assert v.den == 1
 
 
 class CyclotomicSeries:

@@ -4,11 +4,13 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from orbigw.cli import main
+from orbigw.cyclotomic import Cyclotomic
 from orbigw.genus0 import GenusZeroData, ModelConfig
 from orbigw.hae import verify_hae
 from orbigw.pmatrix import build_pmatrix, entry_to_json
@@ -43,6 +45,27 @@ def test_genus3_verdict_pinned():
     r = verify_hae(3, 3)
     assert r.verified
     assert hashlib.sha256(canonical_json(r.to_json()).encode()).hexdigest() == GENUS3_SHA256
+
+
+# sha256 of the canonical JSON of {"k,i,j": entry_to_json(P~^k_{i,j})} for k <= 4 and every
+# i, j, under the custom constants 1/(k+1), and (coefficients, irrational ones) in those entries
+CUSTOM_ENTRIES = {
+    4: ("501c84c62a1ab0a4fe2563c3d050d48b7a44e3bf617bff541c29ff018cc7f97e", 488, 90),
+    5: ("c29cd188c5817df79e1f4a4212b9bb83dfa210305ccc598235e58c96f04b2be7", 1060, 444),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CUSTOM_ENTRIES))
+def test_custom_constant_entries_pinned(n):
+    # the CLI runs only rational-entry policies; these entries carry Q(zeta_n) coefficients
+    custom = [Fraction(1, k + 1) for k in range(4)]
+    pm = build_pmatrix(RingContext(n), GenusZeroData.build(ModelConfig(n)), 4, "custom", custom_constants=custom)
+    entries = {f"{k},{i},{j}": pm.lift_entry(k, i, j) for k in range(5) for i in range(n) for j in range(n)}
+    payload = {key: entry_to_json(entry) for key, entry in entries.items()}
+    coeffs = [c for entry in entries.values() for c in entry.values()]
+    want_sha, want_count, want_irrational = CUSTOM_ENTRIES[n]
+    assert (len(coeffs), sum(isinstance(c, Cyclotomic) for c in coeffs)) == (want_count, want_irrational)
+    assert hashlib.sha256(canonical_json(payload).encode()).hexdigest() == want_sha
 
 
 # sha256 of the stdout (trailing newline included) of `orbigw <args> --format json`;

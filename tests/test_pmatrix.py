@@ -343,7 +343,7 @@ def _column_tables(data, k_max, constants):
     graded tables.  A constant c at order k adds zeta^{jk} c to column j.
     """
     n = data.cfg.n
-    inv_L = data.L.invert()
+    inv_L = data.L.inverse()
     unit = CyclotomicSeries(Series.one().truncate(data.L.prec))
     cols = [[[unit] * n] for _ in range(n)]
     for k in range(1, k_max + 1):

@@ -1,11 +1,11 @@
 import json
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import assert_normal
 from orbigw.cyclotomic import Cyclotomic
 from orbigw.pmatrix import entry_to_json
 from orbigw.report import canonical_json
@@ -222,14 +222,6 @@ def _reference_product(a: RingElement, b: RingElement) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _assert_normal(e: RingElement) -> None:
-    assert type(e.den) is int and e.den > 0
-    assert all(type(c) is int and c for c in e.nums.values())
-    assert math.gcd(e.den, *e.nums.values()) == 1
-    if not e.nums:
-        assert e.den == 1
-
-
 _property = settings(max_examples=50, deadline=None, derandomize=True)
 
 
@@ -245,7 +237,7 @@ def test_ring_axioms(a, b, c):
     assert a * 1 == a == a * one == one * a and a + zero == a
     assert -(-a) == a and a - b == -(b - a)
     for e in (a * b, a + b, a - b, a * c - b, a * Fraction(-3, 8), (a * b).partial(("A", 1, 0))):
-        _assert_normal(e)
+        assert_normal(e)
 
 
 @_property
@@ -258,7 +250,7 @@ def test_product_matches_fraction_reference(a, b, q):
     }
     # construction from Fraction terms is exact and lands in normal form
     assert RingElement(_fraction_terms(a)) == a
-    _assert_normal(a)
+    assert_normal(a)
 
 
 def _context_elements(n: int):
@@ -282,6 +274,6 @@ def test_leibniz_rule(n):
     def check(a, b):
         d_ab = ctx.derive(a * b)
         assert d_ab == ctx.derive(a) * b + a * ctx.derive(b)
-        _assert_normal(d_ab)
+        assert_normal(d_ab)
 
     check()
