@@ -14,6 +14,10 @@ T_a = (2a+1)!! tau_a:
 with ordered inner sums and unstable brackets read as zero.
 
 The recursion here is memoized and always removes the largest exponent.
+It sums over the distinct exponents of S and over its sub-multisets, weighted
+by the labelled points and subsets each stands for, and lets the left
+bracket's dimension fix the genus of a split (``_normalized``).
+
 Its oracle, a plain recursion that reduces through the string and dilaton
 equations first and removes the smallest non-special exponent otherwise,
 lives in the test suite (``tests/oracles.py``).  The two share nothing but
@@ -26,8 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from itertools import groupby, product
+from math import comb, factorial
 
 
 def double_factorial(k: int) -> int:
@@ -61,7 +65,19 @@ def psi_genus0(exponents: tuple[int, ...]) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _normalized(g: int, key: tuple[int, ...]) -> Fraction:
-    """<prod (2a+1)!! tau_a>_g for a sorted exponent tuple, by largest-index removal."""
+    """
+    <prod (2a+1)!! tau_a>_g for a sorted exponent tuple, by largest-index removal.
+
+    The points of ``rest`` that carry one exponent are interchangeable, so the
+    merge term takes each distinct exponent once, times its multiplicity, and
+    the splitting term runs over sub-multisets of ``rest`` (a count per
+    distinct exponent), weighted by the product of binomials that counts the
+    labelled subsets it stands for.  The left bracket's dimension then forces
+    its genus, 3 g1 = sum(left) + 3 - |left|, so each split has at most one
+    genus, and only the residue of b mod 3 that makes g1 an integer is tried.
+    Unstable brackets are skipped, so every memoized key is a stable,
+    dimension-valid one.
+    """
     m = len(key)
     if not is_stable(g, m) or not dimension_ok(g, key):
         return Fraction(0)
@@ -79,37 +95,55 @@ def _normalized(g: int, key: tuple[int, ...]) -> Fraction:
         return _normalized(0, (0, 0, 0)) / 8
     # remove the largest entry; dimension forces it to be >= 1 when g >= 1
     rest = key[:-1]
-    top = key[-1]
-    k = top - 1
+    k = key[-1] - 1
+    groups = [(a, len(tuple(run))) for a, run in groupby(rest)]
     total = Fraction(0)
-    for idx in range(len(rest)):
-        merged = tuple(sorted(rest[:idx] + (rest[idx] + k,) + rest[idx + 1 :]))
-        total += (2 * rest[idx] + 1) * _normalized(g, merged)
+    start = 0
+    for a, mult in groups:
+        merged = tuple(sorted(rest[:start] + (a + k,) + rest[start + 1 :]))
+        total += mult * (2 * a + 1) * _normalized(g, merged)
+        start += mult
+    # twice the splitting term: the bracket of genus g - 1, then the products
+    twice = Fraction(0)
     for b in range(k):
-        c = k - 1 - b
-        total += Fraction(1, 2) * _normalized(g - 1, tuple(sorted(rest + (b, c))))
-        for g1 in range(g + 1):
+        twice += _normalized(g - 1, tuple(sorted(rest + (b, k - 1 - b))))
+    for counts in product(*(range(mult + 1) for _, mult in groups)):
+        weight = 1
+        left: tuple[int, ...] = ()
+        right: tuple[int, ...] = ()
+        for (a, mult), i in zip(groups, counts):
+            weight *= comb(mult, i)
+            left += (a,) * i
+            right += (a,) * (mult - i)
+        # with b added, 3 g1 = shift + b
+        shift = sum(left) + 2 - len(left)
+        for b in range(-shift % 3, k, 3):
+            g1 = (shift + b) // 3
             g2 = g - g1
-            idxs = range(len(rest))
-            for r in range(len(rest) + 1):
-                for I in combinations(idxs, r):
-                    Iset = set(I)
-                    left = tuple(sorted(tuple(rest[i] for i in I) + (b,)))
-                    right = tuple(sorted(tuple(rest[i] for i in idxs if i not in Iset) + (c,)))
-                    total += Fraction(1, 2) * _normalized(g1, left) * _normalized(g2, right)
-    return total
+            if g1 < 0 or g2 < 0 or not is_stable(g1, len(left) + 1) or not is_stable(g2, len(right) + 1):
+                continue
+            twice += (
+                weight
+                * _normalized(g1, tuple(sorted(left + (b,))))
+                * _normalized(g2, tuple(sorted(right + (k - 1 - b,))))
+            )
+    return total + twice / 2
 
 
 def psi_integral(g: int, exponents: tuple[int, ...] | list[int]) -> Fraction:
     """
     <tau_{a_1} ... tau_{a_m}>_g, exact.
 
-    Raises on a negative genus or exponent and on unstable (g, m); returns 0
-    on a dimension mismatch.
+    Raises ``TypeError`` on a genus or exponent that is not an ``int`` (a
+    ``bool`` included) and ``ValueError`` on a negative one and on unstable
+    (g, m); returns 0 on a dimension mismatch.
     """
+    for x in (g, *exponents):
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError(f"psi genus and exponents are int, not {type(x).__name__}")
+    key = tuple(sorted(exponents))
     if g < 0:
         raise ValueError(f"negative genus {g}")
-    key = tuple(sorted(int(a) for a in exponents))
     if any(a < 0 for a in key):
         raise ValueError("negative psi exponent")
     if not is_stable(g, len(key)):

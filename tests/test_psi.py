@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
 
@@ -48,6 +49,24 @@ def test_stability_gate():
         psi_integral(-1, (0,) * 6)
 
 
+def test_non_integer_genus_and_exponents_rejected():
+    for g, ex in [(1, (1.7,)), (1, ("1",)), (1, (Fraction(1),)), (1, (True,)), (1.0, (1,)), (True, (1,))]:
+        with pytest.raises(TypeError):
+            psi_integral(g, ex)
+    # the type is checked before the sign and the stability gates
+    with pytest.raises(TypeError):
+        psi_integral(-1, (0.5,))
+    with pytest.raises(ValueError):
+        psi_integral(1, (-1, 2))
+    assert psi_integral(1, [1]) == Fraction(1, 24)
+
+
+def test_one_point_closed_form_through_genus8():
+    # <tau_{3g-2}>_g = 1 / (24^g g!)
+    for g in range(1, 9):
+        assert psi_integral(g, (3 * g - 2,)) == Fraction(1, 24**g * factorial(g)), g
+
+
 def test_genus0_closed_form_agrees_with_recursion_m_up_to_10():
     count = 0
     for m in range(3, 11):
@@ -80,9 +99,9 @@ def test_dilaton_equation_on_memoized_entries():
                 assert psi_integral(g, ex + (1,)) == (2 * g - 2 + m) * psi_integral(g, ex)
 
 
-def test_implementations_agree_exhaustively_through_genus2():
-    for g in (1, 2):
-        for m in (1, 2, 3):
+def test_implementations_agree_exhaustively_through_genus4():
+    for g, m_max in ((1, 3), (2, 3), (3, 4), (4, 2)):
+        for m in range(1, m_max + 1):
             for ex in combinations_with_replacement(range(3 * g - 3 + m + 1), m):
                 if sum(ex) == 3 * g - 3 + m:
                     assert psi_integral(g, ex) == psi_integral_bruteforce(g, ex), (g, ex)
