@@ -14,7 +14,6 @@ from orbigw import (
     ContributionTables,
     GenusZeroData,
     ModelConfig,
-    RingContext,
     assemble_F,
     audit_generators,
     build_pmatrix,
@@ -25,19 +24,19 @@ from orbigw.pmatrix import verify_pmatrix
 
 def main():
     n = 5
-    ctx = RingContext(n)
+    data = GenusZeroData.build(ModelConfig(n))
+    pm = build_pmatrix(data, k_max=4, policy="symplectic")
+    ctx = pm.ctx
     print(f"admitted generators for n={n}:")
     for (kind, i, j) in ctx.a_gens():
         name = f"A_{i}" if j == 0 else f"D^{j} A_{i}"
         print("   ", name)
     print()
 
-    data = GenusZeroData.build(ModelConfig(n))
     rep = certify_rules(ctx, data)
     print(rep.render())
     print()
 
-    pm = build_pmatrix(ctx, data, k_max=4, policy="symplectic")
     print("integration constants:", [str(c) for c in pm.col.constants],
           "status:", pm.col.constant_status)
     rep = verify_pmatrix(pm)

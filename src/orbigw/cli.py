@@ -30,7 +30,7 @@ from .hae import verify_hae_policies
 from .pmatrix import build_pmatrix, entry_to_json, verify_pmatrix
 from .potentials import ContributionTables, _check_type, assemble_F, audit_generators
 from .report import Report, canonical_json
-from .ring import RingContext, certify_rules
+from .ring import certify_rules
 
 
 def _indices(text: str) -> tuple[int, ...]:
@@ -98,10 +98,9 @@ def cmd_genus0(args) -> tuple[dict, Report]:
 
 def cmd_pmatrix(args) -> tuple[dict, Report]:
     cfg = ModelConfig(args.n, args.N)
-    ctx = RingContext(cfg.n)
     data = GenusZeroData.build(ModelConfig(cfg.n, cfg.N + 2 * args.k_max + 2))
-    pm = build_pmatrix(ctx, data, args.k_max, args.policy)
-    rep = certify_rules(ctx, data)
+    pm = build_pmatrix(data, args.k_max, args.policy)
+    rep = certify_rules(pm.ctx, data)
     rep.checks.extend(verify_pmatrix(pm).checks)
     entries = product(range(args.k_max + 1), range(cfg.n), range(cfg.n))
     payload = {
@@ -120,13 +119,12 @@ def cmd_potential(args) -> tuple[dict, Report]:
     # any factor of F_{g,m} reads (edges and legs stop at 3g-3+m)
     k_max = max(3 * args.g - 2 + len(insertions), 1)
     cfg = ModelConfig(args.n, args.N)
-    ctx = RingContext(cfg.n)
     data = GenusZeroData.build(cfg)
-    pm = build_pmatrix(ctx, data, k_max, args.policy)
+    pm = build_pmatrix(data, k_max, args.policy)
     tables = ContributionTables(pm)
     pot = assemble_F(tables, args.g, insertions)
     audit = audit_generators(tables, pot)
-    ev = ctx.evaluator(data)
+    ev = pm.ctx.evaluator(data)
     rep = Report(f"potential, genus {args.g}, insertions {insertions}")
     rep.add("finite generation audit", audit["core_ok"] and audit["prefactor_ok"] and audit["vertex_ok"], str(audit["core_gens"]))
     payload = {
@@ -144,11 +142,10 @@ def cmd_potential(args) -> tuple[dict, Report]:
 
 def cmd_verify_identities(args) -> tuple[dict, Report]:
     cfg = ModelConfig(args.n, args.N)
-    ctx = RingContext(cfg.n)
     data = GenusZeroData.build(ModelConfig(cfg.n, cfg.N + 2 * args.k_max + 2))
     rep = verify_genus0(data, f"full identity battery (n={cfg.n})")
-    rep.checks.extend(certify_rules(ctx, data).checks)
-    pm = build_pmatrix(ctx, data, args.k_max, args.policy)
+    pm = build_pmatrix(data, args.k_max, args.policy)
+    rep.checks.extend(certify_rules(pm.ctx, data).checks)
     rep.checks.extend(verify_pmatrix(pm).checks)
     return {"n": cfg.n, "N": cfg.N, "k_max": args.k_max}, rep
 

@@ -97,7 +97,7 @@ def verify_hae(
     """
     policy = "symplectic" if policy is None else policy
     data = GenusZeroData.build(ModelConfig(n, N or 0))
-    pm = build_pmatrix(RingContext(n), data, 3 * g - 2, policy, custom_constants=custom_constants)
+    pm = build_pmatrix(data, 3 * g - 2, policy, custom_constants=custom_constants)
     return check_hae(ContributionTables(pm), g)
 
 

@@ -18,10 +18,12 @@ Every integration step leaves one free constant.  Three policies are
 implemented: ``zero`` (all constants zero), ``symplectic`` (each constant is
 solved, order by order, from the quadratic unitarity condition on the
 solution matrix, and left at zero where that condition is vacuous), and
-``custom`` (caller-provided).  The symplectic solve grows the column's
-series tables one order at a time and checks one unitarity residual per
-order, as a rational 2D character sum whose linear part in the new constant
-is known in closed form, so an order is rebuilt only for a nonzero constant.
+``custom`` (caller-provided).  All three run one loop
+(:func:`compute_P_column`) that grows the column's series tables one order
+at a time from the genus zero data alone; the symplectic solve reads one
+unitarity residual per order, as a rational 2D character sum whose linear
+part in the new constant is known in closed form, and adds a nonzero
+constant to the grown order in place.
 
 The remaining rows are then built twice, both times graded by residue mod n
 over Q and stored only in that form: neither recursion involves the column
@@ -210,25 +212,6 @@ def extend_tables(data: GenusZeroData, tables: Tables, constant: Fraction) -> No
         table.append([f + cum[i] for i in range(n)])
 
 
-def series_tables(data: GenusZeroData, k_max: int, constants: list[Fraction]) -> Tables:
-    """
-    tables[w][k][i] = the residue-w piece of the normalized entry at row i and
-    order k, a series with rational coefficients; the entry at column j is
-    sum_w zeta^{wj} tables[w][k][i] (:func:`~orbigw.genus0.at_column`).
-
-    Built from the modified flatness recursion alone, one order at a time
-    (:func:`extend_tables`), starting from the unit at order 0, residue 0.
-    The polynomial route never enters; this is the oracle the ring lift is
-    checked against.  With zero constants only residue 0 is nonzero.
-    """
-    n = data.cfg.n
-    unit = Series.one().truncate(data.L.prec)
-    tables = [[[unit if w == 0 else Series.zero(unit.prec) for _ in range(n)]] for w in range(n)]
-    for k in range(1, k_max + 1):
-        extend_tables(data, tables, constants[k - 1])
-    return tables
-
-
 def unitarity_residual(tables: Tables, e: int) -> list[list[Series]]:
     """
     The order-e coefficient of the quadratic unitarity condition as a 2D
@@ -279,74 +262,65 @@ class PColumn:
         }
 
 
-def fix_constants_symplectic(data: GenusZeroData, k_max: int) -> tuple[list[Fraction], list[str], Tables]:
-    """
-    Choose integration constants so the unitarity condition holds order by order.
-
-    One set of graded tables grows one order at a time.  At order e they are
-    first extended with the constant 0 and the character sum Y of the
-    residual (:func:`unitarity_residual`) is computed once.  The condition is
-    affine in the new constant c, with a linear part known in closed form: c
-    adds c to every row of residue e mod n, only the order-0 rows (all 1, at
-    residue 0) pair with it, and both pairings land on the antidiagonal, so
-    Y[a][-a] moves by (1 + (-1)^e) c / n for every a and nothing else moves.
-
-    Where that slope vanishes the constant is reported free and left at zero;
-    otherwise it is fixed and solved from the constant term of Y[0][0], and
-    order e is rebuilt when that constant is nonzero.  Either way every
-    Y[a][b] must vanish.  The solve is rational throughout.  Returns the
-    constants, their statuses and the grown tables (the column's series tables).
-    """
-    n = data.cfg.n
-    tables = series_tables(data, 0, [])
-    constants: list[Fraction] = []
-    status: list[str] = []
-    for e in range(1, k_max + 1):
-        extend_tables(data, tables, Fraction(0))
-        Y = unitarity_residual(tables, e)
-        slope = Fraction(1 + (-1) ** e, n)
-        status.append("fixed" if slope else "free")
-        c = Y[0][0].get(0) / -slope if slope else Fraction(0)
-        if c:
-            for table in tables:
-                table.pop()
-            extend_tables(data, tables, c)
-            Y = unitarity_residual(tables, e)
-        constants.append(c)
-        bad = [(a, b, Y[a][b].zero_order()) for a in range(n) for b in range(n) if Y[a][b]]
-        if bad:
-            raise AssertionError(f"unitarity at order {e} not solvable by one constant: {bad[:3]}")
-    return constants, status, tables
-
-
 def compute_P_column(
-    n: int,
+    data: GenusZeroData,
     k_max: int,
     policy: str = "symplectic",
-    data: GenusZeroData | None = None,
     custom_constants: list[Fraction] | None = None,
-) -> tuple[PColumn, Tables | None]:
+) -> tuple[PColumn, Tables]:
     """
-    Build the universal column under a constants policy.
+    The universal column for the n of ``data`` under a constants policy, and
+    its series tables: tables[w][k][i] = the residue-w piece of the normalized
+    entry at row i and order k, a series with rational coefficients; the entry
+    at column j is sum_w zeta^{wj} tables[w][k][i]
+    (:func:`~orbigw.genus0.at_column`).
 
-    Returns the column and, under the symplectic policy, the series tables the
-    solve grew for it (None under the other policies, which build no tables).
+    The tables start from the unit at order 0, residue 0, and grow one order at
+    a time by the modified flatness recursion alone (:func:`extend_tables`),
+    with that order's constant: the given one under ``zero`` and ``custom``,
+    0 under ``symplectic``.  The polynomial route never enters; these tables
+    are the oracle the ring lift is checked against.
+
+    Under ``symplectic`` the character sum Y of the order-e unitarity residual
+    (:func:`unitarity_residual`) is computed once.  The condition is affine in
+    the new constant c, with a linear part known in closed form: c adds c to
+    every row of residue e mod n, only the order-0 rows (all 1, at residue 0)
+    pair with it, and both pairings land on the antidiagonal, so Y[a][-a]
+    moves by (1 + (-1)^e) c / n for every a and nothing else moves.  Where that
+    slope vanishes the constant is reported free and left at zero; otherwise
+    it is fixed, solved from the constant term of Y[0][0], and a nonzero one is
+    added to the grown order in place before Y is recomputed.  Either way
+    every Y[a][b] must vanish.  The solve is rational throughout.
     """
-    tables = None
-    if policy == "zero":
-        constants = [Fraction(0)] * k_max
-        status = ["zero"] * k_max
-    elif policy == "custom":
+    n = data.cfg.n
+    if policy == "custom":
         if custom_constants is None or len(custom_constants) < k_max:
             raise ValueError("custom policy needs k_max constants")
         constants = [Fraction(c) for c in custom_constants[:k_max]]
         status = ["given"] * k_max
-    elif policy == "symplectic":
-        if data is None:
-            raise ValueError("symplectic policy needs genus zero data")
-        constants, status, tables = fix_constants_symplectic(data, k_max)
-    else:
+    elif policy not in ("zero", "symplectic"):
         raise ValueError(f"unknown constants policy {policy!r}")
+    elif custom_constants is not None:
+        raise ValueError(f"custom constants are only read under the custom policy, not {policy!r}")
+    else:
+        constants = [Fraction(0)] * k_max
+        status = ["zero"] * k_max if policy == "zero" else []  # the symplectic solve appends its own
+    unit = Series.one().truncate(data.L.prec)
+    tables = [[[unit if w == 0 else Series.zero(unit.prec) for _ in range(n)]] for w in range(n)]
+    for e in range(1, k_max + 1):
+        extend_tables(data, tables, constants[e - 1])
+        if policy != "symplectic":
+            continue
+        Y = unitarity_residual(tables, e)
+        slope = Fraction(1 + (-1) ** e, n)
+        status.append("fixed" if slope else "free")
+        if slope and (c := Y[0][0].get(0) / -slope):
+            tables[e % n][e] = [row + c for row in tables[e % n][e]]
+            constants[e - 1] = c
+            Y = unitarity_residual(tables, e)
+        bad = [(a, b, Y[a][b].zero_order()) for a in range(n) for b in range(n) if Y[a][b]]
+        if bad:
+            raise AssertionError(f"unitarity at order {e} not solvable by one constant: {bad[:3]}")
     phis = compute_phis(n, k_max, constants)
     return PColumn(n, k_max, policy, phis, constants, status), tables
 
@@ -488,15 +462,14 @@ class PMatrixData:
 
 
 def build_pmatrix(
-    ctx: RingContext,
     data: GenusZeroData,
     k_max: int,
     policy: str = "symplectic",
     custom_constants: list[Fraction] | None = None,
 ) -> PMatrixData:
-    col, tables = compute_P_column(ctx.n, k_max, policy, data, custom_constants)
-    if tables is None:
-        tables = series_tables(data, k_max, col.constants)
+    """The column, its series tables and its ring lift for the n of ``data`` (:func:`compute_P_column`)."""
+    col, tables = compute_P_column(data, k_max, policy, custom_constants)
+    ctx = RingContext(data.cfg.n)
     return PMatrixData(ctx, data, col, tables, lift_tables(ctx, col))
 
 

@@ -378,7 +378,6 @@ class RingEvaluator:
         self.data = data
         self._gen_series: dict[Gen, Series] = {}
         self._L_pows: dict[int, Series] = {0: Series.one()}
-        self._A_derivs: dict[tuple[int, int], Series] = {}
 
     def L_pow(self, k: int) -> Series:
         if k not in self._L_pows:

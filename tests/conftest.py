@@ -51,8 +51,8 @@ def ctx5() -> RingContext:
 
 
 @pytest.fixture(scope="session")
-def tables3(ctx3, data3) -> ContributionTables:
-    pm = build_pmatrix(ctx3, data3, k_max=4, policy="zero")
+def tables3(data3) -> ContributionTables:
+    pm = build_pmatrix(data3, k_max=4, policy="zero")
     return ContributionTables(pm)
 
 
@@ -72,7 +72,7 @@ def pmatrix_at():
                 r = random.Random(SEED + n)
                 custom = [Fraction(r.choice((-1, 1)) * r.randint(1, 9), r.randint(1, 9)) for _ in range(5)]
             data = GenusZeroData.build(ModelConfig(n))
-            built[(n, policy)] = build_pmatrix(RingContext(n), data, 5, policy, custom_constants=custom)
+            built[(n, policy)] = build_pmatrix(data, 5, policy, custom_constants=custom)
         return built[(n, policy)]
 
     return get

@@ -109,8 +109,7 @@ def test_criterion_4_polynomiality():
     for n in (3, 4, 5):
         N = 10 * n
         data = data_for(n, N + 16)  # headroom so the fit still checks through x^N
-        ctx = ctx_for(n)
-        pm = build_pmatrix(ctx, data, 7, policy="zero")
+        pm = build_pmatrix(data, 7, policy="zero")
         for j in range(n):
             Lj = CyclotomicSeries(data.L) * data.zeta(j)
             for k in range(8):
@@ -138,8 +137,8 @@ def test_criterion_5_derivative_lemmas():
     ok = True
     for n in (3, 5, 4):
         data = data_for(n, 10 * n + 16)
-        ctx = ctx_for(n)
-        pm = build_pmatrix(ctx, data, 7, policy="zero")
+        pm = build_pmatrix(data, 7, policy="zero")
+        ctx = pm.ctx
         s = ctx.s
         gen = ("A", ctx.distinguished, 0)
         for j in range(n):

@@ -105,7 +105,7 @@ def test_internal_invariant_is_a_failed_check(monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("unitarity residual survived")
 
-    monkeypatch.setattr(orbigw.pmatrix, "fix_constants_symplectic", broken)
+    monkeypatch.setattr(orbigw.pmatrix, "unitarity_residual", broken)
     code, out = run_cli(["pmatrix", "--n", "3", "--N", "14", "--k-max", "2", "--format", "json"])
     assert code == 1
     report = json.loads(out)["report"]

@@ -9,7 +9,6 @@ from orbigw.cyclotomic import Cyclotomic
 from orbigw.genus0 import (
     GenusZeroData,
     ModelConfig,
-    build_and_verify,
     compute_I,
     compute_L,
     verify_birkhoff,
@@ -145,11 +144,6 @@ def test_ladder_series_example(data3):
         assert (data3.Z_series(m, 0) - data3.I[m]).is_zero()
     assert data3.Z_series(2, 2) == Series.one().truncate(data3.C[0].prec)
     assert data3.Z_series(2, 3).is_zero()
-
-
-def test_build_and_verify_entry_point():
-    data, rep = build_and_verify(ModelConfig(3, 14))
-    assert rep.ok
 
 
 def test_quantum_coeff_is_cached_per_instance(data3):

@@ -16,7 +16,6 @@ from orbigw.hae import verify_hae
 from orbigw.pmatrix import build_pmatrix, entry_to_json
 from orbigw.potentials import ContributionTables, assemble_F
 from orbigw.report import canonical_json
-from orbigw.ring import RingContext
 
 GOLDEN = Path(__file__).parent / "golden" / "n3_zero.json"
 
@@ -25,9 +24,8 @@ GENUS3_SHA256 = "c8ff8d3bbdd6cfbe9f714c61208c61be303bffa2bc60d2fe94725c981468c6d
 
 
 def test_frozen_objects_unchanged():
-    ctx = RingContext(3)
     data = GenusZeroData.build(ModelConfig(3))
-    pm = build_pmatrix(ctx, data, 4, policy="zero")
+    pm = build_pmatrix(data, 4, policy="zero")
     tables = ContributionTables(pm)
     F2 = assemble_F(tables, 2, ())
     payload = {
@@ -59,7 +57,7 @@ CUSTOM_ENTRIES = {
 def test_custom_constant_entries_pinned(n):
     # the CLI runs only rational-entry policies; these entries carry Q(zeta_n) coefficients
     custom = [Fraction(1, k + 1) for k in range(4)]
-    pm = build_pmatrix(RingContext(n), GenusZeroData.build(ModelConfig(n)), 4, "custom", custom_constants=custom)
+    pm = build_pmatrix(GenusZeroData.build(ModelConfig(n)), 4, "custom", custom_constants=custom)
     entries = {f"{k},{i},{j}": pm.lift_entry(k, i, j) for k in range(5) for i in range(n) for j in range(n)}
     payload = {key: entry_to_json(entry) for key, entry in entries.items()}
     coeffs = [c for entry in entries.values() for c in entry.values()]

@@ -16,14 +16,11 @@ from orbigw.pmatrix import (
     build_pmatrix,
     compute_P_column,
     div_exact,
-    fix_constants_symplectic,
-    series_tables,
     unitarity_residual,
     verify_partial_lemmas,
     verify_pmatrix,
 )
 from orbigw.report import canonical_json
-from orbigw.ring import RingContext
 
 
 def test_H_table_closed_forms():
@@ -54,9 +51,9 @@ def test_operator_closed_forms():
         assert ops[1][2] == Series.monomial(Fraction(comb(n, 2)))
 
 
-def test_phi_normalization_and_first_step():
+def test_phi_normalization_and_first_step(request):
     for n in (3, 4, 5):
-        col, _ = compute_P_column(n, 3, policy="zero")
+        col, _ = compute_P_column(request.getfixturevalue(f"data{n}"), 3, policy="zero")
         assert col.phis[0] == Series.one()
         # D p_1 = f_n p_0, i.e. p_1 = f_n integrated against D Lam^r = r Lam^r Y
         d_phi1 = apply_operator([Series.zero(), Series.one()], col.phis[1], n)
@@ -81,25 +78,53 @@ def test_div_exact():
             div_exact(a, XY)
 
 
-def test_custom_policy_constants():
-    col, tables = compute_P_column(3, 3, policy="custom", custom_constants=[Fraction(1), Fraction(0), Fraction(2)])
-    assert tables is None
+def tables_with(data: GenusZeroData, k_max: int, constants: list[Fraction]):
+    """The column's series tables with the given constant at each order 1..k_max."""
+    return compute_P_column(data, k_max, "custom", constants)[1]
+
+
+def test_custom_policy_constants(data3):
+    col, tables = compute_P_column(data3, 3, policy="custom", custom_constants=[Fraction(1), Fraction(0), Fraction(2)])
+    assert [len(t) for t in tables] == [4, 4, 4]
     assert col.phis[1].get(0) == Fraction(1)
     assert 0 not in col.phis[2].nums
     assert col.phis[3].get(0) == Fraction(2)
     with pytest.raises(ValueError):
-        compute_P_column(3, 3, policy="custom")
+        compute_P_column(data3, 3, policy="custom")
     with pytest.raises(ValueError):
-        compute_P_column(3, 3, policy="bogus")
+        compute_P_column(data3, 3, policy="bogus")
+
+
+@pytest.mark.parametrize("policy", ["zero", "symplectic"])
+def test_custom_constants_rejected_under_other_policies(data3, policy):
+    # constants the policy would not read are an input error, not silently dropped
+    with pytest.raises(ValueError, match="only read under the custom policy"):
+        compute_P_column(data3, 2, policy, custom_constants=[Fraction(5), Fraction(7)])
+    with pytest.raises(ValueError, match="only read under the custom policy"):
+        build_pmatrix(data3, 2, policy, custom_constants=[Fraction(5), Fraction(7)])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_constant_adds_to_its_residue_rows(n, request):
+    # the tables for a constant c at order e are the zero-constant tables with
+    # c added to the order-e rows of residue e mod n, and nothing else moved
+    data = request.getfixturevalue(f"data{n}")
+    c = Fraction(-5, 3)
+    for e in range(1, 5):
+        zero = tables_with(data, e, [Fraction(0)] * e)
+        bumped = tables_with(data, e, [Fraction(0)] * (e - 1) + [c])
+        zero[e % n][e] = [row + c for row in zero[e % n][e]]
+        assert bumped == zero, e
 
 
 def test_symplectic_constants_status(data3):
-    constants, status, grown = fix_constants_symplectic(data3, 4)
+    col, grown = compute_P_column(data3, 4)
+    constants, status = col.constants, col.constant_status
     assert len(constants) == 4
     assert status == ["free", "fixed", "free", "fixed"]
     # the grown tables are the column's graded tables, and with those constants
     # every entry of the unitarity character sum vanishes at every order
-    tables = series_tables(data3, 4, constants)
+    tables = tables_with(data3, 4, constants)
     assert grown == tables
     for e in range(1, 5):
         Y = unitarity_residual(tables, e)
@@ -114,8 +139,8 @@ def test_symplectic_slope_closed_form(n, request):
     data = request.getfixturevalue(f"data{n}")
     for e in range(1, 5):
         zeros = [Fraction(0)] * (e - 1)
-        y0 = unitarity_residual(series_tables(data, e, zeros + [Fraction(0)]), e)
-        y1 = unitarity_residual(series_tables(data, e, zeros + [Fraction(1)]), e)
+        y0 = unitarity_residual(tables_with(data, e, zeros + [Fraction(0)]), e)
+        y1 = unitarity_residual(tables_with(data, e, zeros + [Fraction(1)]), e)
         slope = Fraction(1 + (-1) ** e, n)
         for a in range(n):
             for b in range(n):
@@ -135,23 +160,29 @@ def test_symplectic_solve_rebuilds_a_nonzero_constant(data3, monkeypatch):
         extend(data, tables, constant + (Fraction(3, 7) if len(tables[0]) == 2 else 0))
 
     monkeypatch.setattr(orbigw.pmatrix, "extend_tables", shifted)
-    constants, status, _ = fix_constants_symplectic(data3, 3)
-    assert constants == [Fraction(0), Fraction(-3, 7), Fraction(0)]
-    assert status == ["free", "fixed", "free"]
+    col, tables = compute_P_column(data3, 3)
+    assert col.constants == [Fraction(0), Fraction(-3, 7), Fraction(0)]
+    assert col.constant_status == ["free", "fixed", "free"]
+    # the solved constant cancels the shift, so the tables are the zero-constant ones
+    monkeypatch.setattr(orbigw.pmatrix, "extend_tables", extend)
+    assert tables == tables_with(data3, 3, [Fraction(0)] * 3)
 
 
-def test_zero_policy_reproduces_symplectic_where_vacuous(data3):
-    # for this model the symplectic solution happens to be the zero one
-    sym, _ = compute_P_column(3, 4, policy="symplectic", data=data3)
-    zero, _ = compute_P_column(3, 4, policy="zero")
-    assert sym.phis == zero.phis
+def test_zero_policy_reproduces_symplectic_where_vacuous(request):
+    # for these models the symplectic solution happens to be the zero one
+    for n in (3, 4, 5):
+        data = request.getfixturevalue(f"data{n}")
+        sym, sym_tables = compute_P_column(data, 4, policy="symplectic")
+        zero, zero_tables = compute_P_column(data, 4, policy="zero")
+        assert sym.constants == zero.constants, n
+        assert sym.phis == zero.phis, n
+        assert sym_tables == zero_tables, n
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_full_pmatrix_battery(n, request):
-    ctx = request.getfixturevalue(f"ctx{n}")
     data = GenusZeroData.build(ModelConfig(n, 10 * n + 10))
-    pm = build_pmatrix(ctx, data, 4, policy="zero")
+    pm = build_pmatrix(data, 4, policy="zero")
     rep = verify_pmatrix(pm)
     assert rep.ok, rep.failures()[:4]
 
@@ -161,13 +192,13 @@ def test_cycle_closure_in_the_ring_n6():
     # every column matches the series oracle, but in every column the ring residual
     # of the cycle closure at order 4 is a nonzero free-ring element (21 monomials)
     # whose series value is zero
-    pm = build_pmatrix(RingContext(6), GenusZeroData.build(ModelConfig(6)), 4, "zero")
+    pm = build_pmatrix(GenusZeroData.build(ModelConfig(6)), 4, "zero")
     rep = verify_pmatrix(pm)
     assert rep.ok, rep.failures()[:4]
 
 
-def test_lift_examples(ctx3, data3):
-    pm = build_pmatrix(ctx3, data3, 3, policy="zero")
+def test_lift_examples(data3):
+    pm = build_pmatrix(data3, 3, policy="zero")
     n = 3
     # order zero: all rows are the constant normalization
     for i in range(n):
@@ -182,19 +213,19 @@ def test_lift_examples(ctx3, data3):
     for j in range(n):
         base = lifted_entry(pm, 1, 0, j)
         assert lifted_entry(pm, 1, 2, j) == base  # i = 1: adds A_0 = 0
-        assert lifted_entry(pm, 1, 1, j) == base + ctx3.A(1)  # i = 2: adds A_0 + A_1
+        assert lifted_entry(pm, 1, 1, j) == base + pm.ctx.A(1)  # i = 2: adds A_0 + A_1
 
 
-def test_partial_lemma_reports(ctx3, ctx4, data3, data4):
-    for ctx, data in ((ctx3, data3), (ctx4, data4)):
-        pm = build_pmatrix(ctx, data, 4, policy="zero")
+def test_partial_lemma_reports(data3, data4):
+    for data in (data3, data4):
+        pm = build_pmatrix(data, 4, policy="zero")
         rep = verify_partial_lemmas(pm)
         assert rep.ok, rep.failures()[:3]
 
 
-def test_pcolumn_json_round_trip():
+def test_pcolumn_json_round_trip(data4):
     # the canonical JSON text of a column records its polynomials and constants exactly
-    col, _ = compute_P_column(4, 3, policy="zero")
+    col, _ = compute_P_column(data4, 3, policy="zero")
     js = json.loads(canonical_json(col.to_json()))
     assert [Series({int(e): Fraction(c) for e, c in p}) for p in js["phis"]] == col.phis
     assert [Fraction(c) for c in js["constants"]] == col.constants
@@ -209,7 +240,7 @@ def test_unmodified_flatness_recursion(data3):
     k_max = 3
     cfg = data3.cfg
     for constants in ([Fraction(0)] * k_max, [Fraction(1, 2), Fraction(-2), Fraction(3)]):
-        tables = series_tables(data3, k_max, constants)
+        tables = tables_with(data3, k_max, constants)
         for j in range(n):
             zj = data3.zeta(j)
             P = [
@@ -245,7 +276,7 @@ def test_unitarity_order_zero_is_identity(data3):
     # delta; this ties together the K identities and the table normalization.
     # Its character sum is then Y[a][b] = [a + b = 0] / n.
     n = 3
-    tables = series_tables(data3, 0, [])
+    tables = compute_P_column(data3, 0)[1]
     for i in range(n):
         for j in range(n):
             acc = None
@@ -463,7 +494,7 @@ def test_mutation_at_a_nonzero_residue_is_caught(pmatrix_at, data3, monkeypatch)
 
     monkeypatch.setattr(orbigw.pmatrix, "extend_tables", bumped)
     with pytest.raises(AssertionError, match="unitarity at order 2"):
-        fix_constants_symplectic(data3, 3)
+        compute_P_column(data3, 3)
 
 
 def test_symplectic_solve_is_rational(data5, monkeypatch):
@@ -477,9 +508,9 @@ def test_symplectic_solve_is_rational(data5, monkeypatch):
 
     monkeypatch.setattr(Cyclotomic, "__mul__", counted)
     monkeypatch.setattr(Cyclotomic, "__rmul__", counted)
-    constants, status, _ = fix_constants_symplectic(data5, 4)
+    col, _ = compute_P_column(data5, 4)
     assert len(calls) == 0
-    assert status == ["free", "fixed", "free", "fixed"]
+    assert col.constant_status == ["free", "fixed", "free", "fixed"]
 
 
 

@@ -59,11 +59,11 @@ def test_vertex_trivalent_genus0(tables3):
     assert not v[0].generators_used()
 
 
-def test_shallow_table_raises(ctx3, data3):
+def test_shallow_table_raises(data3):
     # <tau_0 tau_2>_1 needs the order-2 tail, which a depth-1 table lacks
     from orbigw.pmatrix import build_pmatrix
 
-    shallow = ContributionTables(build_pmatrix(ctx3, data3, 1, policy="zero"))
+    shallow = ContributionTables(build_pmatrix(data3, 1, policy="zero"))
     with pytest.raises(ValueError):
         shallow.vertex(1, (0,))
 
@@ -188,11 +188,11 @@ def test_edge_derivative_closed_form_odd(tables3):
                     assert (got - want).is_zero(), (b1, b2, p1, p2)
 
 
-def test_edge_derivative_closed_form_even(ctx4, data4):
+def test_edge_derivative_closed_form_even(data4):
     from orbigw.pmatrix import build_pmatrix
 
     n, s = 4, 2
-    pm = build_pmatrix(ctx4, data4, 4, policy="zero")
+    pm = build_pmatrix(data4, 4, policy="zero")
     tables = ContributionTables(pm)
     gen = ("A", s - 1, 0)
     at = Decorated(tables)
@@ -220,12 +220,12 @@ def test_series_assembly_cross_checks_ring_pipeline(tables3):
         assert (ring_val - series_val).zero_order() is None, (g, ins)
 
 
-def test_series_assembly_cross_checks_ring_pipeline_even(ctx4, data4):
+def test_series_assembly_cross_checks_ring_pipeline_even(data4):
     from orbigw.pmatrix import build_pmatrix
 
-    pm = build_pmatrix(ctx4, data4, 4, policy="zero")
+    pm = build_pmatrix(data4, 4, policy="zero")
     tables = ContributionTables(pm)
-    ev = ctx4.evaluator(data4)
+    ev = pm.ctx.evaluator(data4)
     for (g, ins) in [(2, ()), (1, (2,))]:
         ring_val = ev.eval(assemble_F(tables, g, ins).full())
         series_val = assemble_F_series(tables, g, ins)
