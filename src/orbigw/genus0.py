@@ -145,7 +145,8 @@ def birkhoff_C(cfg: ModelConfig, slots: list[Series], count: int | None = None) 
             raise ZeroDivisionError(f"slot 0 vanished at step {i}; truncation order too small")
         cs.append(lead)
         if i < count:
-            cur = [(cur[k + 1] / lead).D() for k in range(len(cur) - 1)]
+            inv = lead.inverse()
+            cur = [(cur[k + 1] * inv).D() for k in range(len(cur) - 1)]
     return cs
 
 
@@ -159,11 +160,14 @@ def C_via_inversion(cfg: ModelConfig, slots: list[Series], count: int | None = N
     if count is None:
         count = len(slots) - 1
     cs = [Series.one().truncate(slots[0].prec)]
+    invs: list[Series] = []  # the inverses of cs[1], cs[2], ..., each taken once
     for i in range(1, count + 1):
         t = slots[i]
-        for r in range(1, i):
-            t = t.D() / cs[r]
+        for inv in invs:
+            t = t.D() * inv
         cs.append(t.D())
+        if i < count:
+            invs.append(cs[i].inverse())
     return cs
 
 
@@ -196,13 +200,14 @@ class GenusZeroData:
         for l in range(1, n + 1):
             K.append(K[-1] * C[l])
         X = [C[r].D() / C[r] for r in range(n + 1)]
-        DLL = L.D() / L
+        L_inv = L.inverse()
+        DLL = L.D() * L_inv
         A = []
         for i in range(n + 1):
             acc = DLL * i
             for r in range(1, i + 1):
                 acc = acc - X[r]
-            A.append(acc / L)
+            A.append(acc * L_inv)
         st = StirlingTable.build(max(n + 1, 9))
         return GenusZeroData(cfg, slots, L, C, K, X, A, slots[1], DLL, st)
 
@@ -363,10 +368,12 @@ def verify_picard_fuchs(data: GenusZeroData) -> Report:
             f"first bad x-power {bad}" if bad is not None else f"zero through x^{int(resid.prec) - 1}",
         )
 
+    C_inv = {r: data.C[r].inverse() for r in range(1, n + 1)}
+
     def chain(slot: Series, order: range) -> Series:
         t = slot
         for r in order:
-            t = t.D() / data.C[r]
+            t = t.D() * C_inv[r]
         return t
 
     for k, slot in enumerate(data.I):

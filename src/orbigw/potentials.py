@@ -26,6 +26,11 @@ rational ring elements X_u, and sum_p zeta^{U.p} = n^V [U = 0] over vectors
 U of per-vertex residues.  By Burnside ``assemble_F`` sums over undecorated
 stable graphs only, each weighted n^V / Aut(G), reading the all-zero residue
 component, with the flags summed edge by edge (:func:`graph_character_sum`).
+The work of an edge is hoisted out of its residue loop: it is done once per
+pair of states of the edge's ends, with each end's new flags and each closing
+vertex's factor (vertex and legs, cached in the tables) taken once per flag
+value, and every new state's value is one sum of products, normalised once
+(:meth:`~orbigw.ring.RingElement.sum_of_products`).
 The decorated sum, which reads every factor at its decorations and visits
 every joint flag assignment, is the oracle of this sum and the route of the
 series assembly; both live in the test suite (``tests/oracles.py``).
@@ -45,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product
 
 from .graphs import StableGraph, aut_count, enumerate_stable_graphs
@@ -73,6 +77,10 @@ Char = dict
 
 def _add_into(out: dict, key, x) -> None:
     out[key] = out[key] + x if key in out else x
+
+
+def _append(out: dict, key, x) -> None:
+    out.setdefault(key, []).append(x)
 
 
 def _times(a: Char, b: Char, n: int) -> Char:
@@ -108,6 +116,7 @@ class ContributionTables:
         self.k_max = pm.col.k_max
         self._tails: dict = {}
         self._vertex: dict = {}
+        self._closed: dict = {}
         self._edge: dict = {}
         self._leg: dict = {}
 
@@ -194,6 +203,26 @@ class ContributionTables:
         self._edge[key] = total
         return total
 
+    def closed_vertex(self, h: int, legs: tuple[int, ...], flags: tuple[int, ...]) -> Char:
+        """
+        A genus-h vertex with the given edge flags times its legs, whose
+        insertions are ``legs``: the leg flags are summed within the room the
+        edge flags leave.
+        """
+        key = (h, legs, flags)
+        if key in self._closed:
+            return self._closed[key]
+        budget = 3 * h - 3 + len(flags) + len(legs) - sum(flags)
+        total: Char = {}
+        for leg_flags in (f for f in product(range(budget + 1), repeat=len(legs)) if sum(f) <= budget):
+            term = self.vertex(h, flags + leg_flags)
+            for c, a in zip(legs, leg_flags):
+                term = _times(term, self.leg_core(a, c), self.n)
+            for u, x in term.items():
+                _add_into(total, u, x)
+        self._closed[key] = total
+        return total
+
     def leg_core(self, a: int, c: int) -> Char:
         """Leg factor without the scalar K/L prefactor."""
         key = (a, c)
@@ -240,55 +269,80 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
     product is sum_U zeta^{U.p} X_U over vectors U of per-vertex residues, and
     sum_p zeta^{U.p} = n^V [U = 0].  By Burnside the decorated classes, each
     weighted 1/Aut(G, p), add up to the sum over all p divided by Aut(G): the
-    graph contributes n^V / Aut(G) times X_0.  The flags are summed edge by edge,
-    keyed by the sorted flags and the residue of each open vertex; a vertex's
-    last edge takes its own factor (vertex and legs) at the component
-    cancelling its residue, and the vertex is forgotten.
+    graph contributes n^V / Aut(G) times X_0.
+
+    The flags are summed edge by edge, keyed by the sorted flags and the
+    residue of each open vertex; a vertex's last edge takes its closed factor
+    (:meth:`ContributionTables.closed_vertex`) at the component cancelling
+    its residue, and the vertex is forgotten.  An edge's terms depend only on
+    the states of its two ends, so they are summed once per pair of end
+    states, with each end's new flags and closed factor taken once per flag
+    value.  Each new key sums its (state value, coefficient) products in one
+    :meth:`RingElement.sum_of_products`, so it is normalised once.
     """
     n, V = tables.n, graph.num_vertices
     room = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
     last_edge = {v: e for e, edge in enumerate(graph.edges) for v in edge}
-
-    @cache
-    def own(v: int, flags: tuple[int, ...]) -> Char:
-        """Vertex v times its legs, the leg flags summed within the room ``flags`` leave."""
-        legs = [t for t, w in enumerate(graph.legs) if w == v]
-        budget = room[v] - sum(flags)
-        total: Char = {}
-        for leg_flags in (f for f in product(range(budget + 1), repeat=len(legs)) if sum(f) <= budget):
-            term = tables.vertex(graph.genera[v], flags + leg_flags)
-            for t, a in zip(legs, leg_flags):
-                term = _times(term, tables.leg_core(a, insertions[t]), n)
-            for u, x in term.items():
-                _add_into(total, u, x)
-        return total
-
+    legs = [tuple(sorted(c for c, w in zip(insertions, graph.legs) if w == v)) for v in range(V)]
     blank = ((), 0)
+    unit = tables.unit()
+
+    def ends(v: int, e: int, old: tuple[int, ...], r: int, values: tuple[int, ...]) -> dict:
+        """
+        {u: (new end, closed factor or None)}: vertex v, at flags ``old`` and
+        residue r, takes the values of edge e with residues adding to u; where
+        e closes v, only the u its closed factor cancels remain.
+        """
+        flags = tuple(sorted(old + values))
+        if last_edge[v] != e:
+            return {u: ((flags, (r + u) % n), None) for u in range(n)}
+        closed = tables.closed_vertex(graph.genera[v], legs[v], flags)
+        return {u: (blank, z) for u in range(n) if (z := closed.get((-r - u) % n)) is not None}
+
+    def contract(e: int, a: int, b: int, end_a: tuple, end_b: tuple) -> dict:
+        """{(new end a, new end b): coefficient} of edge e from ends a and b in the given states."""
+        (fa, ra), (fb, rb) = end_a, end_b
+        left, right = room[a] - sum(fa), room[b] - sum(fb)
+        terms: dict = {}
+        if a == b:
+            # a loop takes both of its flags at its one vertex
+            for b1 in range(left + 1):
+                for b2 in range(left - b1 + 1):
+                    at = ends(a, e, fa, ra, (b1, b2))
+                    for (u1, u2), y in tables.edge(b1, b2).items():
+                        hit = at.get((u1 + u2) % n)
+                        if hit is not None:
+                            end, z = hit
+                            _append(terms, (end, end), (y, unit if z is None else z))
+        else:
+            at_b = [ends(b, e, fb, rb, (b2,)) for b2 in range(right + 1)]
+            for b1 in range(left + 1):
+                at_a = ends(a, e, fa, ra, (b1,))
+                for b2, at in enumerate(at_b):
+                    for (u1, u2), y in tables.edge(b1, b2).items():
+                        ha, hb = at_a.get(u1), at.get(u2)
+                        if ha is not None and hb is not None:
+                            (new_a, za), (new_b, zb) = ha, hb
+                            z = zb if za is None else za if zb is None else za * zb
+                            _append(terms, (new_a, new_b), (y, unit if z is None else z))
+        return {new: RingElement.sum_of_products(pairs) for new, pairs in terms.items()}
+
     # the edgeless one-vertex graph is closed from the start
-    state = {(blank,) * V: tables.unit() if graph.edges else own(0, ()).get(0, tables.zero())}
+    start = unit if graph.edges else tables.closed_vertex(graph.genera[0], legs[0], ()).get(0, tables.zero())
+    state = {(blank,) * V: start}
     for e, (a, b) in enumerate(graph.edges):
-        closing = {v for v in (a, b) if last_edge[v] == e}
+        coefficients: dict = {}
         grown: dict = {}
         for key, x in state.items():
-            # the small factors are added per new key before one product with x
-            coeffs: dict = {}
-            left, right = (room[v] - sum(key[v][0]) for v in (a, b))
-            for b1 in range(left + 1):
-                for b2 in range((left - b1 if a == b else right) + 1):
-                    for (u1, u2), y in tables.edge(b1, b2).items():
-                        ends = list(key)
-                        for v, value, u in ((a, b1, u1), (b, b2, u2)):
-                            ends[v] = (tuple(sorted(ends[v][0] + (value,))), (ends[v][1] + u) % n)
-                        for v in closing:
-                            z = own(v, ends[v][0]).get((-ends[v][1]) % n)
-                            if z is None:
-                                break
-                            y, ends[v] = y * z, blank
-                        else:
-                            _add_into(coeffs, tuple(ends), y)
-            for new, y in coeffs.items():
-                _add_into(grown, new, x * y)
-        state = grown
+            ab = (key[a], key[b])
+            if ab not in coefficients:
+                coefficients[ab] = contract(e, a, b, *ab)
+            for (new_a, new_b), c in coefficients[ab].items():
+                new = list(key)
+                new[a], new[b] = new_a, new_b
+                _append(grown, tuple(new), (x, c))
+        # a key whose sum cancels is dropped
+        state = {new: value for new, pairs in grown.items() if (value := RingElement.sum_of_products(pairs))}
     return state.get((blank,) * V, tables.zero()) * Fraction(n**V, aut_count(graph))
 
 

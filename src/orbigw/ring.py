@@ -21,7 +21,9 @@ families of relations:
   D^k I_m, which eliminates D^{n-1-m} A_m.
 
 An element is a :class:`~orbigw.qvector.QVector` keyed by monomial; it adds
-the product, ``mul_L`` and ``partial``.  Roots of unity never enter: a column
+the product, ``mul_L`` and ``partial``.  Products go through one loop,
+``RingElement.sum_of_products``, which sums many products over the lcm of
+their denominators with one normalisation; ``x * y`` is the sum of one pair.  Roots of unity never enter: a column
 of the P matrix is a zeta-weighted sum of rational ring elements, assembled
 outside the ring (:mod:`orbigw.pmatrix`).
 
@@ -54,6 +56,7 @@ def _mono(L_exp: int = 0, gens: tuple = ()) -> Monomial:
 
 
 _ONE_MONO = _mono()
+_UNIT_NUMS = {_ONE_MONO: 1}
 
 
 def _merge(g1: tuple, g2: tuple) -> tuple:
@@ -117,15 +120,48 @@ class RingElement(QVector):
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _times(self, other: "RingElement") -> "RingElement":
+    @staticmethod
+    def sum_of_products(pairs) -> "RingElement":
+        """
+        The sum of x * y over a sequence of pairs (x, y) of ring elements.
+
+        The products are summed over the lcm of their denominators, so the
+        result is normalised once, with one gcd, however many pairs there
+        are.  ``x * y`` is the sum of the one pair, so the ring multiplies
+        monomials in this loop alone.  A constant operand (the monomial 1
+        alone) scales the other's numerators, and a product with 1 is the
+        other operand.
+        """
+        if len(pairs) == 1:
+            (x, y), = pairs
+            # a product with the constant 1 is the other operand
+            if y.den == 1 and y.nums == _UNIT_NUMS:
+                return x
+            den = x.den * y.den
+        else:
+            den = lcm(*[x.den * y.den for x, y in pairs])
         out: dict[Monomial, int] = {}
         get = out.get
-        for (l1, g1), c1 in self.nums.items():
-            for (l2, g2), c2 in other.nums.items():
-                # the empty generator parts, most of them, skip the call
-                m = (l1 + l2, g1 if not g2 else g2 if not g1 else _merge(g1, g2))
-                out[m] = get(m, 0) + c1 * c2
-        return self._reduced(out, self.den * other.den)
+        for x, y in pairs:
+            xs, ys = x.nums, y.nums
+            if len(xs) == 1 and _ONE_MONO in xs:
+                xs, ys = ys, xs
+            scale = den // (x.den * y.den)
+            if len(ys) == 1 and _ONE_MONO in ys:
+                c2 = ys[_ONE_MONO] * scale
+                for m, c1 in xs.items():
+                    out[m] = get(m, 0) + c1 * c2
+                continue
+            for (l1, g1), c1 in xs.items():
+                c1 *= scale
+                for (l2, g2), c2 in ys.items():
+                    # the empty generator parts, most of them, skip the call
+                    m = (l1 + l2, g1 if not g2 else g2 if not g1 else _merge(g1, g2))
+                    out[m] = get(m, 0) + c1 * c2
+        return _ZERO._reduced(out, den)
+
+    def _times(self, other: "RingElement") -> "RingElement":
+        return RingElement.sum_of_products(((self, other),))
 
     def mul_L(self, k: int) -> "RingElement":
         return self._new({(le + k, gens): c for (le, gens), c in self.nums.items()}, self.den)
@@ -161,6 +197,9 @@ class RingElement(QVector):
 
     def to_json(self) -> list:
         return terms_to_json(self.nums, lambda c: str(Fraction(c, self.den)))
+
+
+_ZERO = RingElement()
 
 
 def terms_to_json(terms: dict[Monomial, object], coeff_json) -> list:

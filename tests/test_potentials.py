@@ -159,6 +159,22 @@ def test_character_sum_matches_decorated_oracle(pmatrix_at, n, policy):
         assert assemble_F(tables, g, insertions).core == want, (g, insertions)
 
 
+def test_character_sum_matches_decorated_oracle_genus3(data3):
+    # genus 3 brings 4-vertex graphs, loops at several vertices, and edges
+    # that close one of their ends only; compared graph by graph at n = 3
+    from orbigw.pmatrix import build_pmatrix
+
+    tables = ContributionTables(build_pmatrix(data3, 7))
+    at = Decorated(tables)
+    graphs = enumerate_stable_graphs(3, 0)
+    assert len(graphs) == 42 and max(graph.num_vertices for graph in graphs) == 4
+    per_graph = {graph: RingElement.zero() for graph in graphs}
+    for dec in enumerate_decorated(3, 0, 3):
+        per_graph[dec.graph] = per_graph[dec.graph] + graph_contribution(at, dec, ())
+    for graph, contribution in per_graph.items():
+        assert graph_character_sum(tables, graph, ()) == contribution, graph
+
+
 def test_one_point_potential_adds_prefactor(tables3):
     pot = assemble_F(tables3, 1, (1,))
     audit = audit_generators(tables3, pot)

@@ -253,6 +253,49 @@ def test_product_matches_fraction_reference(a, b, q):
     assert_normal(a)
 
 
+def _reference_sum(pairs) -> dict:
+    out: dict = {}
+    for x, y in pairs:
+        for m, c in _reference_product(x, y).items():
+            out[m] = out.get(m, Fraction(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+@_property
+@given(st.lists(st.tuples(_elements, _elements), max_size=4), _rationals)
+def test_sum_of_products_matches_separate_products(pairs, q):
+    # scalar operands on either side, then the pairs with one side negated
+    c = RingElement.scalar(q)
+    pairs = pairs + [(c, y) for _, y in pairs[:1]] + [(x, c) for x, _ in pairs[-1:]]
+    got = RingElement.sum_of_products(pairs)
+    assert _fraction_terms(got) == _reference_sum(pairs)
+    separate = RingElement.zero()
+    for x, y in pairs:
+        separate = separate + x * y
+    assert got == separate
+    assert_normal(got)
+    for signed in ([(-x, y) for x, y in pairs], [(x, -y) for x, y in pairs]):
+        cancelled = RingElement.sum_of_products(pairs + signed)
+        assert cancelled == RingElement.zero() and cancelled.den == 1
+        assert RingElement.sum_of_products(signed) == -got
+
+
+def test_sum_of_products_examples():
+    a, L = RingElement.generator(("A", 1, 0)), RingElement.L_power(1)
+    assert RingElement.sum_of_products([]) == RingElement.zero()
+    assert RingElement.sum_of_products([]).den == 1
+    # unequal denominators meet over their lcm and reduce once
+    pairs = [(a * Fraction(1, 3), L * Fraction(-1, 5)), (L * L * Fraction(1, 4), RingElement.scalar(6))]
+    got = RingElement.sum_of_products(pairs)
+    assert got == (a * L) * Fraction(-1, 15) + (L * L) * Fraction(3, 2)
+    assert got.den == 30
+    assert_normal(got)
+    # the constant 1 gives the other operand; a constant 1/7 is no unit
+    assert RingElement.sum_of_products([(a, RingElement.scalar(1))]) == a
+    assert RingElement.sum_of_products([(a, RingElement.scalar(Fraction(1, 7)))]) == a * Fraction(1, 7)
+    assert RingElement.sum_of_products([(RingElement.scalar(-2), a), (a, RingElement.scalar(2))]).is_zero()
+
+
 def _context_elements(n: int):
     ctx = RingContext(n)
     gens = ctx.a_gens() + [ctx.c_gen(i) for i in range(1, n // 2 + 1)]
