@@ -28,7 +28,9 @@ as a set, and the canonical key (``StableGraph.signature``) is the least
 relabeled graph over them.  Two leaves give the same relabeled graph exactly
 when they differ by a vertex symmetry, so the leaves that reach the key are
 as many as the vertex symmetries, and ``aut_count`` reads them off the same
-search.
+search.  The enumerator keeps that leaf count for every representative it
+returns, so ``aut_count`` of a representative searches nothing; any other
+graph is searched afresh.
 
 The enumerator starts from the one-vertex graph of type (g, m) and, level by
 level, applies every one-edge degeneration to the canonical representatives
@@ -166,7 +168,8 @@ def aut_count(graph: StableGraph) -> int:
     admissible vertex permutation, parallel edges may be permuted and each
     loop may additionally swap its half-edges.  The admissible vertex
     permutations are counted as the search leaves that reach the canonical
-    key.
+    key; for an enumerated representative that count is read from the
+    enumeration's own search.
     """
     loops: dict[int, int] = {}
     par: dict[tuple[int, int], int] = {}
@@ -180,7 +183,8 @@ def aut_count(graph: StableGraph) -> int:
         half_edge_factor *= factorial(k) * 2**k
     for mult in par.values():
         half_edge_factor *= factorial(mult)
-    return _search(graph)[1] * half_edge_factor
+    leaves = _LEAVES.get(graph)
+    return (_search(graph)[1] if leaves is None else leaves) * half_edge_factor
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -224,16 +228,22 @@ def enumerate_stable_graphs(g: int, m: int) -> tuple[StableGraph, ...]:
     return _enumerate(g, m)
 
 
+# the search leaves reaching the canonical key, per enumerated representative
+_LEAVES: dict[StableGraph, int] = {}
+
+
 @lru_cache(maxsize=None)
 def _enumerate(g: int, m: int) -> tuple[StableGraph, ...]:
-    found: set = set()
-    level = {((g,), (0,) * m, ())}
+    # canonical key -> search leaves reaching it; one vertex gives one leaf
+    found: dict = {}
+    level = {((g,), (0,) * m, ()): 1}
     while level:
         found |= level
         candidates = {d for key in level for d in _degenerations(StableGraph(*key))}
-        level = {d.signature() for d in candidates}
+        level = dict(_search(d) for d in candidates)
     graphs = tuple(StableGraph(*key) for key in sorted(found))
     for graph in graphs:
         if graph.genus() != g or not graph.is_stable() or not graph.is_connected():
             raise AssertionError(f"enumerated graph {graph} is not a connected stable graph of genus {g}")
+    _LEAVES.update((StableGraph(*key), leaves) for key, leaves in found.items())
     return graphs

@@ -94,7 +94,14 @@ def verify_hae(
     """
     Build the contribution tables for (n, g) under one constants policy
     (default symplectic) and check the anomaly equation on them (:func:`check_hae`).
+    The arguments are checked before any table is built.
     """
+    for name, value in (("n", n), ("g", g), ("N", 0 if N is None else N)):
+        # bool is an int subclass, and so is refused here
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if g < 2:
+        raise ValueError("the anomaly equation is stated for g >= 2")
     policy = "symplectic" if policy is None else policy
     data = GenusZeroData.build(ModelConfig(n, N or 0))
     pm = build_pmatrix(data, 3 * g - 2, policy, custom_constants=custom_constants)

@@ -27,10 +27,12 @@ U of per-vertex residues.  By Burnside ``assemble_F`` sums over undecorated
 stable graphs only, each weighted n^V / Aut(G), reading the all-zero residue
 component, with the flags summed edge by edge (:func:`graph_character_sum`).
 The work of an edge is hoisted out of its residue loop: it is done once per
-pair of states of the edge's ends, with each end's new flags and each closing
-vertex's factor (vertex and legs, cached in the tables) taken once per flag
-value, and every new state's value is one sum of products, normalised once
-(:meth:`~orbigw.ring.RingElement.sum_of_products`).
+pair of states of the edge's ends, and every new state's value is one sum of
+products, normalised once (:meth:`~orbigw.ring.RingElement.sum_of_products`).
+An edge that closes a vertex is folded with that vertex's factor (vertex and
+legs) once per state of the vertex, in the tables
+(:meth:`ContributionTables.half_closed`), so every graph and potential of a
+verdict shares the fold and the edge itself multiplies nothing.
 The decorated sum, which reads every factor at its decorations and visits
 every joint flag assignment, is the oracle of this sum and the route of the
 series assembly; both live in the test suite (``tests/oracles.py``).
@@ -117,6 +119,7 @@ class ContributionTables:
         self._tails: dict = {}
         self._vertex: dict = {}
         self._closed: dict = {}
+        self._half: dict = {}
         self._edge: dict = {}
         self._leg: dict = {}
 
@@ -223,6 +226,30 @@ class ContributionTables:
         self._closed[key] = total
         return total
 
+    def half_closed(self, side: int, h: int, legs: tuple[int, ...], flags: tuple[int, ...], r: int, other: int) -> Char:
+        """
+        The last edge of a genus-h vertex with legs ``legs``, earlier flags
+        ``flags`` and residue r, times the vertex's closed factor, summed over
+        the vertex's flag on the edge and its residue there: ``{u: value}``
+        keyed by the residue u at the other end, whose flag is ``other``.
+        ``side`` is the vertex's place in the edge factor's (b1, b2), 0 or 1:
+        under custom constants edge(b1, b2) is not the transpose of
+        edge(b2, b1).
+        """
+        key = (side, h, legs, flags, r, other)
+        if key in self._half:
+            return self._half[key]
+        pairs: dict = {}
+        # the room 3h - 3 + valence left by the earlier flags; the valence counts this edge
+        for b in range(3 * h - 2 + len(flags) + len(legs) - sum(flags) + 1):
+            closed = self.closed_vertex(h, legs, tuple(sorted(flags + (b,))))
+            for u, y in self.edge(*((b, other) if side == 0 else (other, b))).items():
+                z = closed.get((-r - u[side]) % self.n)
+                if z is not None:
+                    _append(pairs, u[1 - side], (y, z))
+        self._half[key] = {u: RingElement.sum_of_products(p) for u, p in pairs.items()}
+        return self._half[key]
+
     def leg_core(self, a: int, c: int) -> Char:
         """Leg factor without the scalar K/L prefactor."""
         key = (a, c)
@@ -276,8 +303,12 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
     (:meth:`ContributionTables.closed_vertex`) at the component cancelling
     its residue, and the vertex is forgotten.  An edge's terms depend only on
     the states of its two ends, so they are summed once per pair of end
-    states, with each end's new flags and closed factor taken once per flag
-    value.  Each new key sums its (state value, coefficient) products in one
+    states.  An edge that closes one end is read from
+    :meth:`ContributionTables.half_closed` at that end's state and relabeled
+    onto the other end's new state; one that closes both ends is one sum of
+    the half-closed vector against the other end's closed factor.  Open
+    edges and loops pair the edge factor with the ends' new states.  Each
+    new key sums its (state value, coefficient) products in one
     :meth:`RingElement.sum_of_products`, so it is normalised once.
     """
     n, V = tables.n, graph.num_vertices
@@ -314,17 +345,25 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
                         if hit is not None:
                             end, z = hit
                             _append(terms, (end, end), (y, unit if z is None else z))
+        elif e in (last_edge[a], last_edge[b]):
+            # the closing end v is folded into the edge, once per state of v
+            side = 0 if last_edge[a] == e else 1
+            v, w = (a, b) if side == 0 else (b, a)
+            (fv, rv), (fw, rw) = (end_a, end_b) if side == 0 else (end_b, end_a)
+            for other in range(room[w] - sum(fw) + 1):
+                at = ends(w, e, fw, rw, (other,))
+                for u, y in tables.half_closed(side, graph.genera[v], legs[v], fv, rv, other).items():
+                    hit = at.get(u)
+                    if hit is not None:
+                        end, z = hit
+                        _append(terms, (blank, end) if side == 0 else (end, blank), (y, unit if z is None else z))
         else:
             at_b = [ends(b, e, fb, rb, (b2,)) for b2 in range(right + 1)]
             for b1 in range(left + 1):
                 at_a = ends(a, e, fa, ra, (b1,))
                 for b2, at in enumerate(at_b):
                     for (u1, u2), y in tables.edge(b1, b2).items():
-                        ha, hb = at_a.get(u1), at.get(u2)
-                        if ha is not None and hb is not None:
-                            (new_a, za), (new_b, zb) = ha, hb
-                            z = zb if za is None else za if zb is None else za * zb
-                            _append(terms, (new_a, new_b), (y, unit if z is None else z))
+                        _append(terms, (at_a[u1][0], at[u2][0]), (y, unit))
         return {new: RingElement.sum_of_products(pairs) for new, pairs in terms.items()}
 
     # the edgeless one-vertex graph is closed from the start

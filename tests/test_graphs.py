@@ -133,3 +133,26 @@ def test_aut_count_matches_brute_force():
     for (g, m) in [(3, 0), (2, 2), (3, 1)]:
         for graph in enumerate_stable_graphs(g, m):
             assert aut_count(graph) == len(vertex_automorphisms(graph)) * half_edge_factor(graph)
+
+
+def test_aut_count_read_from_the_enumeration(rng, monkeypatch):
+    # a representative's count comes from the enumeration's own search; a
+    # shuffled relabeling is no representative, so it is searched afresh
+    types = [(3, 0), (2, 2), (3, 1), (4, 0)]
+    search = graphs._search
+    expected = {}
+    for (g, m) in types:
+        for graph in enumerate_stable_graphs(g, m):
+            perm = list(range(graph.num_vertices))
+            rng.shuffle(perm)
+            shuffled = graph.relabeled(tuple(perm))
+            assert (shuffled in graphs._LEAVES) == (shuffled == graph)
+            expected[graph] = search(shuffled)[1] * half_edge_factor(graph)
+            assert aut_count(shuffled) == expected[graph]
+
+    def forbidden(graph):
+        raise AssertionError(f"{graph} searched again")
+
+    monkeypatch.setattr(graphs, "_search", forbidden)
+    for graph, count in expected.items():
+        assert aut_count(graph) == count

@@ -29,6 +29,29 @@ def test_parity_dispatch():
         verify_hae(3, 1)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((3, 2.0), "g"), (("3", 2), "n"), ((3.0, 2), "n"), ((True, 2), "n"), ((3, True), "g"), ((3, 2, None, None, 40.0), "N"), ((3, 2, None, None, False), "N")],
+)
+def test_non_int_arguments_are_refused(args, name):
+    # a float, a string or a bool is named before any table is built
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        verify_hae(*args)
+
+
+def test_low_genus_is_refused_before_any_table(monkeypatch):
+    import orbigw.hae as hae
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tables built for a genus the equation does not cover")
+
+    monkeypatch.setattr(hae.GenusZeroData, "build", staticmethod(forbidden))
+    monkeypatch.setattr(hae, "build_pmatrix", forbidden)
+    for g in (1, 0, -3):
+        with pytest.raises(ValueError, match="g >= 2"):
+            verify_hae(3, g)
+
+
 def test_empty_policy_is_rejected():
     # only a missing policy defaults to symplectic
     with pytest.raises(ValueError, match="unknown constants policy"):

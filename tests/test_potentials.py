@@ -175,6 +175,41 @@ def test_character_sum_matches_decorated_oracle_genus3(data3):
         assert graph_character_sum(tables, graph, ()) == contribution, graph
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_half_closed_matches_double_sum(n):
+    # an edge that closes one end, summed over that end's flag and residue,
+    # against the double sum over edge and closed_vertex written out here
+    from orbigw.genus0 import GenusZeroData, ModelConfig
+    from orbigw.pmatrix import build_pmatrix
+
+    custom = [Fraction(1, k + 1) for k in range(7)]
+    tables = ContributionTables(build_pmatrix(GenusZeroData.build(ModelConfig(n)), 7, "custom", custom_constants=custom))
+    # the edge factor is not symmetric here, so the closed vertex's side matters
+    assert any(
+        tables.edge(b1, b2) != {(u2, u1): x for (u1, u2), x in tables.edge(b2, b1).items()}
+        for b1 in range(7)
+        for b2 in range(7 - b1)
+    )
+    checked = 0
+    for side, h, legs, flags in product((0, 1), (0, 1), ((), (1,), (2,), (1, 2)), ((), (0,), (1,), (0, 0), (0, 1))):
+        room = 3 * h - 2 + len(flags) + len(legs) - sum(flags)
+        if 2 * h - 1 + len(flags) + len(legs) <= 0 or room < 0:
+            continue
+        for r, other in product(range(n), range(7 - room)):
+            want: dict = {}
+            for b in range(room + 1):
+                closed = tables.closed_vertex(h, legs, tuple(sorted(flags + (b,))))
+                edge = tables.edge(b, other) if side == 0 else tables.edge(other, b)
+                for (u1, u2), y in edge.items():
+                    u, v = (u1, u2) if side == 0 else (u2, u1)
+                    if (-r - u) % n in closed:
+                        want[v] = want.get(v, RingElement.zero()) + y * closed[(-r - u) % n]
+            got = tables.half_closed(side, h, legs, flags, r, other)
+            assert {v: x for v, x in got.items() if x} == {v: x for v, x in want.items() if x}, (side, h, legs, flags, r, other)
+            checked += bool(want)
+    assert checked > 100
+
+
 def test_one_point_potential_adds_prefactor(tables3):
     pot = assemble_F(tables3, 1, (1,))
     audit = audit_generators(tables3, pot)
