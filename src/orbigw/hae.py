@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .genus0 import GenusZeroData, ModelConfig
-from .pmatrix import build_pmatrix
+from .pmatrix import build_pmatrix, check_constants
 from .potentials import ContributionTables, assemble_F, audit_generators
 from .report import Report
 from .ring import RingContext, RingElement
@@ -100,6 +100,7 @@ def verify_hae(
         # bool is an int subclass, and so is refused here
         if type(value) is not int:
             raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    check_constants(custom_constants)
     if g < 2:
         raise ValueError("the anomaly equation is stated for g >= 2")
     policy = "symplectic" if policy is None else policy

@@ -262,6 +262,17 @@ class PColumn:
         }
 
 
+def check_constants(custom_constants) -> None:
+    """
+    Refuse custom constants that are not exact: each must be an ``int`` (not
+    a ``bool``) or a ``Fraction``.  A float would enter an exact verdict as
+    its binary fraction, and ``Fraction`` would parse a string.
+    """
+    for c in custom_constants or ():
+        if type(c) is not int and not isinstance(c, Fraction):
+            raise TypeError(f"custom constants must be int or Fraction, not {type(c).__name__}")
+
+
 def compute_P_column(
     data: GenusZeroData,
     k_max: int,
@@ -293,6 +304,7 @@ def compute_P_column(
     every Y[a][b] must vanish.  The solve is rational throughout.
     """
     n = data.cfg.n
+    check_constants(custom_constants)
     if policy == "custom":
         if custom_constants is None or len(custom_constants) < k_max:
             raise ValueError("custom policy needs k_max constants")

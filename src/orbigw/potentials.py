@@ -26,13 +26,21 @@ rational ring elements X_u, and sum_p zeta^{U.p} = n^V [U = 0] over vectors
 U of per-vertex residues.  By Burnside ``assemble_F`` sums over undecorated
 stable graphs only, each weighted n^V / Aut(G), reading the all-zero residue
 component, with the flags summed edge by edge (:func:`graph_character_sum`).
-The work of an edge is hoisted out of its residue loop: it is done once per
-pair of states of the edge's ends, and every new state's value is one sum of
-products, normalised once (:meth:`~orbigw.ring.RingElement.sum_of_products`).
-An edge that closes a vertex is folded with that vertex's factor (vertex and
-legs) once per state of the vertex, in the tables
-(:meth:`ContributionTables.half_closed`), so every graph and potential of a
-verdict shares the fold and the edge itself multiplies nothing.
+Where the edge factors are symmetric in their ends, legs of equal insertion
+are one colour, and the graphs that differ only by permuting them are one
+class, summed once with weight n^V prod_c k_c! / Aut(G)
+(:mod:`orbigw.graphs`).
+
+What the graphs share lives in :class:`ContributionTables`.  The local
+factors, and the fold of a vertex's last edge with the vertex's factor
+(vertex and legs) once per state of the vertex
+(:meth:`ContributionTables.half_closed`), are shared by every graph and
+potential of a verdict, so a closing edge multiplies nothing itself.  One
+edge step from its two end states (:meth:`ContributionTables.step`) depends
+only on the ends' local data, so it is computed once per potential and
+shared by its graphs; a step's terms that reach one state are one sum of
+products, normalised once (:meth:`~orbigw.ring.RingElement.sum_of_products`),
+and so is every new state of a graph.
 The decorated sum, which reads every factor at its decorations and visits
 every joint flag assignment, is the oracle of this sum and the route of the
 series assembly; both live in the test suite (``tests/oracles.py``).
@@ -54,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .graphs import StableGraph, aut_count, enumerate_stable_graphs
+from .graphs import StableGraph, aut_count, enumerate_stable_graphs, leg_permutations
 from .pmatrix import PMatrixData
 from .psi import psi_integral
 from .ring import RingElement
@@ -75,6 +83,10 @@ class Potential:
 
 # A character sum in a decoration p: {u: value} stands for sum_u zeta^{u p} value_u.
 Char = dict
+
+
+# the state of a vertex before its first edge and after its last: no flags, residue 0
+_BLANK = ((), 0)
 
 
 def _add_into(out: dict, key, x) -> None:
@@ -108,6 +120,10 @@ class ContributionTables:
     through :meth:`graded` as their rational pieces, so every value is a
     rational ring element and no root of unity enters.  The series oracle of
     the tests overrides :meth:`graded`, :meth:`unit` and :meth:`zero`.
+
+    The factors are cached for the life of the tables, so every potential of
+    a verdict shares them; the edge steps (:meth:`step`) are cached for one
+    potential only.
     """
 
     def __init__(self, pm: PMatrixData):
@@ -120,6 +136,9 @@ class ContributionTables:
         self._vertex: dict = {}
         self._closed: dict = {}
         self._half: dict = {}
+        self._steps: dict = {}
+        self._states: dict = {}
+        self._one = self.unit()
         self._edge: dict = {}
         self._leg: dict = {}
 
@@ -206,6 +225,21 @@ class ContributionTables:
         self._edge[key] = total
         return total
 
+    def symmetric(self, order: int) -> bool:
+        """
+        Whether the edge factors with b1 + b2 <= ``order`` are symmetric in
+        their ends: edge(b1, b2) is the transpose of edge(b2, b1).  They are
+        for a unitary P (the symplectic constants).  Where they are not, as
+        under most custom constants, a graph's value depends on which end of
+        each edge comes first, that is on the vertex order of its
+        representative.
+        """
+        return all(
+            self.edge(b1, b2) == {(u2, u1): x for (u1, u2), x in self.edge(b2, b1).items()}
+            for b1 in range(order + 1)
+            for b2 in range(b1, order - b1 + 1)
+        )
+
     def closed_vertex(self, h: int, legs: tuple[int, ...], flags: tuple[int, ...]) -> Char:
         """
         A genus-h vertex with the given edge flags times its legs, whose
@@ -249,6 +283,96 @@ class ContributionTables:
                     _append(pairs, u[1 - side], (y, z))
         self._half[key] = {u: RingElement.sum_of_products(p) for u, p in pairs.items()}
         return self._half[key]
+
+    def _grown(self, end: tuple, state: tuple, values: tuple[int, ...]) -> dict:
+        """
+        {u: (new state, closed factor or None)}: an end (see :meth:`step`) in
+        ``state`` takes its edge's flag values with residues adding to u;
+        where the edge closes the end, only the u its closed factor cancels
+        remain.
+        """
+        (closes, h, legs, _), (old, r) = end, state
+        n, states = self.n, self._states
+        flags = tuple(sorted(old + values))
+        if not closes:
+            # one instance per state, so that the cached steps share them
+            return {u: (states.setdefault(new := (flags, (r + u) % n), new), None) for u in range(n)}
+        closed = self.closed_vertex(h, legs, flags)
+        return {u: (_BLANK, z) for u in range(n) if (z := closed.get((-r - u) % n)) is not None}
+
+    def step(self, edge: tuple, state_a: tuple, state_b: tuple) -> list | tuple:
+        """
+        One edge of the graph sum from ends a and b in given states: the
+        triples (new state a, new state b, coefficient), with the edge
+        factor's (b1, b2) at (a, b).  ``edge`` is (loop, end a, end b), and an
+        end is (closes, h, legs, room): whether the edge is the vertex's last,
+        its genus, its leg insertions and its room 3h - 3 + valence; a state
+        is (sorted earlier flags, residue).  A loop's two ends are its one
+        vertex.
+
+        An open edge pairs the edge factor with both ends' new states: it
+        multiplies nothing, and its triples, one per entry of every edge
+        factor in reach, would be most of a cache, so they are built afresh.
+        A loop takes both of its flags at its vertex.  An edge that closes an
+        end is read from :meth:`half_closed` at that end's state and relabeled
+        onto the other end's new state; if it closes both, each term is the
+        half-closed value against the other end's closed factor.  These steps
+        sum products and depend on the key alone, so every graph of a
+        potential reuses them; :func:`assemble_F` drops them after each
+        potential.  The orientation stays in the key: under custom constants
+        edge(b1, b2) is not the transpose of edge(b2, b1).
+        """
+        n = self.n
+        loop, end_a, end_b = edge
+        left = end_a[3] - sum(state_a[0])
+        if not (loop or end_a[0] or end_b[0]):
+            # both ends take a state of their own for each (b1, u1, b2, u2)
+            out = []
+            at_b = [self._grown(end_b, state_b, (b2,)) for b2 in range(end_b[3] - sum(state_b[0]) + 1)]
+            for b1 in range(left + 1):
+                at_a = self._grown(end_a, state_a, (b1,))
+                for b2, at in enumerate(at_b):
+                    out.extend((at_a[u1][0], at[u2][0], y) for (u1, u2), y in self.edge(b1, b2).items())
+            return out
+        key = (edge, state_a, state_b)
+        if key in self._steps:
+            return self._steps[key]
+        if loop:
+            # flags (b1, b2) and (b2, b1) reach one state, so its terms are summed
+            terms: dict = {}
+            for b1 in range(left + 1):
+                for b2 in range(left - b1 + 1):
+                    at = self._grown(end_a, state_a, (b1, b2))
+                    for (u1, u2), y in self.edge(b1, b2).items():
+                        hit = at.get((u1 + u2) % n)
+                        if hit is not None:
+                            end, z = hit
+                            _append(terms, end, (y, self._one if z is None else z))
+            out = [(end, end, RingElement.sum_of_products(pairs)) for end, pairs in terms.items()]
+        else:
+            # the closing end v is folded into the edge, once per state of v
+            side = 0 if end_a[0] else 1
+            closing, other_end = ((end_a, state_a), (end_b, state_b)) if side == 0 else ((end_b, state_b), (end_a, state_a))
+            (_, h, legs, _), (fv, rv) = closing
+            w, state_w = other_end
+            out, pairs = [], []
+            for other in range(w[3] - sum(state_w[0]) + 1):
+                at = self._grown(w, state_w, (other,))
+                for u, y in self.half_closed(side, h, legs, fv, rv, other).items():
+                    hit = at.get(u)
+                    if hit is None:
+                        continue
+                    end, z = hit
+                    if z is None:
+                        # an open end takes a state of its own for each (other, u)
+                        out.append((_BLANK, end, y) if side == 0 else (end, _BLANK, y))
+                    else:
+                        pairs.append((y, z))
+            if pairs:
+                # an edge that closes both ends leaves both blank
+                out.append((_BLANK, _BLANK, RingElement.sum_of_products(pairs)))
+        self._steps[key] = tuple(out)
+        return self._steps[key]
 
     def leg_core(self, a: int, c: int) -> Char:
         """Leg factor without the scalar K/L prefactor."""
@@ -296,93 +420,48 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
     product is sum_U zeta^{U.p} X_U over vectors U of per-vertex residues, and
     sum_p zeta^{U.p} = n^V [U = 0].  By Burnside the decorated classes, each
     weighted 1/Aut(G, p), add up to the sum over all p divided by Aut(G): the
-    graph contributes n^V / Aut(G) times X_0.
+    graph contributes n^V / Aut(G) times X_0.  A graph whose legs share
+    colours stands for prod_c k_c! labelings
+    (:func:`~orbigw.graphs.leg_permutations`), all with the same X_0 where
+    the edge factors are symmetric, so it is weighted n^V prod_c k_c! /
+    Aut(G); legs of one colour must carry one insertion.
 
     The flags are summed edge by edge, keyed by the sorted flags and the
     residue of each open vertex; a vertex's last edge takes its closed factor
-    (:meth:`ContributionTables.closed_vertex`) at the component cancelling
-    its residue, and the vertex is forgotten.  An edge's terms depend only on
-    the states of its two ends, so they are summed once per pair of end
-    states.  An edge that closes one end is read from
-    :meth:`ContributionTables.half_closed` at that end's state and relabeled
-    onto the other end's new state; one that closes both ends is one sum of
-    the half-closed vector against the other end's closed factor.  Open
-    edges and loops pair the edge factor with the ends' new states.  Each
-    new key sums its (state value, coefficient) products in one
+    at the component cancelling its residue, and the vertex is forgotten.
+    Each edge's terms come from :meth:`ContributionTables.step` at the states
+    of its two ends, read once per pair of end states.  Each new key sums its
+    (state value, coefficient) products in one
     :meth:`RingElement.sum_of_products`, so it is normalised once.
     """
     n, V = tables.n, graph.num_vertices
-    room = [3 * h - 3 + graph.valence(v) for v, h in enumerate(graph.genera)]
+    if graph.colours is not None and len(set(zip(graph.colours, insertions))) != len(set(graph.colours)):
+        raise ValueError(f"legs of one colour carry different insertions {insertions}")
     last_edge = {v: e for e, edge in enumerate(graph.edges) for v in edge}
-    legs = [tuple(sorted(c for c, w in zip(insertions, graph.legs) if w == v)) for v in range(V)]
-    blank = ((), 0)
-    unit = tables.unit()
-
-    def ends(v: int, e: int, old: tuple[int, ...], r: int, values: tuple[int, ...]) -> dict:
-        """
-        {u: (new end, closed factor or None)}: vertex v, at flags ``old`` and
-        residue r, takes the values of edge e with residues adding to u; where
-        e closes v, only the u its closed factor cancels remain.
-        """
-        flags = tuple(sorted(old + values))
-        if last_edge[v] != e:
-            return {u: ((flags, (r + u) % n), None) for u in range(n)}
-        closed = tables.closed_vertex(graph.genera[v], legs[v], flags)
-        return {u: (blank, z) for u in range(n) if (z := closed.get((-r - u) % n)) is not None}
-
-    def contract(e: int, a: int, b: int, end_a: tuple, end_b: tuple) -> dict:
-        """{(new end a, new end b): coefficient} of edge e from ends a and b in the given states."""
-        (fa, ra), (fb, rb) = end_a, end_b
-        left, right = room[a] - sum(fa), room[b] - sum(fb)
-        terms: dict = {}
-        if a == b:
-            # a loop takes both of its flags at its one vertex
-            for b1 in range(left + 1):
-                for b2 in range(left - b1 + 1):
-                    at = ends(a, e, fa, ra, (b1, b2))
-                    for (u1, u2), y in tables.edge(b1, b2).items():
-                        hit = at.get((u1 + u2) % n)
-                        if hit is not None:
-                            end, z = hit
-                            _append(terms, (end, end), (y, unit if z is None else z))
-        elif e in (last_edge[a], last_edge[b]):
-            # the closing end v is folded into the edge, once per state of v
-            side = 0 if last_edge[a] == e else 1
-            v, w = (a, b) if side == 0 else (b, a)
-            (fv, rv), (fw, rw) = (end_a, end_b) if side == 0 else (end_b, end_a)
-            for other in range(room[w] - sum(fw) + 1):
-                at = ends(w, e, fw, rw, (other,))
-                for u, y in tables.half_closed(side, graph.genera[v], legs[v], fv, rv, other).items():
-                    hit = at.get(u)
-                    if hit is not None:
-                        end, z = hit
-                        _append(terms, (blank, end) if side == 0 else (end, blank), (y, unit if z is None else z))
-        else:
-            at_b = [ends(b, e, fb, rb, (b2,)) for b2 in range(right + 1)]
-            for b1 in range(left + 1):
-                at_a = ends(a, e, fa, ra, (b1,))
-                for b2, at in enumerate(at_b):
-                    for (u1, u2), y in tables.edge(b1, b2).items():
-                        _append(terms, (at_a[u1][0], at[u2][0]), (y, unit))
-        return {new: RingElement.sum_of_products(pairs) for new, pairs in terms.items()}
-
+    # (genus, leg insertions, room 3h - 3 + valence) of each vertex
+    local = [
+        (h, tuple(sorted(c for c, w in zip(insertions, graph.legs) if w == v)), 3 * h - 3 + graph.valence(v))
+        for v, h in enumerate(graph.genera)
+    ]
     # the edgeless one-vertex graph is closed from the start
-    start = unit if graph.edges else tables.closed_vertex(graph.genera[0], legs[0], ()).get(0, tables.zero())
-    state = {(blank,) * V: start}
+    start = tables.unit() if graph.edges else tables.closed_vertex(graph.genera[0], local[0][1], ()).get(0, tables.zero())
+    state = {(_BLANK,) * V: start}
     for e, (a, b) in enumerate(graph.edges):
-        coefficients: dict = {}
+        edge = (a == b, (last_edge[a] == e,) + local[a], (last_edge[b] == e,) + local[b])
+        steps: dict = {}
         grown: dict = {}
         for key, x in state.items():
             ab = (key[a], key[b])
-            if ab not in coefficients:
-                coefficients[ab] = contract(e, a, b, *ab)
-            for (new_a, new_b), c in coefficients[ab].items():
+            if ab not in steps:
+                steps[ab] = tables.step(edge, *ab)
+            for new_a, new_b, c in steps[ab]:
                 new = list(key)
                 new[a], new[b] = new_a, new_b
                 _append(grown, tuple(new), (x, c))
         # a key whose sum cancels is dropped
         state = {new: value for new, pairs in grown.items() if (value := RingElement.sum_of_products(pairs))}
-    return state.get((blank,) * V, tables.zero()) * Fraction(n**V, aut_count(graph))
+    weight = Fraction(n**V * leg_permutations(graph), aut_count(graph))
+    return state.get((_BLANK,) * V, tables.zero()) * weight
 
 
 def _check_type(g: int, insertions: tuple[int, ...]) -> None:
@@ -397,14 +476,27 @@ def assemble_F(tables: ContributionTables, g: int, insertions: tuple[int, ...] |
     The potential F_{g,m}(phi_{c_1}, ..., phi_{c_m}) as a graph sum.
 
     The sum runs over undecorated stable graphs in enumeration order, each
-    through the character sum of :func:`graph_character_sum`; the leg prefactors
-    K_{Inv(c)} / L^{Inv(c)} are kept apart as one monomial.
+    through the character sum of :func:`graph_character_sum`; the leg
+    prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as one monomial.  Where
+    the edge factors are symmetric (:meth:`ContributionTables.symmetric`),
+    the legs are coloured by insertion value, so the graphs that differ only
+    by permuting equal insertions are one class, summed once.  Otherwise a
+    graph's value depends on its vertex order, the labeled graphs of such a
+    class are not all valued alike, and each is summed at its own
+    representative.  The edge steps (:meth:`ContributionTables.step`) are
+    shared by the graphs of this potential and dropped after it, so the
+    cache does not grow over a verdict.
     """
     insertions = tuple(insertions)
     _check_type(g, insertions)
+    repeated = len(set(insertions)) < len(insertions)
+    # an edge's flags fit in the room 3g - 3 + m - E of its graph's vertices
+    colours = insertions if repeated and tables.symmetric(3 * g - 4 + len(insertions)) else None
     core = tables.zero()
-    for graph in enumerate_stable_graphs(g, len(insertions)):
+    for graph in enumerate_stable_graphs(g, len(insertions), colours):
         core = core + graph_character_sum(tables, graph, insertions)
+    tables._steps.clear()
+    tables._states.clear()
     pref = RingElement.scalar(Fraction(1))
     for c in insertions:
         pref = pref * tables.leg_prefactor(c)

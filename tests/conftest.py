@@ -59,20 +59,21 @@ def tables3(data3) -> ContributionTables:
 @pytest.fixture(scope="session")
 def pmatrix_at():
     """
-    ``pmatrix_at(n, policy)``: the P-matrix data at depth 5 (enough for every
-    tail of F_{2,1}), built once per session; custom constants are nonzero
-    rationals drawn from the test seed.
+    ``pmatrix_at(n, policy, k_max=5)``: the P-matrix data at depth k_max (5
+    is enough for every tail of F_{2,1}, 6 for F_{2,2}), built once per
+    session; custom constants are nonzero rationals drawn from the test seed,
+    the same first five at every depth.
     """
     built: dict = {}
 
-    def get(n: int, policy: str):
-        if (n, policy) not in built:
+    def get(n: int, policy: str, k_max: int = 5):
+        if (n, policy, k_max) not in built:
             custom = None
             if policy == "custom":
                 r = random.Random(SEED + n)
-                custom = [Fraction(r.choice((-1, 1)) * r.randint(1, 9), r.randint(1, 9)) for _ in range(5)]
+                custom = [Fraction(r.choice((-1, 1)) * r.randint(1, 9), r.randint(1, 9)) for _ in range(k_max)]
             data = GenusZeroData.build(ModelConfig(n))
-            built[(n, policy)] = build_pmatrix(data, 5, policy, custom_constants=custom)
-        return built[(n, policy)]
+            built[(n, policy, k_max)] = build_pmatrix(data, k_max, policy, custom_constants=custom)
+        return built[(n, policy, k_max)]
 
     return get

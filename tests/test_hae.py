@@ -52,6 +52,32 @@ def test_low_genus_is_refused_before_any_table(monkeypatch):
             verify_hae(3, g)
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2", True, 1.0])
+def test_inexact_custom_constants_are_refused_before_any_table(monkeypatch, bad):
+    # a float would enter the exact verdict as a binary fraction, and
+    # Fraction() would parse a string; only int and Fraction are read
+    import orbigw.hae as hae
+    from orbigw.genus0 import GenusZeroData, ModelConfig
+    from orbigw.pmatrix import compute_P_column
+
+    data = GenusZeroData.build(ModelConfig(3))
+    constants = [Fraction(1, 2), 1, Fraction(-3, 4), bad]
+    with pytest.raises(TypeError, match="custom constants must be int or Fraction"):
+        compute_P_column(data, 4, "custom", constants)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tables built for inexact constants")
+
+    monkeypatch.setattr(hae.GenusZeroData, "build", staticmethod(forbidden))
+    monkeypatch.setattr(hae, "build_pmatrix", forbidden)
+    with pytest.raises(TypeError, match="custom constants must be int or Fraction"):
+        verify_hae(3, 2, "custom", custom_constants=constants)
+
+
+def test_int_and_fraction_custom_constants_are_read():
+    assert verify_hae(3, 2, "custom", custom_constants=[1, Fraction(1, 2), -2, Fraction(3, 4)]).verified
+
+
 def test_empty_policy_is_rejected():
     # only a missing policy defaults to symplectic
     with pytest.raises(ValueError, match="unknown constants policy"):

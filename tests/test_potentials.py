@@ -145,10 +145,16 @@ def test_dropping_any_graph_changes_F2(tables3):
 def test_character_sum_matches_decorated_oracle(pmatrix_at, n, policy):
     # the character sum over undecorated graphs equals the decorated sum,
     # whose factors are read one decoration at a time with explicit zeta
-    # weights, graph by graph, so errors cancelling between graphs show too
-    tables = ContributionTables(pmatrix_at(n, policy))
+    # weights, graph by graph, so errors cancelling between graphs show too;
+    # with equal insertions the oracle's labeled graphs are compared one by
+    # one, and assemble_F, which sums each class of equal legs once, with
+    # their total
+    cases = [(2, ()), (1, (1,)), (1, (1, 2)), (2, (2,))]
+    if n == 3:
+        cases += [(1, (1, 1)), (2, (1, 1))]
+    tables = ContributionTables(pmatrix_at(n, policy, 6 if n == 3 else 5))
     at = Decorated(tables)
-    for g, insertions in [(2, ()), (1, (1,)), (1, (1, 2)), (2, (2,))]:
+    for g, insertions in cases:
         per_graph = {graph: RingElement.zero() for graph in enumerate_stable_graphs(g, len(insertions))}
         for dec in enumerate_decorated(g, len(insertions), n):
             per_graph[dec.graph] = per_graph[dec.graph] + graph_contribution(at, dec, insertions)
@@ -173,6 +179,67 @@ def test_character_sum_matches_decorated_oracle_genus3(data3):
         per_graph[dec.graph] = per_graph[dec.graph] + graph_contribution(at, dec, ())
     for graph, contribution in per_graph.items():
         assert graph_character_sum(tables, graph, ()) == contribution, graph
+
+
+@pytest.mark.parametrize("n, policy", [(3, "symplectic"), (4, "custom")])
+def test_step_cache_leaks_nothing(n, policy):
+    # the edge steps are keyed by local end data alone and shared by every
+    # graph of a potential: potentials assembled in either order on one
+    # table, and graph by graph in reverse order, equal those of fresh
+    # tables, so no step is read for a graph whose ends differ in genus,
+    # legs or orientation; under custom constants the edge factor is not
+    # symmetric in its ends
+    from orbigw.genus0 import GenusZeroData, ModelConfig
+    from orbigw.pmatrix import build_pmatrix
+
+    custom = [Fraction(1, k + 1) for k in range(7)] if policy == "custom" else None
+    pm = build_pmatrix(GenusZeroData.build(ModelConfig(n)), 7, policy, custom_constants=custom)
+    potentials = [(3, ()), (2, (1, 1)), (2, (1, 2)), (2, (1,))]
+    fresh = {(g, ins): assemble_F(ContributionTables(pm), g, ins).core for g, ins in potentials}
+    for order in (potentials, potentials[::-1]):
+        tables = ContributionTables(pm)
+        for g, ins in order:
+            assert assemble_F(tables, g, ins).core == fresh[(g, ins)], (order, g, ins)
+    for g, ins in potentials:
+        tables = ContributionTables(pm)
+        graphs = enumerate_stable_graphs(g, len(ins), ins if tables.symmetric(3 * g - 4 + len(ins)) else None)
+        reverse = RingElement.zero()
+        for graph in reversed(graphs):
+            reverse = reverse + graph_character_sum(tables, graph, ins)
+        assert reverse == fresh[(g, ins)], (g, ins)
+
+
+def test_equal_legs_share_a_class_only_for_symmetric_edges(monkeypatch):
+    # under custom constants edge(1, 2) is not the transpose of edge(2, 1),
+    # so a graph of F_{2,2}, whose edges reach b1 + b2 = 4, has a value that
+    # depends on its vertex order, and the labeled graphs of a class of
+    # equal legs are summed one by one; F_{1,2} reaches b1 + b2 = 1 only
+    import orbigw.potentials as potentials
+    from orbigw.genus0 import GenusZeroData, ModelConfig
+    from orbigw.pmatrix import build_pmatrix
+
+    data = GenusZeroData.build(ModelConfig(3))
+    symplectic = ContributionTables(build_pmatrix(data, 6, "symplectic"))
+    custom = ContributionTables(build_pmatrix(data, 6, "custom", custom_constants=[Fraction(1, k + 1) for k in range(6)]))
+    assert symplectic.symmetric(4) and custom.symmetric(2) and not custom.symmetric(3)
+    summed = []
+    real = potentials.graph_character_sum
+
+    def counted(tables, graph, insertions):
+        summed.append(graph.colours)
+        return real(tables, graph, insertions)
+
+    monkeypatch.setattr(potentials, "graph_character_sum", counted)
+    for tables, g, colours, count in [(symplectic, 2, (0, 0), 60), (custom, 2, None, 75), (custom, 1, (0, 0), 5)]:
+        summed.clear()
+        assemble_F(tables, g, (1, 1))
+        assert summed == [colours] * count, (g, colours)
+
+
+def test_colours_must_match_insertions(tables3):
+    graph = enumerate_stable_graphs(1, 2, (1, 1))[0]
+    with pytest.raises(ValueError, match="legs of one colour"):
+        graph_character_sum(tables3, graph, (1, 2))
 
 
 @pytest.mark.parametrize("n", [3, 4])
