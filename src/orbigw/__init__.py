@@ -22,15 +22,13 @@ from .psi import psi_integral
 from .report import Report
 from .ring import RingContext, RingElement, certify_rules, fit_laurent_in_L
 from .series import Series, binomial_pow
-from .stirling import StirlingTable, stirling_first, stirling_second
+from .stirling import stirling_first
 
 __all__ = [
     "Cyclotomic",
     "Series",
     "binomial_pow",
-    "StirlingTable",
     "stirling_first",
-    "stirling_second",
     "ModelConfig",
     "GenusZeroData",
     "RingContext",

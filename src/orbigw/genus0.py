@@ -49,7 +49,7 @@ from .cyclotomic import Cyclotomic
 from .report import Report
 from .series import Series
 from .series import binomial_pow as _binomial_pow
-from .stirling import StirlingTable
+from .stirling import stirling_first
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,6 @@ class GenusZeroData:
     A: list[Series]
     Theta: Series
     DLL: Series
-    stirling: StirlingTable
     _zeta_cache: dict[int, Cyclotomic] = field(default_factory=dict, repr=False)
     _quantum_cache: dict[tuple[int, int], Series] = field(default_factory=dict, repr=False)
 
@@ -208,8 +207,7 @@ class GenusZeroData:
             for r in range(1, i + 1):
                 acc = acc - X[r]
             A.append(acc * L_inv)
-        st = StirlingTable.build(max(n + 1, 9))
-        return GenusZeroData(cfg, slots, L, C, K, X, A, slots[1], DLL, st)
+        return GenusZeroData(cfg, slots, L, C, K, X, A, slots[1], DLL)
 
     # -- small helpers --------------------------------------------------------
 
@@ -339,14 +337,13 @@ def verify_picard_fuchs(data: GenusZeroData) -> Report:
     """
     cfg = data.cfg
     n = cfg.n
-    st = data.stirling
     rep = Report(f"Picard-Fuchs residuals (n={n}, N={cfg.N})")
     sign = Fraction((-1) ** n, n**n)
 
     for k, slot in enumerate(data.I):
         lhs = Series.zero()
         for j in range(1, n + 1):
-            lhs = lhs + slot.deriv_pow(j) * st.s(n, j)
+            lhs = lhs + slot.deriv_pow(j) * stirling_first(n, j)
         lhs = lhs.shift(-n) - slot.deriv_pow(n) * sign
         rhs = data.I[k - n] if k >= n else Series.zero()
         resid = lhs - rhs
@@ -360,7 +357,7 @@ def verify_picard_fuchs(data: GenusZeroData) -> Report:
     for k in range(n):
         resid = data.I[k].deriv_pow(n)
         for r in range(1, n):
-            resid = resid + data.DLL * data.I[k].deriv_pow(r) * st.s(n, r)
+            resid = resid + data.DLL * data.I[k].deriv_pow(r) * stirling_first(n, r)
         bad = resid.zero_order()
         rep.add(
             f"component form, I_{k}",
@@ -429,7 +426,6 @@ def verify_ring_series(data: GenusZeroData) -> Report:
     """
     cfg = data.cfg
     n = cfg.n
-    st = data.stirling
     rep = Report(f"ring generator identities (n={n}, N={cfg.N})")
 
     for i in range(n + 1):
@@ -465,7 +461,7 @@ def verify_ring_series(data: GenusZeroData) -> Report:
     for m in range(1, n):
         resid = B[(n, m)]
         for k in range(m, n):
-            resid = resid + data.DLL * B[(k, m)] * st.s(n, k)
+            resid = resid + data.DLL * B[(k, m)] * stirling_first(n, k)
         d = resid.zero_order()
         rep.add(f"graded ladder relation, column {m}", d is None, f"first bad x-power {d}" if d is not None else "")
 

@@ -33,8 +33,8 @@ multiplicity) until no class splits.  While a class has more than one member, th
 individualises each vertex of the first such class in turn (it moves ahead
 of its class), refines again and recurses.  Every step commutes with
 isomorphisms, so the leaves, each an ordering of the vertices, are canonical
-as a set, and the canonical key (``StableGraph.signature``) is the least
-relabeled graph over them, the vertices of equal-colour legs sorted.  Two
+as a set, and the canonical key (the first result of ``_search``) is the
+least relabeled graph over them, the vertices of equal-colour legs sorted.  Two
 leaves give the same key exactly when they differ by a vertex symmetry that
 keeps the colours of the legs at each vertex, so the leaves that reach the
 key are as many as those symmetries, and ``aut_count`` reads them off the
@@ -108,14 +108,6 @@ class StableGraph:
                     seen.add(w)
                     frontier.append(w)
         return len(seen) == V
-
-    def relabeled(self, perm: tuple[int, ...]) -> "StableGraph":
-        """Apply the vertex relabeling v -> perm[v]."""
-        return StableGraph(*_relabeled(self, perm), self.colours)
-
-    def signature(self) -> tuple:
-        """Canonical key: the least relabeled (genera, legs, edges) over the search leaves, legs sorted by colour."""
-        return _search(self)[0]
 
 
 def _relabeled(graph: StableGraph, perm) -> tuple:

@@ -196,7 +196,12 @@ def verify_finite_generation(tables: ContributionTables, g: int, insertions: tup
 def verify_hae_policies(
     n: int, g: int, policies: list[str] | None = None, N: int | None = None
 ) -> tuple[Report, list[HaeReport]]:
-    """Run the anomaly equation under several constants policies and compare."""
+    """
+    Run the anomaly equation under several constants policies and compare.
+    ``custom`` is given the list 1/(k+1) for k < 3g - 2, of which it reads
+    the first ceil((3g - 2) / 2): 1, 1/2, 1/3, ... become the free constants
+    at the odd orders 1, 3, 5, ..., and unitarity fixes the even orders.
+    """
     if policies is None:
         policies = ["symplectic", "zero", "custom"]
     rep = Report(f"holomorphic anomaly equation (n={n}, g={g})")

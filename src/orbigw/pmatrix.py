@@ -14,16 +14,20 @@ k = 1, 2 instances are pinned against closed forms.  Every polynomial in Lam
 is an exact :class:`~orbigw.series.Series` (``prec = INF``); the one helper of
 their own is an exact division (:func:`div_exact`).
 
-Every integration step leaves one free constant.  Three policies are
-implemented: ``zero`` (all constants zero), ``symplectic`` (each constant is
-solved, order by order, from the quadratic unitarity condition on the
-solution matrix, and left at zero where that condition is vacuous), and
-``custom`` (caller-provided).  All three run one loop
-(:func:`compute_P_column`) that grows the column's series tables one order
-at a time from the genus zero data alone; the symplectic solve reads one
-unitarity residual per order, as a rational 2D character sum whose linear
-part in the new constant is known in closed form, and adds a nonzero
-constant to the grown order in place.
+Every integration step leaves one constant, and every policy fixes them by
+one rule (:func:`unitary_constants`): the odd orders are free, and each even
+order takes the constant that keeps s(z) = 1 + sum_k c_k z^k unitary,
+s(z) s(-z) = 1, so the column is symplectic and every edge factor of the
+graph sum is symmetric in its ends.  Three policies fill the free orders:
+``zero`` and ``symplectic`` with zeros, ``custom`` with the caller's
+constants.  All three run one loop (:func:`compute_P_column`) that grows the
+column's series tables one order at a time from the genus zero data alone.
+``symplectic`` also solves each constant, order by order, from the quadratic
+unitarity condition on the solution matrix: it reads one unitarity residual
+per order, as a rational 2D character sum whose linear part in the new
+constant is known in closed form, and adds any nonzero correction to the
+grown order in place (none has been needed: the correction is 0 at
+n = 3..8).
 
 The remaining rows are then built twice, both times graded by residue mod n
 over Q and stored only in that form: neither recursion involves the column
@@ -273,6 +277,23 @@ def check_constants(custom_constants) -> None:
             raise TypeError(f"custom constants must be int or Fraction, not {type(c).__name__}")
 
 
+def unitary_constants(free: list[Fraction], k_max: int) -> list[Fraction]:
+    """
+    The constants c_1 .. c_{k_max}: ``free`` at the odd orders, in order, and
+    at each even order e the one that makes s(z) = 1 + sum_k c_k z^k satisfy
+    s(z) s(-z) = 1 through z^e,
+
+        c_e = -1/2 sum_{0<i<e} (-1)^i c_i c_{e-i}.
+
+    The odd coefficients of s(z) s(-z) vanish for any constants, so this
+    fixes every order unitarity constrains and no other.
+    """
+    c = [Fraction(1)]
+    for e in range(1, k_max + 1):
+        c.append(free[e // 2] if e % 2 else -sum((-1) ** i * c[i] * c[e - i] for i in range(1, e)) / 2)
+    return c[1:]
+
+
 def compute_P_column(
     data: GenusZeroData,
     k_max: int,
@@ -286,37 +307,42 @@ def compute_P_column(
     at column j is sum_w zeta^{wj} tables[w][k][i]
     (:func:`~orbigw.genus0.at_column`).
 
-    The tables start from the unit at order 0, residue 0, and grow one order at
-    a time by the modified flatness recursion alone (:func:`extend_tables`),
-    with that order's constant: the given one under ``zero`` and ``custom``,
-    0 under ``symplectic``.  The polynomial route never enters; these tables
-    are the oracle the ring lift is checked against.
+    The constants follow :func:`unitary_constants`: the free (odd) orders
+    1, 3, 5, ... take the first ceil(k_max / 2) custom constants under
+    ``custom`` (a longer list is read no further) and 0 otherwise, and the
+    even orders are fixed by unitarity.  The tables start from the unit at
+    order 0, residue 0, and grow one order at a time by the modified flatness
+    recursion alone (:func:`extend_tables`), with that order's constant.  The
+    polynomial route never enters; these tables are the oracle the ring lift
+    is checked against.
 
     Under ``symplectic`` the character sum Y of the order-e unitarity residual
-    (:func:`unitarity_residual`) is computed once.  The condition is affine in
+    (:func:`unitarity_residual`) is also computed.  The condition is affine in
     the new constant c, with a linear part known in closed form: c adds c to
     every row of residue e mod n, only the order-0 rows (all 1, at residue 0)
     pair with it, and both pairings land on the antidiagonal, so Y[a][-a]
     moves by (1 + (-1)^e) c / n for every a and nothing else moves.  Where that
-    slope vanishes the constant is reported free and left at zero; otherwise
-    it is fixed, solved from the constant term of Y[0][0], and a nonzero one is
-    added to the grown order in place before Y is recomputed.  Either way
+    slope vanishes the constant is reported free; otherwise it is fixed, a
+    correction is solved from the constant term of Y[0][0], and a nonzero one
+    is added to the grown order in place before Y is recomputed.  Either way
     every Y[a][b] must vanish.  The solve is rational throughout.
     """
     n = data.cfg.n
     check_constants(custom_constants)
+    free = (k_max + 1) // 2
     if policy == "custom":
-        if custom_constants is None or len(custom_constants) < k_max:
-            raise ValueError("custom policy needs k_max constants")
-        constants = [Fraction(c) for c in custom_constants[:k_max]]
-        status = ["given"] * k_max
+        if custom_constants is None or len(custom_constants) < free:
+            raise ValueError(f"custom policy needs {free} constants, one per odd order up to k_max = {k_max}")
+        given = [Fraction(c) for c in custom_constants[:free]]
+        status = ["given" if e % 2 else "fixed" for e in range(1, k_max + 1)]
     elif policy not in ("zero", "symplectic"):
         raise ValueError(f"unknown constants policy {policy!r}")
     elif custom_constants is not None:
         raise ValueError(f"custom constants are only read under the custom policy, not {policy!r}")
     else:
-        constants = [Fraction(0)] * k_max
+        given = [Fraction(0)] * free
         status = ["zero"] * k_max if policy == "zero" else []  # the symplectic solve appends its own
+    constants = unitary_constants(given, k_max)
     unit = Series.one().truncate(data.L.prec)
     tables = [[[unit if w == 0 else Series.zero(unit.prec) for _ in range(n)]] for w in range(n)]
     for e in range(1, k_max + 1):
@@ -328,7 +354,7 @@ def compute_P_column(
         status.append("fixed" if slope else "free")
         if slope and (c := Y[0][0].get(0) / -slope):
             tables[e % n][e] = [row + c for row in tables[e % n][e]]
-            constants[e - 1] = c
+            constants[e - 1] += c
             Y = unitarity_residual(tables, e)
         bad = [(a, b, Y[a][b].zero_order()) for a in range(n) for b in range(n) if Y[a][b]]
         if bad:

@@ -26,9 +26,11 @@ rational ring elements X_u, and sum_p zeta^{U.p} = n^V [U = 0] over vectors
 U of per-vertex residues.  By Burnside ``assemble_F`` sums over undecorated
 stable graphs only, each weighted n^V / Aut(G), reading the all-zero residue
 component, with the flags summed edge by edge (:func:`graph_character_sum`).
-Where the edge factors are symmetric in their ends, legs of equal insertion
-are one colour, and the graphs that differ only by permuting them are one
-class, summed once with weight n^V prod_c k_c! / Aut(G)
+Every constants policy gives a unitary column (:mod:`orbigw.pmatrix`), so
+each edge factor is symmetric in its ends and a graph's value does not
+depend on the vertex order of its representative.  Legs of equal insertion
+are then one colour, and the graphs that differ only by permuting them are
+one class, summed once with weight n^V prod_c k_c! / Aut(G)
 (:mod:`orbigw.graphs`).
 
 What the graphs share lives in :class:`ContributionTables`.  The local
@@ -225,21 +227,6 @@ class ContributionTables:
         self._edge[key] = total
         return total
 
-    def symmetric(self, order: int) -> bool:
-        """
-        Whether the edge factors with b1 + b2 <= ``order`` are symmetric in
-        their ends: edge(b1, b2) is the transpose of edge(b2, b1).  They are
-        for a unitary P (the symplectic constants).  Where they are not, as
-        under most custom constants, a graph's value depends on which end of
-        each edge comes first, that is on the vertex order of its
-        representative.
-        """
-        return all(
-            self.edge(b1, b2) == {(u2, u1): x for (u1, u2), x in self.edge(b2, b1).items()}
-            for b1 in range(order + 1)
-            for b2 in range(b1, order - b1 + 1)
-        )
-
     def closed_vertex(self, h: int, legs: tuple[int, ...], flags: tuple[int, ...]) -> Char:
         """
         A genus-h vertex with the given edge flags times its legs, whose
@@ -260,27 +247,26 @@ class ContributionTables:
         self._closed[key] = total
         return total
 
-    def half_closed(self, side: int, h: int, legs: tuple[int, ...], flags: tuple[int, ...], r: int, other: int) -> Char:
+    def half_closed(self, h: int, legs: tuple[int, ...], flags: tuple[int, ...], r: int, other: int) -> Char:
         """
         The last edge of a genus-h vertex with legs ``legs``, earlier flags
         ``flags`` and residue r, times the vertex's closed factor, summed over
-        the vertex's flag on the edge and its residue there: ``{u: value}``
-        keyed by the residue u at the other end, whose flag is ``other``.
-        ``side`` is the vertex's place in the edge factor's (b1, b2), 0 or 1:
-        under custom constants edge(b1, b2) is not the transpose of
-        edge(b2, b1).
+        the vertex's flag b on the edge and its residue there: ``{u: value}``
+        keyed by the residue u at the other end, whose flag is ``other``.  The
+        vertex is the edge factor's first end, edge(b, other); the factor is
+        symmetric in its ends, so that is either end.
         """
-        key = (side, h, legs, flags, r, other)
+        key = (h, legs, flags, r, other)
         if key in self._half:
             return self._half[key]
         pairs: dict = {}
         # the room 3h - 3 + valence left by the earlier flags; the valence counts this edge
         for b in range(3 * h - 2 + len(flags) + len(legs) - sum(flags) + 1):
             closed = self.closed_vertex(h, legs, tuple(sorted(flags + (b,))))
-            for u, y in self.edge(*((b, other) if side == 0 else (other, b))).items():
-                z = closed.get((-r - u[side]) % self.n)
+            for (u1, u2), y in self.edge(b, other).items():
+                z = closed.get((-r - u1) % self.n)
                 if z is not None:
-                    _append(pairs, u[1 - side], (y, z))
+                    _append(pairs, u2, (y, z))
         self._half[key] = {u: RingElement.sum_of_products(p) for u, p in pairs.items()}
         return self._half[key]
 
@@ -308,19 +294,18 @@ class ContributionTables:
         end is (closes, h, legs, room): whether the edge is the vertex's last,
         its genus, its leg insertions and its room 3h - 3 + valence; a state
         is (sorted earlier flags, residue).  A loop's two ends are its one
-        vertex.
+        vertex.  If only one end closes, it is end a
+        (:func:`graph_character_sum` orients the edge so).
 
         An open edge pairs the edge factor with both ends' new states: it
         multiplies nothing, and its triples, one per entry of every edge
         factor in reach, would be most of a cache, so they are built afresh.
-        A loop takes both of its flags at its vertex.  An edge that closes an
-        end is read from :meth:`half_closed` at that end's state and relabeled
-        onto the other end's new state; if it closes both, each term is the
-        half-closed value against the other end's closed factor.  These steps
-        sum products and depend on the key alone, so every graph of a
-        potential reuses them; :func:`assemble_F` drops them after each
-        potential.  The orientation stays in the key: under custom constants
-        edge(b1, b2) is not the transpose of edge(b2, b1).
+        A loop takes both of its flags at its vertex.  An edge that closes
+        end a is read from :meth:`half_closed` at a's state and relabeled onto
+        b's new state; if it closes b too, each term is the half-closed value
+        against b's closed factor.  These steps sum products and depend on the
+        key alone, so every graph of a potential reuses them;
+        :func:`assemble_F` drops them after each potential.
         """
         n = self.n
         loop, end_a, end_b = edge
@@ -350,22 +335,19 @@ class ContributionTables:
                             _append(terms, end, (y, self._one if z is None else z))
             out = [(end, end, RingElement.sum_of_products(pairs)) for end, pairs in terms.items()]
         else:
-            # the closing end v is folded into the edge, once per state of v
-            side = 0 if end_a[0] else 1
-            closing, other_end = ((end_a, state_a), (end_b, state_b)) if side == 0 else ((end_b, state_b), (end_a, state_a))
-            (_, h, legs, _), (fv, rv) = closing
-            w, state_w = other_end
+            # the closing end a is folded into the edge, once per state of a
+            (_, h, legs, _), (fa, ra) = end_a, state_a
             out, pairs = [], []
-            for other in range(w[3] - sum(state_w[0]) + 1):
-                at = self._grown(w, state_w, (other,))
-                for u, y in self.half_closed(side, h, legs, fv, rv, other).items():
+            for other in range(end_b[3] - sum(state_b[0]) + 1):
+                at = self._grown(end_b, state_b, (other,))
+                for u, y in self.half_closed(h, legs, fa, ra, other).items():
                     hit = at.get(u)
                     if hit is None:
                         continue
                     end, z = hit
                     if z is None:
-                        # an open end takes a state of its own for each (other, u)
-                        out.append((_BLANK, end, y) if side == 0 else (end, _BLANK, y))
+                        # an open end b takes a state of its own for each (other, u)
+                        out.append((_BLANK, end, y))
                     else:
                         pairs.append((y, z))
             if pairs:
@@ -422,17 +404,19 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
     weighted 1/Aut(G, p), add up to the sum over all p divided by Aut(G): the
     graph contributes n^V / Aut(G) times X_0.  A graph whose legs share
     colours stands for prod_c k_c! labelings
-    (:func:`~orbigw.graphs.leg_permutations`), all with the same X_0 where
-    the edge factors are symmetric, so it is weighted n^V prod_c k_c! /
-    Aut(G); legs of one colour must carry one insertion.
+    (:func:`~orbigw.graphs.leg_permutations`), all with the same X_0, as the
+    edge factors are symmetric in their ends, so it is weighted n^V prod_c
+    k_c! / Aut(G); legs of one colour must carry one insertion.
 
     The flags are summed edge by edge, keyed by the sorted flags and the
     residue of each open vertex; a vertex's last edge takes its closed factor
     at the component cancelling its residue, and the vertex is forgotten.
     Each edge's terms come from :meth:`ContributionTables.step` at the states
-    of its two ends, read once per pair of end states.  Each new key sums its
-    (state value, coefficient) products in one
-    :meth:`RingElement.sum_of_products`, so it is normalised once.
+    of its two ends, read once per pair of end states; an edge that closes
+    one end only is oriented with that end first, which the symmetric edge
+    factor allows.  Each new key sums its (state value, coefficient)
+    products in one :meth:`RingElement.sum_of_products`, so it is
+    normalised once.
     """
     n, V = tables.n, graph.num_vertices
     if graph.colours is not None and len(set(zip(graph.colours, insertions))) != len(set(graph.colours)):
@@ -447,6 +431,8 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
     start = tables.unit() if graph.edges else tables.closed_vertex(graph.genera[0], local[0][1], ()).get(0, tables.zero())
     state = {(_BLANK,) * V: start}
     for e, (a, b) in enumerate(graph.edges):
+        if last_edge[b] == e != last_edge[a]:
+            a, b = b, a
         edge = (a == b, (last_edge[a] == e,) + local[a], (last_edge[b] == e,) + local[b])
         steps: dict = {}
         grown: dict = {}
@@ -477,23 +463,17 @@ def assemble_F(tables: ContributionTables, g: int, insertions: tuple[int, ...] |
 
     The sum runs over undecorated stable graphs in enumeration order, each
     through the character sum of :func:`graph_character_sum`; the leg
-    prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as one monomial.  Where
-    the edge factors are symmetric (:meth:`ContributionTables.symmetric`),
-    the legs are coloured by insertion value, so the graphs that differ only
-    by permuting equal insertions are one class, summed once.  Otherwise a
-    graph's value depends on its vertex order, the labeled graphs of such a
-    class are not all valued alike, and each is summed at its own
-    representative.  The edge steps (:meth:`ContributionTables.step`) are
-    shared by the graphs of this potential and dropped after it, so the
-    cache does not grow over a verdict.
+    prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as one monomial.  The
+    legs are coloured by insertion value, so the graphs that differ only by
+    permuting equal insertions are one class, summed once.  The edge steps
+    (:meth:`ContributionTables.step`) are shared by the graphs of this
+    potential and dropped after it, so the cache does not grow over a
+    verdict.
     """
     insertions = tuple(insertions)
     _check_type(g, insertions)
-    repeated = len(set(insertions)) < len(insertions)
-    # an edge's flags fit in the room 3g - 3 + m - E of its graph's vertices
-    colours = insertions if repeated and tables.symmetric(3 * g - 4 + len(insertions)) else None
     core = tables.zero()
-    for graph in enumerate_stable_graphs(g, len(insertions), colours):
+    for graph in enumerate_stable_graphs(g, len(insertions), insertions):
         core = core + graph_character_sum(tables, graph, insertions)
     tables._steps.clear()
     tables._states.clear()

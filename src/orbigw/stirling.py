@@ -1,24 +1,20 @@
 r"""
-Stirling numbers of both kinds.
+Stirling numbers of the first kind.
 
-s(m, k), the first kind, is the coefficient of x^k in the falling factorial
-x(x-1)...(x-m+1).  S(m, k), the second kind, counts partitions of an m-set
-into k nonempty blocks.  They convert between x^m (d/dx)^m and powers of
-D = x d/dx, which is how the Picard-Fuchs operator is assembled:
+s(m, k) is the coefficient of x^k in the falling factorial x(x-1)...(x-m+1).
+It converts x^m (d/dx)^m into powers of D = x d/dx, which is how the
+Picard-Fuchs operator is assembled:
 
     x^m d^m/dx^m = sum_k s(m, k) D^k.
 
-Both kinds are computed by their recursions and cross-checked against
-independent closed forms; the numbers silently shape every differential
-operator downstream, so the redundancy is kept on purpose.
+The numbers are computed by their recursion; the test suite cross-checks
+them against the falling-factorial expansion, closed forms and the inversion
+identity with the second kind (``tests/test_stirling.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
 
 
 @lru_cache(maxsize=None)
@@ -32,88 +28,3 @@ def stirling_first(m: int, k: int) -> int:
         return 0
     # falling factorial recursion: (x)_m = (x - m + 1) (x)_{m-1}
     return stirling_first(m - 1, k - 1) - (m - 1) * stirling_first(m - 1, k)
-
-
-@lru_cache(maxsize=None)
-def stirling_second(m: int, k: int) -> int:
-    """Stirling number of the second kind; 0 outside 0 <= k <= m."""
-    if m < 0 or k < 0:
-        return 0
-    if m == 0:
-        return 1 if k == 0 else 0
-    if k > m or k == 0:
-        return 0
-    return k * stirling_second(m - 1, k) + stirling_second(m - 1, k - 1)
-
-
-def stirling_second_euler(m: int, k: int) -> Fraction:
-    """Euler's alternating-sum formula for S(m, k); an independent cross-check."""
-    if k < 0 or m < 0 or k > m:
-        return Fraction(0)
-    if m == 0:
-        return Fraction(1 if k == 0 else 0)
-    total = sum((-1) ** (k - i) * comb(k, i) * i**m for i in range(k + 1))
-    return Fraction(total, factorial(k))
-
-
-def falling_factorial_coefficients(m: int) -> list[int]:
-    """Coefficients of x(x-1)...(x-m+1) by direct polynomial expansion."""
-    poly = [1]
-    for j in range(m):
-        # multiply by (x - j)
-        shifted = [0] + poly
-        poly = [shifted[i] - j * (poly[i] if i < len(poly) else 0) for i in range(len(shifted))]
-    return poly
-
-
-@dataclass(frozen=True)
-class StirlingTable:
-    """Validated triangle of Stirling numbers up to max_m, both kinds."""
-
-    max_m: int
-    first: tuple[tuple[int, ...], ...]
-    second: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def build(max_m: int) -> "StirlingTable":
-        first = tuple(tuple(stirling_first(m, k) for k in range(m + 1)) for m in range(max_m + 1))
-        second = tuple(tuple(stirling_second(m, k) for k in range(m + 1)) for m in range(max_m + 1))
-        table = StirlingTable(max_m, first, second)
-        table.validate()
-        return table
-
-    def s(self, m: int, k: int) -> int:
-        if 0 <= k <= m <= self.max_m:
-            return self.first[m][k]
-        return 0
-
-    def S(self, m: int, k: int) -> int:
-        if 0 <= k <= m <= self.max_m:
-            return self.second[m][k]
-        return 0
-
-    def validate(self) -> None:
-        """Cross-check the recursions against closed forms and the inversion identity."""
-        for m in range(self.max_m + 1):
-            poly = falling_factorial_coefficients(m)
-            for k in range(m + 1):
-                if poly[k] != self.s(m, k):
-                    raise AssertionError(f"s({m},{k}) disagrees with falling factorial expansion")
-                if stirling_second_euler(m, k) != self.S(m, k):
-                    raise AssertionError(f"S({m},{k}) disagrees with Euler's formula")
-            if m >= 1:
-                if self.s(m, m - 1) != -comb(m, 2):
-                    raise AssertionError(f"s({m},{m-1}) != -C({m},2)")
-            if m >= 2:
-                expected = Fraction(3 * m - 1, 4) * comb(m, 3)
-                if self.s(m, m - 2) != expected:
-                    raise AssertionError(f"s({m},{m-2}) closed form failed")
-            if m >= 3:
-                if self.s(m, m - 3) != -comb(m, 2) * comb(m, 4):
-                    raise AssertionError(f"s({m},{m-3}) closed form failed")
-        # the two triangles are mutually inverse as lower triangular matrices
-        for m in range(self.max_m + 1):
-            for k in range(self.max_m + 1):
-                tot = sum(self.s(m, j) * self.S(j, k) for j in range(self.max_m + 1))
-                if tot != (1 if m == k else 0):
-                    raise AssertionError(f"Stirling inversion failed at ({m},{k})")

@@ -62,7 +62,8 @@ def pmatrix_at():
     ``pmatrix_at(n, policy, k_max=5)``: the P-matrix data at depth k_max (5
     is enough for every tail of F_{2,1}, 6 for F_{2,2}), built once per
     session; custom constants are nonzero rationals drawn from the test seed,
-    the same first five at every depth.
+    one per order, of which the policy reads the first ceil(k_max / 2) as
+    its free constants, the same at every depth.
     """
     built: dict = {}
 

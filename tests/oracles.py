@@ -5,7 +5,9 @@ found by brute force over every vertex permutation; over
 :class:`SeriesTables` it is ``assemble_F_series``), the naive stable-graph
 enumerator, the second psi recursion (``psi_integral_bruteforce``) and the
 series oracle's column entries (``series_entry``).  Each is an independent
-route to a number the package computes another way.
+route to a number the package computes another way.  Beside them live the
+graph helpers only the tests use (``relabeled``, ``signature``) and the
+edge-symmetry check (``edges_symmetric``).
 
 The package's ring and series are rational.  The decorated sum reads every
 factor at its decorations with explicit roots of unity, so over the lift its
@@ -24,7 +26,7 @@ from math import factorial
 
 from orbigw.cyclotomic import Cyclotomic, euler_phi
 from orbigw.genus0 import at_column
-from orbigw.graphs import StableGraph, enumerate_stable_graphs
+from orbigw.graphs import StableGraph, _relabeled, _search, enumerate_stable_graphs
 from orbigw.pmatrix import PMatrixData
 from orbigw.potentials import ContributionTables, _check_type
 from orbigw.psi import dimension_ok, double_factorial, is_stable, psi_genus0
@@ -366,6 +368,25 @@ def lifted_entry(pm: PMatrixData, k: int, i: int, j: int) -> CyclotomicPoly:
     return CyclotomicPoly(pm.lift_entry(k, i, j))
 
 
+def relabeled(graph: StableGraph, perm: tuple[int, ...]) -> StableGraph:
+    """``graph`` under the vertex relabeling v -> perm[v], its leg colours kept."""
+    return StableGraph(*_relabeled(graph, perm), graph.colours)
+
+
+def signature(graph: StableGraph) -> tuple:
+    """The canonical key: the least relabeled (genera, legs, edges) over the search leaves, legs sorted by colour."""
+    return _search(graph)[0]
+
+
+def edges_symmetric(tables: ContributionTables, order: int) -> bool:
+    """Whether every edge(b1, b2) with b1 + b2 <= ``order`` is the transpose of edge(b2, b1)."""
+    return all(
+        tables.edge(b1, b2) == {(u2, u1): x for (u1, u2), x in tables.edge(b2, b1).items()}
+        for b1 in range(order + 1)
+        for b2 in range(b1, order - b1 + 1)
+    )
+
+
 @dataclass(frozen=True)
 class DecoratedGraph:
     graph: StableGraph
@@ -375,7 +396,7 @@ class DecoratedGraph:
 
 def vertex_automorphisms(graph: StableGraph) -> list[tuple[int, ...]]:
     """The vertex permutations fixing the graph, found among all V! of them."""
-    return [perm for perm in permutations(range(graph.num_vertices)) if graph.relabeled(perm) == graph]
+    return [perm for perm in permutations(range(graph.num_vertices)) if relabeled(graph, perm) == graph]
 
 
 def half_edge_factor(graph: StableGraph) -> int:
@@ -584,7 +605,7 @@ def _isomorphic(a: StableGraph, b: StableGraph) -> bool:
     if sorted(a.genera) != sorted(b.genera):
         return False
     for perm in permutations(range(a.num_vertices)):
-        g2 = a.relabeled(perm)
+        g2 = relabeled(a, perm)
         if g2.genera == b.genera and g2.legs == b.legs and g2.edges == b.edges:
             return True
     return False

@@ -46,10 +46,11 @@ def test_genus3_verdict_pinned():
 
 
 # sha256 of the canonical JSON of {"k,i,j": entry_to_json(P~^k_{i,j})} for k <= 4 and every
-# i, j, under the custom constants 1/(k+1), and (coefficients, irrational ones) in those entries
+# i, j, under the custom constants 1/(k+1), of which k_max 4 reads the free ones c_1 = 1 and
+# c_3 = 1/2, and (coefficients, irrational ones) in those entries
 CUSTOM_ENTRIES = {
-    4: ("501c84c62a1ab0a4fe2563c3d050d48b7a44e3bf617bff541c29ff018cc7f97e", 488, 90),
-    5: ("c29cd188c5817df79e1f4a4212b9bb83dfa210305ccc598235e58c96f04b2be7", 1060, 444),
+    4: ("e0be99afb9c6f8d43a0f80d6fcf37e46eed99c81baec48caa884fff51c9dc37b", 488, 90),
+    5: ("c0e953272e70675cc4c317c0ca655f0115c7035e87f3f6626b625d62291efb01", 1060, 444),
 }
 
 

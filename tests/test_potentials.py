@@ -7,9 +7,11 @@ from oracles import (
     Decorated,
     SeriesTables,
     assemble_F_series,
+    edges_symmetric,
     enumerate_decorated,
     graph_contribution,
     lifted_entry,
+    relabeled,
     series_entry,
 )
 from orbigw.graphs import enumerate_stable_graphs
@@ -84,6 +86,45 @@ def test_edge_symmetry(tables3):
             a = tables3.edge(b1, b2)
             b = tables3.edge(b2, b1)
             assert a == {(u2, u1): x for (u1, u2), x in b.items()}
+
+
+@pytest.mark.parametrize("policy", ["symplectic", "zero", "custom"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_edge_factors_symmetric_under_every_policy(pmatrix_at, n, policy):
+    # every policy's column is unitary, so edge(b1, b2) is the transpose of
+    # edge(b2, b1) through b1 + b2 = 6, the most a genus-3 verdict reads
+    tables = ContributionTables(pmatrix_at(n, policy, 7))
+    assert edges_symmetric(tables, 6)
+
+
+@pytest.mark.parametrize("policy", ["symplectic", "zero", "custom"])
+def test_potentials_do_not_depend_on_vertex_order(pmatrix_at, policy, rng, monkeypatch):
+    # every representative relabeled by a random vertex permutation gives the
+    # same F_3, F_{2,2}(1, 1) and F_{2,2}(1, 2) at n = 3: the potentials are
+    # graph invariants
+    import orbigw.potentials as potentials
+
+    tables = ContributionTables(pmatrix_at(3, policy, 7))
+    potentials_at = [(3, ()), (2, (1, 1)), (2, (1, 2))]
+    want = {(g, ins): assemble_F(tables, g, ins).core for g, ins in potentials_at}
+    real = potentials.enumerate_stable_graphs
+
+    moved = []
+
+    def shuffled(g, m, colours=None):
+        out = []
+        for graph in real(g, m, colours):
+            perm = list(range(graph.num_vertices))
+            rng.shuffle(perm)
+            out.append(relabeled(graph, tuple(perm)))
+            moved.append(out[-1] != graph)
+        return tuple(out)
+
+    monkeypatch.setattr(potentials, "enumerate_stable_graphs", shuffled)
+    for _ in range(2):
+        for g, ins in potentials_at:
+            assert assemble_F(tables, g, ins).core == want[(g, ins)], (g, ins)
+    assert sum(moved) > 100
 
 
 def test_edge_membership(tables3):
@@ -187,8 +228,7 @@ def test_step_cache_leaks_nothing(n, policy):
     # graph of a potential: potentials assembled in either order on one
     # table, and graph by graph in reverse order, equal those of fresh
     # tables, so no step is read for a graph whose ends differ in genus,
-    # legs or orientation; under custom constants the edge factor is not
-    # symmetric in its ends
+    # legs or orientation
     from orbigw.genus0 import GenusZeroData, ModelConfig
     from orbigw.pmatrix import build_pmatrix
 
@@ -202,18 +242,17 @@ def test_step_cache_leaks_nothing(n, policy):
             assert assemble_F(tables, g, ins).core == fresh[(g, ins)], (order, g, ins)
     for g, ins in potentials:
         tables = ContributionTables(pm)
-        graphs = enumerate_stable_graphs(g, len(ins), ins if tables.symmetric(3 * g - 4 + len(ins)) else None)
+        graphs = enumerate_stable_graphs(g, len(ins), ins)
         reverse = RingElement.zero()
         for graph in reversed(graphs):
             reverse = reverse + graph_character_sum(tables, graph, ins)
         assert reverse == fresh[(g, ins)], (g, ins)
 
 
-def test_equal_legs_share_a_class_only_for_symmetric_edges(monkeypatch):
-    # under custom constants edge(1, 2) is not the transpose of edge(2, 1),
-    # so a graph of F_{2,2}, whose edges reach b1 + b2 = 4, has a value that
-    # depends on its vertex order, and the labeled graphs of a class of
-    # equal legs are summed one by one; F_{1,2} reaches b1 + b2 = 1 only
+def test_equal_legs_share_a_class_under_every_policy(monkeypatch):
+    # under custom constants as under symplectic ones the edge factors are
+    # symmetric, so F_{2,2}(1, 1) at n = 3 sums each of its 60 classes of
+    # equal legs once (75 labeled graphs), and F_{1,2}(1, 1) its 5
     import orbigw.potentials as potentials
     from orbigw.genus0 import GenusZeroData, ModelConfig
     from orbigw.pmatrix import build_pmatrix
@@ -221,7 +260,7 @@ def test_equal_legs_share_a_class_only_for_symmetric_edges(monkeypatch):
     data = GenusZeroData.build(ModelConfig(3))
     symplectic = ContributionTables(build_pmatrix(data, 6, "symplectic"))
     custom = ContributionTables(build_pmatrix(data, 6, "custom", custom_constants=[Fraction(1, k + 1) for k in range(6)]))
-    assert symplectic.symmetric(4) and custom.symmetric(2) and not custom.symmetric(3)
+    assert len(enumerate_stable_graphs(2, 2)) == 75
     summed = []
     real = potentials.graph_character_sum
 
@@ -230,10 +269,10 @@ def test_equal_legs_share_a_class_only_for_symmetric_edges(monkeypatch):
         return real(tables, graph, insertions)
 
     monkeypatch.setattr(potentials, "graph_character_sum", counted)
-    for tables, g, colours, count in [(symplectic, 2, (0, 0), 60), (custom, 2, None, 75), (custom, 1, (0, 0), 5)]:
+    for tables, g, count in [(symplectic, 2, 60), (custom, 2, 60), (custom, 1, 5)]:
         summed.clear()
         assemble_F(tables, g, (1, 1))
-        assert summed == [colours] * count, (g, colours)
+        assert summed == [(0, 0)] * count, g
 
 
 def test_colours_must_match_insertions(tables3):
@@ -251,14 +290,8 @@ def test_half_closed_matches_double_sum(n):
 
     custom = [Fraction(1, k + 1) for k in range(7)]
     tables = ContributionTables(build_pmatrix(GenusZeroData.build(ModelConfig(n)), 7, "custom", custom_constants=custom))
-    # the edge factor is not symmetric here, so the closed vertex's side matters
-    assert any(
-        tables.edge(b1, b2) != {(u2, u1): x for (u1, u2), x in tables.edge(b2, b1).items()}
-        for b1 in range(7)
-        for b2 in range(7 - b1)
-    )
     checked = 0
-    for side, h, legs, flags in product((0, 1), (0, 1), ((), (1,), (2,), (1, 2)), ((), (0,), (1,), (0, 0), (0, 1))):
+    for h, legs, flags in product((0, 1), ((), (1,), (2,), (1, 2)), ((), (0,), (1,), (0, 0), (0, 1))):
         room = 3 * h - 2 + len(flags) + len(legs) - sum(flags)
         if 2 * h - 1 + len(flags) + len(legs) <= 0 or room < 0:
             continue
@@ -266,13 +299,11 @@ def test_half_closed_matches_double_sum(n):
             want: dict = {}
             for b in range(room + 1):
                 closed = tables.closed_vertex(h, legs, tuple(sorted(flags + (b,))))
-                edge = tables.edge(b, other) if side == 0 else tables.edge(other, b)
-                for (u1, u2), y in edge.items():
-                    u, v = (u1, u2) if side == 0 else (u2, u1)
+                for (u, v), y in tables.edge(b, other).items():
                     if (-r - u) % n in closed:
                         want[v] = want.get(v, RingElement.zero()) + y * closed[(-r - u) % n]
-            got = tables.half_closed(side, h, legs, flags, r, other)
-            assert {v: x for v, x in got.items() if x} == {v: x for v, x in want.items() if x}, (side, h, legs, flags, r, other)
+            got = tables.half_closed(h, legs, flags, r, other)
+            assert {v: x for v, x in got.items() if x} == {v: x for v, x in want.items() if x}, (h, legs, flags, r, other)
             checked += bool(want)
     assert checked > 100
 
