@@ -27,7 +27,7 @@ from itertools import product
 
 from .genus0 import GenusZeroData, ModelConfig, verify_genus0
 from .hae import verify_hae_policies
-from .pmatrix import build_pmatrix, entry_to_json, verify_pmatrix
+from .pmatrix import POLICIES, build_pmatrix, entry_to_json, verify_pmatrix
 from .potentials import ContributionTables, _check_type, assemble_F, audit_generators
 from .report import Report, canonical_json
 from .ring import certify_rules
@@ -46,7 +46,7 @@ def _validate(args) -> None:
         if not 0 <= c < args.n:
             raise ValueError(f"insertion index {c} is outside 0..{args.n - 1}")
     for policy in args.policies.split(",") if getattr(args, "policies", "") else ():
-        if policy not in ("symplectic", "zero", "custom"):
+        if policy not in POLICIES:
             raise ValueError(f"unknown constants policy {policy!r} in --policies")
     if args.command == "potential":
         _check_type(args.g, args.insertions)

@@ -138,10 +138,6 @@ class Cyclotomic(QVector):
         return Cyclotomic(order, [1])
 
     @staticmethod
-    def from_rational(order: int, q: Fraction | int) -> "Cyclotomic":
-        return Cyclotomic(order, [q])
-
-    @staticmethod
     def zeta(order: int, k: int = 1) -> "Cyclotomic":
         """zeta_n^k, for any integer k (reduced mod n)."""
         return Cyclotomic(order, _power_table(order)[k % order])

@@ -76,16 +76,6 @@ class ModelConfig:
         """n = 2s+1 for odd n, n = 2s for even n."""
         return self.n // 2
 
-    def inv(self, i: int) -> int:
-        """The involution on {0..n-1} with inv(0) = 0 and inv(i) = n - i."""
-        return (-i) % self.n
-
-    def ion(self, i: int) -> int:
-        """The shifted involution on {0..n}: ion(0) = n, identity on 1..n-1."""
-        if i == 0:
-            return self.n
-        return i
-
 
 def compute_I(cfg: ModelConfig, slots: int | None = None) -> list[Series]:
     """
@@ -241,9 +231,6 @@ class GenusZeroData:
         if (i, j) not in self._quantum_cache:
             self._quantum_cache[(i, j)] = self.K_ext(i + j) / (self.K[i] * self.K[j])
         return self._quantum_cache[(i, j)]
-
-    def pairing(self, i: int, j: int) -> Fraction:
-        return Fraction(1, self.cfg.n) if (i + j) % self.cfg.n == 0 else Fraction(0)
 
     # -- the B / Z ladder -----------------------------------------------------
 

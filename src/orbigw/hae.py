@@ -198,16 +198,15 @@ def verify_hae_policies(
 ) -> tuple[Report, list[HaeReport]]:
     """
     Run the anomaly equation under several constants policies and compare.
-    ``custom`` is given the list 1/(k+1) for k < 3g - 2, of which it reads
-    the first ceil((3g - 2) / 2): 1, 1/2, 1/3, ... become the free constants
-    at the odd orders 1, 3, 5, ..., and unitarity fixes the even orders.
+    ``custom`` is given the free constants 1, 1/2, 1/3, ..., one per odd
+    order 1, 3, 5, ... up to 3g - 2, and unitarity fixes the even orders.
     """
     if policies is None:
         policies = ["symplectic", "zero", "custom"]
     rep = Report(f"holomorphic anomaly equation (n={n}, g={g})")
     results = []
     for pol in policies:
-        custom = [Fraction(1, k + 1) for k in range(3 * g - 2)] if pol == "custom" else None
+        custom = [Fraction(1, k + 1) for k in range((3 * g - 1) // 2)] if pol == "custom" else None
         r = verify_hae(n, g, policy=pol, custom_constants=custom, N=N)
         results.append(r)
         rep.add(f"policy {pol}: exact identity", r.verified, r.status)

@@ -18,16 +18,13 @@ Every integration step leaves one constant, and every policy fixes them by
 one rule (:func:`unitary_constants`): the odd orders are free, and each even
 order takes the constant that keeps s(z) = 1 + sum_k c_k z^k unitary,
 s(z) s(-z) = 1, so the column is symplectic and every edge factor of the
-graph sum is symmetric in its ends.  Three policies fill the free orders:
-``zero`` and ``symplectic`` with zeros, ``custom`` with the caller's
-constants.  All three run one loop (:func:`compute_P_column`) that grows the
-column's series tables one order at a time from the genus zero data alone.
-``symplectic`` also solves each constant, order by order, from the quadratic
-unitarity condition on the solution matrix: it reads one unitarity residual
-per order, as a rational 2D character sum whose linear part in the new
-constant is known in closed form, and adds any nonzero correction to the
-grown order in place (none has been needed: the correction is 0 at
-n = 3..8).
+graph sum is symmetric in its ends.  Three policies (:data:`POLICIES`) fill
+the free orders: ``zero`` and ``symplectic`` with zeros, ``custom`` with the
+caller's constants.  All three run one loop (:func:`compute_P_column`) that
+grows the column's series tables one order at a time from the genus zero
+data alone.  ``symplectic`` is the ``zero`` column plus a unitarity check:
+it reads one unitarity residual per order, as a rational 2D character sum,
+and reports any nonzero entry as a failure.
 
 The remaining rows are then built twice, both times graded by residue mod n
 over Q and stored only in that form: neither recursion involves the column
@@ -70,6 +67,7 @@ from .series import Series
 from .stirling import stirling_first
 
 Tables = list[list[list[Series]]]  # tables[w][k][i]: residue w, order k, row i (rational)
+POLICIES = ("symplectic", "zero", "custom")
 
 
 def div_exact(a: Series, b: Series) -> Series:
@@ -310,55 +308,46 @@ def compute_P_column(
     The constants follow :func:`unitary_constants`: the free (odd) orders
     1, 3, 5, ... take the first ceil(k_max / 2) custom constants under
     ``custom`` (a longer list is read no further) and 0 otherwise, and the
-    even orders are fixed by unitarity.  The tables start from the unit at
-    order 0, residue 0, and grow one order at a time by the modified flatness
-    recursion alone (:func:`extend_tables`), with that order's constant.  The
-    polynomial route never enters; these tables are the oracle the ring lift
-    is checked against.
+    even orders are fixed by unitarity.  Constants and statuses are settled
+    before any table grows: every order is ``zero`` under ``zero``; under the
+    other policies the even orders are ``fixed`` and the odd ones ``given``
+    (``custom``) or ``free`` (``symplectic``).  The tables start from the unit
+    at order 0, residue 0, and grow one order at a time by the modified
+    flatness recursion alone (:func:`extend_tables`), with that order's
+    constant, and are never edited afterwards.  The polynomial route never
+    enters; these tables are the oracle the ring lift is checked against.
 
-    Under ``symplectic`` the character sum Y of the order-e unitarity residual
-    (:func:`unitarity_residual`) is also computed.  The condition is affine in
-    the new constant c, with a linear part known in closed form: c adds c to
-    every row of residue e mod n, only the order-0 rows (all 1, at residue 0)
-    pair with it, and both pairings land on the antidiagonal, so Y[a][-a]
-    moves by (1 + (-1)^e) c / n for every a and nothing else moves.  Where that
-    slope vanishes the constant is reported free; otherwise it is fixed, a
-    correction is solved from the constant term of Y[0][0], and a nonzero one
-    is added to the grown order in place before Y is recomputed.  Either way
-    every Y[a][b] must vanish.  The solve is rational throughout.
+    ``symplectic`` is the ``zero`` column plus a unitarity check: at each
+    order e it computes the rational character sum Y of the order-e
+    unitarity residual (:func:`unitarity_residual`) and raises
+    ``AssertionError`` unless every Y[a][b] vanishes.
     """
     n = data.cfg.n
     check_constants(custom_constants)
     free = (k_max + 1) // 2
+    if policy not in POLICIES:
+        raise ValueError(f"unknown constants policy {policy!r}")
     if policy == "custom":
         if custom_constants is None or len(custom_constants) < free:
             raise ValueError(f"custom policy needs {free} constants, one per odd order up to k_max = {k_max}")
         given = [Fraction(c) for c in custom_constants[:free]]
-        status = ["given" if e % 2 else "fixed" for e in range(1, k_max + 1)]
-    elif policy not in ("zero", "symplectic"):
-        raise ValueError(f"unknown constants policy {policy!r}")
     elif custom_constants is not None:
         raise ValueError(f"custom constants are only read under the custom policy, not {policy!r}")
     else:
         given = [Fraction(0)] * free
-        status = ["zero"] * k_max if policy == "zero" else []  # the symplectic solve appends its own
     constants = unitary_constants(given, k_max)
+    odd = {"zero": "zero", "symplectic": "free", "custom": "given"}[policy]
+    even = "zero" if policy == "zero" else "fixed"
+    status = [odd if e % 2 else even for e in range(1, k_max + 1)]
     unit = Series.one().truncate(data.L.prec)
     tables = [[[unit if w == 0 else Series.zero(unit.prec) for _ in range(n)]] for w in range(n)]
     for e in range(1, k_max + 1):
         extend_tables(data, tables, constants[e - 1])
-        if policy != "symplectic":
-            continue
-        Y = unitarity_residual(tables, e)
-        slope = Fraction(1 + (-1) ** e, n)
-        status.append("fixed" if slope else "free")
-        if slope and (c := Y[0][0].get(0) / -slope):
-            tables[e % n][e] = [row + c for row in tables[e % n][e]]
-            constants[e - 1] += c
+        if policy == "symplectic":
             Y = unitarity_residual(tables, e)
-        bad = [(a, b, Y[a][b].zero_order()) for a in range(n) for b in range(n) if Y[a][b]]
-        if bad:
-            raise AssertionError(f"unitarity at order {e} not solvable by one constant: {bad[:3]}")
+            bad = [(a, b, Y[a][b].zero_order()) for a in range(n) for b in range(n) if Y[a][b]]
+            if bad:
+                raise AssertionError(f"unitarity at order {e} fails at (a, b, zero order) {bad[:3]}")
     phis = compute_phis(n, k_max, constants)
     return PColumn(n, k_max, policy, phis, constants, status), tables
 

@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -172,9 +176,10 @@ def test_symplectic_constants_status(data3):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_symplectic_slope_closed_form(n, request):
-    # the numeric route the solve once took: bump the order-e constant from 0
-    # to 1 and compare character sums; the closed form says Y[a][-a] moves by
-    # (1 + (-1)^e) / n for every a and no other entry moves
+    # bump the order-e constant from 0 to 1 and compare character sums: Y[a][-a]
+    # moves by (1 + (-1)^e) / n for every a and no other entry moves, so
+    # unitarity pins the constant at even orders (reported fixed) and leaves
+    # it free at odd ones
     data = request.getfixturevalue(f"data{n}")
     for e in range(1, 5):
         zeros = [Fraction(0)] * (e - 1)
@@ -187,28 +192,47 @@ def test_symplectic_slope_closed_form(n, request):
                 assert (y1[a][b] - y0[a][b] - want).zero_order() is None, (e, a, b)
 
 
-def test_symplectic_solve_rebuilds_a_nonzero_constant(data3, monkeypatch):
-    # shift the constant every table build sees at order 2 (residue 2 of the
-    # graded tables) by 3/7: the zero candidate then leaves a residual, the
-    # solve must find -3/7 and the rebuilt order must satisfy unitarity again
+# shift the constant every table build sees at order 2 (residue 2 of the
+# graded tables) by 3/7
+SHIFT_ORDER_2 = """
+from fractions import Fraction
+import orbigw.pmatrix
+
+extend = orbigw.pmatrix.extend_tables
+
+def shifted(data, tables, constant):
+    extend(data, tables, constant + (Fraction(3, 7) if len(tables[0]) == 2 else 0))
+"""
+
+
+def test_symplectic_check_refuses_a_shifted_constant(data3, monkeypatch):
+    # the shifted order breaks unitarity, and the check reports it rather than
+    # moving the constant back, with a raise that python -O keeps
     import orbigw.pmatrix
 
-    extend = orbigw.pmatrix.extend_tables
+    shift = {}
+    exec(SHIFT_ORDER_2, shift)
+    monkeypatch.setattr(orbigw.pmatrix, "extend_tables", shift["shifted"])
+    with pytest.raises(AssertionError, match="unitarity at order 2"):
+        compute_P_column(data3, 3)
+    script = SHIFT_ORDER_2 + """
+from orbigw.genus0 import GenusZeroData, ModelConfig
 
-    def shifted(data, tables, constant):
-        extend(data, tables, constant + (Fraction(3, 7) if len(tables[0]) == 2 else 0))
-
-    monkeypatch.setattr(orbigw.pmatrix, "extend_tables", shifted)
-    col, tables = compute_P_column(data3, 3)
-    assert col.constants == [Fraction(0), Fraction(-3, 7), Fraction(0)]
-    assert col.constant_status == ["free", "fixed", "free"]
-    # the solved constant cancels the shift, so the tables are the zero-constant ones
-    monkeypatch.setattr(orbigw.pmatrix, "extend_tables", extend)
-    assert tables == tables_with(data3, 3, [Fraction(0)] * 3)
+orbigw.pmatrix.extend_tables = shifted
+try:
+    orbigw.pmatrix.compute_P_column(GenusZeroData.build(ModelConfig(3)), 3)
+except AssertionError as err:
+    print(err)
+"""
+    src = str(Path(orbigw.pmatrix.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("unitarity at order 2"), proc.stdout
 
 
 def test_zero_policy_reproduces_symplectic_where_vacuous(request):
-    # for these models the symplectic solution happens to be the zero one
+    # symplectic is the zero column plus a unitarity check that passes here
     for n in (3, 4, 5):
         data = request.getfixturevalue(f"data{n}")
         sym, sym_tables = compute_P_column(data, 4, policy="symplectic")
@@ -286,7 +310,6 @@ def test_unmodified_flatness_recursion(data3):
     # column, with zero constants and with nonzero ones at every residue
     n = 3
     k_max = 3
-    cfg = data3.cfg
     for constants in ([Fraction(0)] * k_max, [Fraction(1, 2), Fraction(-2), Fraction(3)]):
         tables = tables_with(data3, k_max, constants)
         for j in range(n):
@@ -302,7 +325,7 @@ def test_unmodified_flatness_recursion(data3):
             ]
             for k in range(1, k_max + 1):
                 for i in range(n):
-                    ion = cfg.ion(i)
+                    ion = i or n  # the shifted involution: 0 -> n, identity on 1..n-1
                     lhs = P[k - 1][i].D()
                     rhs = data3.C[ion] * P[k][ion - 1] - P[k][i] * data3.L * zj
                     assert (lhs - rhs).zero_order() is None, (constants, j, k, i)
@@ -535,7 +558,7 @@ def test_mutation_at_a_nonzero_residue_is_caught(pmatrix_at, data3, monkeypatch)
         *(f"Laurent fit certifies membership, column {j}" for j in range(3)),
     }
 
-    # the same bump inside the solve fails its grouped check
+    # the same bump inside the symplectic check fails it
     import orbigw.pmatrix
 
     extend = orbigw.pmatrix.extend_tables
@@ -550,8 +573,8 @@ def test_mutation_at_a_nonzero_residue_is_caught(pmatrix_at, data3, monkeypatch)
         compute_P_column(data3, 3)
 
 
-def test_symplectic_solve_is_rational(data5, monkeypatch):
-    # the graded solve multiplies no cyclotomic number
+def test_symplectic_check_is_rational(data5, monkeypatch):
+    # the graded check multiplies no cyclotomic number
     calls = []
     mul = Cyclotomic.__mul__
 
