@@ -300,9 +300,10 @@ def _enumerate(g: int, m: int, colours: tuple[int, ...] | None = None) -> tuple[
         found |= level
         candidates = {d for key in level for d in _degenerations(StableGraph(*key, colours))}
         level = dict(_search(d) for d in candidates)
-    graphs = tuple(StableGraph(*key, colours) for key in sorted(found))
+    keys = sorted(found)
+    graphs = tuple(StableGraph(*key, colours) for key in keys)
     for graph in graphs:
         if graph.genus() != g or not graph.is_stable() or not graph.is_connected():
             raise AssertionError(f"enumerated graph {graph} is not a connected stable graph of genus {g}")
-    _LEAVES.update((StableGraph(*key, colours), leaves) for key, leaves in found.items())
+    _LEAVES.update(zip(graphs, (found[key] for key in keys)))
     return graphs

@@ -178,21 +178,6 @@ def check_hae(tables: ContributionTables, g: int) -> HaeReport:
     )
 
 
-def verify_finite_generation(tables: ContributionTables, g: int, insertions: tuple[int, ...]) -> Report:
-    """
-    Assemble one potential and audit its generator content: the core may use
-    A-generators and L powers only, the prefactor C-generators only, and no
-    vertex factor may leave the Laurent ring in L.
-    """
-    pot = assemble_F(tables, g, insertions)
-    audit = audit_generators(tables, pot)
-    rep = Report(f"finite generation (g={g}, insertions={insertions})")
-    rep.add("core inside C[L^(+-1)][S_n]", audit["core_ok"], str(audit["core_gens"]))
-    rep.add("prefactor inside C[C_n]", audit["prefactor_ok"], str(audit["prefactor_gens"]))
-    rep.add("vertex factors are Laurent in L", audit["vertex_ok"])
-    return rep
-
-
 def verify_hae_policies(
     n: int, g: int, policies: list[str] | None = None, N: int | None = None
 ) -> tuple[Report, list[HaeReport]]:

@@ -20,13 +20,10 @@ order takes the constant that keeps s(z) = 1 + sum_k c_k z^k unitary,
 s(z) s(-z) = 1, so the column is symplectic and every edge factor of the
 graph sum is symmetric in its ends.  Three policies (:data:`POLICIES`) fill
 the free orders: ``zero`` and ``symplectic`` with zeros, ``custom`` with the
-caller's constants.  All three run one loop (:func:`compute_P_column`) that
-grows the column's series tables one order at a time from the genus zero
-data alone.  ``symplectic`` is the ``zero`` column plus a unitarity check:
-it reads one unitarity residual per order, as a rational 2D character sum,
-and reports any nonzero entry as a failure.
+caller's constants.  :func:`compute_P_column` settles the constants and
+their statuses and integrates row zero; it grows no table.
 
-The remaining rows are then built twice, both times graded by residue mod n
+The remaining rows are built two ways, both graded by residue mod n
 over Q and stored only in that form: neither recursion involves the column
 index j, and column j is the zeta^{wj}-weighted sum of the rational pieces w,
 assembled on demand (``PMatrixData.lift_entry``; the tests do the same for
@@ -36,15 +33,22 @@ element nor a series but a dict {monomial or exponent: coefficient}, each
 coefficient the DFT of that key's per-residue rationals
 (:func:`~orbigw.genus0.entry_at_column`).
 
+* as elements of the free ring of :mod:`orbigw.ring`, by the descending
+  flatness recursion with the formal derivation (this is the lift, the one
+  route the graph sum reads): row zero splits by the residue mod n of its
+  exponents, and the descent runs once per residue on rational ring
+  elements;
 * as exact truncated series, one table per residue and one order at a time,
   through the modified flatness recursion plus one honest quadrature per
-  order (this is the oracle route; it never touches the polynomial ring);
-* as elements of the free ring of :mod:`orbigw.ring`, by the same
-  descending recursion with the formal derivation (this is the lift): row
-  zero splits by the residue mod n of its exponents, and the descent runs
-  once per residue on rational ring elements.
+  order (:func:`series_tables`, the oracle route, built the first time a
+  check reads ``PMatrixData.tables``; a verdict never does).
 
-``verify_lift`` certifies the second construction against the first,
+``symplectic`` is the ``zero`` column plus a unitarity check on the lift
+(:func:`build_pmatrix`): one residual per order, a 2D character sum of ring
+elements (:func:`unitarity_residual`), whose zero is exact.  At n = 6, 7
+and 8 it fails at order 4, where the lift's cycle closure fails too.
+
+``verify_lift`` certifies the lift against the series oracle,
 column by column and coefficient by coefficient, and
 ``verify_partial_lemmas`` checks the formal partial-derivative identities
 that drive the anomaly equations.  Every check of the battery computes its
@@ -56,6 +60,7 @@ battery builds no cyclotomic number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, perm
 
@@ -214,32 +219,21 @@ def extend_tables(data: GenusZeroData, tables: Tables, constant: Fraction) -> No
         table.append([f + cum[i] for i in range(n)])
 
 
-def unitarity_residual(tables: Tables, e: int) -> list[list[Series]]:
+def series_tables(data: GenusZeroData, constants: list[Fraction]) -> Tables:
     """
-    The order-e coefficient of the quadratic unitarity condition as a 2D
-    character sum: rational series Y[a][b] with, at the column pair (i, j),
-
-        sum_{c+d=e} sum_r ((-1)^c / n) zeta^{-(c + Inv(r)) i - (d + r) j} P^c_{Inv(r),i} P^d_{r,j}
-            = sum_{a,b} zeta^{a i + b j} Y[a][b],
-
-    where Inv(r) = -r mod n and the product of the pieces u and v of the two
-    entries lands at a = u - c - Inv(r), b = v - d - r.  The DFT on (Z/n)^2 is
-    invertible, so the condition holds at order e exactly when every Y[a][b]
-    vanishes.
+    The series oracle of the column with the given constants, one per order
+    1, 2, ...: tables[w][k][i] = the residue-w piece of the normalized entry
+    at row i and order k, a series with rational coefficients; the entry at
+    column j is sum_w zeta^{wj} tables[w][k][i] (:func:`~orbigw.genus0.at_column`).
+    The tables start from the unit at order 0, residue 0, and grow one order
+    at a time by the modified flatness recursion alone (:func:`extend_tables`).
     """
-    n = len(tables)
-    Y = [[Series.zero() for _ in range(n)] for _ in range(n)]
-    for c in range(e + 1):
-        d = e - c
-        for r in range(n):
-            rinv = (-r) % n
-            lefts = [(u, t[c][rinv] * Fraction((-1) ** c, n)) for u, t in enumerate(tables) if t[c][rinv]]
-            rights = [(v, t[d][r]) for v, t in enumerate(tables) if t[d][r]]
-            for u, x in lefts:
-                for v, y in rights:
-                    a, b = (u - c - rinv) % n, (v - d - r) % n
-                    Y[a][b] = Y[a][b] + x * y
-    return Y
+    n = data.cfg.n
+    unit = Series.one().truncate(data.L.prec)
+    tables = [[[unit if w == 0 else Series.zero(unit.prec) for _ in range(n)]] for w in range(n)]
+    for c in constants:
+        extend_tables(data, tables, c)
+    return tables
 
 
 @dataclass
@@ -297,32 +291,19 @@ def compute_P_column(
     k_max: int,
     policy: str = "symplectic",
     custom_constants: list[Fraction] | None = None,
-) -> tuple[PColumn, Tables]:
+) -> PColumn:
     """
-    The universal column for the n of ``data`` under a constants policy, and
-    its series tables: tables[w][k][i] = the residue-w piece of the normalized
-    entry at row i and order k, a series with rational coefficients; the entry
-    at column j is sum_w zeta^{wj} tables[w][k][i]
-    (:func:`~orbigw.genus0.at_column`).
+    The universal column for the n of ``data`` under a constants policy.
 
     The constants follow :func:`unitary_constants`: the free (odd) orders
     1, 3, 5, ... take the first ceil(k_max / 2) custom constants under
     ``custom`` (a longer list is read no further) and 0 otherwise, and the
-    even orders are fixed by unitarity.  Constants and statuses are settled
-    before any table grows: every order is ``zero`` under ``zero``; under the
-    other policies the even orders are ``fixed`` and the odd ones ``given``
-    (``custom``) or ``free`` (``symplectic``).  The tables start from the unit
-    at order 0, residue 0, and grow one order at a time by the modified
-    flatness recursion alone (:func:`extend_tables`), with that order's
-    constant, and are never edited afterwards.  The polynomial route never
-    enters; these tables are the oracle the ring lift is checked against.
-
-    ``symplectic`` is the ``zero`` column plus a unitarity check: at each
-    order e it computes the rational character sum Y of the order-e
-    unitarity residual (:func:`unitarity_residual`) and raises
-    ``AssertionError`` unless every Y[a][b] vanishes.
+    even orders are fixed by unitarity.  Every order is ``zero`` under
+    ``zero``; under the other policies the even orders are ``fixed`` and the
+    odd ones ``given`` (``custom``) or ``free`` (``symplectic``).  No table
+    grows here, and the check of ``symplectic`` reads the lift
+    (:func:`build_pmatrix`).
     """
-    n = data.cfg.n
     check_constants(custom_constants)
     free = (k_max + 1) // 2
     if policy not in POLICIES:
@@ -339,17 +320,8 @@ def compute_P_column(
     odd = {"zero": "zero", "symplectic": "free", "custom": "given"}[policy]
     even = "zero" if policy == "zero" else "fixed"
     status = [odd if e % 2 else even for e in range(1, k_max + 1)]
-    unit = Series.one().truncate(data.L.prec)
-    tables = [[[unit if w == 0 else Series.zero(unit.prec) for _ in range(n)]] for w in range(n)]
-    for e in range(1, k_max + 1):
-        extend_tables(data, tables, constants[e - 1])
-        if policy == "symplectic":
-            Y = unitarity_residual(tables, e)
-            bad = [(a, b, Y[a][b].zero_order()) for a in range(n) for b in range(n) if Y[a][b]]
-            if bad:
-                raise AssertionError(f"unitarity at order {e} fails at (a, b, zero order) {bad[:3]}")
-    phis = compute_phis(n, k_max, constants)
-    return PColumn(n, k_max, policy, phis, constants, status), tables
+    phis = compute_phis(data.cfg.n, k_max, constants)
+    return PColumn(data.cfg.n, k_max, policy, phis, constants, status)
 
 
 # -- the ring lift -----------------------------------------------------------------
@@ -391,6 +363,33 @@ def lift_tables(ctx: RingContext, col: PColumn) -> Lift:
                 prev = graded[(k - 1, i, w)]
                 graded[(k, i - 1, w)] = graded[(k, i, w)] + ctx.derive(prev).mul_L(-1) + ctx.A(n - i) * prev
     return graded
+
+
+def unitarity_residual(graded: Lift, n: int, e: int) -> list[list[RingElement]]:
+    """
+    The order-e coefficient of the quadratic unitarity condition on the lift,
+    as a 2D character sum: ring elements Y[a][b] with, at the column pair (i, j),
+
+        sum_{c+d=e} sum_r ((-1)^c / n) zeta^{-(c + Inv(r)) i - (d + r) j} P~^c_{Inv(r),i} P~^d_{r,j}
+            = sum_{a,b} zeta^{a i + b j} Y[a][b],
+
+    where Inv(r) = -r mod n and the product of the pieces u and v of the two
+    entries lands at a = u - c - Inv(r), b = v - d - r.  The DFT on (Z/n)^2 is
+    invertible, so the condition holds at order e exactly when every Y[a][b]
+    vanishes.  Each Y[a][b] is one ``RingElement.sum_of_products``, so its
+    zero is exact, not a zero up to a truncation order.
+    """
+    pairs: list[list[list]] = [[[] for _ in range(n)] for _ in range(n)]
+    for c in range(e + 1):
+        d = e - c
+        for r in range(n):
+            rinv = (-r) % n
+            lefts = [(u, x * Fraction((-1) ** c, n)) for u in range(n) if (x := graded[(c, rinv, u)])]
+            rights = [(v, y) for v in range(n) if (y := graded[(d, r, v)])]
+            for u, x in lefts:
+                for v, y in rights:
+                    pairs[(u - c - rinv) % n][(v - d - r) % n].append((x, y))
+    return [[RingElement.sum_of_products(p) for p in row] for row in pairs]
 
 
 def _add_columns(rep: Report, name: str, pm: PMatrixData, diffs: dict, detail, failed: str = "") -> None:
@@ -473,15 +472,19 @@ def verify_partial_lemmas(pm: PMatrixData) -> Report:
 @dataclass
 class PMatrixData:
     """
-    Everything the graph sum needs: column polynomials, and the series oracle
-    and ring lift, each graded by residue.
+    Everything the graph sum needs: the column polynomials and the ring lift,
+    graded by residue; the series oracle is built on first read.
     """
 
     ctx: RingContext
     data: GenusZeroData
     col: PColumn
-    tables: Tables
     graded: Lift
+
+    @cached_property
+    def tables(self) -> Tables:
+        """The series oracle of the column (:func:`series_tables`), for the checks that compare against it."""
+        return series_tables(self.data, self.col.constants)
 
     def lift_entry(self, k: int, i: int, j: int) -> Entry:
         """The ring lift's entry P~^k_{i,j} at order k, row i, column j (:func:`entry_at_column`)."""
@@ -494,10 +497,22 @@ def build_pmatrix(
     policy: str = "symplectic",
     custom_constants: list[Fraction] | None = None,
 ) -> PMatrixData:
-    """The column, its series tables and its ring lift for the n of ``data`` (:func:`compute_P_column`)."""
-    col, tables = compute_P_column(data, k_max, policy, custom_constants)
+    """
+    The column (:func:`compute_P_column`) and its ring lift for the n of
+    ``data``.  Under ``symplectic`` every order e = 1..k_max of the lift must
+    be unitary: any nonzero entry of :func:`unitarity_residual` raises
+    ``AssertionError("unitarity at order e ...")``, also under ``python -O``.
+    """
+    col = compute_P_column(data, k_max, policy, custom_constants)
     ctx = RingContext(data.cfg.n)
-    return PMatrixData(ctx, data, col, tables, lift_tables(ctx, col))
+    graded = lift_tables(ctx, col)
+    if policy == "symplectic":
+        for e in range(1, k_max + 1):
+            Y = unitarity_residual(graded, ctx.n, e)
+            bad = [(a, b, y.monomial_count()) for a, row in enumerate(Y) for b, y in enumerate(row) if y]
+            if bad:
+                raise AssertionError(f"unitarity at order {e} fails at (a, b, monomials) {bad[:3]}")
+    return PMatrixData(ctx, data, col, graded)
 
 
 def verify_pmatrix(pm: PMatrixData) -> Report:

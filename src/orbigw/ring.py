@@ -23,8 +23,9 @@ families of relations:
 An element is a :class:`~orbigw.qvector.QVector` keyed by monomial; it adds
 the product, ``mul_L`` and ``partial``.  Products go through one loop,
 ``RingElement.sum_of_products``, which sums many products over the lcm of
-their denominators with one normalisation; ``x * y`` is the sum of one pair.  Roots of unity never enter: a column
-of the P matrix is a zeta-weighted sum of rational ring elements, assembled
+their denominators with one normalisation; ``x * y`` is the sum of one pair,
+and the derivation the sum of its Leibniz pairs.  Roots of unity never
+enter: a column of the P matrix is a zeta-weighted sum of rational ring elements, assembled
 outside the ring (:mod:`orbigw.pmatrix`).
 
 The rewrite rules are constructed symbolically once per n.  They are not
@@ -295,25 +296,20 @@ class RingContext:
         """
         Formal D; with free=True derivatives are never rewritten (rule construction).
 
-        By the Leibniz rule every term contributes cofactor * D(factor) for its
-        L-power (D L^k = k L^k Y) and each generator; the contributions are
-        summed over the lcm of the D(factor) denominators, with one gcd at the end.
+        By the Leibniz rule D(e) = (L d/dL e) Y + sum_g (d e / d g) D(g) over
+        the generators g of e (D L^k = k L^k Y), so D(e) is the one
+        ``sum_of_products`` of the pairs (D(factor), cofactor).
         """
-        parts = []  # (L exponent, generator part, integer cofactor, D(factor))
+        # cofactors[g]: d e / d g as numerators over e.den, and under the key
+        # None L d/dL e; lowering g is injective on monomials, so no key repeats
+        cofactors: dict[Gen | None, dict[Monomial, int]] = {}
         for (le, gens), c in e.nums.items():
             if le:
-                parts.append((le, gens, c * le, self.Y))
+                cofactors.setdefault(None, {})[(le, gens)] = c * le
             for idx, (g, ex) in enumerate(gens):
-                parts.append((le, _lower(gens, idx), c * ex, self._d_gen(g, free)))
-        den = lcm(*{d.den for *_, d in parts})
-        out: dict[Monomial, int] = {}
-        get = out.get
-        for le, gens, c, d in parts:
-            c *= den // d.den
-            for (l2, g2), c2 in d.nums.items():
-                m = (le + l2, _merge(gens, g2))
-                out[m] = get(m, 0) + c * c2
-        return e._reduced(out, den * e.den)
+                cofactors.setdefault(g, {})[(le, _lower(gens, idx))] = c * ex
+        pairs = [(self.Y if g is None else self._d_gen(g, free), e._reduced(nums, e.den)) for g, nums in cofactors.items()]
+        return RingElement.sum_of_products(pairs)
 
     def _d_gen(self, g: Gen, free: bool) -> RingElement:
         key = (g, free)

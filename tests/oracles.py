@@ -3,9 +3,10 @@ The deliberate oracles, kept out of the package: the decorated graph sum
 (``graph_contribution`` over ``enumerate_decorated``, classes and Aut(G, p)
 found by brute force over every vertex permutation; over
 :class:`SeriesTables` it is ``assemble_F_series``), the naive stable-graph
-enumerator, the second psi recursion (``psi_integral_bruteforce``) and the
-series oracle's column entries (``series_entry``).  Each is an independent
-route to a number the package computes another way.  Beside them live the
+enumerator, the second psi recursion (``psi_integral_bruteforce``), the
+series oracle's column entries (``series_entry``) and its unitarity residual
+(``series_unitarity_residual``).  Each is an independent route to a number
+the package computes another way.  Beside them live the
 graph helpers only the tests use (``relabeled``, ``signature``) and the
 edge-symmetry check (``edges_symmetric``).
 
@@ -361,6 +362,31 @@ def _as_poly(x):
 def series_entry(pm: PMatrixData, k: int, i: int, j: int) -> CyclotomicSeries:
     """The series oracle's entry at order k, row i, column j."""
     return at_column([CyclotomicSeries(table[k][i]) for table in pm.tables], j, pm.data.zeta)
+
+
+def series_unitarity_residual(tables, e: int) -> list[list[Series]]:
+    """
+    The order-e unitarity residual of the series oracle ``tables``
+    (:func:`orbigw.pmatrix.series_tables`), as the 2D character sum
+    :func:`orbigw.pmatrix.unitarity_residual` forms on the lift: rational
+    series Y[a][b], with the product of the pieces u and v of the entries
+    P^c_{Inv(r),i} and P^d_{r,j} (c + d = e, Inv(r) = -r mod n), weighted
+    (-1)^c / n, landing at a = u - c - Inv(r), b = v - d - r.  Each Y[a][b]
+    vanishes only up to the tables' truncation order.
+    """
+    n = len(tables)
+    Y = [[Series.zero() for _ in range(n)] for _ in range(n)]
+    for c in range(e + 1):
+        d = e - c
+        for r in range(n):
+            rinv = (-r) % n
+            lefts = [(u, t[c][rinv] * Fraction((-1) ** c, n)) for u, t in enumerate(tables) if t[c][rinv]]
+            rights = [(v, t[d][r]) for v, t in enumerate(tables) if t[d][r]]
+            for u, x in lefts:
+                for v, y in rights:
+                    a, b = (u - c - rinv) % n, (v - d - r) % n
+                    Y[a][b] = Y[a][b] + x * y
+    return Y
 
 
 def lifted_entry(pm: PMatrixData, k: int, i: int, j: int) -> CyclotomicPoly:

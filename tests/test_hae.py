@@ -148,13 +148,19 @@ def test_generator_audits_present(tables3):
         assert a["core_ok"] and a["prefactor_ok"] and a["vertex_ok"]
 
 
-def test_verify_finite_generation_entry_point(tables3):
-    from orbigw.hae import verify_finite_generation
+def test_verdicts_grow_no_series_table(monkeypatch):
+    # the series oracle is built only where a check compares against it, and
+    # the symplectic check reads the lift: no verdict grows a series table
+    import orbigw.pmatrix
 
-    rep = verify_finite_generation(tables3, 2, ())
-    assert rep.ok
-    rep = verify_finite_generation(tables3, 1, (1,))
-    assert rep.ok
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a verdict grew a series table")
+
+    monkeypatch.setattr(orbigw.pmatrix, "extend_tables", forbidden)
+    rep, results = verify_hae_policies(3, 2)
+    assert rep.ok, rep.failures()
+    assert [r.policy for r in results] == ["symplectic", "zero", "custom"]
+    assert all(r.verified for r in results)
 
 
 def test_hae_trivializes_for_n6_at_genus2():

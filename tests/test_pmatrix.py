@@ -9,24 +9,43 @@ from pathlib import Path
 
 import pytest
 
-from oracles import CyclotomicPoly, CyclotomicSeries, Decorated, edges_symmetric, lifted_entry, series_entry
+from oracles import (
+    CyclotomicPoly,
+    CyclotomicSeries,
+    Decorated,
+    edges_symmetric,
+    lifted_entry,
+    series_entry,
+    series_unitarity_residual,
+)
 from orbigw.series import Series
 from orbigw.genus0 import GenusZeroData, ModelConfig, Y_poly, at_column, f_n_poly
 from orbigw.cyclotomic import Cyclotomic
 from orbigw.pmatrix import (
+    PColumn,
     apply_operator,
     build_H_table,
     build_L_operators,
     build_pmatrix,
     compute_P_column,
+    compute_phis,
     div_exact,
-    extend_tables,
+    lift_tables,
+    series_tables,
     unitarity_residual,
     verify_partial_lemmas,
     verify_pmatrix,
 )
 from orbigw.potentials import ContributionTables
 from orbigw.report import canonical_json
+from orbigw.ring import RingElement
+
+
+def with_tables(pm, tables):
+    """A copy of ``pm`` whose series oracle reads ``tables``."""
+    copy = dataclasses.replace(pm)
+    vars(copy)["tables"] = tables
+    return copy
 
 
 def test_H_table_closed_forms():
@@ -59,7 +78,7 @@ def test_operator_closed_forms():
 
 def test_phi_normalization_and_first_step(request):
     for n in (3, 4, 5):
-        col, _ = compute_P_column(request.getfixturevalue(f"data{n}"), 3, policy="zero")
+        col = compute_P_column(request.getfixturevalue(f"data{n}"), 3, policy="zero")
         assert col.phis[0] == Series.one()
         # D p_1 = f_n p_0, i.e. p_1 = f_n integrated against D Lam^r = r Lam^r Y
         d_phi1 = apply_operator([Series.zero(), Series.one()], col.phis[1], n)
@@ -84,31 +103,22 @@ def test_div_exact():
             div_exact(a, XY)
 
 
-def tables_with(data: GenusZeroData, k_max: int, constants: list[Fraction]):
-    """
-    The column's series tables with the given constant at each order
-    1..k_max, grown by the flatness recursion alone: no policy fixes them,
-    so they need not be unitary.
-    """
-    tables = compute_P_column(data, 0)[1]
-    for c in constants[:k_max]:
-        extend_tables(data, tables, c)
-    return tables
-
-
 def test_custom_policy_constants(data3):
     # the custom constants fill the free (odd) orders in order, a longer list
     # is read no further, and each even order takes the constant that makes
     # s(z) = 1 + sum c_k z^k satisfy s(z) s(-z) = 1: c_2 = c_1^2 / 2 and
     # c_4 = c_1 c_3 - c_2^2 / 2
-    col, tables = compute_P_column(data3, 4, policy="custom", custom_constants=[Fraction(1), Fraction(2), Fraction(99)])
-    assert [len(t) for t in tables] == [5, 5, 5]
+    custom = [Fraction(1), Fraction(2), Fraction(99)]
+    col = compute_P_column(data3, 4, policy="custom", custom_constants=custom)
     assert col.constants == [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(15, 8)]
     assert col.constant_status == ["given", "fixed", "given", "fixed"]
     assert [col.phis[k].get(0) for k in range(1, 5)] == col.constants
-    assert tables == tables_with(data3, 4, col.constants)
+    # the series oracle grows one order per constant, with these constants
+    tables = build_pmatrix(data3, 4, policy="custom", custom_constants=custom).tables
+    assert [len(t) for t in tables] == [5, 5, 5]
+    assert tables == series_tables(data3, col.constants)
     # a zero free constant keeps the orders it reaches at zero
-    col, _ = compute_P_column(data3, 3, policy="custom", custom_constants=[Fraction(0), Fraction(3)])
+    col = compute_P_column(data3, 3, policy="custom", custom_constants=[Fraction(0), Fraction(3)])
     assert col.constants == [Fraction(0), Fraction(0), Fraction(3)]
     assert 0 not in col.phis[2].nums
     with pytest.raises(ValueError):
@@ -121,20 +131,22 @@ def test_custom_policy_constants(data3):
 def test_custom_policy_needs_one_constant_per_free_order(data3, k_max, free):
     with pytest.raises(ValueError, match=f"needs {free} constants"):
         compute_P_column(data3, k_max, "custom", [Fraction(1)] * (free - 1))
-    col, _ = compute_P_column(data3, k_max, "custom", [Fraction(1)] * free)
+    col = compute_P_column(data3, k_max, "custom", [Fraction(1)] * free)
     assert col.constants[::2] == [Fraction(1)] * free
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_custom_columns_are_unitary(pmatrix_at, n):
     # seeded free constants, and every entry of the unitarity character sum
-    # vanishes at every order through 7; the fixed constants are nonzero, so
-    # this is no column of zeros
+    # vanishes at every order through 7, on the lift exactly and on the series
+    # oracle; the fixed constants are nonzero, so this is no column of zeros
     pm = pmatrix_at(n, "custom", 7)
     assert pm.col.constant_status == ["given", "fixed"] * 3 + ["given"]
     assert all(pm.col.constants)
     for e in range(1, 8):
-        Y = unitarity_residual(pm.tables, e)
+        Y = unitarity_residual(pm.graded, n, e)
+        assert all(not Y[a][b] for a in range(n) for b in range(n)), e
+        Y = series_unitarity_residual(pm.tables, e)
         assert all(not Y[a][b] for a in range(n) for b in range(n)), e
 
 
@@ -154,23 +166,25 @@ def test_a_constant_adds_to_its_residue_rows(n, request):
     data = request.getfixturevalue(f"data{n}")
     c = Fraction(-5, 3)
     for e in range(1, 5):
-        zero = tables_with(data, e, [Fraction(0)] * e)
-        bumped = tables_with(data, e, [Fraction(0)] * (e - 1) + [c])
+        zero = series_tables(data, [Fraction(0)] * e)
+        bumped = series_tables(data, [Fraction(0)] * (e - 1) + [c])
         zero[e % n][e] = [row + c for row in zero[e % n][e]]
         assert bumped == zero, e
 
 
 def test_symplectic_constants_status(data3):
-    col, grown = compute_P_column(data3, 4)
-    constants, status = col.constants, col.constant_status
+    pm = build_pmatrix(data3, 4)
+    constants, status = pm.col.constants, pm.col.constant_status
     assert len(constants) == 4
     assert status == ["free", "fixed", "free", "fixed"]
-    # the grown tables are the column's graded tables, and with those constants
-    # every entry of the unitarity character sum vanishes at every order
-    tables = tables_with(data3, 4, constants)
-    assert grown == tables
+    # the series oracle is grown with those constants, and every entry of the
+    # unitarity character sum vanishes at every order, on the lift and on it
+    tables = series_tables(data3, constants)
+    assert pm.tables == tables
     for e in range(1, 5):
-        Y = unitarity_residual(tables, e)
+        Y = unitarity_residual(pm.graded, 3, e)
+        assert all(not Y[a][b] for a in range(3) for b in range(3))
+        Y = series_unitarity_residual(tables, e)
         assert all(Y[a][b].zero_order() is None for a in range(3) for b in range(3))
 
 
@@ -183,8 +197,8 @@ def test_symplectic_slope_closed_form(n, request):
     data = request.getfixturevalue(f"data{n}")
     for e in range(1, 5):
         zeros = [Fraction(0)] * (e - 1)
-        y0 = unitarity_residual(tables_with(data, e, zeros + [Fraction(0)]), e)
-        y1 = unitarity_residual(tables_with(data, e, zeros + [Fraction(1)]), e)
+        y0 = series_unitarity_residual(series_tables(data, zeros + [Fraction(0)]), e)
+        y1 = series_unitarity_residual(series_tables(data, zeros + [Fraction(1)]), e)
         slope = Fraction(1 + (-1) ** e, n)
         for a in range(n):
             for b in range(n):
@@ -192,35 +206,36 @@ def test_symplectic_slope_closed_form(n, request):
                 assert (y1[a][b] - y0[a][b] - want).zero_order() is None, (e, a, b)
 
 
-# shift the constant every table build sees at order 2 (residue 2 of the
-# graded tables) by 3/7
+# shift the order-2 constant of every column, and so of the lift, by 3/7
 SHIFT_ORDER_2 = """
 from fractions import Fraction
 import orbigw.pmatrix
 
-extend = orbigw.pmatrix.extend_tables
+unitary = orbigw.pmatrix.unitary_constants
 
-def shifted(data, tables, constant):
-    extend(data, tables, constant + (Fraction(3, 7) if len(tables[0]) == 2 else 0))
+def shifted(free, k_max):
+    constants = unitary(free, k_max)
+    return constants[:1] + [constants[1] + Fraction(3, 7)] + constants[2:]
 """
 
 
 def test_symplectic_check_refuses_a_shifted_constant(data3, monkeypatch):
-    # the shifted order breaks unitarity, and the check reports it rather than
-    # moving the constant back, with a raise that python -O keeps
+    # the shifted order breaks the lift's unitarity, and the check reports it
+    # rather than moving the constant back, with a raise that python -O keeps
     import orbigw.pmatrix
 
     shift = {}
     exec(SHIFT_ORDER_2, shift)
-    monkeypatch.setattr(orbigw.pmatrix, "extend_tables", shift["shifted"])
+    monkeypatch.setattr(orbigw.pmatrix, "unitary_constants", shift["shifted"])
+    assert compute_P_column(data3, 3).constants[1] == Fraction(3, 7)
     with pytest.raises(AssertionError, match="unitarity at order 2"):
-        compute_P_column(data3, 3)
+        build_pmatrix(data3, 3)
     script = SHIFT_ORDER_2 + """
 from orbigw.genus0 import GenusZeroData, ModelConfig
 
-orbigw.pmatrix.extend_tables = shifted
+orbigw.pmatrix.unitary_constants = shifted
 try:
-    orbigw.pmatrix.compute_P_column(GenusZeroData.build(ModelConfig(3)), 3)
+    orbigw.pmatrix.build_pmatrix(GenusZeroData.build(ModelConfig(3)), 3)
 except AssertionError as err:
     print(err)
 """
@@ -235,11 +250,12 @@ def test_zero_policy_reproduces_symplectic_where_vacuous(request):
     # symplectic is the zero column plus a unitarity check that passes here
     for n in (3, 4, 5):
         data = request.getfixturevalue(f"data{n}")
-        sym, sym_tables = compute_P_column(data, 4, policy="symplectic")
-        zero, zero_tables = compute_P_column(data, 4, policy="zero")
-        assert sym.constants == zero.constants, n
-        assert sym.phis == zero.phis, n
-        assert sym_tables == zero_tables, n
+        sym = build_pmatrix(data, 4, policy="symplectic")
+        zero = build_pmatrix(data, 4, policy="zero")
+        assert sym.col.constants == zero.col.constants, n
+        assert sym.col.phis == zero.col.phis, n
+        assert sym.graded == zero.graded, n
+        assert sym.tables == zero.tables, n
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -265,8 +281,15 @@ def test_edge_factors_symmetric_n6():
     # read through the lift whose cycle closure fails at order 4 (above),
     # edge(b1, b2) is not the transpose of edge(b2, b1) from b1 + b2 = 3 on,
     # so a graph's value would depend on its representative's vertex order
-    tables = ContributionTables(build_pmatrix(GenusZeroData.build(ModelConfig(6)), 4))
+    tables = ContributionTables(build_pmatrix(GenusZeroData.build(ModelConfig(6)), 4, "zero"))
     assert edges_symmetric(tables, 3)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="for n >= 6 the ring lift is not unitary at order 4")
+def test_symplectic_lift_n6():
+    # the unitarity residual of the same lift is nonzero at order 4 (Y[1][1],
+    # 21 monomials, at n = 7 Y[1][2] and Y[2][1]), so symplectic refuses it
+    build_pmatrix(GenusZeroData.build(ModelConfig(6)), 4, "symplectic")
 
 
 def test_lift_examples(data3):
@@ -297,7 +320,7 @@ def test_partial_lemma_reports(data3, data4):
 
 def test_pcolumn_json_round_trip(data4):
     # the canonical JSON text of a column records its polynomials and constants exactly
-    col, _ = compute_P_column(data4, 3, policy="zero")
+    col = compute_P_column(data4, 3, policy="zero")
     js = json.loads(canonical_json(col.to_json()))
     assert [Series({int(e): Fraction(c) for e, c in p}) for p in js["phis"]] == col.phis
     assert [Fraction(c) for c in js["constants"]] == col.constants
@@ -311,7 +334,7 @@ def test_unmodified_flatness_recursion(data3):
     n = 3
     k_max = 3
     for constants in ([Fraction(0)] * k_max, [Fraction(1, 2), Fraction(-2), Fraction(3)]):
-        tables = tables_with(data3, k_max, constants)
+        tables = series_tables(data3, constants)
         for j in range(n):
             zj = data3.zeta(j)
             P = [
@@ -347,7 +370,7 @@ def test_unitarity_order_zero_is_identity(data3):
     # delta; this ties together the K identities and the table normalization.
     # Its character sum is then Y[a][b] = [a + b = 0] / n.
     n = 3
-    tables = compute_P_column(data3, 0)[1]
+    tables = series_tables(data3, [])
     for i in range(n):
         for j in range(n):
             acc = None
@@ -359,11 +382,13 @@ def test_unitarity_order_zero_is_identity(data3):
                 acc = term if acc is None else acc + term
             want = Series.monomial(Fraction(1)) if i == j else Series.zero()
             assert (acc - want).zero_order() is None, (i, j)
-    Y = unitarity_residual(tables, 0)
+    Y = series_unitarity_residual(tables, 0)
+    lift = unitarity_residual(build_pmatrix(data3, 1, "zero").graded, n, 0)
     for a in range(n):
         for b in range(n):
             want = Series.monomial(Fraction(1, n)) if (a + b) % n == 0 else Series.zero()
             assert (Y[a][b] - want).zero_order() is None, (a, b)
+            assert lift[a][b] == (Fraction(1, n) if (a + b) % n == 0 else 0), (a, b)
 
 
 def _column_lift(ctx, col, zeta, j):
@@ -506,20 +531,29 @@ def test_graded_tables_match_column_recursion(pmatrix_at, n, policy):
 @pytest.mark.parametrize("n", [3, 4])
 def test_grouped_unitarity_matches_column_oracle(pmatrix_at, n, policy):
     # the 2D DFT of the rational character sum Y is the cyclotomic residual of
-    # every column pair; every policy's column is unitary, so for the
-    # non-unitary tables (the custom free constants with 0 at the fixed
-    # orders) the residual alone is nonzero, and the match is not between zeros
+    # every column pair, and the lift's character sum evaluates to Y entry by
+    # entry; every policy's column is unitary, so for the non-unitary column
+    # (the custom free constants with 0 at the fixed orders) the residual
+    # alone is nonzero, and the match is not between zeros
     pm = pmatrix_at(n, "custom" if policy == "non-unitary" else policy)
-    zeta = pm.data.zeta
-    constants, tables = pm.col.constants, pm.tables
+    zeta, k_max = pm.data.zeta, pm.col.k_max
+    constants, tables, graded = pm.col.constants, pm.tables, pm.graded
     if policy == "non-unitary":
         constants = [c if k % 2 else Fraction(0) for k, c in enumerate(constants, 1)]
-        tables = tables_with(pm.data, pm.col.k_max, constants)
-    cols = _column_tables(pm.data, pm.col.k_max, constants)
+        tables = series_tables(pm.data, constants)
+        col = PColumn(n, k_max, "custom", compute_phis(n, k_max, constants), constants, pm.col.constant_status)
+        graded = lift_tables(pm.ctx, col)
+    ev = pm.ctx.evaluator(pm.data)
+    cols = _column_tables(pm.data, k_max, constants)
     nonzero = False
-    for e in range(1, pm.col.k_max + 1):
+    for e in range(1, k_max + 1):
         resid = _column_residual(pm.data, cols, e)
-        Y = unitarity_residual(tables, e)
+        Y = series_unitarity_residual(tables, e)
+        lift = unitarity_residual(graded, n, e)
+        for a in range(n):
+            for b in range(n):
+                assert (ev.eval(lift[a][b]) - Y[a][b]).zero_order() is None, (e, a, b)
+                assert bool(lift[a][b]) == bool(Y[a][b]), (e, a, b)
         for i in range(n):
             for j in range(n):
                 dft = Series.zero()
@@ -536,10 +570,10 @@ def test_mutation_at_a_nonzero_residue_is_caught(pmatrix_at, data3, monkeypatch)
     pm = pmatrix_at(3, "symplectic")
     tables = [[list(rows) for rows in table] for table in pm.tables]
     tables[1][2][0] = tables[1][2][0] + Series.x()
-    assert all(not y for row in unitarity_residual(pm.tables, 2) for y in row)
-    assert any(y for row in unitarity_residual(tables, 2) for y in row)
+    assert all(not y for row in series_unitarity_residual(pm.tables, 2) for y in row)
+    assert any(y for row in series_unitarity_residual(tables, 2) for y in row)
     # every column reads the bump (weighted zeta^j), so every column's check fails
-    rep = verify_pmatrix(dataclasses.replace(pm, tables=tables))
+    rep = verify_pmatrix(with_tables(pm, tables))
     checks = {c.name: c.ok for c in rep.checks}
     assert not any(checks[f"column {j} matches series oracle"] for j in range(3))
 
@@ -550,7 +584,7 @@ def test_mutation_at_a_nonzero_residue_is_caught(pmatrix_at, data3, monkeypatch)
     tables = [[list(rows) for rows in table] for table in pm.tables]
     for table in tables:
         table[2][0] = table[2][0] + Series.x()
-    rep = verify_pmatrix(dataclasses.replace(pm, tables=tables))
+    rep = verify_pmatrix(with_tables(pm, tables))
     failed = {c.name for c in rep.checks if not c.ok}
     assert failed == {
         "polynomial vs series route, column 0",
@@ -558,23 +592,23 @@ def test_mutation_at_a_nonzero_residue_is_caught(pmatrix_at, data3, monkeypatch)
         *(f"Laurent fit certifies membership, column {j}" for j in range(3)),
     }
 
-    # the same bump inside the symplectic check fails it
+    # the same bump of the lift, by L, inside the symplectic check fails it
     import orbigw.pmatrix
 
-    extend = orbigw.pmatrix.extend_tables
+    lift = orbigw.pmatrix.lift_tables
 
-    def bumped(data, tables, constant):
-        extend(data, tables, constant)
-        if len(tables[1]) == 3:
-            tables[1][2][0] = tables[1][2][0] + Series.x()
+    def bumped(ctx, col):
+        graded = lift(ctx, col)
+        graded[(2, 0, 1)] = graded[(2, 0, 1)] + RingElement.L_power(1)
+        return graded
 
-    monkeypatch.setattr(orbigw.pmatrix, "extend_tables", bumped)
+    monkeypatch.setattr(orbigw.pmatrix, "lift_tables", bumped)
     with pytest.raises(AssertionError, match="unitarity at order 2"):
-        compute_P_column(data3, 3)
+        build_pmatrix(data3, 3)
 
 
 def test_symplectic_check_is_rational(data5, monkeypatch):
-    # the graded check multiplies no cyclotomic number
+    # the check on the graded lift multiplies no cyclotomic number
     calls = []
     mul = Cyclotomic.__mul__
 
@@ -584,9 +618,9 @@ def test_symplectic_check_is_rational(data5, monkeypatch):
 
     monkeypatch.setattr(Cyclotomic, "__mul__", counted)
     monkeypatch.setattr(Cyclotomic, "__rmul__", counted)
-    col, _ = compute_P_column(data5, 4)
+    pm = build_pmatrix(data5, 4)
     assert len(calls) == 0
-    assert col.constant_status == ["free", "fixed", "free", "fixed"]
+    assert pm.col.constant_status == ["free", "fixed", "free", "fixed"]
 
 
 
@@ -601,7 +635,7 @@ def test_mutated_table_piece_fails_with_its_zero_order(pmatrix_at, n, policy):
     tables = [[list(rows) for rows in table] for table in pm.tables]
     tables[1][2][1] = tables[1][2][1] + Series.monomial(Fraction(5, 7), 6)
     tables[0][3][0] = tables[0][3][0] + Series.monomial(Fraction(1), 9)
-    failed = {c.name: c.detail for c in verify_pmatrix(dataclasses.replace(pm, tables=tables)).checks if not c.ok}
+    failed = {c.name: c.detail for c in verify_pmatrix(with_tables(pm, tables)).checks if not c.ok}
     for j in range(n):
         assert failed.pop(f"column {j} matches series oracle") == "(2, 1, 6)", j
         assert failed.pop(f"polynomial vs series route, column {j}") == "(3, 9)", j
