@@ -83,29 +83,27 @@ def compute_I(cfg: ModelConfig, slots: int | None = None) -> list[Series]:
 
     Each x-degree m = nq + r contributes through the degree-q polynomial
     prod_{j<q} (1 + (-1)^n b_j^n z^n) with b_j = j + r/n; the z^{nj} term
-    lands in slot m - nj.
+    lands in slot m - nj.  With a_j = (jn + r)^n that term is
+    (-1)^{nj} e_j / (n^{nj} m!), e_j the elementary symmetric functions of
+    a_0 .. a_{q-1}.  So each residue r is walked with q increasing, its
+    integer e_j grown by one factor a_q = m^n per step (e_j += e_{j-1} a_q),
+    and only the j with m - nj <= slots become coefficients: O(N^2 / n)
+    integer operations, where expanding the product afresh for every m took
+    O(N^3 / n^2) rational ones.
     """
     n, N = cfg.n, cfg.N
     if slots is None:
         slots = n + 2
-    sign = (-1) ** n
     out: list[dict[int, Fraction]] = [dict() for _ in range(slots + 1)]
-    for m in range(N + 1):
-        q, r = divmod(m, n)
-        poly = [Fraction(1)]
-        for j in range(q):
-            b = Fraction(j * n + r, n)
-            c = sign * b**n
-            nxt = poly + [Fraction(0)]
-            for t in range(len(poly)):
-                if poly[t] and c:
-                    nxt[t + 1] += poly[t] * c
-            poly = nxt
-        invfact = Fraction(1, factorial(m))
-        for j, cj in enumerate(poly):
-            k = m - n * j
-            if k <= slots and cj:
-                out[k][m] = cj * invfact
+    for r in range(n):
+        e = [1]  # e[j] = e_j(a_0 .. a_{q-1}) at the degree m = nq + r
+        for m in range(r, N + 1, n):
+            for j in range(max(0, -((slots - m) // n)), len(e)):
+                out[m - n * j][m] = Fraction((-1) ** (n * j) * e[j], n ** (n * j) * factorial(m))
+            a = m**n
+            e.append(0)
+            for j in range(len(e) - 1, 0, -1):
+                e[j] += e[j - 1] * a
     return [Series(d, N + 1) for d in out]
 
 
@@ -116,18 +114,21 @@ def compute_L(cfg: ModelConfig) -> Series:
     return _binomial_pow(u, -1, n, prec=N + 1).shift(1)
 
 
-def birkhoff_C(cfg: ModelConfig, slots: list[Series], count: int | None = None) -> list[Series]:
+def birkhoff_C(cfg: ModelConfig, slots: list[Series], count: int | None = None) -> tuple[list[Series], list[Series]]:
     """
-    C_0 .. C_count by iterating the normalization M F = z D (F / F(x, infinity)).
+    C_0 .. C_count by iterating the normalization M F = z D (F / F(x, infinity)),
+    and the inverses of C_0 .. C_{count-1} the iteration takes on the way.
 
     In slot form one step maps [s_0, s_1, ...] to [D(s_1/s_0), D(s_2/s_0), ...],
-    so C_i only ever consumes the first i+1 slots.
+    so C_i only ever consumes the first i+1 slots, and step i grows only the
+    count - i slots a later step reads.
     """
     if count is None:
         count = len(slots) - 1
     if count > len(slots) - 1:
         raise ValueError("not enough z-slots for the requested C count")
     cs: list[Series] = []
+    invs: list[Series] = []
     cur = slots
     for i in range(count + 1):
         lead = cur[0]
@@ -135,9 +136,9 @@ def birkhoff_C(cfg: ModelConfig, slots: list[Series], count: int | None = None) 
             raise ZeroDivisionError(f"slot 0 vanished at step {i}; truncation order too small")
         cs.append(lead)
         if i < count:
-            inv = lead.inverse()
-            cur = [(cur[k + 1] * inv).D() for k in range(len(cur) - 1)]
-    return cs
+            invs.append(lead.inverse())
+            cur = [(cur[k + 1] * invs[-1]).D() for k in range(min(len(cur) - 1, count - i))]
+    return cs, invs
 
 
 def C_via_inversion(cfg: ModelConfig, slots: list[Series], count: int | None = None) -> list[Series]:
@@ -184,11 +185,11 @@ class GenusZeroData:
         n = cfg.n
         slots = compute_I(cfg, n + 2)
         L = compute_L(cfg)
-        C = birkhoff_C(cfg, slots, n + 1)
+        C, C_inv = birkhoff_C(cfg, slots, n + 1)
         K = [C[0]]
         for l in range(1, n + 1):
             K.append(K[-1] * C[l])
-        X = [C[r].D() / C[r] for r in range(n + 1)]
+        X = [C[r].D() * C_inv[r] for r in range(n + 1)]
         L_inv = L.inverse()
         DLL = L.D() * L_inv
         A = []

@@ -81,17 +81,25 @@ def div_exact(a: Series, b: Series) -> Series:
     leaves a remainder.
 
     The quotient can only span the exponents min(a) - min(b) .. max(a) - max(b),
-    so it is read off a power series inverse of b truncated to that many terms
-    and must multiply back to a exactly.
+    so schoolbook division reads it off from the top down, one subtraction of
+    the divisor's few terms (Y and X Y have two) per exponent, and it must
+    multiply back to a exactly.
     """
     if not a:
         return Series.zero()
-    low, high = min(a.nums) - min(b.nums), max(a.nums) - max(b.nums)
-    if high >= low:
-        head = a * b.truncate(min(b.nums) + high - low + 1).inverse()
-        q = Series({e: head.get(e) for e in head.nums})
-        if q * b == a:
-            return q
+    divisor = {e: Fraction(c, b.den) for e, c in b.nums.items()}
+    top, low = max(divisor), min(divisor)
+    rem = {e: Fraction(c, a.den) for e, c in a.nums.items()}
+    quot = {}
+    for d in range(max(rem) - top, min(rem) - low - 1, -1):
+        c = rem.get(d + top)
+        if c:
+            quot[d] = c / divisor[top]
+            for e, ce in divisor.items():
+                rem[d + e] = rem.get(d + e, 0) - quot[d] * ce
+    q = Series(quot)
+    if q * b == a:
+        return q
     raise ValueError("inexact polynomial division")
 
 

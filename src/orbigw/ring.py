@@ -39,6 +39,7 @@ C_i to the normalization factor) is the module's ground truth, and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import isinf, lcm
 
 from .genus0 import GenusZeroData, Y_poly, f_n_poly, ladder_sum
@@ -414,12 +415,17 @@ class RingEvaluator:
         self._gen_series: dict[Gen, Series] = {}
         self._L_pows: dict[int, Series] = {0: Series.one()}
 
+    @cached_property
+    def _L_inv(self) -> Series:
+        """1/L, inverted once for every negative power."""
+        return self.data.L.inverse()
+
     def L_pow(self, k: int) -> Series:
         if k not in self._L_pows:
             if k > 0:
                 self._L_pows[k] = self.L_pow(k - 1) * self.data.L
             else:
-                self._L_pows[k] = self.L_pow(k + 1) / self.data.L
+                self._L_pows[k] = self.L_pow(k + 1) * self._L_inv
         return self._L_pows[k]
 
     def gen_series(self, g: Gen) -> Series:

@@ -5,8 +5,9 @@ found by brute force over every vertex permutation; over
 :class:`SeriesTables` it is ``assemble_F_series``), the naive stable-graph
 enumerator, the second psi recursion (``psi_integral_bruteforce``), the
 series oracle's column entries (``series_entry``) and its unitarity residual
-(``series_unitarity_residual``).  Each is an independent route to a number
-the package computes another way.  Beside them live the
+(``series_unitarity_residual``), and the slots of the hypergeometric array
+expanded afresh at every x-degree (``I_slots``).  Each is an independent
+route to a number the package computes another way.  Beside them live the
 graph helpers only the tests use (``relabeled``, ``signature``) and the
 edge-symmetry check (``edges_symmetric``).
 
@@ -26,7 +27,7 @@ from itertools import chain, combinations, permutations, product
 from math import factorial
 
 from orbigw.cyclotomic import Cyclotomic, euler_phi
-from orbigw.genus0 import at_column
+from orbigw.genus0 import ModelConfig, at_column
 from orbigw.graphs import StableGraph, _relabeled, _search, enumerate_stable_graphs
 from orbigw.pmatrix import PMatrixData
 from orbigw.potentials import ContributionTables, _check_type
@@ -392,6 +393,33 @@ def series_unitarity_residual(tables, e: int) -> list[list[Series]]:
 def lifted_entry(pm: PMatrixData, k: int, i: int, j: int) -> CyclotomicPoly:
     """The ring lift's entry at order k, row i, column j, as a polynomial over Q(zeta_n)."""
     return CyclotomicPoly(pm.lift_entry(k, i, j))
+
+
+def I_slots(cfg: ModelConfig, slots: int) -> list[Series]:
+    """
+    The z^{-k} slots of the hypergeometric array, k = 0..slots, as
+    :func:`orbigw.genus0.compute_I` defines them, in ``Fraction`` arithmetic:
+    every x-degree m = nq + r expands the degree-q polynomial
+    prod_{j<q} (1 + (-1)^n b_j^n z^n), b_j = j + r/n, from scratch, and its
+    z^{nj} term lands in slot m - nj.
+    """
+    n, N = cfg.n, cfg.N
+    sign = (-1) ** n
+    out: list[dict[int, Fraction]] = [dict() for _ in range(slots + 1)]
+    for m in range(N + 1):
+        q, r = divmod(m, n)
+        poly = [Fraction(1)]
+        for j in range(q):
+            c = sign * Fraction(j * n + r, n) ** n
+            nxt = poly + [Fraction(0)]
+            for t in range(len(poly)):
+                nxt[t + 1] += poly[t] * c
+            poly = nxt
+        for j, cj in enumerate(poly):
+            k = m - n * j
+            if k <= slots and cj:
+                out[k][m] = cj / factorial(m)
+    return [Series(d, N + 1) for d in out]
 
 
 def relabeled(graph: StableGraph, perm: tuple[int, ...]) -> StableGraph:

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from oracles import CyclotomicSeries
+from oracles import CyclotomicSeries, I_slots
 from orbigw.cyclotomic import Cyclotomic
 from orbigw.genus0 import (
     GenusZeroData,
@@ -53,6 +53,18 @@ def test_I_components_against_direct_summation():
             assert (slots[k] - want).zero_order() is None, (n, k)
         # constant and linear coefficients of the mirror coordinate
         assert slots[1].get(0) == 0 and slots[1].get(1) == 1
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_I_slots_match_fresh_expansion(n):
+    # the same normal form (numerators, denominator, bound) as the product
+    # expanded afresh at every degree, for slot counts below, at and past n
+    for N in (4 * n, 10 * n, 10 * n + 3):
+        cfg = ModelConfig(n, N)
+        for slots in (0, 1, n - 1, n + 2, 2 * n + 3):
+            got, want = compute_I(cfg, slots), I_slots(cfg, slots)
+            assert len(got) == slots + 1
+            assert [(s.nums, s.den, s.prec) for s in got] == [(s.nums, s.den, s.prec) for s in want], (N, slots)
 
 
 def test_I1_n3_frozen_value():

@@ -70,6 +70,10 @@ def test_custom_constant_entries_pinned(n):
 # sha256 of the stdout (trailing newline included) of `orbigw <args> --format json`;
 # the pmatrix runs emit every lifted entry and every per-column check
 CLI_SHA256 = {
+    "genus0 --n 3": (0, "c418f579d21c89538092aa84ac11b92646e74a265eec63aa193a8cd96c993193"),
+    "genus0 --n 4": (0, "eb681a815cd663e301a72b072bc13efa647e5a27d79f25e8a74c02b0e77253e6"),
+    # a truncation order N that is not a multiple of n
+    "genus0 --n 7 --N 75": (0, "1248c3010626c76fc7bbba2442cb329aba570fe2b9084a5d1890829f345c3c0c"),
     "pmatrix --n 3 --k-max 5": (0, "5b2c77c90497650ec815af605b9d9d275e55b22a3788fe545cfc836fae57e046"),
     "pmatrix --n 4 --k-max 5": (0, "345d259a77f4f9f6495a914e0bf43e0f290e8b57e9f8db8711fd52f5766107c3"),
     "pmatrix --n 5 --k-max 4": (0, "3decd03cb740b3f8bd58cecb3a2c61d4f057432114ecdf3535832a805ab0757b"),
