@@ -490,8 +490,10 @@ def verify_quantum(data: GenusZeroData) -> Report:
     n = cfg.n
     rep = Report(f"quantum structure (n={n}, N={cfg.N})")
 
+    # C_1 and each L^i are inverted once; the inverses stay local, so no copy of the data carries a stale one
+    c1_inv = data.C[1].inverse()
     for i in range(n):
-        d = (data.quantum_coeff(1, i) - data.C[i + 1] / data.C[1]).zero_order()
+        d = (data.quantum_coeff(1, i) - data.C[i + 1] * c1_inv).zero_order()
         rep.add(f"phi_1 * phi_{i} multiplier", d is None)
 
     d = (data.two_point(0) - data.Theta / n).zero_order()
@@ -519,7 +521,7 @@ def verify_quantum(data: GenusZeroData) -> Report:
     for a in range(n):
         rep.add(f"g(e_{a}, e_{a}) = 1/n^2", pair.zero_order() is None)
 
-    pieces = [(data.L**i / data.K[i]) * (data.K[i] / data.L**i) - Series.one() for i in range(n)]
+    pieces = [(data.L**i / data.K[i]) * units[i] - Series.one() for i in range(n)]
     orders = [min(entry_at_column(pieces, j, data.zeta), default=None) for j in range(n)]
     bad = None
     for a in range(n):
@@ -529,7 +531,7 @@ def verify_quantum(data: GenusZeroData) -> Report:
     rep.add("Psi Psi^{-1} = Id", bad is None, str(bad) if bad else "")
 
     # canonical coordinate eigenvalue: phi_1 * e_alpha = (zeta^alpha L / C_1) e_alpha
-    slope = data.L / data.C[1]
+    slope = data.L * c1_inv
     eig = first_bad((units[(k - 1) % n] * data.quantum_coeff(1, (k - 1) % n) - units[k] * slope).nums for k in range(n))
     du = (slope * data.Theta.D() - data.L).zero_order()
     for a in range(n):

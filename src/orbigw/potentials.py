@@ -34,7 +34,8 @@ one class, summed once with weight n^V prod_c k_c! / Aut(G)
 (:mod:`orbigw.graphs`).
 
 What the graphs share lives in :class:`ContributionTables`.  The local
-factors, and the fold of a vertex's last edge with the vertex's factor
+factors (a vertex factor combines products of tails, each product formed
+once), and the fold of a vertex's last edge with the vertex's factor
 (vertex and legs) once per state of the vertex
 (:meth:`ContributionTables.half_closed`), are shared by every graph and
 potential of a verdict, so a closing edge multiplies nothing itself.  One
@@ -42,7 +43,10 @@ edge step from its two end states (:meth:`ContributionTables.step`) depends
 only on the ends' local data, so it is computed once per potential and
 shared by its graphs; a step's terms that reach one state are one sum of
 products, normalised once (:meth:`~orbigw.ring.RingElement.sum_of_products`),
-and so is every new state of a graph.
+and so is every new state of a graph.  The state after a prefix of edges
+depends only on the prefix, so a potential's graphs are walked depth first,
+sorted by their edge steps, and each prefix they share is contracted once
+(:func:`_walk`); every graph keeps its own vertex labels and edge order.
 The decorated sum, which reads every factor at its decorations and visits
 every joint flag assignment, is the oracle of this sum and the route of the
 series assembly; both live in the test suite (``tests/oracles.py``).
@@ -135,6 +139,7 @@ class ContributionTables:
         self.n = pm.ctx.n
         self.k_max = pm.col.k_max
         self._tails: dict = {}
+        self._products: dict = {}
         self._vertex: dict = {}
         self._closed: dict = {}
         self._half: dict = {}
@@ -171,8 +176,21 @@ class ContributionTables:
             self._tails[i] = _scaled(self._char(i, 0, i), Fraction((-1) ** i, self.n))
         return self._tails[i]
 
+    def _tail_product(self, mult: tuple[int, ...]) -> Char:
+        """prod_{r in mult} T_{p,r} over a sorted multiset, grown from the product without its last tail."""
+        if mult not in self._products:
+            if not mult:
+                self._products[mult] = {0: self._one}
+            else:
+                self._products[mult] = _times(self._tail_product(mult[:-1]), self.tail(mult[-1]), self.n)
+        return self._products[mult]
+
     def vertex(self, h: int, flags: tuple[int, ...]) -> Char:
-        """Genus-h vertex with the given flag exponents."""
+        """
+        Genus-h vertex with the given flag exponents: a combination of the
+        tail products (:meth:`_tail_product`), shared by every vertex, each
+        scaled by its psi integral, multiset weight and pairing power.
+        """
         key = (h, tuple(sorted(flags)))
         if key in self._vertex:
             return self._vertex[key]
@@ -198,11 +216,9 @@ class ContributionTables:
                 for cnt in seen.values():
                     for t in range(1, cnt + 1):
                         weight /= t
-                term = {0: self.unit() * (integral * weight * pairing_power)}
-                for r in mult:
-                    term = _times(term, self.tail(r), n)
-                for u, x in term.items():
-                    _add_into(total, u, x)
+                scalar = integral * weight * pairing_power
+                for u, x in self._tail_product(mult).items():
+                    _add_into(total, u, x * scalar)
         self._vertex[key] = total
         return total
 
@@ -295,7 +311,7 @@ class ContributionTables:
         its genus, its leg insertions and its room 3h - 3 + valence; a state
         is (sorted earlier flags, residue).  A loop's two ends are its one
         vertex.  If only one end closes, it is end a
-        (:func:`graph_character_sum` orients the edge so).
+        (:func:`_steps` orients the edge so).
 
         An open edge pairs the edge factor with both ends' new states: it
         multiplies nothing, and its triples, one per entry of every edge
@@ -394,9 +410,106 @@ def _multisets(total: int, k: int, cap: int):
     yield from rec(total, k, 2)
 
 
+def _steps(graph: StableGraph, insertions: tuple[int, ...], interned: dict) -> tuple:
+    """
+    The edges of ``graph`` in its own order, as steps (a, b, edge) of the
+    graph sum: ``edge`` is (loop, end a, end b) as :meth:`ContributionTables.step`
+    reads it, and an edge that closes one end only is oriented with that end
+    first, which the symmetric edge factor allows.  ``interned`` keeps one
+    instance of each equal step: a potential's sequences are all held at
+    once, so sharing the steps keeps them small, and equal steps are then
+    identical.
+    """
+    last_edge = {v: e for e, edge in enumerate(graph.edges) for v in edge}
+    # (genus, leg insertions, room 3h - 3 + valence) of each vertex
+    local = [
+        (h, tuple(sorted(c for c, w in zip(insertions, graph.legs) if w == v)), 3 * h - 3 + graph.valence(v))
+        for v, h in enumerate(graph.genera)
+    ]
+    out = []
+    for e, (a, b) in enumerate(graph.edges):
+        if last_edge[b] == e != last_edge[a]:
+            a, b = b, a
+        step = (a, b, (a == b, (last_edge[a] == e,) + local[a], (last_edge[b] == e,) + local[b]))
+        out.append(interned.setdefault(step, step))
+    return tuple(out)
+
+
+def _contract(tables: ContributionTables, state: dict, step: tuple) -> dict:
+    """
+    The states after one more edge.  ``state`` maps each key, the states of
+    the graph's vertices, to its value; the edge's terms come from
+    :meth:`ContributionTables.step` at the states of its two ends, read once
+    per pair of end states, and each new key sums its (state value,
+    coefficient) products in one :meth:`RingElement.sum_of_products`, so it
+    is normalised once.
+    """
+    a, b, edge = step
+    steps: dict = {}
+    grown: dict = {}
+    for key, x in state.items():
+        ab = (key[a], key[b])
+        if ab not in steps:
+            steps[ab] = tables.step(edge, *ab)
+        for new_a, new_b, c in steps[ab]:
+            new = list(key)
+            new[a], new[b] = new_a, new_b
+            _append(grown, tuple(new), (x, c))
+    # a key whose sum cancels is dropped
+    return {new: value for new, pairs in grown.items() if (value := RingElement.sum_of_products(pairs))}
+
+
+def _walk(tables: ContributionTables, graphs, insertions: tuple[int, ...]) -> RingElement:
+    """
+    The graph sum over ``graphs``, walked depth first so that each distinct
+    prefix of steps (:func:`_steps`) is contracted once.
+
+    The state after a prefix of edges depends on the vertex count and the
+    prefix alone, so the graphs are sorted by (V, steps) and a stack keeps
+    the state after each edge of the previous graph: a graph pops back to
+    the prefix it shares with that graph and contracts only the rest
+    (:func:`_contract`).  No vertex is relabeled and no edge reordered, so
+    each graph's value is the one its own edge order gives.  At the end of a
+    graph the all-blank key is its X_0, weighted n^V prod_c k_c! / Aut(G)
+    (:func:`graph_character_sum`).
+    """
+    n = tables.n
+    interned: dict = {}
+    walks = []
+    for graph in graphs:
+        if graph.colours is not None and len(set(zip(graph.colours, insertions))) != len(set(graph.colours)):
+            raise ValueError(f"legs of one colour carry different insertions {insertions}")
+        walks.append((graph.num_vertices, _steps(graph, insertions, interned), graph))
+    walks.sort(key=lambda walk: walk[:2])
+    total = tables.zero()
+    blank, stack, previous = (), [], ()
+    for V, steps, graph in walks:
+        if not steps:
+            # the edgeless one-vertex graph is closed from the start
+            value = tables.closed_vertex(graph.genera[0], tuple(sorted(insertions)), ()).get(0, tables.zero())
+        else:
+            if len(blank) != V:
+                blank = (_BLANK,) * V
+                stack, previous = [{blank: tables.unit()}], ()
+            shared = 0
+            # equal steps are one instance
+            for x, y in zip(previous, steps):
+                if x is not y:
+                    break
+                shared += 1
+            del stack[shared + 1 :]
+            for step in steps[shared:]:
+                stack.append(_contract(tables, stack[-1], step))
+            previous = steps
+            value = stack[-1].get(blank, tables.zero())
+        total = total + value * Fraction(n**V * leg_permutations(graph), aut_count(graph))
+    return total
+
+
 def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertions: tuple[int, ...]) -> RingElement:
     """
-    The contribution of one stable graph, summed over its decorations.
+    The contribution of one stable graph, summed over its decorations: the
+    walk (:func:`_walk`) over this graph alone.
 
     Each factor is a character sum in its decorations, so a flag assignment's
     product is sum_U zeta^{U.p} X_U over vectors U of per-vertex residues, and
@@ -408,46 +521,12 @@ def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertio
     edge factors are symmetric in their ends, so it is weighted n^V prod_c
     k_c! / Aut(G); legs of one colour must carry one insertion.
 
-    The flags are summed edge by edge, keyed by the sorted flags and the
-    residue of each open vertex; a vertex's last edge takes its closed factor
-    at the component cancelling its residue, and the vertex is forgotten.
-    Each edge's terms come from :meth:`ContributionTables.step` at the states
-    of its two ends, read once per pair of end states; an edge that closes
-    one end only is oriented with that end first, which the symmetric edge
-    factor allows.  Each new key sums its (state value, coefficient)
-    products in one :meth:`RingElement.sum_of_products`, so it is
-    normalised once.
+    The flags are summed edge by edge in the graph's edge order, keyed by the
+    sorted flags and the residue of each open vertex; a vertex's last edge
+    takes its closed factor at the component cancelling its residue, and the
+    vertex is forgotten.
     """
-    n, V = tables.n, graph.num_vertices
-    if graph.colours is not None and len(set(zip(graph.colours, insertions))) != len(set(graph.colours)):
-        raise ValueError(f"legs of one colour carry different insertions {insertions}")
-    last_edge = {v: e for e, edge in enumerate(graph.edges) for v in edge}
-    # (genus, leg insertions, room 3h - 3 + valence) of each vertex
-    local = [
-        (h, tuple(sorted(c for c, w in zip(insertions, graph.legs) if w == v)), 3 * h - 3 + graph.valence(v))
-        for v, h in enumerate(graph.genera)
-    ]
-    # the edgeless one-vertex graph is closed from the start
-    start = tables.unit() if graph.edges else tables.closed_vertex(graph.genera[0], local[0][1], ()).get(0, tables.zero())
-    state = {(_BLANK,) * V: start}
-    for e, (a, b) in enumerate(graph.edges):
-        if last_edge[b] == e != last_edge[a]:
-            a, b = b, a
-        edge = (a == b, (last_edge[a] == e,) + local[a], (last_edge[b] == e,) + local[b])
-        steps: dict = {}
-        grown: dict = {}
-        for key, x in state.items():
-            ab = (key[a], key[b])
-            if ab not in steps:
-                steps[ab] = tables.step(edge, *ab)
-            for new_a, new_b, c in steps[ab]:
-                new = list(key)
-                new[a], new[b] = new_a, new_b
-                _append(grown, tuple(new), (x, c))
-        # a key whose sum cancels is dropped
-        state = {new: value for new, pairs in grown.items() if (value := RingElement.sum_of_products(pairs))}
-    weight = Fraction(n**V * leg_permutations(graph), aut_count(graph))
-    return state.get((_BLANK,) * V, tables.zero()) * weight
+    return _walk(tables, (graph,), insertions)
 
 
 def _check_type(g: int, insertions: tuple[int, ...]) -> None:
@@ -461,20 +540,19 @@ def assemble_F(tables: ContributionTables, g: int, insertions: tuple[int, ...] |
     """
     The potential F_{g,m}(phi_{c_1}, ..., phi_{c_m}) as a graph sum.
 
-    The sum runs over undecorated stable graphs in enumeration order, each
-    through the character sum of :func:`graph_character_sum`; the leg
-    prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as one monomial.  The
-    legs are coloured by insertion value, so the graphs that differ only by
-    permuting equal insertions are one class, summed once.  The edge steps
-    (:meth:`ContributionTables.step`) are shared by the graphs of this
-    potential and dropped after it, so the cache does not grow over a
-    verdict.
+    The sum runs over undecorated stable graphs, each through the character
+    sum of :func:`graph_character_sum`, in one depth-first walk
+    (:func:`_walk`) that contracts each prefix of edges the graphs share
+    once; the leg prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as one
+    monomial.  The legs are coloured by insertion value, so the graphs that
+    differ only by permuting equal insertions are one class, summed once.
+    The edge steps (:meth:`ContributionTables.step`) are shared by the graphs
+    of this potential and dropped after it, so the cache does not grow over
+    a verdict.
     """
     insertions = tuple(insertions)
     _check_type(g, insertions)
-    core = tables.zero()
-    for graph in enumerate_stable_graphs(g, len(insertions), insertions):
-        core = core + graph_character_sum(tables, graph, insertions)
+    core = _walk(tables, enumerate_stable_graphs(g, len(insertions), insertions), insertions)
     tables._steps.clear()
     tables._states.clear()
     pref = RingElement.scalar(Fraction(1))

@@ -251,7 +251,7 @@ def test_step_cache_leaks_nothing(n, policy):
 
 def test_equal_legs_share_a_class_under_every_policy(monkeypatch):
     # under custom constants as under symplectic ones the edge factors are
-    # symmetric, so F_{2,2}(1, 1) at n = 3 sums each of its 60 classes of
+    # symmetric, so F_{2,2}(1, 1) at n = 3 weights each of its 60 classes of
     # equal legs once (75 labeled graphs), and F_{1,2}(1, 1) its 5
     import orbigw.potentials as potentials
     from orbigw.genus0 import GenusZeroData, ModelConfig
@@ -261,18 +261,65 @@ def test_equal_legs_share_a_class_under_every_policy(monkeypatch):
     symplectic = ContributionTables(build_pmatrix(data, 6, "symplectic"))
     custom = ContributionTables(build_pmatrix(data, 6, "custom", custom_constants=[Fraction(1, k + 1) for k in range(6)]))
     assert len(enumerate_stable_graphs(2, 2)) == 75
-    summed = []
-    real = potentials.graph_character_sum
+    weighted = []
+    real = potentials.leg_permutations
 
-    def counted(tables, graph, insertions):
-        summed.append(graph.colours)
-        return real(tables, graph, insertions)
+    def counted(graph):
+        weighted.append(graph.colours)
+        return real(graph)
 
-    monkeypatch.setattr(potentials, "graph_character_sum", counted)
+    monkeypatch.setattr(potentials, "leg_permutations", counted)
     for tables, g, count in [(symplectic, 2, 60), (custom, 2, 60), (custom, 1, 5)]:
-        summed.clear()
+        weighted.clear()
         assemble_F(tables, g, (1, 1))
-        assert summed == [(0, 0)] * count, g
+        assert weighted == [(0, 0)] * count, g
+
+
+@pytest.mark.parametrize("n, g, insertions", [(3, 3, ()), (3, 2, (1, 1)), (4, 2, (1, 2))])
+def test_walk_does_not_depend_on_graph_order(pmatrix_at, rng, n, g, insertions):
+    # the walk sorts the graphs itself: enumeration order, reversed and a
+    # seeded shuffle give one potential, which is also the sum of one-graph
+    # walks, each from a blank stack; the orders reset the stack where the
+    # vertex count changes and pop it where prefixes diverge
+    from orbigw.potentials import _walk
+
+    tables = ContributionTables(pmatrix_at(n, "zero", 3 * g - 2 + len(insertions)))
+    graphs = list(enumerate_stable_graphs(g, len(insertions), insertions))
+    want = RingElement.zero()
+    for graph in graphs:
+        want = want + graph_character_sum(tables, graph, insertions)
+    shuffled = graphs[:]
+    rng.shuffle(shuffled)
+    assert shuffled != graphs
+    for order in (graphs, graphs[::-1], shuffled):
+        assert _walk(tables, order, insertions) == want
+    assert assemble_F(tables, g, insertions).core == want
+
+
+@pytest.mark.parametrize(
+    "n, g, insertions, walked, edges", [(3, 3, (), 117, 157), (3, 2, (1, 1), 159, 194), (4, 2, (1, 2), 202, 244)]
+)
+def test_walk_contracts_each_shared_prefix_once(pmatrix_at, monkeypatch, n, g, insertions, walked, edges):
+    # the edges a potential's walk contracts, against the edges of its graphs,
+    # all of which the one-graph walks contract: lost sharing fails here
+    import orbigw.potentials as potentials
+
+    tables = ContributionTables(pmatrix_at(n, "zero", 3 * g - 2 + len(insertions)))
+    contracted = []
+    real = potentials._contract
+
+    def counted(tables, state, step):
+        contracted.append(step)
+        return real(tables, state, step)
+
+    monkeypatch.setattr(potentials, "_contract", counted)
+    assemble_F(tables, g, insertions)
+    assert len(contracted) == walked
+    contracted.clear()
+    graphs = enumerate_stable_graphs(g, len(insertions), insertions)
+    for graph in graphs:
+        graph_character_sum(tables, graph, insertions)
+    assert len(contracted) == sum(len(graph.edges) for graph in graphs) == edges
 
 
 def test_colours_must_match_insertions(tables3):
