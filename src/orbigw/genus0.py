@@ -52,6 +52,11 @@ from .series import binomial_pow as _binomial_pow
 from .stirling import stirling_first
 
 
+def require_int(name: str, value) -> None:
+    if type(value) is not int:  # a bool, an int subclass, is refused too
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Order n >= 3 of the quotient and the x-truncation order N."""
@@ -60,6 +65,8 @@ class ModelConfig:
     N: int = 0
 
     def __post_init__(self):
+        for name in ("n", "N"):
+            require_int(name, getattr(self, name))
         if self.n < 3:
             raise ValueError("the model needs n >= 3")
         if self.N == 0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .genus0 import GenusZeroData, ModelConfig
+from .genus0 import GenusZeroData, ModelConfig, require_int
 from .pmatrix import build_pmatrix, check_constants
 from .potentials import ContributionTables, assemble_F, audit_generators
 from .report import Report
@@ -97,9 +97,7 @@ def verify_hae(
     The arguments are checked before any table is built.
     """
     for name, value in (("n", n), ("g", g), ("N", 0 if N is None else N)):
-        # bool is an int subclass, and so is refused here
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+        require_int(name, value)
     check_constants(custom_constants)
     if g < 2:
         raise ValueError("the anomaly equation is stated for g >= 2")

@@ -36,8 +36,8 @@ coefficient the DFT of that key's per-residue rationals
 * as elements of the free ring of :mod:`orbigw.ring`, by the descending
   flatness recursion with the formal derivation (this is the lift, the one
   route the graph sum reads): row zero splits by the residue mod n of its
-  exponents, and the descent runs once per residue on rational ring
-  elements;
+  exponents, and one descent step (:func:`descent`) builds each row and
+  closes the cycle, once per residue on rational ring elements;
 * as exact truncated series, one table per residue and one order at a time,
   through the modified flatness recursion plus one honest quadrature per
   order (:func:`series_tables`, the oracle route, built the first time a
@@ -45,7 +45,9 @@ coefficient the DFT of that key's per-residue rationals
 
 ``symplectic`` is the ``zero`` column plus a unitarity check on the lift
 (:func:`build_pmatrix`): one residual per order, a 2D character sum of ring
-elements (:func:`unitarity_residual`), whose zero is exact.  At n = 6, 7
+elements (:func:`unitarity_residual`), whose zero is exact.  It reads the
+lift's bilinear form B(c, d) = sum_r P~^c_{Inv(r),i} P~^d_{r,j}
+(:func:`pairing`), as the edge factors of the graph sum do.  At n = 6, 7
 and 8 it fails at order 4, where the lift's cycle closure fails too.
 
 ``verify_lift`` certifies the lift against the series oracle,
@@ -344,6 +346,16 @@ def entry_to_json(entry: Entry) -> list:
     return terms_to_json(entry, lambda c: c.to_json() if isinstance(c, Cyclotomic) else str(c))
 
 
+def descent(ctx: RingContext, graded: Lift, k: int, i: int, w: int) -> RingElement:
+    """
+    Row i - 1 at order k and residue w, by one step of the modified flatness
+    recursion from row i mod n, P~^k_{i-1} = P~^k_i + D(P~^{k-1}_i) / L +
+    A_{n-i} P~^{k-1}_i; row n - 1 descends from row zero (i = n), as A_0 = 0.
+    """
+    prev = graded[(k - 1, i % ctx.n, w)]
+    return graded[(k, i % ctx.n, w)] + ctx.derive(prev).mul_L(-1) + ctx.A(ctx.n - i) * prev
+
+
 def lift_tables(ctx: RingContext, col: PColumn) -> Lift:
     """
     The ring lift, graded by residue: ``graded[(k, i, w)]`` is a ring element
@@ -351,9 +363,8 @@ def lift_tables(ctx: RingContext, col: PColumn) -> Lift:
     sum_w zeta^{wj} graded[(k, i, w)] (:meth:`PMatrixData.lift_entry`).
 
     Row zero splits by the residue w = (r + k) mod n of the exponent of L^r in
-    p_k.  The other rows descend from row zero through the modified flatness
-    recursion, which does not depend on j, so it runs once per residue; the
-    formal derivation rewrites every derivative that leaves the admitted set.
+    p_k.  The other rows descend from it (:func:`descent`, with the formal
+    derivation), which does not depend on j, so it runs once per residue.
     """
     n = ctx.n
     graded: Lift = {}
@@ -361,42 +372,47 @@ def lift_tables(ctx: RingContext, col: PColumn) -> Lift:
         for k in range(col.k_max + 1):
             row0 = {(r, ()): col.phis[k].get(r) for r in col.phis[k].nums if (r + k) % n == w}
             graded[(k, 0, w)] = RingElement(row0)
-            if k == 0:
-                for i in range(1, n):
-                    graded[(0, i, w)] = graded[(0, 0, w)]
-                continue
-            prev0 = graded[(k - 1, 0, w)]
-            graded[(k, n - 1, w)] = graded[(k, 0, w)] + ctx.derive(prev0).mul_L(-1)
-            for i in range(n - 1, 1, -1):
-                prev = graded[(k - 1, i, w)]
-                graded[(k, i - 1, w)] = graded[(k, i, w)] + ctx.derive(prev).mul_L(-1) + ctx.A(n - i) * prev
+            for i in range(n, 1, -1):
+                graded[(k, i - 1, w)] = graded[(k, 0, w)] if k == 0 else descent(ctx, graded, k, i, w)
     return graded
+
+
+def pairing(read, n: int, c: int, d: int) -> dict[tuple[int, int], list]:
+    """
+    The term pairs (x, y) of B(c, d) = sum_r S(c, Inv(r))_i S(d, r)_j, Inv(r)
+    = -r mod n, the bilinear form the edge factors and the unitarity check
+    read, with S(k, i) = P~^k_{i,p} zeta^{-(k+i)p} the shifted entry as
+    ``read(k, i)`` gives it, {u - k - i: piece} over its pieces u: the pieces
+    u and v pair at (a, b) = (u - c - Inv(r), v - d - r) mod n.
+    """
+    pairs: dict = {}
+    for r in range(n):
+        right = read(d, r).items()
+        for a, x in read(c, (-r) % n).items():
+            for b, y in right:
+                pairs.setdefault((a, b), []).append((x, y))
+    return pairs
 
 
 def unitarity_residual(graded: Lift, n: int, e: int) -> list[list[RingElement]]:
     """
     The order-e coefficient of the quadratic unitarity condition on the lift,
-    as a 2D character sum: ring elements Y[a][b] with, at the column pair (i, j),
-
-        sum_{c+d=e} sum_r ((-1)^c / n) zeta^{-(c + Inv(r)) i - (d + r) j} P~^c_{Inv(r),i} P~^d_{r,j}
-            = sum_{a,b} zeta^{a i + b j} Y[a][b],
-
-    where Inv(r) = -r mod n and the product of the pieces u and v of the two
-    entries lands at a = u - c - Inv(r), b = v - d - r.  The DFT on (Z/n)^2 is
-    invertible, so the condition holds at order e exactly when every Y[a][b]
+    sum_{c+d=e} ((-1)^c / n) B(c, d) over the pairing (:func:`pairing`), as
+    a 2D character sum: ring elements Y[a][b], the condition at the column
+    pair (i, j) reading sum_{a,b} zeta^{a i + b j} Y[a][b].  The DFT on
+    (Z/n)^2 is invertible, so it holds at order e exactly when every Y[a][b]
     vanishes.  Each Y[a][b] is one ``RingElement.sum_of_products``, so its
     zero is exact, not a zero up to a truncation order.
     """
+
+    def read(k: int, i: int) -> dict[int, RingElement]:
+        return {(w - k - i) % n: x for w in range(n) if (x := graded[(k, i, w)])}
+
     pairs: list[list[list]] = [[[] for _ in range(n)] for _ in range(n)]
     for c in range(e + 1):
-        d = e - c
-        for r in range(n):
-            rinv = (-r) % n
-            lefts = [(u, x * Fraction((-1) ** c, n)) for u in range(n) if (x := graded[(c, rinv, u)])]
-            rights = [(v, y) for v in range(n) if (y := graded[(d, r, v)])]
-            for u, x in lefts:
-                for v, y in rights:
-                    pairs[(u - c - rinv) % n][(v - d - r) % n].append((x, y))
+        sign = Fraction((-1) ** c, n)
+        for (a, b), terms in pairing(read, n, c, e - c).items():
+            pairs[a][b].extend((x * sign, y) for x, y in terms)
     return [[RingElement.sum_of_products(p) for p in row] for row in pairs]
 
 
@@ -441,11 +457,7 @@ def verify_lift(pm: PMatrixData, diffs: dict[tuple[int, int], list[Series]]) -> 
     _add_columns(rep, "column {} matches series oracle", pm, diffs, lambda key, d: (*key, min(d)))
 
     # the one flatness equation not consumed by the construction must close
-    def closure(k: int, w: int) -> RingElement:
-        prev = graded[(k - 1, 1, w)]
-        return graded[(k, 0, w)] - graded[(k, 1, w)] - ctx.derive(prev).mul_L(-1) - ctx.A(n - 1) * prev
-
-    resid = {k: [closure(k, w) for w in range(n)] for k in range(1, col.k_max + 1)}
+    resid = {k: [graded[(k, 0, w)] - descent(ctx, graded, k, 1, w) for w in range(n)] for k in range(1, col.k_max + 1)}
     _add_columns(rep, "cycle closure in the ring, column {}", pm, resid, lambda k, d: (k, len(d)))
     # membership: row zero entries live in C[L]
     ok = all(not graded[(k, 0, w)].uses_negative_L() for w in range(n) for k in range(col.k_max + 1))

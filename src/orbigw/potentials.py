@@ -14,8 +14,10 @@ formula:
   T_{p,i} = ((-1)^i / n) P~^i_{0,p} zeta^{-i p}, weighted by psi-class
   integrals and the pairing power n^{2h-2+v+k};
 * an edge carrying flag values (b1, b2) between decorations (p1, p2)
-  contributes the alternating bilinear combination of lifted entries of
-  orders up to b1 + b2 + 1;
+  contributes E(b1, b2) = ((-1)^{b1+b2} / n) B(b1 + 1, b2) - E(b1 + 1, b2 - 1),
+  E(b, -1) = 0, over the pairing B(c, d) = sum_r S(c, Inv(r))_{p1} S(d, r)_{p2}
+  of the shifted entries S(k, i) = P~^k_{i,p} zeta^{-(k+i)p}, which the
+  unitarity check reads too (:func:`~orbigw.pmatrix.pairing`);
 * a leg with insertion index c and flag a contributes
   ((-1)^a / n) K_{Inv(c)} / L^{Inv(c)} P~^a_{Inv(c),p} zeta^{-(a+Inv(c))p}.
 
@@ -69,7 +71,7 @@ from fractions import Fraction
 from itertools import product
 
 from .graphs import StableGraph, aut_count, enumerate_stable_graphs, leg_permutations
-from .pmatrix import PMatrixData
+from .pmatrix import PMatrixData, pairing
 from .psi import psi_integral
 from .ring import RingElement
 
@@ -112,10 +114,6 @@ def _times(a: Char, b: Char, n: int) -> Char:
     return out
 
 
-def _scaled(a: Char, c: Fraction) -> Char:
-    return {u: x * c for u, x in a.items()}
-
-
 class ContributionTables:
     """
     The local factors of the graph sum, written once over the graded lift.
@@ -123,9 +121,10 @@ class ContributionTables:
     Every factor is a character sum in the decoration p of its vertex, a dict
     ``{u: value}`` standing for sum_u zeta^{u p} value_u (an edge's is keyed
     by the pair (u1, u2) of its end residues).  Entries P~^k_{i,p} are read
-    through :meth:`graded` as their rational pieces, so every value is a
-    rational ring element and no root of unity enters.  The series oracle of
-    the tests overrides :meth:`graded`, :meth:`unit` and :meth:`zero`.
+    through one shifted entry (:meth:`_char`) over their rational pieces
+    (:meth:`graded`), so every value is a rational ring element and no root
+    of unity enters.  The series oracle of the tests overrides
+    :meth:`graded`, :meth:`unit` and :meth:`zero`.
 
     The factors are cached for the life of the tables, so every potential of
     a verdict shares them; the edge steps (:meth:`step`) are cached for one
@@ -138,7 +137,6 @@ class ContributionTables:
         self.data = pm.data
         self.n = pm.ctx.n
         self.k_max = pm.col.k_max
-        self._tails: dict = {}
         self._products: dict = {}
         self._vertex: dict = {}
         self._closed: dict = {}
@@ -160,29 +158,21 @@ class ContributionTables:
     def zero(self) -> RingElement:
         return RingElement.zero()
 
-    def _char(self, k: int, i: int, shift: int) -> Char:
-        """P~^k_{i,p} zeta^{-shift p} as a character sum in p."""
-        return {(w - shift) % self.n: piece for w, piece in self.graded(k, i).items()}
+    def _char(self, k: int, i: int) -> Char:
+        """S(k, i) = P~^k_{i,p} zeta^{-(k+i)p} in p, the lift as every factor reads it; too deep raises."""
+        if k > self.k_max:
+            raise ValueError(f"order {k} exceeds the lifted depth {self.k_max}")
+        return {(w - k - i) % self.n: piece for w, piece in self.graded(k, i).items()}
 
     # -- local factors ------------------------------------------------------
 
-    def tail(self, i: int) -> Char:
-        """T_{p,i}; zero in degrees 0 and 1."""
-        if i < 2:
-            return {}
-        if i > self.k_max:
-            raise ValueError(f"tail order {i} exceeds the lifted depth {self.k_max}")
-        if i not in self._tails:
-            self._tails[i] = _scaled(self._char(i, 0, i), Fraction((-1) ** i, self.n))
-        return self._tails[i]
-
     def _tail_product(self, mult: tuple[int, ...]) -> Char:
-        """prod_{r in mult} T_{p,r} over a sorted multiset, grown from the product without its last tail."""
+        """prod_{r in mult} T_{p,r} (= leg_core(r, 0)) over a sorted multiset, grown from mult[:-1]'s."""
         if mult not in self._products:
             if not mult:
                 self._products[mult] = {0: self._one}
             else:
-                self._products[mult] = _times(self._tail_product(mult[:-1]), self.tail(mult[-1]), self.n)
+                self._products[mult] = _times(self._tail_product(mult[:-1]), self.leg_core(mult[-1], 0), self.n)
         return self._products[mult]
 
     def vertex(self, h: int, flags: tuple[int, ...]) -> Char:
@@ -204,7 +194,7 @@ class ContributionTables:
             target = dim + k - sum(flags)
             pairing_power = Fraction(n) ** (2 * h - 2 + v + k)
             # no cap at k_max: a tail deeper than the lifted table must raise
-            # in tail(), not vanish from the sum
+            # in _char, not vanish from the sum
             for mult in _multisets(target, k, target):
                 integral = psi_integral(h, flags + mult)
                 if not integral:
@@ -223,25 +213,20 @@ class ContributionTables:
         return total
 
     def edge(self, b1: int, b2: int) -> dict:
-        """The edge factor, a character sum in both end decorations keyed (u1, u2)."""
-        key = (b1, b2)
-        if key in self._edge:
-            return self._edge[key]
-        n = self.n
-        if b1 + b2 + 1 > self.k_max:
-            raise ValueError("edge needs a deeper lifted table")
-        total: dict = {}
-        for m in range(0, b2 + 1):
-            for r in range(n):
-                rinv = (-r) % n
-                left = self._char(b1 + m + 1, rinv, b1 + m + 1 + rinv)
-                right = self._char(b2 - m, r, b2 - m + r)
-                for u1, x in left.items():
-                    for u2, y in right.items():
-                        _add_into(total, (u1, u2), x * y * Fraction((-1) ** m))
-        total = _scaled(total, Fraction((-1) ** (b1 + b2), n))
-        self._edge[key] = total
-        return total
+        """
+        The edge factor keyed (u1, u2), zero entries dropped, by the recurrence
+        E(b1, b2) = ((-1)^{b1+b2} / n) B(b1 + 1, b2) - E(b1 + 1, b2 - 1), E(b, -1) = 0,
+        over the pairing B (:func:`~orbigw.pmatrix.pairing`); it reads orders up to b1 + b2 + 1.
+        """
+        if b2 < 0:
+            return {}
+        if (b1, b2) not in self._edge:
+            total = {ab: -x for ab, x in self.edge(b1 + 1, b2 - 1).items()}
+            sign = Fraction((-1) ** (b1 + b2), self.n)
+            for ab, pairs in pairing(self._char, self.n, b1 + 1, b2).items():
+                _add_into(total, ab, sum((x * y for x, y in pairs), self.zero()) * sign)
+            self._edge[(b1, b2)] = {ab: x for ab, x in total.items() if x}
+        return self._edge[(b1, b2)]
 
     def closed_vertex(self, h: int, legs: tuple[int, ...], flags: tuple[int, ...]) -> Char:
         """
@@ -321,7 +306,7 @@ class ContributionTables:
         b's new state; if it closes b too, each term is the half-closed value
         against b's closed factor.  These steps sum products and depend on the
         key alone, so every graph of a potential reuses them;
-        :func:`assemble_F` drops them after each potential.
+        :func:`_walk` drops them after its graphs.
         """
         n = self.n
         loop, end_a, end_b = edge
@@ -377,7 +362,7 @@ class ContributionTables:
         key = (a, c)
         if key not in self._leg:
             cinv = (-c) % self.n
-            self._leg[key] = _scaled(self._char(a, cinv, a + cinv), Fraction((-1) ** a, self.n))
+            self._leg[key] = {u: x * Fraction((-1) ** a, self.n) for u, x in self._char(a, cinv).items()}
         return self._leg[key]
 
     def leg_prefactor(self, c: int) -> RingElement:
@@ -464,14 +449,16 @@ def _walk(tables: ContributionTables, graphs, insertions: tuple[int, ...]) -> Ri
     The graph sum over ``graphs``, walked depth first so that each distinct
     prefix of steps (:func:`_steps`) is contracted once.
 
-    The state after a prefix of edges depends on the vertex count and the
-    prefix alone, so the graphs are sorted by (V, steps) and a stack keeps
+    A state key holds one state per vertex of the largest graph, blank where
+    no step reaches, so the state after a prefix of edges depends on the
+    prefix alone.  The graphs are sorted by their steps and a stack keeps
     the state after each edge of the previous graph: a graph pops back to
     the prefix it shares with that graph and contracts only the rest
     (:func:`_contract`).  No vertex is relabeled and no edge reordered, so
     each graph's value is the one its own edge order gives.  At the end of a
     graph the all-blank key is its X_0, weighted n^V prod_c k_c! / Aut(G)
-    (:func:`graph_character_sum`).
+    (:func:`graph_character_sum`).  The edge steps and their interned states
+    serve these graphs only and are dropped after them.
     """
     n = tables.n
     interned: dict = {}
@@ -479,18 +466,16 @@ def _walk(tables: ContributionTables, graphs, insertions: tuple[int, ...]) -> Ri
     for graph in graphs:
         if graph.colours is not None and len(set(zip(graph.colours, insertions))) != len(set(graph.colours)):
             raise ValueError(f"legs of one colour carry different insertions {insertions}")
-        walks.append((graph.num_vertices, _steps(graph, insertions, interned), graph))
-    walks.sort(key=lambda walk: walk[:2])
+        walks.append((_steps(graph, insertions, interned), graph))
+    walks.sort(key=lambda walk: walk[0])
+    blank = (_BLANK,) * max((graph.num_vertices for _, graph in walks), default=0)
     total = tables.zero()
-    blank, stack, previous = (), [], ()
-    for V, steps, graph in walks:
+    stack, previous = [{blank: tables.unit()}], ()
+    for steps, graph in walks:
         if not steps:
             # the edgeless one-vertex graph is closed from the start
             value = tables.closed_vertex(graph.genera[0], tuple(sorted(insertions)), ()).get(0, tables.zero())
         else:
-            if len(blank) != V:
-                blank = (_BLANK,) * V
-                stack, previous = [{blank: tables.unit()}], ()
             shared = 0
             # equal steps are one instance
             for x, y in zip(previous, steps):
@@ -502,7 +487,9 @@ def _walk(tables: ContributionTables, graphs, insertions: tuple[int, ...]) -> Ri
                 stack.append(_contract(tables, stack[-1], step))
             previous = steps
             value = stack[-1].get(blank, tables.zero())
-        total = total + value * Fraction(n**V * leg_permutations(graph), aut_count(graph))
+        total = total + value * Fraction(n**graph.num_vertices * leg_permutations(graph), aut_count(graph))
+    tables._steps.clear()
+    tables._states.clear()
     return total
 
 
@@ -546,15 +533,10 @@ def assemble_F(tables: ContributionTables, g: int, insertions: tuple[int, ...] |
     once; the leg prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as one
     monomial.  The legs are coloured by insertion value, so the graphs that
     differ only by permuting equal insertions are one class, summed once.
-    The edge steps (:meth:`ContributionTables.step`) are shared by the graphs
-    of this potential and dropped after it, so the cache does not grow over
-    a verdict.
     """
     insertions = tuple(insertions)
     _check_type(g, insertions)
     core = _walk(tables, enumerate_stable_graphs(g, len(insertions), insertions), insertions)
-    tables._steps.clear()
-    tables._states.clear()
     pref = RingElement.scalar(Fraction(1))
     for c in insertions:
         pref = pref * tables.leg_prefactor(c)

@@ -5,11 +5,12 @@ found by brute force over every vertex permutation; over
 :class:`SeriesTables` it is ``assemble_F_series``), the naive stable-graph
 enumerator, the second psi recursion (``psi_integral_bruteforce``), the
 series oracle's column entries (``series_entry``) and its unitarity residual
-(``series_unitarity_residual``), and the slots of the hypergeometric array
-expanded afresh at every x-degree (``I_slots``).  Each is an independent
-route to a number the package computes another way.  Beside them live the
-graph helpers only the tests use (``relabeled``, ``signature``) and the
-edge-symmetry check (``edges_symmetric``).
+(``series_unitarity_residual``), the edge factor summed over m as the
+classification formula writes it (``edge_oracle``), and the slots of the
+hypergeometric array expanded afresh at every x-degree (``I_slots``).  Each
+is an independent route to a number the package computes another way.
+Beside them live the graph helpers only the tests use (``relabeled``,
+``signature``) and the edge-symmetry check (``edges_symmetric``).
 
 The package's ring and series are rational.  The decorated sum reads every
 factor at its decorations with explicit roots of unity, so over the lift its
@@ -439,6 +440,31 @@ def edges_symmetric(tables: ContributionTables, order: int) -> bool:
         for b1 in range(order + 1)
         for b2 in range(b1, order - b1 + 1)
     )
+
+
+def edge_oracle(tables: ContributionTables, b1: int, b2: int) -> dict:
+    """
+    The edge factor by its classification formula, summed over m as written,
+
+        E(b1, b2) = ((-1)^{b1+b2} / n) sum_{m=0..b2} (-1)^m sum_r
+                    P~^{b1+m+1}_{Inv(r),p1} zeta^{-(b1+m+1+Inv(r)) p1} P~^{b2-m}_{r,p2} zeta^{-(b2-m+r) p2},
+
+    a character sum keyed (u1, u2) with its zero entries dropped; it reads
+    the graded pieces of ``tables`` and shifts them itself, so neither the
+    pairing nor the recurrence of ``ContributionTables.edge`` enters.
+    """
+    n = tables.n
+    total: dict = {}
+    for m in range(b2 + 1):
+        for r in range(n):
+            rinv = (-r) % n
+            k1, k2 = b1 + m + 1, b2 - m
+            for w1, x in tables.graded(k1, rinv).items():
+                for w2, y in tables.graded(k2, r).items():
+                    key = ((w1 - k1 - rinv) % n, (w2 - k2 - r) % n)
+                    term = x * y * Fraction((-1) ** (b1 + b2 + m), n)
+                    total[key] = total[key] + term if key in total else term
+    return {key: x for key, x in total.items() if x}
 
 
 @dataclass(frozen=True)

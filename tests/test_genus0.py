@@ -38,6 +38,10 @@ def I_component_oracle(n: int, k: int, N: int) -> Series:
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(2)
+    # a float, a string or a bool is refused by name before any series is built
+    for args, name in (((4.0,), "n"), ((3, 40.0), "N"), (("3",), "n"), ((True,), "n"), ((3, False), "N")):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not {type(args[-1]).__name__}$"):
+            ModelConfig(*args)
     cfg = ModelConfig(3)
     assert cfg.N == 30 and cfg.parity == "odd" and cfg.s == 1
     assert ModelConfig(4).parity == "even"

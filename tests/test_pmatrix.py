@@ -360,8 +360,8 @@ def test_tail_consistency_against_series(tables3, data3):
     for p in range(3):
         for i in (2, 3):
             want = series_entry(tables3.pm, i, 0, p) * data3.zeta(-i * p) * Fraction((-1) ** i, 3)
-            # the tail as a character sum, read at p
-            got = at("tail", (i,), p).evaluate(ev)
+            # the tail, the leg factor of insertion 0, as a character sum read at p
+            got = at("leg_core", (i, 0), p).evaluate(ev)
             assert (got - want).zero_order() is None
 
 
