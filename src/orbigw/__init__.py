@@ -21,13 +21,12 @@ from .potentials import ContributionTables, Potential, assemble_F, audit_generat
 from .psi import psi_integral
 from .report import Report
 from .ring import RingContext, RingElement, certify_rules, fit_laurent_in_L
-from .series import Series, binomial_pow
+from .series import Series
 from .stirling import stirling_first
 
 __all__ = [
     "Cyclotomic",
     "Series",
-    "binomial_pow",
     "stirling_first",
     "ModelConfig",
     "GenusZeroData",

@@ -48,7 +48,6 @@ from operator import add
 from .cyclotomic import Cyclotomic
 from .report import Report
 from .series import Series
-from .series import binomial_pow as _binomial_pow
 from .stirling import stirling_first
 
 
@@ -84,7 +83,7 @@ class ModelConfig:
         return self.n // 2
 
 
-def compute_I(cfg: ModelConfig, slots: int | None = None) -> list[Series]:
+def compute_I(cfg: ModelConfig, slots: int) -> list[Series]:
     """
     The z^{-k} slot series of the hypergeometric array, k = 0..slots.
 
@@ -99,8 +98,6 @@ def compute_I(cfg: ModelConfig, slots: int | None = None) -> list[Series]:
     O(N^3 / n^2) rational ones.
     """
     n, N = cfg.n, cfg.N
-    if slots is None:
-        slots = n + 2
     out: list[dict[int, Fraction]] = [dict() for _ in range(slots + 1)]
     for r in range(n):
         e = [1]  # e[j] = e_j(a_0 .. a_{q-1}) at the degree m = nq + r
@@ -115,13 +112,21 @@ def compute_I(cfg: ModelConfig, slots: int | None = None) -> list[Series]:
 
 
 def compute_L(cfg: ModelConfig) -> Series:
-    """L = x (1 - (-1)^n (x/n)^n)^(-1/n); satisfies DL/L = L^n/x^n."""
+    """
+    L = x (1 - (-1)^n (x/n)^n)^(-1/n), which satisfies DL/L = L^n/x^n, summed
+    from its binomial series: x^(nj+1) carries (1/n)_j / j! ((-1)^n / n^n)^j,
+    j = 0 .. N // n, so L is known below x^(N+2).
+    """
     n, N = cfg.n, cfg.N
-    u = Series({n: Fraction(-((-1) ** n), n**n)})
-    return _binomial_pow(u, -1, n, prec=N + 1).shift(1)
+    ratio = Fraction((-1) ** n, n**n)
+    coeffs, c = {}, Fraction(1)
+    for j in range(N // n + 1):
+        coeffs[n * j + 1] = c
+        c = c * (Fraction(1, n) + j) / (j + 1) * ratio
+    return Series(coeffs, N + 2)
 
 
-def birkhoff_C(cfg: ModelConfig, slots: list[Series], count: int | None = None) -> tuple[list[Series], list[Series]]:
+def birkhoff_C(slots: list[Series], count: int) -> tuple[list[Series], list[Series]]:
     """
     C_0 .. C_count by iterating the normalization M F = z D (F / F(x, infinity)),
     and the inverses of C_0 .. C_{count-1} the iteration takes on the way.
@@ -130,8 +135,6 @@ def birkhoff_C(cfg: ModelConfig, slots: list[Series], count: int | None = None) 
     so C_i only ever consumes the first i+1 slots, and step i grows only the
     count - i slots a later step reads.
     """
-    if count is None:
-        count = len(slots) - 1
     if count > len(slots) - 1:
         raise ValueError("not enough z-slots for the requested C count")
     cs: list[Series] = []
@@ -148,15 +151,13 @@ def birkhoff_C(cfg: ModelConfig, slots: list[Series], count: int | None = None) 
     return cs, invs
 
 
-def C_via_inversion(cfg: ModelConfig, slots: list[Series], count: int | None = None) -> list[Series]:
+def C_via_inversion(slots: list[Series], count: int) -> list[Series]:
     """
     The inductive normalization C_i = D Lop_{i-1} ... Lop_0 I_i, Lop_r = C_r^{-1} D.
 
     Self-contained (uses only its own output), so it cross-validates
     :func:`birkhoff_C`.
     """
-    if count is None:
-        count = len(slots) - 1
     cs = [Series.one().truncate(slots[0].prec)]
     invs: list[Series] = []  # the inverses of cs[1], cs[2], ..., each taken once
     for i in range(1, count + 1):
@@ -182,7 +183,6 @@ class GenusZeroData:
     A: list[Series]
     Theta: Series
     DLL: Series
-    _zeta_cache: dict[int, Cyclotomic] = field(default_factory=dict, repr=False)
     _quantum_cache: dict[tuple[int, int], Series] = field(default_factory=dict, repr=False)
 
     # -- construction -------------------------------------------------------
@@ -192,7 +192,7 @@ class GenusZeroData:
         n = cfg.n
         slots = compute_I(cfg, n + 2)
         L = compute_L(cfg)
-        C, C_inv = birkhoff_C(cfg, slots, n + 1)
+        C, C_inv = birkhoff_C(slots, n + 1)
         K = [C[0]]
         for l in range(1, n + 1):
             K.append(K[-1] * C[l])
@@ -210,10 +210,7 @@ class GenusZeroData:
     # -- small helpers --------------------------------------------------------
 
     def zeta(self, k: int) -> Cyclotomic:
-        k %= self.cfg.n
-        if k not in self._zeta_cache:
-            self._zeta_cache[k] = Cyclotomic.zeta(self.cfg.n, k)
-        return self._zeta_cache[k]
+        return Cyclotomic.zeta(self.cfg.n, k)
 
     def at_L(self, p: Series) -> Series:
         """An exact polynomial in the symbol L, evaluated at the series L(x)."""
@@ -387,7 +384,7 @@ def verify_birkhoff(data: GenusZeroData) -> Report:
     n = cfg.n
     rep = Report(f"Birkhoff identities (n={n}, N={cfg.N})")
 
-    C_alt = C_via_inversion(cfg, data.I, n + 1)
+    C_alt = C_via_inversion(data.I, n + 1)
     for i in range(n + 2):
         d = (data.C[i] - C_alt[i]).zero_order()
         rep.add(f"two constructions of C_{i} agree", d is None, f"first bad x-power {d}" if d is not None else "")

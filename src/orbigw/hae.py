@@ -87,7 +87,7 @@ def prefactor_collapse_check(data: GenusZeroData) -> bool:
 def verify_hae(
     n: int,
     g: int,
-    policy: str | None = None,
+    policy: str = "symplectic",
     custom_constants: list[Fraction] | None = None,
     N: int | None = None,
 ) -> HaeReport:
@@ -101,7 +101,6 @@ def verify_hae(
     check_constants(custom_constants)
     if g < 2:
         raise ValueError("the anomaly equation is stated for g >= 2")
-    policy = "symplectic" if policy is None else policy
     data = GenusZeroData.build(ModelConfig(n, N or 0))
     pm = build_pmatrix(data, 3 * g - 2, policy, custom_constants=custom_constants)
     return check_hae(ContributionTables(pm), g)
@@ -176,16 +175,12 @@ def check_hae(tables: ContributionTables, g: int) -> HaeReport:
     )
 
 
-def verify_hae_policies(
-    n: int, g: int, policies: list[str] | None = None, N: int | None = None
-) -> tuple[Report, list[HaeReport]]:
+def verify_hae_policies(n: int, g: int, policies: list[str], N: int | None = None) -> tuple[Report, list[HaeReport]]:
     """
     Run the anomaly equation under several constants policies and compare.
     ``custom`` is given the free constants 1, 1/2, 1/3, ..., one per odd
     order 1, 3, 5, ... up to 3g - 2, and unitarity fixes the even orders.
     """
-    if policies is None:
-        policies = ["symplectic", "zero", "custom"]
     rep = Report(f"holomorphic anomaly equation (n={n}, g={g})")
     results = []
     for pol in policies:

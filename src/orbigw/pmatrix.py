@@ -108,20 +108,18 @@ def div_exact(a: Series, b: Series) -> Series:
 # -- operator tables -----------------------------------------------------------
 
 
-def build_H_table(n: int, m_max: int) -> dict[tuple[int, int], Series]:
+def build_H_table(n: int) -> dict[tuple[int, int], Series]:
     """
-    Polynomials H_{m,l} in X = Lam^n, written in the symbol Lam, from the recursion
+    Polynomials H_{m,l}, m <= n, in X = Lam^n, written in the symbol Lam, from the recursion
 
         H_{m,l} = H_{m-1,l} + n (1 + (-1)^n X / n^n) (X d/dX + (m-l)/n) H_{m-1,l-1},
 
     with H_{0,l} = delta_{0,l} and H_{m,l} = 0 for l > m.  As X d/dX = D / n on
     polynomials in Lam, the second term is Y (D + m - l) H_{m-1,l-1}.
     """
-    if m_max < n:
-        raise ValueError("m_max must be at least n")
     Y = Y_poly(n)
     H: dict[tuple[int, int], Series] = {(0, 0): Series.one()}
-    for m in range(1, m_max + 1):
+    for m in range(1, n + 1):
         for l in range(0, m + 1):
             term = H.get((m - 1, l), Series.zero())
             lower = H.get((m - 1, l - 1))
@@ -137,7 +135,7 @@ def build_L_operators(n: int) -> list[list[Series]]:
     Coefficient polynomials in the symbol Lam of the operators
     Lop_k = sum_i c_{k,i} D^i for k = 1..n.  Index [k-1][i].
     """
-    H = build_H_table(n, n)
+    H = build_H_table(n)
     Y = Y_poly(n)
     zero = Series.zero()
     ops: list[list[Series]] = []
@@ -578,7 +576,7 @@ def verify_pmatrix(pm: PMatrixData) -> Report:
     fits, raised = {}, ""
     for k in range(col.k_max + 1):
         try:
-            fitted = [fit_laurent_in_L(table[k][0], data.L, 0, (k + 1) * n)[0] for table in pm.tables]
+            fitted = [fit_laurent_in_L(table[k][0], data.L, (k + 1) * n)[0] for table in pm.tables]
         except ValueError as exc:
             raised = str((k, str(exc)))
             break

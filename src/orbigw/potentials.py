@@ -193,9 +193,9 @@ class ContributionTables:
             # tails of z-degree >= 2 must absorb the whole remaining degree
             target = dim + k - sum(flags)
             pairing_power = Fraction(n) ** (2 * h - 2 + v + k)
-            # no cap at k_max: a tail deeper than the lifted table must raise
-            # in _char, not vanish from the sum
-            for mult in _multisets(target, k, target):
+            # every multiset is summed: a tail deeper than the lifted table
+            # raises in _char rather than vanishing from the sum
+            for mult in _multisets(target, k):
                 integral = psi_integral(h, flags + mult)
                 if not integral:
                     continue
@@ -376,8 +376,8 @@ class ContributionTables:
         return RingElement({mono: Fraction(1)})
 
 
-def _multisets(total: int, k: int, cap: int):
-    """Nondecreasing k-tuples of integers >= 2 with the given sum, each <= cap."""
+def _multisets(total: int, k: int):
+    """Nondecreasing k-tuples of integers >= 2 with the given sum."""
     if k == 0:
         if total == 0:
             yield ()
@@ -385,10 +385,10 @@ def _multisets(total: int, k: int, cap: int):
 
     def rec(rem: int, slots: int, lo: int):
         if slots == 1:
-            if lo <= rem <= cap:
+            if lo <= rem:
                 yield (rem,)
             return
-        for first in range(lo, min(cap, rem - 2 * (slots - 1)) + 1):
+        for first in range(lo, rem - 2 * (slots - 1) + 1):
             for rest in rec(rem - first, slots - 1, first):
                 yield (first,) + rest
 
@@ -533,8 +533,13 @@ def assemble_F(tables: ContributionTables, g: int, insertions: tuple[int, ...] |
     once; the leg prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as one
     monomial.  The legs are coloured by insertion value, so the graphs that
     differ only by permuting equal insertions are one class, summed once.
+    The insertions (each in 0..n-1) and the type are checked before any
+    graph is enumerated.
     """
     insertions = tuple(insertions)
+    for c in insertions:
+        if not 0 <= c < tables.n:
+            raise ValueError(f"insertion index {c} is outside 0..{tables.n - 1}")
     _check_type(g, insertions)
     core = _walk(tables, enumerate_stable_graphs(g, len(insertions), insertions), insertions)
     pref = RingElement.scalar(Fraction(1))

@@ -62,11 +62,7 @@ _UNIT_NUMS = {_ONE_MONO: 1}
 
 
 def _merge(g1: tuple, g2: tuple) -> tuple:
-    """The generator part of a product of two monomials."""
-    if not g2:
-        return g1
-    if not g1:
-        return g2
+    """The generator part of a product of two monomials, both parts nonempty."""
     acc = dict(g1)
     for g, e in g2:
         acc[g] = acc.get(g, 0) + e
@@ -484,14 +480,14 @@ def certify_rules(ctx: RingContext, data: GenusZeroData) -> Report:
     return rep
 
 
-def fit_laurent_in_L(f: Series, L: Series, max_pole: int, max_degree: int) -> tuple[dict, int]:
+def fit_laurent_in_L(f: Series, L: Series, max_degree: int) -> tuple[dict, int]:
     """
-    The unique Laurent polynomial p(L) with p(L(x)) = f to the available order.
+    The unique polynomial p(L) with p(L(x)) = f to the available order.
 
     Matching ascending x-coefficients is a triangular solve because
     L^r = c^r x^r (1 + O(x^n)) for the invertible leading coefficient c.
     Returns the coefficient dict and the last checked x-order; raises
-    ValueError when no polynomial with pole order <= max_pole and degree
+    ValueError when no polynomial in L (pole order 0) of degree
     <= max_degree fits.
     """
     lead_base = L.first_nonzero()
@@ -505,8 +501,8 @@ def fit_laurent_in_L(f: Series, L: Series, max_pole: int, max_degree: int) -> tu
         if lead is None:
             return out, (-1 if isinf(residual.prec) else int(residual.prec) - 1)
         e, c = lead
-        if e < -max_pole:
-            raise ValueError(f"pole order exceeds {max_pole} at L^{e}")
+        if e < 0:
+            raise ValueError(f"pole order exceeds 0 at L^{e}")
         if e > max_degree:
             raise ValueError(f"no fit with degree <= {max_degree}; residual starts at x^{e}")
         if e not in pows:

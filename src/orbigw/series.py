@@ -209,35 +209,3 @@ class Series(QVector):
             "prec": None if math.isinf(self.prec) else int(self.prec),
             "coeffs": {str(e): str(Fraction(self.nums[e], self.den)) for e in sorted(self.nums)},
         }
-
-
-def binomial_pow(u: Series, p: int, q: int, prec: float | None = None) -> Series:
-    """
-    (1 + u)^(p/q) for a series u of positive valuation.
-
-    The result r satisfies r**q = (1+u)**p to the working truncation bound.
-    """
-    if u.nums and min(u.nums) < 1:
-        raise ValueError("binomial_pow requires u(0) = 0")
-    if prec is None:
-        prec = u.prec
-    alpha = Fraction(p, q)
-    if math.isinf(prec) and u.nums and not (alpha.denominator == 1 and alpha >= 0):
-        raise PrecisionError("fractional or negative power of an exact series needs an explicit prec")
-    out = Series.one().truncate(prec)
-    if not u.nums:
-        return out
-    term = Series.one()
-    coeff = Fraction(1)
-    v = min(u.nums)
-    j = 0
-    while math.isinf(prec) or j * v < prec:
-        j += 1
-        coeff = coeff * (alpha - (j - 1)) / j
-        if not coeff:
-            break
-        term = (term * u).truncate(prec)
-        if not term.nums:
-            break
-        out = out + term * coeff
-    return out.truncate(prec)

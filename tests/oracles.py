@@ -230,27 +230,6 @@ class CyclotomicSeries:
         }
 
 
-def cyclotomic_binomial_pow(u: CyclotomicSeries, p: int, q: int, prec: float | None = None) -> CyclotomicSeries:
-    """(1 + u)^(p/q) for u of positive valuation, summed term by term from the binomial series."""
-    if u.coeffs and min(u.coeffs) < 1:
-        raise ValueError("binomial_pow requires u(0) = 0")
-    if prec is None:
-        prec = u.prec
-    alpha = Fraction(p, q)
-    if math.isinf(prec) and u.coeffs and not (alpha.denominator == 1 and alpha >= 0):
-        raise PrecisionError("fractional or negative power of an exact series needs an explicit prec")
-    out = CyclotomicSeries.one().truncate(prec)
-    term, coeff, j = CyclotomicSeries.one(), Fraction(1), 0
-    while u.coeffs and (math.isinf(prec) or j * min(u.coeffs) < prec):
-        j += 1
-        coeff = coeff * (alpha - (j - 1)) / j
-        term = (term * u).truncate(prec)
-        if not coeff or not term.coeffs:
-            break
-        out = out + term * coeff
-    return out.truncate(prec)
-
-
 class CyclotomicPoly:
     """
     A polynomial in the ring's monomials with coefficients in Q(zeta_n), each

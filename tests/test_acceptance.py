@@ -114,7 +114,7 @@ def test_criterion_4_polynomiality():
             Lj = CyclotomicSeries(data.L) * data.zeta(j)
             for k in range(8):
                 series_val = series_entry(pm, k, 0, j) * data.zeta(-k * j)
-                fit, checked = fit_laurent_in_L(series_val, Lj, max_pole=0, max_degree=(k + 1) * n)
+                fit, checked = fit_laurent_in_L(series_val, Lj, max_degree=(k + 1) * n)
                 if checked < N:
                     ok, detail = False, f"n={n} j={j} k={k}: checked only x^{checked}"
                     break

@@ -291,7 +291,7 @@ def _bump(s: Series, e: int) -> Series:
 
 def _copy(data: GenusZeroData, **fields) -> GenusZeroData:
     """A copy with some series replaced and empty caches of its own."""
-    return replace(data, _quantum_cache={}, _zeta_cache={}, **fields)
+    return replace(data, _quantum_cache={}, **fields)
 
 
 def _mutants(data: GenusZeroData):

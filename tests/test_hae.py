@@ -157,7 +157,7 @@ def test_verdicts_grow_no_series_table(monkeypatch):
         raise AssertionError("a verdict grew a series table")
 
     monkeypatch.setattr(orbigw.pmatrix, "extend_tables", forbidden)
-    rep, results = verify_hae_policies(3, 2)
+    rep, results = verify_hae_policies(3, 2, ["symplectic", "zero", "custom"])
     assert rep.ok, rep.failures()
     assert [r.policy for r in results] == ["symplectic", "zero", "custom"]
     assert all(r.verified for r in results)

@@ -50,7 +50,7 @@ def with_tables(pm, tables):
 
 def test_H_table_closed_forms():
     for n in (3, 4, 5):
-        H = build_H_table(n, n)
+        H = build_H_table(n)
         Y = Y_poly(n)  # 1 + (-1)^n X / n^n with X = Lam^n
         for m in range(n + 1):
             assert H.get((m, 0)) == Series.one()

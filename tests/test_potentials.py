@@ -15,22 +15,21 @@ from oracles import (
     relabeled,
     series_entry,
 )
-from orbigw.graphs import enumerate_stable_graphs
+from orbigw.graphs import _enumerate, enumerate_stable_graphs
 from orbigw.potentials import ContributionTables, _multisets, assemble_F, audit_generators, graph_character_sum
 from orbigw.ring import RingElement
 
 
 def test_multiset_enumeration():
-    assert list(_multisets(0, 0, 9)) == [()]
-    assert list(_multisets(4, 2, 9)) == [(2, 2)]
-    assert list(_multisets(7, 3, 9)) == [(2, 2, 3)]
-    assert list(_multisets(5, 1, 4)) == []
-    assert list(_multisets(6, 2, 9)) == [(2, 4), (3, 3)]
+    assert list(_multisets(0, 0)) == [()]
+    assert list(_multisets(4, 2)) == [(2, 2)]
+    assert list(_multisets(7, 3)) == [(2, 2, 3)]
+    assert list(_multisets(6, 2)) == [(2, 4), (3, 3)]
 
 
 def test_tail_vanishing_and_value(tables3):
     # a vertex takes no tail of degree 0 or 1: every part of its tail multisets is at least 2
-    assert all(min(mult) >= 2 for total in range(13) for k in range(1, 6) for mult in _multisets(total, k, total))
+    assert all(min(mult) >= 2 for total in range(13) for k in range(1, 6) for mult in _multisets(total, k))
     # the tail T_{p,2} is the leg factor of insertion 0 and flag 2; its
     # character sum read at every decoration gives (-1)^2 zeta^{-2p} / n P~^2_{0,p}
     for p in range(3):
@@ -346,6 +345,15 @@ def test_colours_must_match_insertions(tables3):
     graph = enumerate_stable_graphs(1, 2, (1, 1))[0]
     with pytest.raises(ValueError, match="legs of one colour"):
         graph_character_sum(tables3, graph, (1, 2))
+
+
+@pytest.mark.parametrize("insertions", [(3,), (4,), (-1,)])
+def test_insertion_outside_the_sectors_is_refused(tables3, insertions):
+    # at n = 3 the sectors are 0..2; the refusal comes before any graph is enumerated
+    before = _enumerate.cache_info()
+    with pytest.raises(ValueError, match=rf"^insertion index {insertions[0]} is outside 0\.\.2$"):
+        assemble_F(tables3, 1, insertions)
+    assert _enumerate.cache_info() == before
 
 
 @pytest.mark.parametrize("n", [3, 4])

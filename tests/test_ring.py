@@ -129,21 +129,21 @@ def test_derive_leibniz_formally(ctx5, rng):
 
 def test_fit_laurent_basic(data3):
     L = data3.L
-    fit, checked = fit_laurent_in_L(L.truncate(24), L, max_pole=0, max_degree=3)
+    fit, checked = fit_laurent_in_L(L.truncate(24), L, max_degree=3)
     assert fit == {1: Fraction(1)}
     y = Series.one() + L**3 * Fraction(-1, 27)
-    fit, _ = fit_laurent_in_L(y.truncate(24), L, max_pole=0, max_degree=6)
+    fit, _ = fit_laurent_in_L(y.truncate(24), L, max_degree=6)
     assert fit == {0: Fraction(1), 3: Fraction(-1, 27)}
-    # and with a pole
-    fit, _ = fit_laurent_in_L((Series.one() / L).truncate(20), L, max_pole=1, max_degree=4)
-    assert fit == {-1: Fraction(1)}
+    # a pole is refused: the fit is a polynomial in L
+    with pytest.raises(ValueError, match=r"^pole order exceeds 0 at L\^-1$"):
+        fit_laurent_in_L((Series.one() / L).truncate(20), L, max_degree=4)
 
 
 def test_fit_laurent_rejects_non_members(data3):
     # x itself is not a Laurent polynomial of bounded degree in L
     x = Series({1: Fraction(1)}, data3.L.prec)
     with pytest.raises(ValueError):
-        fit_laurent_in_L(x, data3.L, max_pole=0, max_degree=4)
+        fit_laurent_in_L(x, data3.L, max_degree=4)
 
 
 def test_ring_json_round_trip():

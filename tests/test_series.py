@@ -3,14 +3,14 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import CyclotomicSeries, assert_normal, cyclotomic_binomial_pow
+from oracles import CyclotomicSeries, assert_normal
 from orbigw.cyclotomic import Cyclotomic
-from orbigw.genus0 import at_column, entry_at_column
+from orbigw.genus0 import ModelConfig, at_column, compute_L, entry_at_column
 from orbigw.report import canonical_json
-from orbigw.series import INF, PrecisionError, Series, binomial_pow
+from orbigw.series import INF, PrecisionError, Series
 
 
 def geometric_oracle(prec: int) -> Series:
@@ -59,35 +59,22 @@ def test_inversion_requires_leading_term():
         Series.zero(5).inverse()
 
 
-def test_binomial_pow_matches_oracle():
-    u = Series({1: Fraction(1)}, 9)
-    got = binomial_pow(u, -1, 3)
-    want = binomial_oracle(-1, 3, 9)
-    for j, c in enumerate(want):
-        assert got.get(j) == c
-    # the first few: 1 - u/3 + 2u^2/9 - ...
-    assert got.get(1) == Fraction(-1, 3)
-    assert got.get(2) == Fraction(2, 9)
-
-
-def test_binomial_pow_power_identity():
-    u = Series({1: Fraction(2), 2: Fraction(-1, 3)}, 10)
-    r = binomial_pow(u, 5, 3)
-    lhs = r**3
-    rhs = (Series.one() + u) ** 5
-    assert (lhs - rhs).zero_order() is None
-
-
-def test_binomial_pow_rejects_units():
-    with pytest.raises(ValueError):
-        binomial_pow(Series.one(), 1, 2)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_L_matches_binomial_oracle(n):
+    # L = x (1 + u)^(-1/n), u = -(-1)^n (x/n)^n: the same normal form as the
+    # binomial series summed from the oracle's coefficients, known below x^(N+2)
+    u = Fraction(-((-1) ** n), n**n)
+    for N in (4 * n, 10 * n + 3):
+        coeffs = binomial_oracle(-1, n, N // n + 1)
+        want = Series({n * j + 1: c * u**j for j, c in enumerate(coeffs)}, N + 2)
+        got = compute_L(ModelConfig(n, N))
+        assert (got.nums, got.den, got.prec) == (want.nums, want.den, want.prec), N
 
 
 def test_L_series_n3_leading_coefficients():
     # L = x (1 + (x/3)^3)^(-1/3) for n = 3; the x^4 coefficient is -1/81
-    u = Series({3: Fraction(1, 27)})
-    L = binomial_pow(u, -1, 3, prec=12).shift(1)
-    assert L.get(1) == 1 and L.get(4) == Fraction(-1, 81)
+    L = compute_L(ModelConfig(3, 12))
+    assert L.get(1) == 1 and L.get(4) == Fraction(-1, 81) and L.prec == 14
 
 
 def test_D_and_D_inverse():
@@ -169,20 +156,6 @@ def test_inverse_round_trip_property(coeffs):
         d[0] = Fraction(1)
     f = Series(d, 12)
     assert (f * f.inverse() - Series.one()).is_zero()
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    coeffs=st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), min_size=1, max_size=5),
-    p=st.integers(min_value=-4, max_value=4),
-    q=st.integers(min_value=1, max_value=4),
-)
-def test_binomial_power_property(coeffs, p, q):
-    u = Series({e + 1: c for e, c in enumerate(coeffs) if c}, 10)
-    r = binomial_pow(u, p, q)
-    lhs = r**q
-    rhs = (Series.one() + u) ** p if p >= 0 else ((Series.one() + u).truncate(10) ** p)
-    assert (lhs - rhs).zero_order() is None
 
 
 def test_json_round_trip():
@@ -271,10 +244,3 @@ def test_calculus_shift_and_truncate_match_oracle(a, k, bound):
     c = Series({e: b.get(e) for e in b.nums if e > 0}, b.prec)
     _agree(c.D_inverse(), CyclotomicSeries(c).D_inverse())
     assert c.D_inverse().D() == c
-
-
-@_property
-@given(_series(low=1, prec=st.integers(1, 14)), st.integers(-4, 4), st.integers(1, 4), st.integers(1, 14) | st.none())
-def test_binomial_pow_matches_series_oracle(u, p, q, prec):
-    assume(u.val >= 1)
-    _agree(binomial_pow(u, p, q, prec), cyclotomic_binomial_pow(CyclotomicSeries(u), p, q, prec))

@@ -29,3 +29,23 @@ def test_linear_operations_live_in_qvector_only():
     for cls in (Series, RingElement, Cyclotomic):
         assert issubclass(cls, QVector)
         assert not [name for name in shared if name in vars(cls)], cls
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is an option no caller can use;
+    # ``context`` of ``_new`` is the override contract that ``Series._new`` reads
+    allowed = {("qvector.py", "_new", "context"), ("cyclotomic.py", "_new", "context")}
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [
+                f"{path.name}:{node.lineno} {node.name}({p})"
+                for p in params
+                if p != "self" and p not in read and (path.name, node.name, p) not in allowed
+            ]
+    assert not unread, unread
