@@ -338,24 +338,13 @@ def verify_picard_fuchs(data: GenusZeroData) -> Report:
             lhs = lhs + slot.deriv_pow(j) * stirling_first(n, j)
         lhs = lhs.shift(-n) - slot.deriv_pow(n) * sign
         rhs = data.I[k - n] if k >= n else Series.zero()
-        resid = lhs - rhs
-        diff = resid.zero_order()
-        rep.add(
-            f"full equation, slot {k}",
-            diff is None,
-            f"first bad x-power {diff}" if diff is not None else f"zero through x^{int(resid.prec) - 1}",
-        )
+        rep.zero(f"full equation, slot {k}", lhs - rhs, through=True)
 
     for k in range(n):
         resid = data.I[k].deriv_pow(n)
         for r in range(1, n):
             resid = resid + data.DLL * data.I[k].deriv_pow(r) * stirling_first(n, r)
-        bad = resid.zero_order()
-        rep.add(
-            f"component form, I_{k}",
-            bad is None,
-            f"first bad x-power {bad}" if bad is not None else f"zero through x^{int(resid.prec) - 1}",
-        )
+        rep.zero(f"component form, I_{k}", resid, through=True)
 
     C_inv = {r: data.C[r].inverse() for r in range(1, n + 1)}
 
@@ -368,13 +357,7 @@ def verify_picard_fuchs(data: GenusZeroData) -> Report:
     for k, slot in enumerate(data.I):
         rhs = data.I[k - n] if k >= n else Series.zero()
         for label, order in (("L1..Ln", range(n, 0, -1)), ("Ln..L1", range(1, n + 1))):
-            got = chain(slot, order)
-            diff = (got - rhs).zero_order()
-            rep.add(
-                f"factorized ({label}), slot {k}",
-                diff is None,
-                f"first bad x-power {diff}" if diff is not None else "",
-            )
+            rep.zero(f"factorized ({label}), slot {k}", chain(slot, order) - rhs)
     return rep
 
 
@@ -386,28 +369,18 @@ def verify_birkhoff(data: GenusZeroData) -> Report:
 
     C_alt = C_via_inversion(data.I, n + 1)
     for i in range(n + 2):
-        d = (data.C[i] - C_alt[i]).zero_order()
-        rep.add(f"two constructions of C_{i} agree", d is None, f"first bad x-power {d}" if d is not None else "")
-
-    d = (data.C[n + 1] - data.C[1]).zero_order()
-    rep.add("periodicity C_{n+1} = C_1", d is None)
+        rep.zero(f"two constructions of C_{i} agree", data.C[i] - C_alt[i])
+    rep.zero("periodicity C_{n+1} = C_1", data.C[n + 1] - data.C[1])
 
     prod = Series.one()
     for k in range(1, n + 1):
         prod = prod * data.C[k]
-    d = (prod - data.L**n).zero_order()
-    rep.add("product C_1 ... C_n = L^n", d is None)
-
+    rep.zero("product C_1 ... C_n = L^n", prod - data.L**n)
     for k in range(1, n + 1):
-        d = (data.C[k] - data.C[n + 1 - k]).zero_order()
-        rep.add(f"palindrome C_{k} = C_{n+1-k}", d is None)
-
+        rep.zero(f"palindrome C_{k} = C_{n+1-k}", data.C[k] - data.C[n + 1 - k])
     for l in range(n + 1):
-        d = (data.K[l] * data.K[n - l] - data.L**n).zero_order()
-        rep.add(f"K_{l} K_{n-l} = L^n", d is None)
-
-    d = (data.K[n] - data.L**n).zero_order()
-    rep.add("K_n = L^n", d is None)
+        rep.zero(f"K_{l} K_{n-l} = L^n", data.K[l] * data.K[n - l] - data.L**n)
+    rep.zero("K_n = L^n", data.K[n] - data.L**n)
     return rep
 
 
@@ -421,22 +394,13 @@ def verify_ring_series(data: GenusZeroData) -> Report:
     rep = Report(f"ring generator identities (n={n}, N={cfg.N})")
 
     for i in range(n + 1):
-        d = (data.A[i] + data.A[n - i]).zero_order()
-        rep.add(f"A_{i} + A_{n-i} = 0", d is None)
-    acc = Series.zero()
-    for i in range(n + 1):
-        acc = acc + data.A[i]
-    rep.add("sum of all A_i = 0", acc.zero_order() is None)
+        rep.zero(f"A_{i} + A_{n-i} = 0", data.A[i] + data.A[n - i])
+    rep.zero("sum of all A_i = 0", reduce(add, data.A))
     if n % 2 == 0:
-        rep.add("A_{n/2} = 0", data.A[n // 2].zero_order() is None)
-    d = (data.A[0]).zero_order()
-    rep.add("A_0 = 0", d is None)
-    rep.add("A_n = 0", data.A[n].zero_order() is None)
-
-    acc = Series.zero()
-    for r in range(n + 1):
-        acc = acc + data.X[r]
-    rep.add("sum X_r = n DL/L", (acc - data.DLL * n).zero_order() is None)
+        rep.zero("A_{n/2} = 0", data.A[n // 2])
+    rep.zero("A_0 = 0", data.A[0])
+    rep.zero("A_n = 0", data.A[n])
+    rep.zero("sum X_r = n DL/L", reduce(add, data.X) - data.DLL * n)
 
     # every ladder sum B_{k,p} and every Z_{m,p} the two checks read, built once
     B = {(k, p): data.B_series(k, p) for k in range(1, n + 1) for p in range(1, k + 1)}
@@ -447,15 +411,13 @@ def verify_ring_series(data: GenusZeroData) -> Report:
             rhs = Series.zero()
             for p in range(1, k + 1):
                 rhs = rhs + B[(k, p)] * Z[(m, p)]
-            d = (lhs - rhs).zero_order()
-            rep.add(f"ladder expansion D^{k} I_{m}", d is None, f"first bad x-power {d}" if d is not None else "")
+            rep.zero(f"ladder expansion D^{k} I_{m}", lhs - rhs)
 
     for m in range(1, n):
         resid = B[(n, m)]
         for k in range(m, n):
             resid = resid + data.DLL * B[(k, m)] * stirling_first(n, k)
-        d = resid.zero_order()
-        rep.add(f"graded ladder relation, column {m}", d is None, f"first bad x-power {d}" if d is not None else "")
+        rep.zero(f"graded ladder relation, column {m}", resid)
 
     # the derivative relation that closes the generator set
     limit = (n - 1) // 2
@@ -465,8 +427,7 @@ def verify_ring_series(data: GenusZeroData) -> Report:
     resid = resid / data.L
     for r in range(1, limit + 1):
         resid = resid - data.A[r] * data.A[r]
-    d = resid.zero_order()
-    rep.add("closure relation for the top A derivative", d is None, f"first bad x-power {d}" if d is not None else "")
+    rep.zero("closure relation for the top A derivative", resid)
     return rep
 
 
@@ -497,14 +458,10 @@ def verify_quantum(data: GenusZeroData) -> Report:
     # C_1 and each L^i are inverted once; the inverses stay local, so no copy of the data carries a stale one
     c1_inv = data.C[1].inverse()
     for i in range(n):
-        d = (data.quantum_coeff(1, i) - data.C[i + 1] * c1_inv).zero_order()
-        rep.add(f"phi_1 * phi_{i} multiplier", d is None)
-
-    d = (data.two_point(0) - data.Theta / n).zero_order()
-    rep.add("two-point value at i = 0", d is None)
+        rep.zero(f"phi_1 * phi_{i} multiplier", data.quantum_coeff(1, i) - data.C[i + 1] * c1_inv)
+    rep.zero("two-point value at i = 0", data.two_point(0) - data.Theta / n)
     for i in range(n):
-        d = (data.two_point(i).D() - data.C[i + 1] / n).zero_order()
-        rep.add(f"D of two-point function, i={i}", d is None)
+        rep.zero(f"D of two-point function, i={i}", data.two_point(i).D() - data.C[i + 1] / n)
 
     def first_bad(diffs) -> str:
         """'(k, d)' for the first component k whose {exponent: coefficient} is nonzero from x^d on, else ''."""
@@ -516,14 +473,16 @@ def verify_quantum(data: GenusZeroData) -> Report:
         [units[i] * units[(k - i) % n] * data.quantum_coeff(i, (k - i) % n) - units[k] for i in range(n)]
         for k in range(n)
     ]
+    # the idempotency verdict of (a, b) depends on b - a mod n alone: each column is read once
+    columns = [first_bad(entry_at_column(D[k], j, data.zeta) for k in range(n)) for j in range(n)]
     for a in range(n):
         for b in range(n):
-            bad = first_bad(entry_at_column(D[k], b - a, data.zeta) for k in range(n))
+            bad = columns[(b - a) % n]
             rep.add(f"idempotency e_{a} * e_{b}", not bad, bad)
 
     pair = reduce(add, (units[i] * units[-i % n] for i in range(n))) - Series.monomial(Fraction(n))
     for a in range(n):
-        rep.add(f"g(e_{a}, e_{a}) = 1/n^2", pair.zero_order() is None)
+        rep.zero(f"g(e_{a}, e_{a}) = 1/n^2", pair)
 
     pieces = [(data.L**i / data.K[i]) * units[i] - Series.one() for i in range(n)]
     orders = [min(entry_at_column(pieces, j, data.zeta), default=None) for j in range(n)]
@@ -537,11 +496,11 @@ def verify_quantum(data: GenusZeroData) -> Report:
     # canonical coordinate eigenvalue: phi_1 * e_alpha = (zeta^alpha L / C_1) e_alpha
     slope = data.L * c1_inv
     eig = first_bad((units[(k - 1) % n] * data.quantum_coeff(1, (k - 1) % n) - units[k] * slope).nums for k in range(n))
-    du = (slope * data.Theta.D() - data.L).zero_order()
+    du = slope * data.Theta.D() - data.L
     for a in range(n):
         rep.add(f"canonical coordinate eigenvalue, alpha={a}", not eig, eig)
         # du/dx form: eigenvalue times D(Theta)/x equals zeta^alpha L / x
-        rep.add(f"du^{a}/dx = zeta^{a} L / x", du is None)
+        rep.zero(f"du^{a}/dx = zeta^{a} L / x", du)
     return rep
 
 

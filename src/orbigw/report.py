@@ -1,4 +1,9 @@
-"""Tiny pass/fail report container shared by the verification entry points, and canonical JSON."""
+"""
+Tiny pass/fail report container shared by the verification entry points, and canonical JSON.
+
+:meth:`Report.zero` is the one zero check of the identity batteries: a residual
+series passes when it has no known nonzero coefficient.
+"""
 
 from __future__ import annotations
 
@@ -30,6 +35,16 @@ class Report:
     def add(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append(Check(name, bool(ok), detail))
         return bool(ok)
+
+    def zero(self, name: str, residual, through: bool = False) -> bool:
+        """
+        Pass when ``residual`` has no known nonzero coefficient.  A failure names
+        its first bad x-power; a pass under ``through`` the order it covers.
+        """
+        d = residual.zero_order()
+        if d is not None:
+            return self.add(name, False, f"first bad x-power {d}")
+        return self.add(name, True, f"zero through x^{int(residual.prec) - 1}" if through else "")
 
     @property
     def ok(self) -> bool:

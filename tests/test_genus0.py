@@ -122,6 +122,44 @@ def test_quantum_reports(n, request):
     assert rep.ok, rep.failures()[:3]
 
 
+def test_report_zero_details():
+    rep = Report("zero checks")
+    assert rep.zero("exact", Series.zero(4))
+    assert rep.zero("stated", Series.zero(4), through=True)
+    assert not rep.zero("bumped", Series({2: 1, 3: 5}, 4), through=True)
+    assert [(c.ok, c.detail) for c in rep.checks] == [(True, ""), (True, "zero through x^3"), (False, "first bad x-power 2")]
+
+
+def test_zero_check_failures_name_their_x_power(data3):
+    # C_1 = x + ... bumped at x^3 moves 1/C_1 at x^1; C_2, C_3, L and Theta
+    # start at x, so a product with one of them moves one power later
+    C = list(data3.C)
+    C[1] = _bump(C[1], 3)
+    mutant = _copy(data3, C=C)
+    expected = {
+        "two constructions of C_1 agree": 3,
+        "periodicity C_{n+1} = C_1": 3,
+        "product C_1 ... C_n = L^n": 5,
+        "palindrome C_1 = C_3": 3,
+        "palindrome C_3 = C_1": 3,
+        **{f"ladder expansion D^{k} I_{m}": m + 2 for m in range(1, 4) for k in range(1, 4)},
+        "graded ladder relation, column 1": 3,
+        "graded ladder relation, column 2": 4,
+        "phi_1 * phi_1 multiplier": 2,
+        "phi_1 * phi_2 multiplier": 2,
+        **{f"D of two-point function, i={i}": 3 for i in range(3)},
+        **{f"du^{a}/dx = zeta^{a} L / x": 3 for a in range(3)},
+    }
+    # the eigenvalue checks are not zero checks: they name (component, x-power)
+    failed = {
+        c.name: c.detail
+        for verify in (verify_birkhoff, verify_ring_series, verify_quantum)
+        for c in verify(mutant).failures()
+        if not c.name.startswith("canonical coordinate eigenvalue")
+    }
+    assert failed == {name: f"first bad x-power {e}" for name, e in expected.items()}
+
+
 def test_K_and_A_values(data4):
     n = 4
     assert (data4.K[n] - data4.L**n).is_zero()
@@ -218,14 +256,10 @@ def verify_quantum_cyclotomic(data: GenusZeroData) -> Report:
     rep = Report(f"quantum structure (n={n}, N={cfg.N})")
 
     for i in range(n):
-        d = (data.quantum_coeff(1, i) - data.C[i + 1] / data.C[1]).zero_order()
-        rep.add(f"phi_1 * phi_{i} multiplier", d is None)
-
-    d = (data.two_point(0) - data.Theta / n).zero_order()
-    rep.add("two-point value at i = 0", d is None)
+        rep.zero(f"phi_1 * phi_{i} multiplier", data.quantum_coeff(1, i) - data.C[i + 1] / data.C[1])
+    rep.zero("two-point value at i = 0", data.two_point(0) - data.Theta / n)
     for i in range(n):
-        d = (data.two_point(i).D() - data.C[i + 1] / n).zero_order()
-        rep.add(f"D of two-point function, i={i}", d is None)
+        rep.zero(f"D of two-point function, i={i}", data.two_point(i).D() - data.C[i + 1] / n)
 
     es = [idempotent(data, a) for a in range(n)]
     for a in range(n):
@@ -244,8 +278,7 @@ def verify_quantum_cyclotomic(data: GenusZeroData) -> Report:
         val = Series.zero()
         for i in range(n):
             val = val + es[a][i] * es[a][(n - i) % n] * Fraction(1, n)  # <phi_i, phi_{-i}> = 1/n
-        d = (val - Series.monomial(Fraction(1, n**2))).zero_order()
-        rep.add(f"g(e_{a}, e_{a}) = 1/n^2", d is None)
+        rep.zero(f"g(e_{a}, e_{a}) = 1/n^2", val - Series.monomial(Fraction(1, n**2)))
 
     psi = psi_matrix(data)
     psi_inv = psi_inverse_matrix(data)
@@ -275,7 +308,7 @@ def verify_quantum_cyclotomic(data: GenusZeroData) -> Report:
         rep.add(f"canonical coordinate eigenvalue, alpha={a}", bad is None, str(bad) if bad else "")
         lhs = eig * data.Theta.D()
         rhs = CyclotomicSeries(data.L) * data.zeta(a)
-        rep.add(f"du^{a}/dx = zeta^{a} L / x", (lhs - rhs).zero_order() is None)
+        rep.zero(f"du^{a}/dx = zeta^{a} L / x", lhs - rhs)
     return rep
 
 

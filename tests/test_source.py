@@ -49,3 +49,16 @@ def test_every_parameter_is_read():
                 if p != "self" and p not in read and (path.name, node.name, p) not in allowed
             ]
     assert not unread, unread
+
+
+def test_zero_checks_go_through_report_zero():
+    # "this residual has no known nonzero coefficient" is decided in Report.zero
+    # alone; hae.py's prefactor-collapse check belongs to the verdict, not to a battery
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name not in ("report.py", "hae.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "zero_order"
+    ]
+    assert not found, found
