@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb, factorial
 from operator import add
 
@@ -172,7 +172,19 @@ def C_via_inversion(slots: list[Series], count: int) -> list[Series]:
 
 @dataclass
 class GenusZeroData:
-    """All genus zero series for one (n, N), plus the ring generators."""
+    """
+    All genus zero series for one (n, N), plus the ring generators.
+
+    The inverses the batteries and the P column divide by are taken once per
+    instance, on first read, and kept for its lifetime: ``L_inv``, ``C_inv``
+    (C_1 .. C_n), ``K_inv`` (K_0 .. K_{n-1}) and the powers ``L_pow(k)`` of
+    either sign.  None of them is a dataclass field, so a
+    ``dataclasses.replace`` copy with other series computes its own.  Two
+    constructions keep inverses of their own: ``birkhoff_C`` inverts the C_i
+    it is building inside ``build``, before any instance exists, and
+    ``C_via_inversion`` is the independent second construction that "two
+    constructions of C_i agree" compares against.
+    """
 
     cfg: ModelConfig
     I: list[Series]
@@ -212,29 +224,51 @@ class GenusZeroData:
     def zeta(self, k: int) -> Cyclotomic:
         return Cyclotomic.zeta(self.cfg.n, k)
 
+    @cached_property
+    def L_inv(self) -> Series:
+        return self.L.inverse()
+
+    @cached_property
+    def C_inv(self) -> dict[int, Series]:
+        """{r: 1 / C_r} for r = 1 .. n."""
+        return {r: self.C[r].inverse() for r in range(1, self.cfg.n + 1)}
+
+    @cached_property
+    def K_inv(self) -> list[Series]:
+        """1 / K_l for l = 0 .. n-1."""
+        return [self.K[l].inverse() for l in range(self.cfg.n)]
+
+    @cached_property
+    def _L_pows(self) -> dict[int, Series]:
+        return {0: Series.one()}
+
+    def L_pow(self, k: int) -> Series:
+        """L^k for any integer k, each power one product from its neighbour towards L^0."""
+        pows = self._L_pows
+        if k not in pows:
+            pows[k] = self.L_pow(k - 1) * self.L if k > 0 else self.L_pow(k + 1) * self.L_inv
+        return pows[k]
+
     def at_L(self, p: Series) -> Series:
         """An exact polynomial in the symbol L, evaluated at the series L(x)."""
-        return reduce(add, (self.L**e * c for e, c in sorted(p.nums.items())), Series.zero()) / p.den
+        return reduce(add, (self.L_pow(e) * c for e, c in sorted(p.nums.items())), Series.zero()) / p.den
 
     def K_ext(self, l: int) -> Series:
         """K_l for any l >= 0 through K_{n+l} = L^n K_l."""
         n = self.cfg.n
-        out = self.K[l % n]
-        for _ in range(l // n):
-            out = out * self.L**n
-        return out
+        return self.K[l] if l < n else self.K[l % n] * self.L_pow(l - l % n)
 
     def two_point(self, i: int) -> Series:
         """<<phi_i, phi_{n-1-i}>> = (1/n) Lop_i ... Lop_0 I_{i+1}; zero otherwise."""
         t = self.I[i + 1]
         for r in range(1, i + 1):
-            t = t.D() / self.C[r]
+            t = t.D() * self.C_inv[r]
         return t / self.cfg.n
 
     def quantum_coeff(self, i: int, j: int) -> Series:
         """Structure constant of phi_i * phi_j = (K_{i+j} / K_i K_j) phi_{i+j}."""
         if (i, j) not in self._quantum_cache:
-            self._quantum_cache[(i, j)] = self.K_ext(i + j) / (self.K[i] * self.K[j])
+            self._quantum_cache[(i, j)] = self.K_ext(i + j) * self.K_inv[i] * self.K_inv[j]
         return self._quantum_cache[(i, j)]
 
     # -- the B / Z ladder -----------------------------------------------------
@@ -346,12 +380,10 @@ def verify_picard_fuchs(data: GenusZeroData) -> Report:
             resid = resid + data.DLL * data.I[k].deriv_pow(r) * stirling_first(n, r)
         rep.zero(f"component form, I_{k}", resid, through=True)
 
-    C_inv = {r: data.C[r].inverse() for r in range(1, n + 1)}
-
     def chain(slot: Series, order: range) -> Series:
         t = slot
         for r in order:
-            t = t.D() * C_inv[r]
+            t = t.D() * data.C_inv[r]
         return t
 
     for k, slot in enumerate(data.I):
@@ -375,12 +407,12 @@ def verify_birkhoff(data: GenusZeroData) -> Report:
     prod = Series.one()
     for k in range(1, n + 1):
         prod = prod * data.C[k]
-    rep.zero("product C_1 ... C_n = L^n", prod - data.L**n)
+    rep.zero("product C_1 ... C_n = L^n", prod - data.L_pow(n))
     for k in range(1, n + 1):
         rep.zero(f"palindrome C_{k} = C_{n+1-k}", data.C[k] - data.C[n + 1 - k])
     for l in range(n + 1):
-        rep.zero(f"K_{l} K_{n-l} = L^n", data.K[l] * data.K[n - l] - data.L**n)
-    rep.zero("K_n = L^n", data.K[n] - data.L**n)
+        rep.zero(f"K_{l} K_{n-l} = L^n", data.K[l] * data.K[n - l] - data.L_pow(n))
+    rep.zero("K_n = L^n", data.K[n] - data.L_pow(n))
     return rep
 
 
@@ -424,7 +456,7 @@ def verify_ring_series(data: GenusZeroData) -> Report:
     resid = data.at_L(f_n_poly(n)) * Fraction(n)
     for r in range(1, limit + 1):
         resid = resid + data.A[r].D() * Fraction(n - 2 * r)
-    resid = resid / data.L
+    resid = resid * data.L_inv
     for r in range(1, limit + 1):
         resid = resid - data.A[r] * data.A[r]
     rep.zero("closure relation for the top A derivative", resid)
@@ -455,8 +487,7 @@ def verify_quantum(data: GenusZeroData) -> Report:
     n = cfg.n
     rep = Report(f"quantum structure (n={n}, N={cfg.N})")
 
-    # C_1 and each L^i are inverted once; the inverses stay local, so no copy of the data carries a stale one
-    c1_inv = data.C[1].inverse()
+    c1_inv = data.C_inv[1]
     for i in range(n):
         rep.zero(f"phi_1 * phi_{i} multiplier", data.quantum_coeff(1, i) - data.C[i + 1] * c1_inv)
     rep.zero("two-point value at i = 0", data.two_point(0) - data.Theta / n)
@@ -468,7 +499,7 @@ def verify_quantum(data: GenusZeroData) -> Report:
         bad = next(((k, min(d)) for k, d in enumerate(diffs) if d), None)
         return str(bad) if bad else ""
 
-    units = [data.K[i] / data.L**i for i in range(n)]
+    units = [data.K[i] * data.L_pow(-i) for i in range(n)]
     D = [
         [units[i] * units[(k - i) % n] * data.quantum_coeff(i, (k - i) % n) - units[k] for i in range(n)]
         for k in range(n)
@@ -484,7 +515,7 @@ def verify_quantum(data: GenusZeroData) -> Report:
     for a in range(n):
         rep.zero(f"g(e_{a}, e_{a}) = 1/n^2", pair)
 
-    pieces = [(data.L**i / data.K[i]) * units[i] - Series.one() for i in range(n)]
+    pieces = [(data.L_pow(i) * data.K_inv[i]) * units[i] - Series.one() for i in range(n)]
     orders = [min(entry_at_column(pieces, j, data.zeta), default=None) for j in range(n)]
     bad = None
     for a in range(n):

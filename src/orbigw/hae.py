@@ -80,7 +80,7 @@ def prefactor_collapse_check(data: GenusZeroData) -> bool:
         lhs = data.K[s + 1] * data.K[s + 1]
     else:
         lhs = data.K[s] * data.K[s + 1]
-    rhs = data.C[s + 1] * data.L**n
+    rhs = data.C[s + 1] * data.L_pow(n)
     return (lhs - rhs).zero_order() is None
 
 

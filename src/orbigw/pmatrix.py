@@ -209,7 +209,7 @@ def extend_tables(data: GenusZeroData, tables: Tables, constant: Fraction) -> No
     table grows on its own; a constant c adds c to every row of residue k mod n.
     """
     n = data.cfg.n
-    inv_L = data.L.inverse()
+    inv_L = data.L_inv
     k = len(tables[0])
     for w, table in enumerate(tables):
         prev = table[k - 1]

@@ -39,7 +39,6 @@ C_i to the normalization factor) is the module's ground truth, and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import isinf, lcm
 
 from .genus0 import GenusZeroData, Y_poly, f_n_poly, ladder_sum
@@ -401,7 +400,14 @@ class RingContext:
 
 
 class RingEvaluator:
-    """Caches generator series and maps ring elements to truncated series."""
+    """
+    Maps ring elements to truncated series through the evaluation homomorphism.
+
+    Every generator's series and every monomial's series is built once and
+    kept for the evaluator's lifetime, so one evaluator reused across
+    elements evaluates each monomial once; the L powers are the genus-zero
+    data's own (``GenusZeroData.L_pow``).
+    """
 
     def __init__(self, ctx: RingContext, data: GenusZeroData):
         if data.cfg.n != ctx.n:
@@ -409,20 +415,7 @@ class RingEvaluator:
         self.ctx = ctx
         self.data = data
         self._gen_series: dict[Gen, Series] = {}
-        self._L_pows: dict[int, Series] = {0: Series.one()}
-
-    @cached_property
-    def _L_inv(self) -> Series:
-        """1/L, inverted once for every negative power."""
-        return self.data.L.inverse()
-
-    def L_pow(self, k: int) -> Series:
-        if k not in self._L_pows:
-            if k > 0:
-                self._L_pows[k] = self.L_pow(k - 1) * self.data.L
-            else:
-                self._L_pows[k] = self.L_pow(k + 1) * self._L_inv
-        return self._L_pows[k]
+        self._mono_series: dict[Monomial, Series] = {}
 
     def gen_series(self, g: Gen) -> Series:
         if g not in self._gen_series:
@@ -436,15 +429,37 @@ class RingEvaluator:
                 self._gen_series[g] = self.data.C[g[1]]
         return self._gen_series[g]
 
+    def mono_series(self, m: Monomial) -> Series:
+        """The series of the monomial m: that of m without its last generator power, times that power."""
+        if m not in self._mono_series:
+            le, gens = m
+            if gens:
+                g, ex = gens[-1]
+                self._mono_series[m] = self.mono_series((le, gens[:-1])) * self.gen_series(g) ** ex
+            else:
+                self._mono_series[m] = self.data.L_pow(le)
+        return self._mono_series[m]
+
     def eval(self, e: RingElement) -> Series:
-        """The series of e: each monomial's series scaled by its numerator, then one division by the denominator."""
-        total = Series.zero()
-        for (le, gens), c in e.nums.items():
-            term = self.L_pow(le)
-            for g, ex in gens:
-                term = term * self.gen_series(g) ** ex
-            total = total + term * c
-        return total / e.den if e.den != 1 else total
+        """
+        The series of e: its monomials' series summed with their numerators
+        over the lcm of their denominators times ``e.den``, known below the
+        least of their bounds, with one normalisation (the way
+        ``RingElement.sum_of_products`` sums).
+        """
+        terms = [(self.mono_series(m), c) for m, c in e.nums.items()]
+        if not terms:
+            return Series.zero()
+        prec = min(s.prec for s, _ in terms)
+        den = lcm(*[s.den for s, _ in terms])
+        out: dict[int, int] = {}
+        get = out.get
+        for s, c in terms:
+            c *= den // s.den
+            for x, a in s.nums.items():
+                if x < prec:
+                    out[x] = get(x, 0) + a * c
+        return Series.zero()._reduced(out, den * e.den, prec)
 
 
 def certify_rules(ctx: RingContext, data: GenusZeroData) -> Report:

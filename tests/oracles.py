@@ -6,9 +6,10 @@ found by brute force over every vertex permutation; over
 enumerator, the second psi recursion (``psi_integral_bruteforce``), the
 series oracle's column entries (``series_entry``) and its unitarity residual
 (``series_unitarity_residual``), the edge factor summed over m as the
-classification formula writes it (``edge_oracle``), and the slots of the
-hypergeometric array expanded afresh at every x-degree (``I_slots``).  Each
-is an independent route to a number the package computes another way.
+classification formula writes it (``edge_oracle``), the slots of the
+hypergeometric array expanded afresh at every x-degree (``I_slots``), and the
+evaluation of a ring element one monomial at a time (``eval_by_monomial``).
+Each is an independent route to a number the package computes another way.
 Beside them live the graph helpers only the tests use (``relabeled``,
 ``signature``) and the edge-symmetry check (``edges_symmetric``).
 
@@ -28,7 +29,7 @@ from itertools import chain, combinations, permutations, product
 from math import factorial
 
 from orbigw.cyclotomic import Cyclotomic, euler_phi
-from orbigw.genus0 import ModelConfig, at_column
+from orbigw.genus0 import GenusZeroData, ModelConfig, at_column
 from orbigw.graphs import StableGraph, _relabeled, _search, enumerate_stable_graphs
 from orbigw.pmatrix import PMatrixData
 from orbigw.potentials import ContributionTables, _check_type
@@ -400,6 +401,24 @@ def I_slots(cfg: ModelConfig, slots: int) -> list[Series]:
             if k <= slots and cj:
                 out[k][m] = cj / factorial(m)
     return [Series(d, N + 1) for d in out]
+
+
+def eval_by_monomial(data: GenusZeroData, e: RingElement) -> Series:
+    """
+    The series of the ring element e under the evaluation homomorphism, one
+    monomial at a time: L^le times each generator's series (D^j A_i for
+    ("A", i, j), C_i for ("C", i)) to its power, scaled by the numerator and
+    added to a running total, then one division by the denominator.  It keeps
+    nothing between monomials or calls; ``RingEvaluator.eval`` keeps every
+    monomial's series and sums them with one normalisation.
+    """
+    total = Series.zero()
+    for (le, gens), c in e.nums.items():
+        term = data.L**le
+        for g, ex in gens:
+            term = term * (data.A[g[1]].deriv_pow(g[2]) if g[0] == "A" else data.C[g[1]]) ** ex
+        total = total + term * c
+    return total / e.den if e.den != 1 else total
 
 
 def relabeled(graph: StableGraph, perm: tuple[int, ...]) -> StableGraph:

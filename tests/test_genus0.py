@@ -1,3 +1,5 @@
+import contextlib
+import io
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -5,6 +7,7 @@ from math import factorial
 import pytest
 
 from oracles import CyclotomicSeries, I_slots
+from orbigw.cli import main
 from orbigw.cyclotomic import Cyclotomic
 from orbigw.genus0 import (
     GenusZeroData,
@@ -378,6 +381,38 @@ def test_quantum_builds_no_cyclotomic(data5, monkeypatch):
     assert verify_quantum(_copy(data5)).ok
     # the cyclotomic frame builds 170,625 numbers and 73,315 products here
     assert calls == {"__init__": 0, "__mul__": 0}
+
+
+def test_cached_inverses_belong_to_their_copy(data4):
+    n = 4
+    # every cache is read on the original first, so a copy that shared one would read it stale
+    C, K, L = list(data4.C), list(data4.K), _bump(data4.L, 6)
+    C[2], K[1] = _bump(C[2], 4), _bump(K[1], 3)
+    for stale in (data4.C_inv[2] * C[2], data4.K_inv[1] * K[1], data4.L_inv * L, data4.L_pow(-2) * L**2):
+        assert (stale - Series.one()).zero_order() is not None
+    for name, mutant in (("C", _copy(data4, C=C)), ("K", _copy(data4, K=K)), ("L", _copy(data4, L=L))):
+        pairs = [(mutant.L_inv, mutant.L)]
+        pairs += [(mutant.C_inv[r], mutant.C[r]) for r in range(1, n + 1)]
+        pairs += [(mutant.K_inv[l], mutant.K[l]) for l in range(n)]
+        pairs += [(mutant.L_pow(k), mutant.L ** -k) for k in range(-3, 4)]
+        for inv, s in pairs:
+            one = inv * s - Series.one()
+            assert one.zero_order() is None and one.prec > 4 * n, name
+
+
+def test_identities_invert_each_series_once(monkeypatch):
+    calls = [0]
+    inverse = Series.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Series, "inverse", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main("verify-identities --n 5 --k-max 4 --format json".split()) == 0
+    # birkhoff_C 6 and C_via_inversion 5, each its own; build's 1/L; the data's L_inv, C_inv 5 and K_inv 5
+    assert calls == [23]
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 from fractions import Fraction
+from math import isinf
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from orbigw.genus0 import GenusZeroData, ModelConfig
 from orbigw.hae import verify_hae
 from orbigw.pmatrix import build_pmatrix, entry_to_json
 from orbigw.potentials import ContributionTables, assemble_F
-from orbigw.report import canonical_json
+from orbigw.report import Report, canonical_json
 
 GOLDEN = Path(__file__).parent / "golden" / "n3_zero.json"
 
@@ -78,6 +79,8 @@ CLI_SHA256 = {
     "pmatrix --n 4 --k-max 5": (0, "345d259a77f4f9f6495a914e0bf43e0f290e8b57e9f8db8711fd52f5766107c3"),
     "pmatrix --n 5 --k-max 4": (0, "3decd03cb740b3f8bd58cecb3a2c61d4f057432114ecdf3535832a805ab0757b"),
     "pmatrix --n 3 --k-max 4 --policy zero": (0, "b32f15ab4ed3e6fceff9bdae4fb2e82e4bb7bf669189460dde92226a2bf190cd"),
+    # odd n at the depth a genus-3 verdict reads
+    "verify-identities --n 3 --k-max 7": (0, "ec3808b46e89ef1918ac4a87d540d3cbdacc011359113647e6745f17f66be8c5"),
     "verify-identities --n 4 --k-max 4": (0, "72dd76b92a54947a3f53183f2faa4ee567bfbc6f9c3e891d9ed4ab72f1116ab5"),
     # 192 checks, all 52 semisimple-frame checks at n = 5 among them
     "verify-identities --n 5 --k-max 4": (0, "88fefca8ab444c70c7a9cfc12780c8dd1245e24ad483ef1180daa08c550940ef"),
@@ -94,3 +97,30 @@ def test_cli_output_pinned(args):
     want_code, want_sha = CLI_SHA256[args]
     assert code == want_code
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want_sha
+
+
+# (count, sha256 of the canonical JSON) of [check name, zero order, prec] for every
+# Report.zero call of `orbigw <args> --format json` (prec null when exact): the x-orders
+# each zero check covers, so a rerouted division cannot shrink them unseen
+ZERO_COVERAGE = {
+    "genus0 --n 8": (190, "737a8c0f8e66efaabbd018105049ec2f3c69fcbc38d53ddf07470ef3bfc627ee"),
+    "verify-identities --n 3 --k-max 7": (74, "921d31d3911844c92278fed98d0ae19d633d05d8c3882a73857047494720977f"),
+    "verify-identities --n 4 --k-max 4": (96, "4c0d4dab36598eebe3587140a41490251651ddfe9bfa9d1a360175aac8bbdd1a"),
+    "verify-identities --n 5 --k-max 4": (122, "027c1e494d6018a0f666ed760877d2ac80a97708effc54689fb175fb9832e684"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(ZERO_COVERAGE))
+def test_zero_check_coverage_pinned(args, monkeypatch):
+    calls = []
+    zero = Report.zero
+
+    def recorded(self, name, residual, through=False):
+        calls.append([name, residual.zero_order(), None if isinf(residual.prec) else int(residual.prec)])
+        return zero(self, name, residual, through)
+
+    monkeypatch.setattr(Report, "zero", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args.split() + ["--format", "json"]) == 0
+    digest = hashlib.sha256(canonical_json(calls).encode()).hexdigest()
+    assert (len(calls), digest) == ZERO_COVERAGE[args]

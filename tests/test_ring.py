@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_normal
+from oracles import assert_normal, eval_by_monomial
 from orbigw.cyclotomic import Cyclotomic
-from orbigw.pmatrix import entry_to_json
+from orbigw.genus0 import GenusZeroData, ModelConfig
+from orbigw.hae import verify_hae
+from orbigw.pmatrix import POLICIES, entry_to_json
 from orbigw.report import canonical_json
 from orbigw.ring import RingContext, RingElement, certify_rules, fit_laurent_in_L
 from orbigw.series import Series
@@ -90,6 +92,46 @@ def test_eval_symmetry_example(ctx5, data5):
     assert (data5.A[1] + data5.A[4]).is_zero()
     val = ev.eval(ctx5.A(2))
     assert (val - data5.A[2]).is_zero()
+
+
+def _exact(s: Series) -> tuple:
+    return s.nums, s.den, s.prec
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_eval_matches_per_monomial_oracle_on_the_lift(n, policy, pmatrix_at):
+    # one evaluator across every graded entry, each compared exactly with the oracle
+    pm = pmatrix_at(n, policy)
+    ev = pm.ctx.evaluator(pm.data)
+    for key, e in pm.graded.items():
+        assert _exact(ev.eval(e)) == _exact(eval_by_monomial(pm.data, e)), key
+
+
+def test_eval_matches_per_monomial_oracle_on_the_anomaly_equation():
+    r = verify_hae(3, 3)
+    data = GenusZeroData.build(ModelConfig(3))
+    ev = RingContext(3).evaluator(data)
+    for side in (r.lhs, r.rhs):
+        assert side.monomial_count() > 10
+        assert _exact(ev.eval(side)) == _exact(eval_by_monomial(data, side))
+
+
+def test_eval_negative_L_and_repeated_generators(ctx5, data5, rng):
+    L, A, C = RingElement.L_power, RingElement.generator, lambda i: RingElement.generator(("C", i))
+    elements = [
+        L(-3, Fraction(2, 7)) * A(("A", 1, 2)) ** 3 * C(2) ** 2,
+        L(-1) * C(1) ** 4 - L(-2, Fraction(5, 3)) * A(("A", 2, 0)) ** 2 * A(("A", 1, 1)),
+        L(-5) * A(("A", 1, 0)) ** 2 * C(1) * C(2) ** 3 + L(4, Fraction(-1, 9)),
+        RingElement.zero(),
+    ] + [random_element(ctx5, rng, max_terms=5, max_deg=4) for _ in range(20)]
+    assert any(e.uses_negative_L() for e in elements)
+    reused = ctx5.evaluator(data5)
+    for e in elements + elements:
+        got = reused.eval(e)
+        assert _exact(got) == _exact(eval_by_monomial(data5, e)), e
+        # an evaluator that has seen every earlier element agrees with a fresh one
+        assert _exact(got) == _exact(ctx5.evaluator(data5).eval(e)), e
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
