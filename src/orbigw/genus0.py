@@ -176,14 +176,15 @@ class GenusZeroData:
     All genus zero series for one (n, N), plus the ring generators.
 
     The inverses the batteries and the P column divide by are taken once per
-    instance, on first read, and kept for its lifetime: ``L_inv``, ``C_inv``
-    (C_1 .. C_n), ``K_inv`` (K_0 .. K_{n-1}) and the powers ``L_pow(k)`` of
-    either sign.  None of them is a dataclass field, so a
-    ``dataclasses.replace`` copy with other series computes its own.  Two
-    constructions keep inverses of their own: ``birkhoff_C`` inverts the C_i
-    it is building inside ``build``, before any instance exists, and
-    ``C_via_inversion`` is the independent second construction that "two
-    constructions of C_i agree" compares against.
+    instance and kept for its lifetime: ``L_inv``, ``C_inv`` (C_1 .. C_n),
+    ``K_inv`` (K_0 .. K_{n-1}), the powers ``L_pow(k)`` of either sign, and
+    the derivatives D^m C_i the ladder sums read.  ``build`` seeds ``L_inv``
+    and ``C_inv`` with the inverses it takes on the way (``birkhoff_C``
+    inverts the C_i it builds); the rest are taken on first read.  None of
+    them is a dataclass field, so a ``dataclasses.replace`` copy with other
+    series computes its own.  ``C_via_inversion`` keeps inverses of its own:
+    it is the independent second construction that "two constructions of
+    C_i agree" compares against.
     """
 
     cfg: ModelConfig
@@ -217,7 +218,10 @@ class GenusZeroData:
             for r in range(1, i + 1):
                 acc = acc - X[r]
             A.append(acc * L_inv)
-        return GenusZeroData(cfg, slots, L, C, K, X, A, slots[1], DLL)
+        data = GenusZeroData(cfg, slots, L, C, K, X, A, slots[1], DLL)
+        data.L_inv = L_inv
+        data.C_inv = {r: C_inv[r] for r in range(1, n + 1)}
+        return data
 
     # -- small helpers --------------------------------------------------------
 
@@ -241,6 +245,10 @@ class GenusZeroData:
     @cached_property
     def _L_pows(self) -> dict[int, Series]:
         return {0: Series.one()}
+
+    @cached_property
+    def _C_derivs(self) -> dict[tuple[int, int], Series]:
+        return {}
 
     def L_pow(self, k: int) -> Series:
         """L^k for any integer k, each power one product from its neighbour towards L^0."""
@@ -283,8 +291,15 @@ class GenusZeroData:
             t = (self.C[r] * t).D_inverse()
         return t
 
+    def C_deriv(self, i: int, m: int) -> Series:
+        """D^m C_i, each one derivative of the one below it."""
+        derivs = self._C_derivs
+        if (i, m) not in derivs:
+            derivs[(i, m)] = self.C_deriv(i, m - 1).D() if m else self.C[i]
+        return derivs[(i, m)]
+
     def B_series(self, k: int, p: int) -> Series:
-        return ladder_sum(k, p, lambda i, m: self.C[i].deriv_pow(m), Series.one())
+        return ladder_sum(k, p, self.C_deriv)
 
 
 def Y_poly(n: int) -> Series:
@@ -297,25 +312,29 @@ def f_n_poly(n: int) -> Series:
     return (Y_poly(n) * Fraction((-1) ** (n - 1) * comb(n + 1, 4), n ** (n + 1))).shift(n - 1)
 
 
-def ladder_sum(k: int, p: int, block, one):
+def ladder_sum(k: int, p: int, block):
     """
     The chain sum over k = c_1 > c_2 > ... > c_p >= 1 of
 
         prod_{i<p} comb(c_i - 1, c_{i+1}) block(i, c_i - 1 - c_{i+1})  *  block(p, c_p - 1),
 
     for 1 <= p <= k.  With block(i, m) = D^m C_i it is the series B_{k,p};
-    with the free-ring ladder X_{i,m} it is B_{k,p} / K_p.
+    with the free-ring ladder X_{i,m} it is B_{k,p} / K_p.  Each chain starts
+    at its first block, with no product by a constant one.
     """
     terms = []
 
+    def chain(acc, b):
+        return b if acc is None else acc * b
+
     def rec(i: int, c: int, acc, coeff: int):
         if i == p:
-            terms.append(acc * block(p, c - 1) * coeff)
+            terms.append(chain(acc, block(p, c - 1)) * coeff)
             return
         for nxt in range(p - i, c):
-            rec(i + 1, nxt, acc * block(i, c - 1 - nxt), coeff * comb(c - 1, nxt))
+            rec(i + 1, nxt, chain(acc, block(i, c - 1 - nxt)), coeff * comb(c - 1, nxt))
 
-    rec(1, k, one, 1)
+    rec(1, k, None, 1)
     return reduce(add, terms)
 
 

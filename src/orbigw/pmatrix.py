@@ -69,7 +69,7 @@ from math import comb, perm
 from .cyclotomic import Coefficient, Cyclotomic
 from .genus0 import GenusZeroData, Y_poly, entry_at_column, f_n_poly
 from .report import Report
-from .ring import Monomial, RingContext, RingElement, fit_laurent_in_L, terms_to_json
+from .ring import Monomial, RingContext, RingElement, decode, fit_laurent_in_L, terms_to_json
 from .series import Series
 from .stirling import stirling_first
 
@@ -506,7 +506,8 @@ class PMatrixData:
 
     def lift_entry(self, k: int, i: int, j: int) -> Entry:
         """The ring lift's entry P~^k_{i,j} at order k, row i, column j (:func:`entry_at_column`)."""
-        return entry_at_column([self.graded[(k, i, w)] for w in range(self.ctx.n)], j, self.data.zeta)
+        entry = entry_at_column([self.graded[(k, i, w)] for w in range(self.ctx.n)], j, self.data.zeta)
+        return {decode(m): c for m, c in entry.items()}
 
 
 def build_pmatrix(

@@ -28,6 +28,31 @@ and the derivation the sum of its Leibniz pairs.  Roots of unity never
 enter: a column of the P matrix is a zeta-weighted sum of rational ring elements, assembled
 outside the ring (:mod:`orbigw.pmatrix`).
 
+Keys.  A monomial's public form is the tuple ``(L_exponent, ((gen, exp),
+...))``, generators sorted (``Monomial``); ``nums`` keys it by one packed
+integer, all its exponents in one number (packed exponent vectors; Monagan
+and Pearce, CASC 2007):
+
+    key = L_exponent + sum_g exp_g * 2^(FIELD_BITS * (slot(g) + 1)),
+
+the L exponent, signed, in the lowest field of ``FIELD_BITS`` = 32 bits and
+each generator's exponent in the field above it at the slot the registry
+here gives the generator on first sight (:func:`encode`; a context
+registers the generators its verdicts read first, so they take the lowest
+slots).  A monomial product is then ``m1 + m2``, ``mul_L(k)`` is ``m + k``,
+and lowering a generator subtracts its unit.  The bound: every exponent
+lies in (-EXPONENT_BOUND, EXPONENT_BOUND), EXPONENT_BOUND = 2^30, and a
+generator's is positive; a field has room for twice the bound either way,
+so a product of two monomials in range carries into no other field.
+:func:`encode` refuses an exponent out of range and :func:`decode` a field
+out of range, both with ``ValueError``, so an overflow fails loudly and
+never aliases another monomial.  Verdicts stay far inside: through genus 4 at n = 3..5 no
+exponent reaches 100.  Keys are tuples on the public side: the constructor
+encodes them, and ``terms()``, ``to_json``, ``__repr__``,
+``generators_used`` and ``uses_negative_L`` decode them, as do ``derive``,
+the rule construction and the evaluator where they read generators, and
+``PMatrixData.lift_entry`` for the column entries.
+
 The rewrite rules are constructed symbolically once per n.  They are not
 trusted: ``certify_rules`` evaluates every rule against the genus zero
 series and fails loudly on the first mismatched coefficient.  The evaluation
@@ -49,68 +74,108 @@ from .stirling import stirling_first
 
 # generator keys: ("A", i, j) stands for D^j A_i, ("C", i) for C_i
 Gen = tuple
-Monomial = tuple  # (L_exponent, ((gen, exp), ...)) with gens sorted
+Monomial = tuple  # (L_exponent, ((gen, exp), ...)) with gens sorted; ``nums`` packs it (module docstring, Keys)
+
+FIELD_BITS = 32
+EXPONENT_BOUND = 1 << (FIELD_BITS - 2)
+_MASK = (1 << FIELD_BITS) - 1
+_HALF = 1 << (FIELD_BITS - 1)  # adding it makes the signed L field nonnegative
+
+# the registry: slot -> generator, and generator -> (shift of its field, its unit 1 << shift)
+_GENS: list[Gen] = []
+_FIELD: dict[Gen, tuple[int, int]] = {}
 
 
-def _mono(L_exp: int = 0, gens: tuple = ()) -> Monomial:
-    return (L_exp, gens)
+def _field(g: Gen) -> tuple[int, int]:
+    """The shift and unit of g's field, registering g at the next free slot on first sight."""
+    f = _FIELD.get(g)
+    if f is None:
+        shift = FIELD_BITS * (len(_GENS) + 1)
+        f = _FIELD[g] = (shift, 1 << shift)
+        _GENS.append(g)
+    return f
 
 
-_ONE_MONO = _mono()
-_UNIT_NUMS = {_ONE_MONO: 1}
+def _check(exp: int, low: int) -> int:
+    if not low <= exp < EXPONENT_BOUND:
+        raise ValueError(f"monomial exponent {exp} outside [{low}, {EXPONENT_BOUND})")
+    return exp
 
 
-def _merge(g1: tuple, g2: tuple) -> tuple:
-    """The generator part of a product of two monomials, both parts nonempty."""
-    acc = dict(g1)
-    for g, e in g2:
-        acc[g] = acc.get(g, 0) + e
-    return tuple(sorted(acc.items()))
+def encode(mono: Monomial) -> int:
+    """The packed key of a monomial (L_exp, ((gen, exp), ...)); ValueError on an exponent out of range."""
+    L_exp, gens = mono
+    key = _check(L_exp, 1 - EXPONENT_BOUND)
+    for g, e in gens:
+        key += _check(e, 1) * _field(g)[1]
+    return key
+
+
+def decode(key: int) -> Monomial:
+    """The monomial (L_exp, ((gen, exp), ...)) of a packed key, gens sorted; ValueError on a field out of range."""
+    L_exp = ((key + _HALF) & _MASK) - _HALF
+    rest = (key + _HALF) >> FIELD_BITS
+    gens = []
+    for g in _GENS:
+        e = rest & _MASK
+        if rest <= 0 or e >= EXPONENT_BOUND:
+            break  # a field out of range leaves rest nonzero
+        if e:
+            gens.append((g, e))
+        rest >>= FIELD_BITS
+    if rest or not -EXPONENT_BOUND < L_exp < EXPONENT_BOUND:
+        raise ValueError(
+            f"packed monomial {key} has an exponent outside (-{EXPONENT_BOUND}, {EXPONENT_BOUND}) or no registered slot"
+        )
+    return L_exp, tuple(sorted(gens))
 
 
 class RingElement(QVector):
     """
     Polynomial in L^{+-1} and the ring generators over Q: ``nums`` maps each
-    monomial to an integer numerator, over the one denominator ``den``.
+    monomial's packed key to an integer numerator, over the one denominator
+    ``den``.  The constructor takes {monomial: coefficient} with tuple monomials.
     """
 
     __slots__ = ()
 
-    ONE = _ONE_MONO
+    def __init__(self, coeffs: dict[Monomial, int | Fraction] | None = None):
+        super().__init__({encode(m): c for m, c in coeffs.items()} if coeffs else None)
 
     # -- constructors ---------------------------------------------------------
 
     @staticmethod
     def zero() -> "RingElement":
-        return RingElement()
+        return _ZERO
 
     @staticmethod
     def scalar(c: int | Fraction) -> "RingElement":
-        return RingElement({_ONE_MONO: c})
+        return RingElement({(0, ()): c})
 
     @staticmethod
     def L_power(k: int, c: int | Fraction = 1) -> "RingElement":
-        return RingElement({_mono(k): c})
+        return RingElement({(k, ()): c})
 
     @staticmethod
     def generator(gen: Gen, c: int | Fraction = 1) -> "RingElement":
-        return RingElement({_mono(0, ((gen, 1),)): c})
+        return RingElement({(0, ((gen, 1),)): c})
 
     @staticmethod
     def L_poly(p: Series) -> "RingElement":
         """An exact polynomial in the symbol L (rational coefficients) as a ring element."""
-        return RingElement({_mono(e): p.get(e) for e in p.nums})
+        return RingElement({(e, ()): p.get(e) for e in p.nums})
 
     # -- structure -------------------------------------------------------------
 
+    def terms(self):
+        """(monomial, numerator) per term in ``nums`` order, each monomial decoded to its tuple."""
+        return ((decode(m), c) for m, c in self.nums.items())
+
     def generators_used(self) -> set[Gen]:
-        out: set[Gen] = set()
-        for (_, gens) in self.nums:
-            out.update(g for g, _ in gens)
-        return out
+        return {g for (_, gens), _ in self.terms() for g, _ in gens}
 
     def uses_negative_L(self) -> bool:
-        return any(le < 0 for (le, _) in self.nums)
+        return any(le < 0 for (le, _), _ in self.terms())
 
     def monomial_count(self) -> int:
         return len(self.nums)
@@ -125,35 +190,22 @@ class RingElement(QVector):
         The products are summed over the lcm of their denominators, so the
         result is normalised once, with one gcd, however many pairs there
         are.  ``x * y`` is the sum of the one pair, so the ring multiplies
-        monomials in this loop alone.  A constant operand (the monomial 1
-        alone) scales the other's numerators, and a product with 1 is the
-        other operand.
+        monomials in this loop alone, each product one addition of keys.
         """
         if len(pairs) == 1:
             (x, y), = pairs
-            # a product with the constant 1 is the other operand
-            if y.den == 1 and y.nums == _UNIT_NUMS:
-                return x
             den = x.den * y.den
         else:
             den = lcm(*[x.den * y.den for x, y in pairs])
-        out: dict[Monomial, int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for x, y in pairs:
-            xs, ys = x.nums, y.nums
-            if len(xs) == 1 and _ONE_MONO in xs:
-                xs, ys = ys, xs
             scale = den // (x.den * y.den)
-            if len(ys) == 1 and _ONE_MONO in ys:
-                c2 = ys[_ONE_MONO] * scale
-                for m, c1 in xs.items():
-                    out[m] = get(m, 0) + c1 * c2
-                continue
-            for (l1, g1), c1 in xs.items():
+            ys = y.nums.items()
+            for m1, c1 in x.nums.items():
                 c1 *= scale
-                for (l2, g2), c2 in ys.items():
-                    # the empty generator parts, most of them, skip the call
-                    m = (l1 + l2, g1 if not g2 else g2 if not g1 else _merge(g1, g2))
+                for m2, c2 in ys:
+                    m = m1 + m2
                     out[m] = get(m, 0) + c1 * c2
         return _ZERO._reduced(out, den)
 
@@ -161,19 +213,18 @@ class RingElement(QVector):
         return RingElement.sum_of_products(((self, other),))
 
     def mul_L(self, k: int) -> "RingElement":
-        return self._new({(le + k, gens): c for (le, gens), c in self.nums.items()}, self.den)
+        return self._new({m + k: c for m, c in self.nums.items()}, self.den)
 
     # -- calculus -------------------------------------------------------------------
 
     def partial(self, gen: Gen) -> "RingElement":
         """Formal partial derivative with respect to one generator."""
-        out: dict[Monomial, int] = {}
-        for (le, gens), c in self.nums.items():
-            for idx, (g, e) in enumerate(gens):
-                if g == gen:
-                    m = (le, _lower(gens, idx))
-                    out[m] = out.get(m, 0) + c * e
-                    break
+        shift, unit = _field(gen)
+        out: dict[int, int] = {}
+        for m, c in self.nums.items():
+            e = ((m + _HALF) >> shift) & _MASK
+            if e:
+                out[m - unit] = c * e
         return self._reduced(out, self.den)
 
     # -- rendering and serialization ---------------------------------------------------
@@ -182,7 +233,7 @@ class RingElement(QVector):
         if not self.nums:
             return "RingElement(0)"
         bits = []
-        for (le, gens), c in sorted(self.nums.items())[:6]:
+        for (le, gens), c in sorted(self.terms())[:6]:
             gtxt = "*".join(
                 (f"{_gen_name(g)}^{e}" if e > 1 else _gen_name(g)) for g, e in gens
             )
@@ -193,7 +244,7 @@ class RingElement(QVector):
         return " + ".join(bits) + tail
 
     def to_json(self) -> list:
-        return terms_to_json(self.nums, lambda c: str(Fraction(c, self.den)))
+        return terms_to_json(dict(self.terms()), lambda c: str(Fraction(c, self.den)))
 
 
 _ZERO = RingElement()
@@ -202,12 +253,6 @@ _ZERO = RingElement()
 def terms_to_json(terms: dict[Monomial, object], coeff_json) -> list:
     """[L exponent, [[generator, exponent], ...], coeff_json(coefficient)] per monomial, in monomial order."""
     return [[le, [[list(g), e] for g, e in gens], coeff_json(terms[(le, gens)])] for le, gens in sorted(terms)]
-
-
-def _lower(gens: tuple, idx: int) -> tuple:
-    """The generator part with the exponent at position idx lowered by one."""
-    g, e = gens[idx]
-    return gens[:idx] + gens[idx + 1 :] if e == 1 else gens[:idx] + ((g, e - 1),) + gens[idx + 1 :]
 
 
 def _gen_name(g: Gen) -> str:
@@ -241,6 +286,9 @@ class RingContext:
         self.admitted[self.distinguished] = 0
         self.Y = RingElement.L_poly(Y_poly(n))
         self.f_n = RingElement.L_poly(f_n_poly(n))  # drives the closure relation
+        # the generators every verdict reads take the lowest free slots, in order
+        for g in self.a_gens() + [self.c_gen(i) for i in range(1, (n + 1) // 2 + 1)]:
+            _field(g)
         self._nf: dict[tuple[int, int], RingElement] = {}
         self._dgen: dict[tuple[Gen, bool], RingElement] = {}
         self._base_rules: dict[int, RingElement] = {}
@@ -298,12 +346,13 @@ class RingContext:
         """
         # cofactors[g]: d e / d g as numerators over e.den, and under the key
         # None L d/dL e; lowering g is injective on monomials, so no key repeats
-        cofactors: dict[Gen | None, dict[Monomial, int]] = {}
-        for (le, gens), c in e.nums.items():
+        cofactors: dict[Gen | None, dict[int, int]] = {}
+        for m, c in e.nums.items():
+            le, gens = decode(m)
             if le:
-                cofactors.setdefault(None, {})[(le, gens)] = c * le
-            for idx, (g, ex) in enumerate(gens):
-                cofactors.setdefault(g, {})[(le, _lower(gens, idx))] = c * ex
+                cofactors.setdefault(None, {})[m] = c * le
+            for g, ex in gens:
+                cofactors.setdefault(g, {})[m - _FIELD[g][1]] = c * ex
         pairs = [(self.Y if g is None else self._d_gen(g, free), e._reduced(nums, e.den)) for g, nums in cofactors.items()]
         return RingElement.sum_of_products(pairs)
 
@@ -350,7 +399,7 @@ class RingContext:
 
     def _BK(self, k: int, p: int) -> RingElement:
         """B_{k,p} / K_p in the free ring, expanded through the X ladder."""
-        return ladder_sum(k, p, self._X_ladder, RingElement.scalar(1))
+        return ladder_sum(k, p, self._X_ladder)
 
     def _build_rules(self):
         n = self.n
@@ -371,15 +420,16 @@ class RingContext:
                 rel = rel + self.Y * self._BK(k, m) * stirling_first(n, k)
             target = ("A", m, n - 1 - m)
             pivot: dict[Monomial, int] = {}
-            rest: dict[Monomial, int] = {}
-            for (le, gens), c in rel.nums.items():
+            rest: dict[int, int] = {}
+            for key, c in rel.nums.items():
+                le, gens = decode(key)
                 hit = [e for g, e in gens if g == target]
                 if hit:
                     if hit[0] != 1:
                         raise AssertionError(f"relation not linear in {target}")
                     pivot[(le, tuple((g, e) for g, e in gens if g != target))] = c
                 else:
-                    rest[(le, gens)] = c
+                    rest[key] = c
             if len(pivot) != 1:
                 raise AssertionError(f"unexpected pivot for {target}: {pivot!r}")
             ((le, gens), c), = pivot.items()
@@ -387,7 +437,7 @@ class RingContext:
                 raise AssertionError(f"pivot for {target} is not a pure L power")
             # rel = c L^le target / den + rest / den = 0, so target = -rest / (c L^le)
             sign = -1 if c > 0 else 1
-            rule = rel._reduced({(l2 - le, g2): sign * c2 for (l2, g2), c2 in rest.items()}, abs(c))
+            rule = rel._reduced({key - le: sign * c2 for key, c2 in rest.items()}, abs(c))
             bad = [g for g in rule.generators_used() if g[0] == "A" and g[2] > self.admitted.get(g[1], -1)]
             if bad:
                 raise AssertionError(f"rule for {target} mentions inadmissible {bad}")
@@ -403,10 +453,10 @@ class RingEvaluator:
     """
     Maps ring elements to truncated series through the evaluation homomorphism.
 
-    Every generator's series and every monomial's series is built once and
-    kept for the evaluator's lifetime, so one evaluator reused across
-    elements evaluates each monomial once; the L powers are the genus-zero
-    data's own (``GenusZeroData.L_pow``).
+    Every generator's series, each power of it a monomial ends in, and every
+    monomial's series is built once and kept for the evaluator's lifetime,
+    so one evaluator reused across elements evaluates each monomial once;
+    the L powers are the genus-zero data's own (``GenusZeroData.L_pow``).
     """
 
     def __init__(self, ctx: RingContext, data: GenusZeroData):
@@ -415,7 +465,8 @@ class RingEvaluator:
         self.ctx = ctx
         self.data = data
         self._gen_series: dict[Gen, Series] = {}
-        self._mono_series: dict[Monomial, Series] = {}
+        self._gen_powers: dict[tuple[Gen, int], Series] = {}
+        self._mono_series: dict[int, Series] = {}
 
     def gen_series(self, g: Gen) -> Series:
         if g not in self._gen_series:
@@ -429,16 +480,21 @@ class RingEvaluator:
                 self._gen_series[g] = self.data.C[g[1]]
         return self._gen_series[g]
 
-    def mono_series(self, m: Monomial) -> Series:
-        """The series of the monomial m: that of m without its last generator power, times that power."""
-        if m not in self._mono_series:
-            le, gens = m
+    def mono_series(self, key: int) -> Series:
+        """
+        The series of the monomial with packed key ``key``: that of the
+        monomial without its last generator power, times that power.
+        """
+        if key not in self._mono_series:
+            le, gens = decode(key)
             if gens:
                 g, ex = gens[-1]
-                self._mono_series[m] = self.mono_series((le, gens[:-1])) * self.gen_series(g) ** ex
+                if (g, ex) not in self._gen_powers:
+                    self._gen_powers[(g, ex)] = self.gen_series(g) ** ex
+                self._mono_series[key] = self.mono_series(key - ex * _FIELD[g][1]) * self._gen_powers[(g, ex)]
             else:
-                self._mono_series[m] = self.data.L_pow(le)
-        return self._mono_series[m]
+                self._mono_series[key] = self.data.L_pow(le)
+        return self._mono_series[key]
 
     def eval(self, e: RingElement) -> Series:
         """

@@ -7,8 +7,10 @@ enumerator, the second psi recursion (``psi_integral_bruteforce``), the
 series oracle's column entries (``series_entry``) and its unitarity residual
 (``series_unitarity_residual``), the edge factor summed over m as the
 classification formula writes it (``edge_oracle``), the slots of the
-hypergeometric array expanded afresh at every x-degree (``I_slots``), and the
-evaluation of a ring element one monomial at a time (``eval_by_monomial``).
+hypergeometric array expanded afresh at every x-degree (``I_slots``), the
+evaluation of a ring element one monomial at a time (``eval_by_monomial``),
+and the product of two tuple monomials by a merge of their generators
+(``merge``), against which the ring's packed keys add.
 Each is an independent route to a number the package computes another way.
 Beside them live the graph helpers only the tests use (``relabeled``,
 ``signature``) and the edge-symmetry check (``edges_symmetric``).
@@ -231,6 +233,15 @@ class CyclotomicSeries:
         }
 
 
+def merge(m1: tuple, m2: tuple) -> tuple:
+    """The product of two tuple monomials (L_exp, ((gen, exp), ...)), generators merged by a dict and sorted."""
+    (l1, g1), (l2, g2) = m1, m2
+    acc = dict(g1)
+    for g, e in g2:
+        acc[g] = acc.get(g, 0) + e
+    return (l1 + l2, tuple(sorted(acc.items())))
+
+
 class CyclotomicPoly:
     """
     A polynomial in the ring's monomials with coefficients in Q(zeta_n), each
@@ -244,7 +255,7 @@ class CyclotomicPoly:
 
     def __init__(self, terms=None):
         if isinstance(terms, RingElement):
-            terms = {m: Fraction(c, terms.den) for m, c in terms.nums.items()}
+            terms = {m: Fraction(c, terms.den) for m, c in terms.terms()}
         out = {}
         for m, c in (terms or {}).items():
             if c:
@@ -293,18 +304,9 @@ class CyclotomicPoly:
         if other is None:
             return NotImplemented
         out = {}
-        for (l1, g1), c1 in self.terms.items():
-            for (l2, g2), c2 in other.terms.items():
-                if not g2:
-                    merged = g1
-                elif not g1:
-                    merged = g2
-                else:
-                    acc = dict(g1)
-                    for g, e in g2:
-                        acc[g] = acc.get(g, 0) + e
-                    merged = tuple(sorted(acc.items()))
-                m = (l1 + l2, merged)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = merge(m1, m2)
                 out[m] = out.get(m, 0) + c1 * c2
         return CyclotomicPoly(out)
 
@@ -413,7 +415,7 @@ def eval_by_monomial(data: GenusZeroData, e: RingElement) -> Series:
     monomial's series and sums them with one normalisation.
     """
     total = Series.zero()
-    for (le, gens), c in e.nums.items():
+    for (le, gens), c in e.terms():
         term = data.L**le
         for g, ex in gens:
             term = term * (data.A[g[1]].deriv_pow(g[2]) if g[0] == "A" else data.C[g[1]]) ** ex

@@ -390,6 +390,7 @@ def test_cached_inverses_belong_to_their_copy(data4):
     C[2], K[1] = _bump(C[2], 4), _bump(K[1], 3)
     for stale in (data4.C_inv[2] * C[2], data4.K_inv[1] * K[1], data4.L_inv * L, data4.L_pow(-2) * L**2):
         assert (stale - Series.one()).zero_order() is not None
+    assert data4.C_deriv(2, 1) == data4.C[2].D()
     for name, mutant in (("C", _copy(data4, C=C)), ("K", _copy(data4, K=K)), ("L", _copy(data4, L=L))):
         pairs = [(mutant.L_inv, mutant.L)]
         pairs += [(mutant.C_inv[r], mutant.C[r]) for r in range(1, n + 1)]
@@ -398,6 +399,7 @@ def test_cached_inverses_belong_to_their_copy(data4):
         for inv, s in pairs:
             one = inv * s - Series.one()
             assert one.zero_order() is None and one.prec > 4 * n, name
+        assert all(mutant.C_deriv(r, m) == mutant.C[r].deriv_pow(m) for r in range(1, n + 1) for m in range(3)), name
 
 
 def test_identities_invert_each_series_once(monkeypatch):
@@ -411,8 +413,8 @@ def test_identities_invert_each_series_once(monkeypatch):
     monkeypatch.setattr(Series, "inverse", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main("verify-identities --n 5 --k-max 4 --format json".split()) == 0
-    # birkhoff_C 6 and C_via_inversion 5, each its own; build's 1/L; the data's L_inv, C_inv 5 and K_inv 5
-    assert calls == [23]
+    # birkhoff_C 6 (the data's C_inv) and C_via_inversion 5, each its own; build's 1/L (the data's L_inv); K_inv 5
+    assert calls == [17]
 
 
 @pytest.mark.parametrize(

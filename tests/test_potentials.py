@@ -158,7 +158,7 @@ def test_leg_values(tables3):
     assert pref == RingElement.scalar(Fraction(1))
     pref1 = tables3.leg_prefactor(1)
     assert pref1.monomial_count() == 1
-    (mono, c), = pref1.nums.items()
+    (mono, c), = pref1.terms()
     assert c == 1 and pref1.den == 1 and mono[0] == -2  # K_2 / L^2 for n = 3
 
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_normal, eval_by_monomial
+from oracles import assert_normal, eval_by_monomial, merge
+from orbigw import ring
 from orbigw.cyclotomic import Cyclotomic
 from orbigw.genus0 import GenusZeroData, ModelConfig
 from orbigw.hae import verify_hae
 from orbigw.pmatrix import POLICIES, entry_to_json
 from orbigw.report import canonical_json
-from orbigw.ring import RingContext, RingElement, certify_rules, fit_laurent_in_L
+from orbigw.ring import EXPONENT_BOUND, FIELD_BITS, RingContext, RingElement, certify_rules, decode, encode, fit_laurent_in_L
 from orbigw.series import Series
 
 
@@ -134,6 +135,18 @@ def test_eval_negative_L_and_repeated_generators(ctx5, data5, rng):
         assert _exact(got) == _exact(ctx5.evaluator(data5).eval(e)), e
 
 
+def test_evaluator_raises_each_generator_power_once(ctx5, data5, monkeypatch):
+    # every monomial L^k C_2^3 ends in the power C_2^3, which the evaluator forms once
+    calls = []
+    power = Series.__pow__
+    monkeypatch.setattr(Series, "__pow__", lambda s, k: calls.append((s is data5.C[2], k)) or power(s, k))
+    ev = ctx5.evaluator(data5)
+    cube = RingElement.generator(("C", 2)) ** 3
+    for k in range(-3, 4):
+        assert ev.eval(cube.mul_L(k)) == data5.L_pow(k) * data5.C[2] ** 3
+    assert calls.count((True, 3)) == 1 + 7  # the evaluator's one, and one per comparison
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rule_certification(n, request):
     ctx = request.getfixturevalue(f"ctx{n}")
@@ -207,7 +220,7 @@ def test_ring_json_round_trip():
 def test_ring_json_matches_entry_json():
     # a rational element serializes as its column entry does
     e = RingElement.generator(("A", 1, 1), Fraction(-5, 6)) + RingElement.L_power(-2, Fraction(3, 7))
-    entry = {m: Fraction(c, e.den) for m, c in e.nums.items()}
+    entry = {m: Fraction(c, e.den) for m, c in e.terms()}
     assert e.to_json() == entry_to_json(entry)
     assert canonical_json(e.to_json()) == '[[-2,[],"3/7"],[0,[[["A",1,1],1]],"-5/6"]]'
 
@@ -248,18 +261,15 @@ _elements = st.dictionaries(_monomials, _rationals, max_size=5).map(RingElement)
 
 
 def _fraction_terms(e: RingElement) -> dict:
-    return {m: Fraction(c, e.den) for m, c in e.nums.items()}
+    return {m: Fraction(c, e.den) for m, c in e.terms()}
 
 
 def _reference_product(a: RingElement, b: RingElement) -> dict:
-    """The product with one Fraction per term, written independently of the ring."""
+    """The product with one Fraction per term and tuple monomials (``merge``), written independently of the ring."""
     out: dict = {}
-    for (l1, g1), c1 in _fraction_terms(a).items():
-        for (l2, g2), c2 in _fraction_terms(b).items():
-            gens = dict(g1)
-            for g, e in g2:
-                gens[g] = gens.get(g, 0) + e
-            m = (l1 + l2, tuple(sorted(gens.items())))
+    for m1, c1 in _fraction_terms(a).items():
+        for m2, c2 in _fraction_terms(b).items():
+            m = merge(m1, m2)
             out[m] = out.get(m, Fraction(0)) + c1 * c2
     return {m: c for m, c in out.items() if c}
 
@@ -288,7 +298,7 @@ def test_product_matches_fraction_reference(a, b, q):
     assert _fraction_terms(a * b) == _reference_product(a, b)
     assert _fraction_terms(a * q) == {m: c * q for m, c in _fraction_terms(a).items() if q}
     assert _fraction_terms(a + b) == {
-        m: c for m in {**a.nums, **b.nums} if (c := _fraction_terms(a).get(m, 0) + _fraction_terms(b).get(m, 0))
+        m: c for m in {**dict(a.terms()), **dict(b.terms())} if (c := _fraction_terms(a).get(m, 0) + _fraction_terms(b).get(m, 0))
     }
     # construction from Fraction terms is exact and lands in normal form
     assert RingElement(_fraction_terms(a)) == a
@@ -362,3 +372,67 @@ def test_leibniz_rule(n):
         assert_normal(d_ab)
 
     check()
+
+
+# -- the packed monomial keys -------------------------------------------------------
+
+
+def _all_generators() -> list:
+    """The generators of n = 3..8: the admitted ones, the factor symbols, and one free derivative beyond each bound."""
+    gens = []
+    for n in range(3, 9):
+        ctx = RingContext(n)
+        gens += ctx.a_gens() + [ctx.c_gen(i) for i in range(1, n + 1)]
+        gens += [("A", i, top + 1) for i, top in ctx.admitted.items()]
+    return sorted(set(gens))
+
+
+_tuple_monomials = st.tuples(
+    st.integers(-200, 200),
+    st.lists(st.tuples(st.sampled_from(_all_generators()), st.integers(1, 40)), max_size=6, unique_by=lambda t: t[0]).map(
+        lambda gs: tuple(sorted(gs))
+    ),
+)
+
+
+@_property
+@given(_tuple_monomials)
+def test_encode_decode_round_trip(m):
+    key = encode(m)
+    assert decode(key) == m
+    assert (key == 0) == (m == (0, ()))
+    assert RingElement({m: 1}).nums == {key: 1} and list(RingElement({m: 1}).terms()) == [(m, 1)]
+
+
+@_property
+@given(_tuple_monomials, _tuple_monomials)
+def test_packed_product_matches_merged_tuples(m1, m2):
+    assert decode(encode(m1) + encode(m2)) == merge(m1, m2)
+    got = RingElement({m1: Fraction(2, 3)}) * RingElement({m2: -3})
+    assert list(got.terms()) == [(merge(m1, m2), -2)] and got.den == 1
+    # mul_L adds to the L field alone and partial lowers one generator's field
+    assert list(RingElement({m1: 1}).mul_L(-7).terms()) == [((m1[0] - 7, m1[1]), 1)]
+    for g, e in m1[1]:
+        lowered = (m1[0], tuple((h, f - (h == g)) for h, f in m1[1] if (h, f) != (g, 1)))
+        assert list(RingElement({m1: 1}).partial(g).terms()) == [(lowered, e)]
+
+
+def test_out_of_range_exponents_raise():
+    a, top = ("A", 1, 0), EXPONENT_BOUND - 1
+    for bad in ((EXPONENT_BOUND, ()), (-EXPONENT_BOUND, ()), (0, ((a, EXPONENT_BOUND),)), (0, ((a, 0),)), (0, ((a, -1),))):
+        with pytest.raises(ValueError, match="outside"):
+            encode(bad)
+        with pytest.raises(ValueError, match="outside"):
+            RingElement({bad: 1})
+    # a product of two monomials in range that leaves the bound stays inside its fields, and decoding refuses it
+    for x in (RingElement.L_power(top), RingElement.L_power(-top), RingElement({(0, ((a, top),)): 1})):
+        square = x * x
+        assert square.monomial_count() == 1
+        for read in (square.to_json, square.generators_used, lambda: RingContext(3).derive(square)):
+            with pytest.raises(ValueError, match="outside"):
+                read()
+    # a key with a negative generator field, or a field beyond the registered slots, is no monomial
+    with pytest.raises(ValueError, match="outside"):
+        decode(-encode((0, ((a, 1),))))
+    with pytest.raises(ValueError, match="outside"):
+        decode(1 << (FIELD_BITS * (len(ring._GENS) + 1)))
