@@ -20,10 +20,16 @@ orbit-stabiliser that is the sum of n^V / Aut over the labeled graphs a
 coloured class stands for, so where a graph's value does not depend on its
 vertex order, legs coloured by insertion value sum equal insertions once
 (the weighting admcycles uses; Delecroix, Schmitt and van Zelm,
-arXiv:2002.01709).  Decorated graphs and their automorphism counts belong
-only to its oracle, the decorated sum, which finds them by brute force over
-every vertex permutation (``tests/oracles.py``); the Burnside check ties the
-two weightings together.
+arXiv:2002.01709).  Under the same condition the potentials of genus
+g >= 2 with one or two legs read no (g, m) class at all: they place their
+legs on the (g, 0) representatives (:mod:`orbigw.potentials`), and the
+placements on each, weighted 1 / Aut(G0), count the (g, m) classes weighted
+1 / Aut (the tests count both sides).  The (g, m) classes serve genus 1,
+the lifts whose graph values depend on the representative, and the oracles.
+Decorated graphs and their automorphism counts belong only to its oracle,
+the decorated sum, which finds them by brute force over every vertex
+permutation (``tests/oracles.py``); the Burnside check ties the two
+weightings together.
 
 Canonical form, by individualization-refinement (McKay and Piperno,
 "Practical graph isomorphism, II", JSC 60, 2014).  Each vertex starts from

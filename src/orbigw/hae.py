@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .genus0 import GenusZeroData, ModelConfig, require_int
 from .pmatrix import build_pmatrix, check_constants
-from .potentials import ContributionTables, assemble_F, audit_generators
+from .potentials import ContributionTables, assemble_F, assemble_potentials, audit_generators
 from .report import Report
 from .ring import RingContext, RingElement
 from .series import Series
@@ -123,13 +123,15 @@ def check_hae(tables: ContributionTables, g: int) -> HaeReport:
     lhs_core = Fg.core.partial(dist_gen) * Fraction(1, n)
 
     legs_two = (s, s) if odd else (s - 1, s)
-    F_two = assemble_F(tables, g - 1, legs_two)
-    rhs_core = F_two.core
-    # for odd n both one-leg insertions are s: each potential is assembled once
     ca = s if odd else s - 1
-    one_leg = {(h, c): assemble_F(tables, h, (c,)) for h in range(1, g) for c in {ca, s}}
-    one_left = [one_leg[(g - i, ca)] for i in range(1, g)]
-    one_right = [one_leg[(i, s)] for i in range(1, g)]
+    # the potentials of one genus are assembled together, F_{g-1,2} with the
+    # one-leg potentials of genus g - 1; for odd n both one-leg insertions are s
+    ones = tuple((c,) for c in sorted({ca, s}))
+    legged = {h: assemble_potentials(tables, h, ((legs_two,) if h == g - 1 else ()) + ones) for h in range(1, g)}
+    F_two = legged[g - 1][legs_two]
+    rhs_core = F_two.core
+    one_left = [legged[g - i][(ca,)] for i in range(1, g)]
+    one_right = [legged[i][(s,)] for i in range(1, g)]
     for left, right in zip(one_left, one_right):
         rhs_core = rhs_core + left.core * right.core
     if odd:

@@ -84,6 +84,9 @@ CLI_SHA256 = {
     "verify-identities --n 4 --k-max 4": (0, "72dd76b92a54947a3f53183f2faa4ee567bfbc6f9c3e891d9ed4ab72f1116ab5"),
     # 192 checks, all 52 semisimple-frame checks at n = 5 among them
     "verify-identities --n 5 --k-max 4": (0, "88fefca8ab444c70c7a9cfc12780c8dd1245e24ad483ef1180daa08c550940ef"),
+    # F_{2,2} with equal and with distinct insertions, its legs placed on the (2, 0) graphs
+    "potential --n 3 --g 2 --insertions 1,1": (0, "b5e649db75b5a4c19d44435a34c4e5d3782437bc875fe12fbd459ec38baf01dc"),
+    "potential --n 4 --g 2 --insertions 1,2": (0, "7c1c2612255218f0330197bcf469e86b835f0c24ee22aa9370899ce644f8a8f4"),
     # exit 1 with 52 of 58 checks: the n >= 6 cycle closure fails at (4, 21) in every column
     "pmatrix --n 6 --k-max 4 --policy zero": (1, "d0c1a31ca84b6b745e05c27c5eea98613a1bb1c40a6fac6dff942d3e92ee624a"),
 }

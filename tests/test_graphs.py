@@ -246,3 +246,49 @@ def test_aut_count_read_from_the_enumeration(rng, monkeypatch):
     monkeypatch.setattr(graphs, "_search", forbidden)
     for graph, count in expected.items():
         assert aut_count(graph) == count
+
+
+def _placements(spots: list[bool], legs: tuple[int, ...]) -> dict:
+    """
+    The labeled leg placements of the leg-free graph sum on a graph with these
+    vertex (True) and edge (False) spots, by the legs left unplaced: the
+    walk's grade transitions without flags or residues, read from its own
+    tables of what a closing vertex and an edge take.
+    """
+    from orbigw.potentials import _chains, _placings
+
+    counts = {legs: 1}
+    for at_vertex in spots:
+        grown: dict = {}
+        for rest, count in counts.items():
+            for _, _, mult, left in _placings(rest) if at_vertex else _chains(rest):
+                grown[left] = grown.get(left, 0) + count * mult
+        counts = grown
+    return counts
+
+
+@pytest.mark.parametrize("h, one, two", [(2, Fraction(83, 12), Fraction(69, 2)), (3, Fraction(635, 12), Fraction(2675, 6))])
+def test_leg_placements_on_leg_free_graphs_count_the_legged_classes(h, one, two):
+    # by orbit counting, the placements of the legs on a representative of
+    # each (h, 0) class, weighted 1 / Aut, count the (h, m) classes weighted
+    # 1 / Aut: V + E places for one leg, (V + E)^2 + V + 3E for two labeled
+    # legs; with equal legs the walk counts the labelings of each placement,
+    # which leg_permutations weights in the coloured classes.  A placement
+    # missing from the walk's tables, or counted twice, fails here
+    sums: dict = {}
+    for graph in enumerate_stable_graphs(h, 0):
+        V, E = graph.num_vertices, len(graph.edges)
+        spots = [True] * V + [False] * E
+        for legs in [(1,), (1, 2), (1, 1)]:
+            for rest, count in _placements(spots, legs).items():
+                key = (legs, rest)
+                sums[key] = sums.get(key, 0) + Fraction(count, aut_count(graph))
+        assert _placements(spots, (1,))[()] == V + E
+        assert _placements(spots, (1, 2))[()] == _placements(spots, (1, 1))[()] == (V + E) ** 2 + V + 3 * E
+    classes = {m: sum(Fraction(1, aut_count(graph)) for graph in enumerate_stable_graphs(h, m)) for m in (1, 2)}
+    coloured = sum(Fraction(leg_permutations(graph), aut_count(graph)) for graph in enumerate_stable_graphs(h, 2, (1, 1)))
+    assert (classes[1], classes[2], coloured) == (one, two, two)
+    assert sums[((1,), ())] == sums[((1, 2), (2,))] == sums[((1, 2), (1,))] == one
+    # either of two equal legs placed alone: two labelings of each placement
+    assert sums[((1, 1), (1,))] == 2 * one
+    assert sums[((1, 2), ())] == sums[((1, 1), ())] == two

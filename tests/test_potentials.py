@@ -16,7 +16,16 @@ from oracles import (
     series_entry,
 )
 from orbigw.graphs import _enumerate, enumerate_stable_graphs
-from orbigw.potentials import ContributionTables, _multisets, assemble_F, audit_generators, graph_character_sum
+from orbigw.potentials import (
+    ContributionTables,
+    _multisets,
+    _walk,
+    _walk_grades,
+    assemble_F,
+    assemble_potentials,
+    audit_generators,
+    graph_character_sum,
+)
 from orbigw.ring import RingElement
 
 
@@ -118,7 +127,8 @@ def test_edge_factors_symmetric_under_every_policy(pmatrix_at, n, policy):
 def test_potentials_do_not_depend_on_vertex_order(pmatrix_at, policy, rng, monkeypatch):
     # every representative relabeled by a random vertex permutation gives the
     # same F_3, F_{2,2}(1, 1) and F_{2,2}(1, 2) at n = 3: the potentials are
-    # graph invariants
+    # graph invariants, whether the legs are placed on the (2, 0) graphs or
+    # walked on the (2, 2) graphs
     import orbigw.potentials as potentials
 
     tables = ContributionTables(pmatrix_at(3, policy, 7))
@@ -141,6 +151,8 @@ def test_potentials_do_not_depend_on_vertex_order(pmatrix_at, policy, rng, monke
     for _ in range(2):
         for g, ins in potentials_at:
             assert assemble_F(tables, g, ins).core == want[(g, ins)], (g, ins)
+            if ins:
+                assert _walk(tables, potentials.enumerate_stable_graphs(g, len(ins), ins), ins) == want[(g, ins)], (g, ins)
     assert sum(moved) > 100
 
 
@@ -268,8 +280,9 @@ def test_step_cache_leaks_nothing(n, policy):
 
 def test_equal_legs_share_a_class_under_every_policy(monkeypatch):
     # under custom constants as under symplectic ones the edge factors are
-    # symmetric, so F_{2,2}(1, 1) at n = 3 weights each of its 60 classes of
-    # equal legs once (75 labeled graphs), and F_{1,2}(1, 1) its 5
+    # symmetric, so the walk of F_{2,2}(1, 1) over its graphs at n = 3 weights
+    # each of its 60 classes of equal legs once (75 labeled graphs), and that
+    # of F_{1,2}(1, 1) its 5
     import orbigw.potentials as potentials
     from orbigw.genus0 import GenusZeroData, ModelConfig
     from orbigw.pmatrix import build_pmatrix
@@ -288,7 +301,7 @@ def test_equal_legs_share_a_class_under_every_policy(monkeypatch):
     monkeypatch.setattr(potentials, "leg_permutations", counted)
     for tables, g, count in [(symplectic, 2, 60), (custom, 2, 60), (custom, 1, 5)]:
         weighted.clear()
-        assemble_F(tables, g, (1, 1))
+        _walk(tables, enumerate_stable_graphs(g, 2, (1, 1)), (1, 1))
         assert weighted == [(0, 0)] * count, g
 
 
@@ -332,10 +345,10 @@ def test_walk_contracts_each_shared_prefix_once(pmatrix_at, monkeypatch, n, g, i
         return real(tables, state, step)
 
     monkeypatch.setattr(potentials, "_contract", counted)
-    assemble_F(tables, g, insertions)
+    graphs = enumerate_stable_graphs(g, len(insertions), insertions)
+    _walk(tables, graphs, insertions)
     assert len(contracted) == walked
     contracted.clear()
-    graphs = enumerate_stable_graphs(g, len(insertions), insertions)
     for graph in graphs:
         graph_character_sum(tables, graph, insertions)
     assert len(contracted) == sum(len(graph.edges) for graph in graphs) == edges
@@ -454,3 +467,72 @@ def test_series_assembly_cross_checks_ring_pipeline_even(data4):
         ring_val = ev.eval(assemble_F(tables, g, ins).full())
         series_val = assemble_F_series(tables, g, ins)
         assert (ring_val - series_val).zero_order() is None, (g, ins)
+
+
+def _legged_against_legged_graphs(tables, h, monkeypatch, cases=(((1, 1), (1,)), ((1, 2), (1,), (2,)))):
+    # one walk over the (h, 0) graphs gives F_{h,2} and its one-leg
+    # potentials, with equal and with distinct insertions; each equals the
+    # walk over its own (h, m) graphs exactly, numerators and denominator
+    import orbigw.potentials as potentials
+
+    enumerated = []
+    real = potentials.enumerate_stable_graphs
+
+    def spied(g, m, colours=None):
+        enumerated.append((g, m))
+        return real(g, m, colours)
+
+    monkeypatch.setattr(potentials, "enumerate_stable_graphs", spied)
+    for wanted in cases:
+        enumerated.clear()
+        got = assemble_potentials(tables, h, wanted)
+        assert enumerated == [(h, 0)]
+        for insertions, pot in got.items():
+            want = _walk(tables, real(h, len(insertions), insertions), insertions)
+            assert (pot.core.nums, pot.core.den) == (want.nums, want.den), insertions
+
+
+@pytest.mark.parametrize("policy", ["symplectic", "zero", "custom"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_legged_potentials_over_leg_free_graphs_genus2(pmatrix_at, monkeypatch, n, policy):
+    _legged_against_legged_graphs(ContributionTables(pmatrix_at(n, policy, 6)), 2, monkeypatch)
+
+
+def test_legged_potentials_over_leg_free_graphs_genus3(pmatrix_at, monkeypatch):
+    # F_{3,2}(1, 1) with F_{3,1}(1), and F_{3,1}(2) walked alone
+    _legged_against_legged_graphs(ContributionTables(pmatrix_at(3, "zero", 9)), 3, monkeypatch, (((1, 1), (1,)), ((2,),)))
+
+
+def test_leg_free_walk_reads_no_edge_beyond_the_symmetry_check(pmatrix_at, monkeypatch):
+    # the route checks E(b1, b2) against E(b2, b1) for b1 + b2 <= 3h - 3 + m;
+    # the walk itself, dressed edges and pendants included, reads no deeper
+    tables = ContributionTables(pmatrix_at(3, "zero", 9))
+    read = []
+    real = tables.edge
+
+    def recorded(b1, b2):
+        read.append(b1 + b2)
+        return real(b1, b2)
+
+    monkeypatch.setattr(tables, "edge", recorded)
+    for h, legs, most in [(2, (1, 2), 2), (3, (1, 1), 2), (3, (1, 2), 1)]:
+        read.clear()
+        _walk_grades(tables, enumerate_stable_graphs(h, 0), (), (legs, most))
+        assert read and max(read) <= 3 * h - 3 + most, (h, legs)
+
+
+def test_asymmetric_edges_keep_the_legged_graphs(pmatrix_at):
+    # at n = 6 the lift's edge factors are not symmetric from b1 + b2 = 3 on,
+    # so a graph's value depends on its representative and the legs are not
+    # placed on leg-free graphs: F_{2,2} and F_{2,1} are the walks over the
+    # enumerated (2, m) graphs, which the pinned n = 6 verdict reads
+    tables = ContributionTables(pmatrix_at(6, "zero", 6))
+    assert not tables.symmetric(5) and tables.symmetric(2)
+    walks = {}
+    for insertions in [(2, 3), (3, 3), (2,)]:
+        walks[insertions] = _walk(tables, enumerate_stable_graphs(2, len(insertions), insertions), insertions)
+        assert assemble_F(tables, 2, insertions).core == walks[insertions], insertions
+    # the legs placed on the (2, 0) representatives regardless give another
+    # F_{2,2}(2, 3), the potential the n = 6 verdict reads
+    placed = _walk_grades(tables, enumerate_stable_graphs(2, 0), (), ((2, 3), 2))[()]
+    assert placed != walks[(2, 3)]
