@@ -701,7 +701,7 @@ def _placings(rest: tuple[int, ...]) -> tuple:
 @lru_cache(maxsize=None)
 def _groups(rest: tuple[int, ...]) -> tuple:
     """The distinct (legs left, legs used) of :func:`_chains`."""
-    return tuple(sorted({(after, used) for _, used, _, after in _chains(rest)}, key=lambda group: group[1]))
+    return tuple((after, used) for used, after in sorted({(used, after) for _, used, _, after in _chains(rest)}))
 
 
 @lru_cache(maxsize=None)
