@@ -60,7 +60,7 @@ What the graphs share lives in :class:`ContributionTables`.  The local
 factors (a vertex factor combines products of tails, each product formed
 once) are shared by every graph and potential of a verdict; the fold of a
 vertex's last edge with the vertex's factor (vertex and legs) once per state
-of the vertex (:meth:`ContributionTables.half_closed`), so that a closing
+of the vertex (:meth:`ContributionTables._folds`), so that a closing
 edge multiplies nothing itself, by every graph of a potential.  One edge
 step from its two end states (:meth:`ContributionTables.step`) depends only
 on the ends' local data and the grade, so it is computed once per potential
@@ -168,7 +168,6 @@ class ContributionTables:
         self._products: dict = {}
         self._vertex: dict = {}
         self._closed: dict = {}
-        self._half: dict = {}
         self._steps: dict = {}
         self._states: dict = {}
         self._one = self.unit()
@@ -185,7 +184,7 @@ class ContributionTables:
         self._loops: dict = {}
         # what serves one walk's graphs only, dropped after them
         self._per_walk = (
-            self._steps, self._states, self._half, self._loops, self._folded, self._closings, self._dressings
+            self._steps, self._states, self._loops, self._folded, self._closings, self._dressings
         )
         self._symmetric: dict = {}
 
@@ -419,35 +418,18 @@ class ContributionTables:
             )
         return self._symmetric[depth]
 
-    def half_closed(self, h: int, legs: tuple, flags: tuple[int, ...], r: int, other: int) -> Char:
+    def _folds(self, h: int, legs: tuple, flags: tuple[int, ...], r: int, other: int, rest: tuple, avail: int) -> list:
         """
         The last edge of a genus-h vertex with legs ``legs``, earlier flags
         ``flags`` and residue r, times the vertex's closed factor, summed over
-        the vertex's flag b on the edge and its residue there: ``{u: value}``
-        keyed by the residue u at the other end, whose flag is ``other``.  The
-        vertex is the edge factor's first end, edge(b, other); the factor is
-        symmetric in its ends, so that is either end.
-        """
-        key = (h, legs, flags, r, other)
-        if key in self._half:
-            return self._half[key]
-        pairs: dict = {}
-        # the room 3h - 3 + valence left by the earlier flags; the valence counts this edge
-        for b in range(3 * h - 2 + len(flags) + len(legs) - sum(flags) + 1):
-            closed = self.closed_vertex(h, legs, tuple(sorted(flags + (b,))))
-            for (u1, u2), y in self.edge(b, other).items():
-                z = closed.get((-r - u1) % self.n)
-                if z is not None:
-                    _append(pairs, u2, (y, z))
-        self._half[key] = {u: RingElement.sum_of_products(p) for u, p in pairs.items()}
-        return self._half[key]
-
-    def _folds(self, h: int, legs: tuple, flags: tuple[int, ...], r: int, other: int, rest: tuple, avail: int) -> list:
-        """
-        :meth:`half_closed` with legs ``rest`` to place, at most ``avail`` of
-        them, on the edge (:meth:`dressing`) and at the closing vertex
-        (:meth:`_closing`): (u, grade, value), the ways that reach one (u,
-        legs left) summed, the grade (legs left, ``avail`` less the legs used).
+        the vertex's flag b on the edge and its residue there, with legs
+        ``rest`` to place, at most ``avail`` of them, on the edge
+        (:meth:`dressing`) and at the vertex (:meth:`_closing`).  The other
+        end's flag is ``other``, and the vertex is the edge factor's first
+        end, edge(b, other); the factor is symmetric in its ends, so that is
+        either end.  A list of (u, grade, value) by the residue u at the other
+        end, the ways that reach one (u, legs left) summed, the grade (legs
+        left, ``avail`` less the legs used).
         """
         key = (h, legs, flags, r, other, rest, avail)
         if key not in self._folded:
@@ -518,10 +500,10 @@ class ContributionTables:
         multiplies nothing, and its quadruples, one per entry of every edge
         factor in reach, would be most of a cache, so they are built afresh.
         A loop takes both of its flags at its vertex.  An edge that closes
-        end a is read from :meth:`half_closed` at a's state and relabeled onto
-        b's new state; if it closes b too, each term is the half-closed value
-        against b's closed factor.  These steps sum products and depend on the
-        key alone, so every graph of a potential reuses them;
+        end a is read from :meth:`_folds` at a's state and relabeled onto b's
+        new state; if it closes b too, each term is the folded value against
+        b's closed factor (:meth:`_closing`).  These steps sum products and
+        depend on the key alone, so every graph of a potential reuses them;
         :func:`_walk_grades` drops them after its graphs.
         """
         n = self.n
@@ -539,13 +521,6 @@ class ContributionTables:
             # both ends take a state of their own for each (b1, u1, b2, u2)
             out = []
             at_b = [self._opened(state_b, (b2,)) for b2 in range(left_b + pool + 1)]
-            if not rest:
-                # with no legs left the grade stays, and no room is short
-                for b1 in range(left_a + 1):
-                    at_a = self._opened(state_a, (b1,))
-                    for b2, at in enumerate(at_b):
-                        out.extend((at_a[u1], at[u2], grade, y) for (u1, u2), y in self.edge(b1, b2).items())
-                return out
             groups = _groups(rest)
             for b1 in range(left_a + pool + 1):
                 at_a = self._opened(state_a, (b1,))
@@ -588,21 +563,9 @@ class ContributionTables:
                 if not closes_b:
                     # an open end b takes a state of its own for each (other, u)
                     at = self._opened(state_b, (other,))
-                    if rest:
-                        folds = self._folds(h, legs, fa, ra, other, rest, avail)
-                        out.extend((_BLANK, at[u], to, y) for u, to, y in folds)
-                    else:
-                        half = self.half_closed(h, legs, fa, ra, other)
-                        out.extend((_BLANK, at[u], grade, y) for u, y in half.items())
+                    out.extend((_BLANK, at[u], to, y) for u, to, y in self._folds(h, legs, fa, ra, other, rest, avail))
                     continue
                 flags_b, closings = tuple(sorted(fb + (other,))), {}
-                if not rest:
-                    closed = self.closed_vertex(h_b, legs_b, flags_b)
-                    for u, y in self.half_closed(h, legs, fa, ra, other).items():
-                        z = closed.get((-rb - u) % n)
-                        if z is not None:
-                            _append(pairs, (), (y, z))
-                    continue
                 for u, (left, _), y in self._folds(h, legs, fa, ra, other, rest, avail):
                     if left not in closings:
                         closings[left] = self._closing(h_b, legs_b, flags_b, left, pool - len(rest) + len(left))

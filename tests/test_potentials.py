@@ -354,6 +354,34 @@ def test_walk_contracts_each_shared_prefix_once(pmatrix_at, monkeypatch, n, g, i
     assert len(contracted) == sum(len(graph.edges) for graph in graphs) == edges
 
 
+@pytest.mark.parametrize(
+    "n, h, legs, most, walked, edges",
+    [(3, 2, (1, 1), 2, 11, 12), (4, 2, (1, 2), 2, 11, 12), (3, 3, (1, 2), 1, 112, 157)],
+)
+def test_graded_walk_contracts_each_shared_prefix_once(pmatrix_at, monkeypatch, n, h, legs, most, walked, edges):
+    # the walk that places legs on the (h, 0) graphs shares their prefixes
+    # as the walk without legs does: the grade is one more slot of the key
+    import orbigw.potentials as potentials
+
+    # the depth of two legs, which the oracle tests of the route build too
+    tables = ContributionTables(pmatrix_at(n, "zero", 3 * h))
+    contracted = []
+    real = potentials._contract
+
+    def counted(tables, state, step):
+        contracted.append(step)
+        return real(tables, state, step)
+
+    monkeypatch.setattr(potentials, "_contract", counted)
+    graphs = enumerate_stable_graphs(h, 0)
+    _walk_grades(tables, graphs, (), (legs, most))
+    assert len(contracted) == walked
+    contracted.clear()
+    for graph in graphs:
+        _walk_grades(tables, (graph,), (), (legs, most))
+    assert len(contracted) == sum(len(graph.edges) for graph in graphs) == edges
+
+
 def test_colours_must_match_insertions(tables3):
     graph = enumerate_stable_graphs(1, 2, (1, 1))[0]
     with pytest.raises(ValueError, match="legs of one colour"):
@@ -371,8 +399,9 @@ def test_insertion_outside_the_sectors_is_refused(tables3, insertions):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_half_closed_matches_double_sum(n):
-    # an edge that closes one end, summed over that end's flag and residue,
-    # against the double sum over edge and closed_vertex written out here
+    # an edge that closes one end, summed over that end's flag and residue
+    # with no legs to place, against the double sum over edge and
+    # closed_vertex written out here
     from orbigw.genus0 import GenusZeroData, ModelConfig
     from orbigw.pmatrix import build_pmatrix
 
@@ -390,7 +419,7 @@ def test_half_closed_matches_double_sum(n):
                 for (u, v), y in tables.edge(b, other).items():
                     if (-r - u) % n in closed:
                         want[v] = want.get(v, RingElement.zero()) + y * closed[(-r - u) % n]
-            got = tables.half_closed(h, legs, flags, r, other)
+            got = {v: x for v, _, x in tables._folds(h, legs, flags, r, other, (), 0)}
             assert {v: x for v, x in got.items() if x} == {v: x for v, x in want.items() if x}, (h, legs, flags, r, other)
             checked += bool(want)
     assert checked > 100
