@@ -87,6 +87,10 @@ CLI_SHA256 = {
     # F_{2,2} with equal and with distinct insertions, its legs placed on the (2, 0) graphs
     "potential --n 3 --g 2 --insertions 1,1": (0, "b5e649db75b5a4c19d44435a34c4e5d3782437bc875fe12fbd459ec38baf01dc"),
     "potential --n 4 --g 2 --insertions 1,2": (0, "7c1c2612255218f0330197bcf469e86b835f0c24ee22aa9370899ce644f8a8f4"),
+    # equal insertions the (g, m) graphs carry: three legs, genus 1, and an n = 7 lift whose edges are not symmetric
+    "potential --n 3 --g 2 --insertions 1,1,1": (0, "0902414b1bd16cb95e6e7a6aaca58e7f10c866c523e3b294937881fd27f4d080"),
+    "potential --n 5 --g 1 --insertions 2,2": (0, "0a9f1e4afc6ea63dce1812aeba431fb061f4b5cba0a1b5d82347e8d9fda953e3"),
+    "potential --n 7 --g 2 --insertions 3,3 --policy zero": (0, "01a5d9efa30074335fee0ddf1bc6c3ca3684411d60e3f26e16797a2c90c8f9f5"),
     # exit 1 with 52 of 58 checks: the n >= 6 cycle closure fails at (4, 21) in every column
     "pmatrix --n 6 --k-max 4 --policy zero": (1, "d0c1a31ca84b6b745e05c27c5eea98613a1bb1c40a6fac6dff942d3e92ee624a"),
 }
