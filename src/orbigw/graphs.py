@@ -1,55 +1,47 @@
 r"""
 Stable graphs, their canonical form and their automorphisms.
 
-A stable graph is stored as vertex genera, a leg-to-vertex assignment, a
-sorted multiset of edges (self loops allowed) and the colours of its legs.
-Legs of one colour are interchangeable; ``colours`` None gives every leg a
-colour of its own, so the legs carry fixed labels 1..m (a labeled graph).
-Stability demands 2 g(v) - 2 + n(v) > 0 at every vertex, where n(v) counts
-incident legs and half-edges; the graph genus is h^1 + sum of vertex genera.
+A stable graph is stored as vertex genera, a leg-to-vertex assignment and a
+sorted multiset of edges (self loops allowed).  Its legs carry fixed labels
+1..m (a labeled graph), and two graphs are one class when a vertex bijection
+takes one to the other with every leg kept.  Stability demands
+2 g(v) - 2 + n(v) > 0 at every vertex, where n(v) counts incident legs and
+half-edges; the graph genus is h^1 + sum of vertex genera.
 
 Automorphism counts follow the half-edge convention: a vertex bijection
-that preserves genera and the colours of the legs at each vertex
-contributes prod m_{uv}! over parallel classes times prod k_v! 2^{k_v} over
-loops (loops may swap their two half-edges) times prod l_{v,c}! over the
-l_{v,c} legs of colour c at vertex v (equal legs at a vertex may be
-permuted).  For a labeled graph the last product is 1.  The graph sum runs
-over undecorated graphs, each weighted n^V prod_c k_c! / Aut(G), with k_c
-legs of colour c (:func:`leg_permutations`; 1 for a labeled graph).  By
-orbit-stabiliser that is the sum of n^V / Aut over the labeled graphs a
-coloured class stands for, so where a graph's value does not depend on its
-vertex order, legs coloured by insertion value sum equal insertions once
-(the weighting admcycles uses; Delecroix, Schmitt and van Zelm,
-arXiv:2002.01709).  Under the same condition the potentials of genus
+that preserves genera and fixes every leg contributes prod m_{uv}! over
+parallel classes times prod k_v! 2^{k_v} over loops (loops may swap their
+two half-edges).  The graph sum runs over undecorated graphs, each weighted
+n^V / Aut(G), with equal insertions on distinct labeled legs.  Where a
+graph's value does not depend on its vertex order, the potentials of genus
 g >= 2 with one or two legs read no (g, m) class at all: they place their
 legs on the (g, 0) representatives (:mod:`orbigw.potentials`), and the
 placements on each, weighted 1 / Aut(G0), count the (g, m) classes weighted
 1 / Aut (the tests count both sides).  The (g, m) classes serve genus 1,
-the lifts whose graph values depend on the representative, and the oracles.
-Decorated graphs and their automorphism counts belong only to its oracle,
-the decorated sum, which finds them by brute force over every vertex
-permutation (``tests/oracles.py``); the Burnside check ties the two
-weightings together.
+the lifts whose graph values depend on the representative (n >= 6), three
+or more legs, and the oracles.  Decorated graphs and their automorphism
+counts belong only to its oracle, the decorated sum, which finds them by
+brute force over every vertex permutation (``tests/oracles.py``); the
+Burnside check ties the two weightings together.
 
 Canonical form, by individualization-refinement (McKay and Piperno,
 "Practical graph isomorphism, II", JSC 60, 2014).  Each vertex starts from
-the invariant (genus, sorted colours of the legs it carries, loops, degree);
+the invariant (genus, sorted labels of the legs it carries, loops, degree);
 rounds of refinement then add the multiset of (neighbour class, edge
 multiplicity) until no class splits.  While a class has more than one member, the search
 individualises each vertex of the first such class in turn (it moves ahead
 of its class), refines again and recurses.  Every step commutes with
 isomorphisms, so the leaves, each an ordering of the vertices, are canonical
 as a set, and the canonical key (the first result of ``_search``) is the
-least relabeled graph over them, the vertices of equal-colour legs sorted.  Two
-leaves give the same key exactly when they differ by a vertex symmetry that
-keeps the colours of the legs at each vertex, so the leaves that reach the
-key are as many as those symmetries, and ``aut_count`` reads them off the
-same search.  The enumerator keeps that leaf count for every representative it
-returns, so ``aut_count`` of a representative searches nothing; any other
-graph is searched afresh.
+least relabeled graph over them.  Two leaves give the same key exactly when
+they differ by a vertex symmetry that keeps every leg, so the leaves that
+reach the key are as many as those symmetries, and ``aut_count`` reads them
+off the same search.  The enumerator keeps that leaf count for every
+representative it returns, so ``aut_count`` of a representative searches
+nothing; any other graph is searched afresh.
 
-The enumerator starts from the one-vertex graph of type (g, m), its legs
-coloured as asked, and, level by level, applies every one-edge degeneration to the canonical representatives
+The enumerator starts from the one-vertex graph of type (g, m) and, level by
+level, applies every one-edge degeneration to the canonical representatives
 with one edge fewer: a loop at a vertex of positive genus, which lowers that
 genus by one, or a split of a vertex into two stable vertices joined by the
 new edge, the genus shared between them and each leg and half-edge at the
@@ -62,14 +54,11 @@ and then through the canonical key, and its representatives are the
 canonical graphs themselves.  Its oracle, a naive enumerator deduplicating by
 pairwise isomorphism search over all vertex permutations, lives in the test
 suite (``tests/oracles.py``), which compares their classes on (0, 3),
-(0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2) and (3, 0),
-and groups the naive labeled classes by permutations of equal legs to check
-the coloured classes and their weights.
+(0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2) and (3, 0).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -81,7 +70,6 @@ class StableGraph:
     genera: tuple[int, ...]
     legs: tuple[int, ...]  # legs[t] = vertex carrying the leg labeled t+1
     edges: tuple[tuple[int, int], ...]  # sorted pairs (u <= v); loops have u == v
-    colours: tuple[int, ...] | None = None  # colours[t] of leg t+1; None: all distinct
 
     @property
     def num_vertices(self) -> int:
@@ -137,15 +125,9 @@ def _search(graph: StableGraph) -> tuple[tuple, int]:
     canonical key and the number of leaves that reach it.
     """
     V = graph.num_vertices
-    colours = graph.colours or range(len(graph.legs))
     carried: list[list[int]] = [[] for _ in range(V)]
     for t, v in enumerate(graph.legs):
-        carried[v].append(colours[t])
-    # the leg positions of each colour that several legs share
-    positions: dict[int, list[int]] = {}
-    for t, c in enumerate(graph.colours or ()):
-        positions.setdefault(c, []).append(t)
-    shared = [ts for ts in positions.values() if len(ts) > 1]
+        carried[v].append(t)
     loops = [0] * V
     degree = [0] * V
     nbrs: list[dict[int, int]] = [{} for _ in range(V)]
@@ -168,14 +150,7 @@ def _search(graph: StableGraph) -> tuple[tuple, int]:
                 break
             cls = finer
         if max(cls) == V - 1:
-            genera, legs, edges = _relabeled(graph, cls)
-            if shared:
-                legs = list(legs)
-                for ts in shared:
-                    for t, v in zip(ts, sorted(legs[t] for t in ts)):
-                        legs[t] = v
-                legs = tuple(legs)
-            key = (genera, legs, edges)
+            key = _relabeled(graph, cls)
             if best is None or key < best:
                 best, hits = key, 1
             elif key == best:
@@ -194,10 +169,10 @@ def aut_count(graph: StableGraph) -> int:
     """
     Order of the automorphism group in the half-edge convention: for every
     admissible vertex permutation, parallel edges may be permuted, each loop
-    may additionally swap its half-edges, and the legs of one colour at one
-    vertex may be permuted.  The admissible vertex permutations are counted
-    as the search leaves that reach the canonical key; for an enumerated
-    representative that count is read from the enumeration's own search.
+    may additionally swap its half-edges.  The admissible vertex
+    permutations are counted as the search leaves that reach the canonical
+    key; for an enumerated representative that count is read from the
+    enumeration's own search.
     """
     loops: dict[int, int] = {}
     par: dict[tuple[int, int], int] = {}
@@ -211,19 +186,8 @@ def aut_count(graph: StableGraph) -> int:
         factor *= factorial(k) * 2**k
     for mult in par.values():
         factor *= factorial(mult)
-    if graph.colours is not None:
-        for k in Counter(zip(graph.legs, graph.colours)).values():
-            factor *= factorial(k)
     leaves = _LEAVES.get(graph)
     return (_search(graph)[1] if leaves is None else leaves) * factor
-
-
-def leg_permutations(graph: StableGraph) -> int:
-    """prod_c k_c! over the k_c legs of each colour: the leg labelings a coloured graph stands for."""
-    count = 1
-    for k in Counter(graph.colours or ()).values():
-        count *= factorial(k)
-    return count
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -235,7 +199,7 @@ def _degenerations(graph: StableGraph):
     for v, h in enumerate(graph.genera):
         if h > 0:
             genera = graph.genera[:v] + (h - 1,) + graph.genera[v + 1:]
-            yield StableGraph(genera, graph.legs, tuple(sorted(graph.edges + ((v, v),))), graph.colours)
+            yield StableGraph(genera, graph.legs, tuple(sorted(graph.edges + ((v, v),))))
         # the flags at v: (None, t) for the leg labeled t+1, (i, end) for a half-edge of edge i
         flags = [(None, t) for t, u in enumerate(graph.legs) if u == v]
         flags += [(i, end) for i, e in enumerate(graph.edges) for end in (0, 1) if e[end] == v]
@@ -255,16 +219,14 @@ def _degenerations(graph: StableGraph):
                     else:
                         edges[i][x] = V
                 edges = sorted(tuple(sorted(e)) for e in edges + [[v, V]])
-                yield StableGraph(genera, tuple(legs), tuple(edges), graph.colours)
+                yield StableGraph(genera, tuple(legs), tuple(edges))
 
 
-def enumerate_stable_graphs(g: int, m: int, colours=None) -> tuple[StableGraph, ...]:
+def enumerate_stable_graphs(g: int, m: int) -> tuple[StableGraph, ...]:
     """
     One canonical representative per isomorphism class of stable graphs of
-    type (g, m) whose legs carry ``colours``, a sequence of m ints (default:
-    all distinct, the labeled classes).  Colours are renumbered by first
-    occurrence, and all-distinct colours give the labeled graphs.  The
-    arguments are checked before the cached enumeration runs.
+    type (g, m), its legs labeled 1..m.  The arguments are checked before
+    the cached enumeration runs.
     """
     for name, value in (("g", g), ("m", m)):
         # bool is an int subclass, and so is refused here
@@ -274,23 +236,7 @@ def enumerate_stable_graphs(g: int, m: int, colours=None) -> tuple[StableGraph, 
         raise ValueError(f"graph type (g={g}, m={m}) needs g >= 0 and m >= 0")
     if 2 * g - 2 + m <= 0:
         raise ValueError("unstable type")
-    return _enumerate(g, m, _renumbered(colours, m))
-
-
-def _renumbered(colours, m: int) -> tuple[int, ...] | None:
-    """``colours`` renumbered by first occurrence; None when no two legs share one."""
-    if colours is None:
-        return None
-    colours = tuple(colours)
-    for c in colours:
-        if type(c) is not int:
-            raise TypeError(f"leg colours must be ints, not {type(c).__name__}")
-    if len(colours) != m:
-        raise ValueError(f"{len(colours)} leg colours for {m} legs")
-    first: dict[int, int] = {}
-    for c in colours:
-        first.setdefault(c, len(first))
-    return None if len(first) == m else tuple(first[c] for c in colours)
+    return _enumerate(g, m)
 
 
 # the search leaves reaching the canonical key, per enumerated representative
@@ -298,16 +244,16 @@ _LEAVES: dict[StableGraph, int] = {}
 
 
 @lru_cache(maxsize=None)
-def _enumerate(g: int, m: int, colours: tuple[int, ...] | None = None) -> tuple[StableGraph, ...]:
+def _enumerate(g: int, m: int) -> tuple[StableGraph, ...]:
     # canonical key -> search leaves reaching it; one vertex gives one leaf
     found: dict = {}
     level = {((g,), (0,) * m, ()): 1}
     while level:
         found |= level
-        candidates = {d for key in level for d in _degenerations(StableGraph(*key, colours))}
+        candidates = {d for key in level for d in _degenerations(StableGraph(*key))}
         level = dict(_search(d) for d in candidates)
     keys = sorted(found)
-    graphs = tuple(StableGraph(*key, colours) for key in keys)
+    graphs = tuple(StableGraph(*key) for key in keys)
     for graph in graphs:
         if graph.genus() != g or not graph.is_stable() or not graph.is_connected():
             raise AssertionError(f"enumerated graph {graph} is not a connected stable graph of genus {g}")

@@ -27,13 +27,9 @@ is a character sum sum_u zeta^{u p} X_u in the decorations it touches, with
 rational ring elements X_u, and sum_p zeta^{U.p} = n^V [U = 0] over vectors
 U of per-vertex residues.  By Burnside ``assemble_F`` sums over undecorated
 stable graphs only, each weighted n^V / Aut(G), reading the all-zero residue
-component, with the flags summed edge by edge (:func:`graph_character_sum`).
-Every constants policy gives a unitary column (:mod:`orbigw.pmatrix`), so
-where the lift is unitary (n <= 5) each edge factor is symmetric in its ends
-and a graph's value does not depend on the vertex order of its
-representative.  Legs of equal insertion are then one colour, and the graphs
-that differ only by permuting them are one class, summed once with weight
-n^V prod_c k_c! / Aut(G) (:mod:`orbigw.graphs`).
+component, with the flags summed edge by edge (:func:`_walk_grades`).  The
+legs of a graph are labeled, so equal insertions sit on distinct legs and
+every labeled class is summed (:mod:`orbigw.graphs`).
 
 The legged potentials F_{g,1} and F_{g,2} of genus g >= 2 are summed over
 the leg-free graphs (:func:`assemble_potentials`).  Forgetting the legs of a
@@ -44,17 +40,19 @@ such vertices, in either order; or both on a genus-0 vertex hung by a new
 edge from a vertex, or from a genus-0 vertex that splits an edge.  By orbit
 counting, the placements on a representative, weighted n^V / Aut(G0), sum to
 the (g, m) classes weighted 1 / Aut, provided a graph's value does not
-depend on its representative.  The walk carries the legs still to be placed
-as a grade in its state keys (:meth:`ContributionTables.step`), a placement
-is a cached dressed factor (:meth:`ContributionTables.pendant`,
-:meth:`ContributionTables.dressed`) in which each new vertex brings its
-factor and an n from its decoration sum, and one walk over the (g, 0) graphs
-gives F_{g,2} and both F_{g,1}.  The independence is checked, not assumed:
+depend on the vertex order of its representative.  Every constants policy
+gives a unitary column (:mod:`orbigw.pmatrix`), so where the lift is
+unitary (n <= 5) each edge factor is symmetric in its ends and that holds.
+The walk carries the legs still to be placed as a grade in its state keys
+(:meth:`ContributionTables.step`), a placement is a cached dressed factor
+(:meth:`ContributionTables.pendant`, :meth:`ContributionTables.dressed`) in
+which each new vertex brings its factor and an n from its decoration sum,
+and one walk over the (g, 0) graphs gives F_{g,2} and both F_{g,1}.  The independence is checked, not assumed:
 the route is taken only when every edge factor the walk reads is symmetric,
 compared exactly in the ring (:meth:`ContributionTables.symmetric`).  The
 n >= 6 lifts fail that check, and their legged potentials are walked over
-the (g, m) graphs, as are those of genus 1, whose (1, 0) graphs are not
-stable.
+the labeled (g, m) graphs, as are those of genus 1, whose (1, 0) graphs are
+not stable, and those of more than two legs.
 
 What the graphs share lives in :class:`ContributionTables`.  The local
 factors (a vertex factor combines products of tails, each product formed
@@ -95,7 +93,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .graphs import StableGraph, aut_count, enumerate_stable_graphs, leg_permutations
+from .graphs import StableGraph, aut_count, enumerate_stable_graphs
 from .pmatrix import PMatrixData, pairing
 from .psi import psi_integral
 from .ring import RingElement
@@ -747,23 +745,28 @@ def _walk_grades(tables: ContributionTables, graphs, insertions: tuple[int, ...]
     rest (:func:`_contract`).  No vertex is relabeled and no edge reordered,
     so each graph's value is the one its own edge order gives.  At the end of
     a graph every vertex is closed, and each key's value is its X_0 at that
-    grade, weighted n^V prod_c k_c! / Aut(G) (:func:`graph_character_sum`).
-    The edge steps and their interned states serve these graphs only and
-    are dropped after them.
+    grade, weighted n^V / Aut(G).  The edge steps and their interned states
+    serve these graphs only and are dropped after them.
+
+    The weight is Burnside's.  Each factor is a character sum in its
+    decorations, so a flag assignment's product is sum_U zeta^{U.p} X_U over
+    vectors U of per-vertex residues, and sum_p zeta^{U.p} = n^V [U = 0].
+    The decorated classes, each weighted 1/Aut(G, p), add up to the sum over
+    all p divided by Aut(G): the graph contributes n^V / Aut(G) times X_0.
+    The flags are summed edge by edge in the graph's edge order, keyed by the
+    sorted flags and the residue of each open vertex; a vertex's last edge
+    takes its closed factor at the component cancelling its residue, and the
+    vertex is forgotten.
     """
     n = tables.n
     interned: dict = {}
-    walks = []
-    for graph in graphs:
-        if graph.colours is not None and len(set(zip(graph.colours, insertions))) != len(set(graph.colours)):
-            raise ValueError(f"legs of one colour carry different insertions {insertions}")
-        walks.append((_steps(graph, insertions, interned), graph))
+    walks = [(_steps(graph, insertions, interned), graph) for graph in graphs]
     walks.sort(key=lambda walk: walk[0])
     blank = (_BLANK,) * max((graph.num_vertices for _, graph in walks), default=0)
     totals: dict = {}
     stack, previous = [{blank + (grade,): tables.unit()}], ()
     for steps, graph in walks:
-        weight = Fraction(n**graph.num_vertices * leg_permutations(graph), aut_count(graph))
+        weight = Fraction(n**graph.num_vertices, aut_count(graph))
         if not steps:
             # the edgeless one-vertex graph is closed from the start
             closing = tables._closing(graph.genera[0], tuple(sorted(insertions)), (), *grade)
@@ -792,29 +795,6 @@ def _walk(tables: ContributionTables, graphs, insertions: tuple[int, ...]) -> Ri
     return _walk_grades(tables, graphs, insertions, _NO_LEGS).get((), tables.zero())
 
 
-def graph_character_sum(tables: ContributionTables, graph: StableGraph, insertions: tuple[int, ...]) -> RingElement:
-    """
-    The contribution of one stable graph, summed over its decorations: the
-    walk (:func:`_walk`) over this graph alone.
-
-    Each factor is a character sum in its decorations, so a flag assignment's
-    product is sum_U zeta^{U.p} X_U over vectors U of per-vertex residues, and
-    sum_p zeta^{U.p} = n^V [U = 0].  By Burnside the decorated classes, each
-    weighted 1/Aut(G, p), add up to the sum over all p divided by Aut(G): the
-    graph contributes n^V / Aut(G) times X_0.  A graph whose legs share
-    colours stands for prod_c k_c! labelings
-    (:func:`~orbigw.graphs.leg_permutations`), all with the same X_0, as the
-    edge factors are symmetric in their ends, so it is weighted n^V prod_c
-    k_c! / Aut(G); legs of one colour must carry one insertion.
-
-    The flags are summed edge by edge in the graph's edge order, keyed by the
-    sorted flags and the residue of each open vertex; a vertex's last edge
-    takes its closed factor at the component cancelling its residue, and the
-    vertex is forgotten.
-    """
-    return _walk(tables, (graph,), insertions)
-
-
 def _check_type(g: int, insertions: tuple[int, ...]) -> None:
     if 2 * g - 2 + len(insertions) <= 0:
         raise ValueError("unstable potential type")
@@ -836,11 +816,10 @@ def assemble_potentials(tables: ContributionTables, g: int, wanted) -> dict[tupl
     The potentials F_{g,m}(phi_{c_1}, ..., phi_{c_m}) of genus g, one per
     insertion tuple of ``wanted``, as graph sums, keyed by their tuples.
 
-    Each sum runs over undecorated stable graphs, each through the character
-    sum of :func:`graph_character_sum`, in one depth-first walk
-    (:func:`_walk_grades`) that contracts each prefix of edges the graphs
-    share once; the leg prefactors K_{Inv(c)} / L^{Inv(c)} are kept apart as
-    one monomial.
+    Each sum runs over undecorated stable graphs, each through its character
+    sum, in one depth-first walk (:func:`_walk_grades`) that contracts each
+    prefix of edges the graphs share once; the leg prefactors
+    K_{Inv(c)} / L^{Inv(c)} are kept apart as one monomial.
 
     For g >= 2, and legs that together are at most two, the legs are placed
     on the (g, 0) graphs instead: every (g, m) stable graph is one of them
@@ -852,10 +831,9 @@ def assemble_potentials(tables: ContributionTables, g: int, wanted) -> dict[tupl
     holds when the edge factors the walk reads are symmetric
     (:meth:`ContributionTables.symmetric`).  So one walk, graded by the legs
     placed so far, gives every potential of ``wanted``.  Where the check
-    fails (the n >= 6 lifts), and for g = 1, each potential is walked over
-    its own (g, m) graphs, the legs coloured by insertion value, so the
-    graphs that differ only by permuting equal insertions are one class,
-    summed once.  The insertions (each in 0..n-1) and the types are checked
+    fails (the n >= 6 lifts), for g = 1, and where the tuples take more than
+    two legs in all, each potential is walked over its own labeled (g, m)
+    graphs.  The insertions (each in 0..n-1) and the types are checked
     before any graph is enumerated.
     """
     wanted = [tuple(insertions) for insertions in wanted]
@@ -876,7 +854,7 @@ def assemble_potentials(tables: ContributionTables, g: int, wanted) -> dict[tupl
         # a potential of one of two equal legs was reached by placing either
         cores = {w: totals.get(_without(legs, w), tables.zero()) / _labelings(legs, w) for w in wanted}
     else:
-        cores = {w: _walk(tables, enumerate_stable_graphs(g, len(w), w), w) for w in wanted}
+        cores = {w: _walk(tables, enumerate_stable_graphs(g, len(w)), w) for w in wanted}
     out = {}
     for insertions in wanted:
         pref = RingElement.scalar(Fraction(1))

@@ -424,12 +424,12 @@ def eval_by_monomial(data: GenusZeroData, e: RingElement) -> Series:
 
 
 def relabeled(graph: StableGraph, perm: tuple[int, ...]) -> StableGraph:
-    """``graph`` under the vertex relabeling v -> perm[v], its leg colours kept."""
-    return StableGraph(*_relabeled(graph, perm), graph.colours)
+    """``graph`` under the vertex relabeling v -> perm[v], its legs kept."""
+    return StableGraph(*_relabeled(graph, perm))
 
 
 def signature(graph: StableGraph) -> tuple:
-    """The canonical key: the least relabeled (genera, legs, edges) over the search leaves, legs sorted by colour."""
+    """The canonical key: the least relabeled (genera, legs, edges) over the search leaves."""
     return _search(graph)[0]
 
 

@@ -24,7 +24,6 @@ from orbigw.potentials import (
     assemble_F,
     assemble_potentials,
     audit_generators,
-    graph_character_sum,
 )
 from orbigw.ring import RingElement
 
@@ -138,9 +137,9 @@ def test_potentials_do_not_depend_on_vertex_order(pmatrix_at, policy, rng, monke
 
     moved = []
 
-    def shuffled(g, m, colours=None):
+    def shuffled(g, m):
         out = []
-        for graph in real(g, m, colours):
+        for graph in real(g, m):
             perm = list(range(graph.num_vertices))
             rng.shuffle(perm)
             out.append(relabeled(graph, tuple(perm)))
@@ -152,7 +151,7 @@ def test_potentials_do_not_depend_on_vertex_order(pmatrix_at, policy, rng, monke
         for g, ins in potentials_at:
             assert assemble_F(tables, g, ins).core == want[(g, ins)], (g, ins)
             if ins:
-                assert _walk(tables, potentials.enumerate_stable_graphs(g, len(ins), ins), ins) == want[(g, ins)], (g, ins)
+                assert _walk(tables, potentials.enumerate_stable_graphs(g, len(ins)), ins) == want[(g, ins)], (g, ins)
     assert sum(moved) > 100
 
 
@@ -190,10 +189,10 @@ def test_graph_sum_order_independence(tables3):
     graphs = enumerate_stable_graphs(2, 0)
     total_fwd = RingElement.zero()
     for graph in graphs:
-        total_fwd = total_fwd + graph_character_sum(tables3, graph, ())
+        total_fwd = total_fwd + _walk(tables3, (graph,), ())
     total_rev = RingElement.zero()
     for graph in reversed(graphs):
-        total_rev = total_rev + graph_character_sum(tables3, graph, ())
+        total_rev = total_rev + _walk(tables3, (graph,), ())
     assert (total_fwd - total_rev).is_zero()
     assert (assemble_F(tables3, 2, ()).core - total_fwd).is_zero()
 
@@ -206,7 +205,7 @@ def test_dropping_any_graph_changes_F2(tables3):
         partial = RingElement.zero()
         for other in graphs:
             if other != graph:
-                partial = partial + graph_character_sum(tables3, other, ())
+                partial = partial + _walk(tables3, (other,), ())
         assert not (full - partial).is_zero(), f"dropping {graph} is invisible"
 
 
@@ -215,10 +214,8 @@ def test_dropping_any_graph_changes_F2(tables3):
 def test_character_sum_matches_decorated_oracle(pmatrix_at, n, policy):
     # the character sum over undecorated graphs equals the decorated sum,
     # whose factors are read one decoration at a time with explicit zeta
-    # weights, graph by graph, so errors cancelling between graphs show too;
-    # with equal insertions the oracle's labeled graphs are compared one by
-    # one, and assemble_F, which sums each class of equal legs once, with
-    # their total
+    # weights, graph by graph, so errors cancelling between graphs show too,
+    # and assemble_F with their total
     cases = [(2, ()), (1, (1,)), (1, (1, 2)), (2, (2,))]
     if n == 3:
         cases += [(1, (1, 1)), (2, (1, 1))]
@@ -230,7 +227,7 @@ def test_character_sum_matches_decorated_oracle(pmatrix_at, n, policy):
             per_graph[dec.graph] = per_graph[dec.graph] + graph_contribution(at, dec, insertions)
         want = RingElement.zero()
         for graph, contribution in per_graph.items():
-            assert graph_character_sum(tables, graph, insertions) == contribution, (g, insertions, graph)
+            assert _walk(tables, (graph,), insertions) == contribution, (g, insertions, graph)
             want = want + contribution
         assert assemble_F(tables, g, insertions).core == want, (g, insertions)
 
@@ -248,7 +245,7 @@ def test_character_sum_matches_decorated_oracle_genus3(data3):
     for dec in enumerate_decorated(3, 0, 3):
         per_graph[dec.graph] = per_graph[dec.graph] + graph_contribution(at, dec, ())
     for graph, contribution in per_graph.items():
-        assert graph_character_sum(tables, graph, ()) == contribution, graph
+        assert _walk(tables, (graph,), ()) == contribution, graph
 
 
 @pytest.mark.parametrize("n, policy", [(3, "symplectic"), (4, "custom")])
@@ -271,38 +268,11 @@ def test_step_cache_leaks_nothing(n, policy):
             assert assemble_F(tables, g, ins).core == fresh[(g, ins)], (order, g, ins)
     for g, ins in potentials:
         tables = ContributionTables(pm)
-        graphs = enumerate_stable_graphs(g, len(ins), ins)
+        graphs = enumerate_stable_graphs(g, len(ins))
         reverse = RingElement.zero()
         for graph in reversed(graphs):
-            reverse = reverse + graph_character_sum(tables, graph, ins)
+            reverse = reverse + _walk(tables, (graph,), ins)
         assert reverse == fresh[(g, ins)], (g, ins)
-
-
-def test_equal_legs_share_a_class_under_every_policy(monkeypatch):
-    # under custom constants as under symplectic ones the edge factors are
-    # symmetric, so the walk of F_{2,2}(1, 1) over its graphs at n = 3 weights
-    # each of its 60 classes of equal legs once (75 labeled graphs), and that
-    # of F_{1,2}(1, 1) its 5
-    import orbigw.potentials as potentials
-    from orbigw.genus0 import GenusZeroData, ModelConfig
-    from orbigw.pmatrix import build_pmatrix
-
-    data = GenusZeroData.build(ModelConfig(3))
-    symplectic = ContributionTables(build_pmatrix(data, 6, "symplectic"))
-    custom = ContributionTables(build_pmatrix(data, 6, "custom", custom_constants=[Fraction(1, k + 1) for k in range(6)]))
-    assert len(enumerate_stable_graphs(2, 2)) == 75
-    weighted = []
-    real = potentials.leg_permutations
-
-    def counted(graph):
-        weighted.append(graph.colours)
-        return real(graph)
-
-    monkeypatch.setattr(potentials, "leg_permutations", counted)
-    for tables, g, count in [(symplectic, 2, 60), (custom, 2, 60), (custom, 1, 5)]:
-        weighted.clear()
-        _walk(tables, enumerate_stable_graphs(g, 2, (1, 1)), (1, 1))
-        assert weighted == [(0, 0)] * count, g
 
 
 @pytest.mark.parametrize("n, g, insertions", [(3, 3, ()), (3, 2, (1, 1)), (4, 2, (1, 2))])
@@ -314,10 +284,10 @@ def test_walk_does_not_depend_on_graph_order(pmatrix_at, rng, n, g, insertions):
     from orbigw.potentials import _walk
 
     tables = ContributionTables(pmatrix_at(n, "zero", 3 * g - 2 + len(insertions)))
-    graphs = list(enumerate_stable_graphs(g, len(insertions), insertions))
+    graphs = list(enumerate_stable_graphs(g, len(insertions)))
     want = RingElement.zero()
     for graph in graphs:
-        want = want + graph_character_sum(tables, graph, insertions)
+        want = want + _walk(tables, (graph,), insertions)
     shuffled = graphs[:]
     rng.shuffle(shuffled)
     assert shuffled != graphs
@@ -327,7 +297,7 @@ def test_walk_does_not_depend_on_graph_order(pmatrix_at, rng, n, g, insertions):
 
 
 @pytest.mark.parametrize(
-    "n, g, insertions, walked, edges", [(3, 3, (), 112, 157), (3, 2, (1, 1), 150, 194), (4, 2, (1, 2), 190, 244)]
+    "n, g, insertions, walked, edges", [(3, 3, (), 112, 157), (4, 2, (1, 2), 190, 244)]
 )
 def test_walk_contracts_each_shared_prefix_once(pmatrix_at, monkeypatch, n, g, insertions, walked, edges):
     # the edges a potential's walk contracts, against the edges of its graphs,
@@ -345,12 +315,12 @@ def test_walk_contracts_each_shared_prefix_once(pmatrix_at, monkeypatch, n, g, i
         return real(tables, state, step)
 
     monkeypatch.setattr(potentials, "_contract", counted)
-    graphs = enumerate_stable_graphs(g, len(insertions), insertions)
+    graphs = enumerate_stable_graphs(g, len(insertions))
     _walk(tables, graphs, insertions)
     assert len(contracted) == walked
     contracted.clear()
     for graph in graphs:
-        graph_character_sum(tables, graph, insertions)
+        _walk(tables, (graph,), insertions)
     assert len(contracted) == sum(len(graph.edges) for graph in graphs) == edges
 
 
@@ -382,12 +352,6 @@ def test_graded_walk_contracts_each_shared_prefix_once(pmatrix_at, monkeypatch, 
     assert len(contracted) == sum(len(graph.edges) for graph in graphs) == edges
 
 
-def test_colours_must_match_insertions(tables3):
-    graph = enumerate_stable_graphs(1, 2, (1, 1))[0]
-    with pytest.raises(ValueError, match="legs of one colour"):
-        graph_character_sum(tables3, graph, (1, 2))
-
-
 @pytest.mark.parametrize("insertions", [(3,), (4,), (-1,)])
 def test_insertion_outside_the_sectors_is_refused(tables3, insertions):
     # at n = 3 the sectors are 0..2; the refusal comes before any graph is enumerated
@@ -398,7 +362,7 @@ def test_insertion_outside_the_sectors_is_refused(tables3, insertions):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_half_closed_matches_double_sum(n):
+def test_folds_without_legs_match_double_sum(n):
     # an edge that closes one end, summed over that end's flag and residue
     # with no legs to place, against the double sum over edge and
     # closed_vertex written out here
@@ -507,9 +471,9 @@ def _legged_against_legged_graphs(tables, h, monkeypatch, cases=(((1, 1), (1,)),
     enumerated = []
     real = potentials.enumerate_stable_graphs
 
-    def spied(g, m, colours=None):
+    def spied(g, m):
         enumerated.append((g, m))
-        return real(g, m, colours)
+        return real(g, m)
 
     monkeypatch.setattr(potentials, "enumerate_stable_graphs", spied)
     for wanted in cases:
@@ -517,7 +481,7 @@ def _legged_against_legged_graphs(tables, h, monkeypatch, cases=(((1, 1), (1,)),
         got = assemble_potentials(tables, h, wanted)
         assert enumerated == [(h, 0)]
         for insertions, pot in got.items():
-            want = _walk(tables, real(h, len(insertions), insertions), insertions)
+            want = _walk(tables, real(h, len(insertions)), insertions)
             assert (pot.core.nums, pot.core.den) == (want.nums, want.den), insertions
 
 
@@ -559,7 +523,7 @@ def test_asymmetric_edges_keep_the_legged_graphs(pmatrix_at):
     assert not tables.symmetric(5) and tables.symmetric(2)
     walks = {}
     for insertions in [(2, 3), (3, 3), (2,)]:
-        walks[insertions] = _walk(tables, enumerate_stable_graphs(2, len(insertions), insertions), insertions)
+        walks[insertions] = _walk(tables, enumerate_stable_graphs(2, len(insertions)), insertions)
         assert assemble_F(tables, 2, insertions).core == walks[insertions], insertions
     # the legs placed on the (2, 0) representatives regardless give another
     # F_{2,2}(2, 3), the potential the n = 6 verdict reads
