@@ -18,14 +18,12 @@ Example::
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Union
 
 from .qvector import QVector
-
-Coefficient = Union["Cyclotomic", Fraction, int]
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -215,3 +213,6 @@ class Cyclotomic(QVector):
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coords]
+
+
+Coefficient = Cyclotomic | Fraction | int

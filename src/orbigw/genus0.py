@@ -39,7 +39,6 @@ ring element but a dict {key: coefficient} (:func:`entry_at_column`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb, factorial
@@ -56,22 +55,38 @@ def require_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class ModelConfig:
-    """Order n >= 3 of the quotient and the x-truncation order N."""
+    """
+    Order n >= 3 of the quotient and the x-truncation order N (0 stands for
+    10n); immutable, equal and hashed by (n, N).
+    """
 
-    n: int
-    N: int = 0
+    __slots__ = ("n", "N")
 
-    def __post_init__(self):
-        for name in ("n", "N"):
-            require_int(name, getattr(self, name))
-        if self.n < 3:
+    def __init__(self, n: int, N: int = 0):
+        require_int("n", n)
+        require_int("N", N)
+        if n < 3:
             raise ValueError("the model needs n >= 3")
-        if self.N == 0:
-            object.__setattr__(self, "N", 10 * self.n)
-        if self.N < 4 * self.n:
+        N = N or 10 * n
+        if N < 4 * n:
             raise ValueError("truncation order N must be at least 4n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name} = {value!r}: a ModelConfig is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not ModelConfig:
+            return NotImplemented
+        return (self.n, self.N) == (other.n, other.N)
+
+    def __hash__(self):
+        return hash((self.n, self.N))
+
+    def __repr__(self) -> str:
+        return f"ModelConfig(n={self.n!r}, N={self.N!r})"
 
     @property
     def parity(self) -> str:
@@ -170,7 +185,6 @@ def C_via_inversion(slots: list[Series], count: int) -> list[Series]:
     return cs
 
 
-@dataclass
 class GenusZeroData:
     """
     All genus zero series for one (n, N), plus the ring generators.
@@ -181,22 +195,35 @@ class GenusZeroData:
     the derivatives D^m C_i the ladder sums read.  ``build`` seeds ``L_inv``
     and ``C_inv`` with the inverses it takes on the way (``birkhoff_C``
     inverts the C_i it builds); the rest are taken on first read.  None of
-    them is a dataclass field, so a ``dataclasses.replace`` copy with other
-    series computes its own.  ``C_via_inversion`` keeps inverses of its own:
-    it is the independent second construction that "two constructions of
-    C_i agree" compares against.
+    them is a constructor argument, so an instance built from other series
+    computes its own, and it keeps its own ``quantum_coeff`` cache too.
+    ``C_via_inversion`` keeps inverses of its own: it is the independent
+    second construction that "two constructions of C_i agree" compares
+    against.
     """
 
-    cfg: ModelConfig
-    I: list[Series]
-    L: Series
-    C: list[Series]
-    K: list[Series]
-    X: list[Series]
-    A: list[Series]
-    Theta: Series
-    DLL: Series
-    _quantum_cache: dict[tuple[int, int], Series] = field(default_factory=dict, repr=False)
+    def __init__(
+        self,
+        cfg: ModelConfig,
+        I: list[Series],
+        L: Series,
+        C: list[Series],
+        K: list[Series],
+        X: list[Series],
+        A: list[Series],
+        Theta: Series,
+        DLL: Series,
+    ):
+        self.cfg = cfg
+        self.I = I
+        self.L = L
+        self.C = C
+        self.K = K
+        self.X = X
+        self.A = A
+        self.Theta = Theta
+        self.DLL = DLL
+        self._quantum_cache: dict[tuple[int, int], Series] = {}
 
     # -- construction -------------------------------------------------------
 

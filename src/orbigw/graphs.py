@@ -59,17 +59,37 @@ suite (``tests/oracles.py``), which compares their classes on (0, 3),
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
 
-@dataclass(frozen=True)
 class StableGraph:
-    genera: tuple[int, ...]
-    legs: tuple[int, ...]  # legs[t] = vertex carrying the leg labeled t+1
-    edges: tuple[tuple[int, int], ...]  # sorted pairs (u <= v); loops have u == v
+    """
+    A stable graph on vertices 0 .. V-1: their genera, the vertex of each leg,
+    and the edges.  Immutable, equal and hashed by (genera, legs, edges).
+    """
+
+    __slots__ = ("genera", "legs", "edges")
+
+    def __init__(self, genera: tuple[int, ...], legs: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "genera", genera)
+        object.__setattr__(self, "legs", legs)  # legs[t] = vertex carrying the leg labeled t+1
+        object.__setattr__(self, "edges", edges)  # sorted pairs (u <= v); loops have u == v
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name} = {value!r}: a StableGraph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not StableGraph:
+            return NotImplemented
+        return (self.genera, self.legs, self.edges) == (other.genera, other.legs, other.edges)
+
+    def __hash__(self):
+        return hash((self.genera, self.legs, self.edges))
+
+    def __repr__(self) -> str:
+        return f"StableGraph(genera={self.genera!r}, legs={self.legs!r}, edges={self.edges!r})"
 
     @property
     def num_vertices(self) -> int:

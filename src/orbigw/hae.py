@@ -25,7 +25,6 @@ constants policy, because the proof consumes only the flatness structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .genus0 import GenusZeroData, ModelConfig, require_int
@@ -36,18 +35,32 @@ from .ring import RingContext, RingElement
 from .series import Series
 
 
-@dataclass
 class HaeReport:
-    n: int
-    g: int
-    parity: str
-    policy: str
-    lhs: RingElement
-    rhs: RingElement
-    difference: RingElement
-    eval_residual: Series
-    generator_audits: list[dict]
-    status: str
+    __slots__ = ("n", "g", "parity", "policy", "lhs", "rhs", "difference", "eval_residual", "generator_audits", "status")
+
+    def __init__(
+        self,
+        n: int,
+        g: int,
+        parity: str,
+        policy: str,
+        lhs: RingElement,
+        rhs: RingElement,
+        difference: RingElement,
+        eval_residual: Series,
+        generator_audits: list[dict],
+        status: str,
+    ):
+        self.n = n
+        self.g = g
+        self.parity = parity
+        self.policy = policy
+        self.lhs = lhs
+        self.rhs = rhs
+        self.difference = difference
+        self.eval_residual = eval_residual
+        self.generator_audits = generator_audits
+        self.status = status
 
     @property
     def verified(self) -> bool:

@@ -61,7 +61,6 @@ battery builds no cyclotomic number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import comb, perm
@@ -244,16 +243,26 @@ def series_tables(data: GenusZeroData, constants: list[Fraction]) -> Tables:
     return tables
 
 
-@dataclass
 class PColumn:
     """Universal row-zero polynomials in Lam (exact ``Series``) with their integration constants."""
 
-    n: int
-    k_max: int
-    policy: str
-    phis: list[Series]
-    constants: list[Fraction]
-    constant_status: list[str]
+    __slots__ = ("n", "k_max", "policy", "phis", "constants", "constant_status")
+
+    def __init__(
+        self,
+        n: int,
+        k_max: int,
+        policy: str,
+        phis: list[Series],
+        constants: list[Fraction],
+        constant_status: list[str],
+    ):
+        self.n = n
+        self.k_max = k_max
+        self.policy = policy
+        self.phis = phis
+        self.constants = constants
+        self.constant_status = constant_status
 
     def to_json(self) -> dict:
         return {
@@ -487,17 +496,17 @@ def verify_partial_lemmas(pm: PMatrixData) -> Report:
 # -- top-level driver ----------------------------------------------------------------
 
 
-@dataclass
 class PMatrixData:
     """
     Everything the graph sum needs: the column polynomials and the ring lift,
     graded by residue; the series oracle is built on first read.
     """
 
-    ctx: RingContext
-    data: GenusZeroData
-    col: PColumn
-    graded: Lift
+    def __init__(self, ctx: RingContext, data: GenusZeroData, col: PColumn, graded: Lift):
+        self.ctx = ctx
+        self.data = data
+        self.col = col
+        self.graded = graded
 
     @cached_property
     def tables(self) -> Tables:

@@ -87,7 +87,6 @@ z-degrees >= 2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -99,14 +98,16 @@ from .psi import psi_integral
 from .ring import RingElement
 
 
-@dataclass
 class Potential:
     """A potential as (scalar leg prefactor) x (core ring element)."""
 
-    g: int
-    insertions: tuple[int, ...]
-    prefactor: RingElement  # a single monomial in the C generators and L
-    core: RingElement
+    __slots__ = ("g", "insertions", "prefactor", "core")
+
+    def __init__(self, g: int, insertions: tuple[int, ...], prefactor: RingElement, core: RingElement):
+        self.g = g
+        self.insertions = insertions
+        self.prefactor = prefactor  # a single monomial in the C generators and L
+        self.core = core
 
     def full(self) -> RingElement:
         return self.prefactor * self.core
@@ -165,13 +166,15 @@ class ContributionTables:
         self.k_max = pm.col.k_max
         self._products: dict = {}
         self._vertex: dict = {}
+        self._vertex_gens: set = set()  # the generators of the first _vertex_read vertex factors
+        self._vertex_read = 0
         self._closed: dict = {}
         self._steps: dict = {}
         self._states: dict = {}
         self._one = self.unit()
         self._edge: dict = {}
         self._leg: dict = {}
-        # the dressed factors hold E, so A-generators: apart from _vertex, which audit_generators reads
+        # the dressed factors hold E, so A-generators: apart from _vertex, which vertex_generators reads
         self._pendants: dict = {}
         self._leg_products: dict = {}
         self._dressed: dict = {}
@@ -185,6 +188,17 @@ class ContributionTables:
             self._steps, self._states, self._loops, self._folded, self._closings, self._dressings
         )
         self._symmetric: dict = {}
+
+    def vertex_generators(self) -> set:
+        """
+        The generators the vertex factors built so far use.  Factors are only
+        ever added, so each is decoded once however often an audit asks.
+        """
+        for char in list(self._vertex.values())[self._vertex_read :]:
+            for val in char.values():
+                self._vertex_gens |= val.generators_used()
+        self._vertex_read = len(self._vertex)
+        return self._vertex_gens
 
     def graded(self, k: int, i: int) -> dict[int, RingElement]:
         """The nonzero pieces w of P~^k_{i,j} = sum_w zeta^{wj} graded[(k, i, w)]."""
@@ -872,14 +886,10 @@ def audit_generators(tables: ContributionTables, pot: Potential) -> dict:
     """
     core_gens = pot.core.generators_used()
     pref_gens = pot.prefactor.generators_used()
-    vertex_gens = set()
-    for char in tables._vertex.values():
-        for val in char.values():
-            vertex_gens |= val.generators_used()
     return {
         "core_ok": all(g[0] == "A" for g in core_gens),
         "prefactor_ok": all(g[0] == "C" for g in pref_gens),
-        "vertex_ok": not vertex_gens,
+        "vertex_ok": not tables.vertex_generators(),
         "core_gens": sorted(core_gens),
         "prefactor_gens": sorted(pref_gens),
     }

@@ -8,7 +8,6 @@ series passes when it has no known nonzero coefficient.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
 def canonical_json(obj) -> str:
@@ -16,21 +15,41 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
 class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+    """One named pass or fail with its detail; immutable, equal and hashed by its fields."""
+
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name} = {value!r}: a Check is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not Check:
+            return NotImplemented
+        return (self.name, self.ok, self.detail) == (other.name, other.ok, other.detail)
+
+    def __hash__(self):
+        return hash((self.name, self.ok, self.detail))
+
+    def __repr__(self) -> str:
+        return f"Check(name={self.name!r}, ok={self.ok!r}, detail={self.detail!r})"
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         return f"[{status}] {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("title", "checks")
+
+    def __init__(self, title: str, checks: list[Check] | None = None):
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append(Check(name, bool(ok), detail))

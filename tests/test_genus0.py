@@ -1,6 +1,5 @@
 import contextlib
 import io
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -327,7 +326,8 @@ def _bump(s: Series, e: int) -> Series:
 
 def _copy(data: GenusZeroData, **fields) -> GenusZeroData:
     """A copy with some series replaced and empty caches of its own."""
-    return replace(data, _quantum_cache={}, **fields)
+    names = ("cfg", "I", "L", "C", "K", "X", "A", "Theta", "DLL")
+    return GenusZeroData(**{**{name: getattr(data, name) for name in names}, **fields})
 
 
 def _mutants(data: GenusZeroData):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -23,6 +22,7 @@ from orbigw.genus0 import GenusZeroData, ModelConfig, Y_poly, at_column, f_n_pol
 from orbigw.cyclotomic import Cyclotomic
 from orbigw.pmatrix import (
     PColumn,
+    PMatrixData,
     apply_operator,
     build_H_table,
     build_L_operators,
@@ -43,7 +43,7 @@ from orbigw.ring import RingElement
 
 def with_tables(pm, tables):
     """A copy of ``pm`` whose series oracle reads ``tables``."""
-    copy = dataclasses.replace(pm)
+    copy = PMatrixData(pm.ctx, pm.data, pm.col, pm.graded)
     vars(copy)["tables"] = tables
     return copy
 

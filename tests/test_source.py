@@ -1,9 +1,16 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import orbigw
 from orbigw.cyclotomic import Cyclotomic
+from orbigw.genus0 import ModelConfig
+from orbigw.graphs import StableGraph
 from orbigw.qvector import QVector
+from orbigw.report import Check
 from orbigw.ring import RingElement
 from orbigw.series import Series
 
@@ -62,3 +69,58 @@ def test_zero_checks_go_through_report_zero():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "zero_order"
     ]
     assert not found, found
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the records are plain classes: importing the package runs no generated
+    # code, and the CLI's start-up pays for neither module
+    src = str(Path(orbigw.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import orbigw, orbigw.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StableGraph((0, 1), (0, 0, 1), ((0, 1), (1, 1))),
+        lambda: ModelConfig(5, 40),
+        lambda: Check("unitarity", True, "zero through x^9"),
+    ],
+)
+def test_immutable_records_compare_hash_and_refuse_assignment(make):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert repr(a) == repr(b) and repr(a).startswith(type(a).__name__ + "(")
+    for name in type(a).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+    assert a == b
+
+
+def test_records_differ_by_any_field():
+    assert StableGraph((0,), (0,), ((0, 0),)) != StableGraph((1,), (0,), ())
+    assert ModelConfig(3) != ModelConfig(4) and ModelConfig(3) != ModelConfig(3, 31)
+    assert Check("a", True) != Check("a", False) and Check("a", True) != Check("a", True, "x")
+    assert ModelConfig(3) != (3, 30) and Check("a", True) != ("a", True, "")
+
+
+def test_model_config_validates_and_defaults_N():
+    assert (ModelConfig(3).N, ModelConfig(7).N, ModelConfig(7, 0).N, ModelConfig(4, 16).N) == (30, 70, 70, 16)
+    assert ModelConfig(3) == ModelConfig(3, 30) and ModelConfig(n=4, N=20) == ModelConfig(4, 20)
+    for args, err in (
+        ((2,), ValueError),
+        ((0, 40), ValueError),
+        ((4, 15), ValueError),
+        ((3, -1), ValueError),
+        ((3.0,), TypeError),
+        ((True,), TypeError),
+        ((3, 30.0), TypeError),
+        (("3",), TypeError),
+    ):
+        with pytest.raises(err):
+            ModelConfig(*args)
+
