@@ -28,7 +28,7 @@ from itertools import product
 from .genus0 import GenusZeroData, ModelConfig, verify_genus0
 from .hae import verify_hae_policies
 from .pmatrix import POLICIES, build_pmatrix, entry_to_json, verify_pmatrix
-from .potentials import ContributionTables, _check_type, assemble_F, audit_generators
+from .potentials import ContributionTables, _check_type, assemble_F, audit_generators, lift_depth
 from .report import Report, canonical_json
 from .ring import certify_rules
 
@@ -115,12 +115,9 @@ def cmd_pmatrix(args) -> tuple[dict, Report]:
 
 def cmd_potential(args) -> tuple[dict, Report]:
     insertions = args.insertions
-    # the one-vertex graph carries a tail of order 3g-2+m, the deepest entry
-    # any factor of F_{g,m} reads (edges and legs stop at 3g-3+m)
-    k_max = max(3 * args.g - 2 + len(insertions), 1)
     cfg = ModelConfig(args.n, args.N)
     data = GenusZeroData.build(cfg)
-    pm = build_pmatrix(data, k_max, args.policy)
+    pm = build_pmatrix(data, lift_depth(args.g, len(insertions)), args.policy)
     tables = ContributionTables(pm)
     pot = assemble_F(tables, args.g, insertions)
     audit = audit_generators(tables, pot)

@@ -223,6 +223,8 @@ class GenusZeroData:
         self.A = A
         self.Theta = Theta
         self.DLL = DLL
+        self._L_pows: dict[int, Series] = {0: Series.one()}
+        self._C_derivs: dict[tuple[int, int], Series] = {}
         self._quantum_cache: dict[tuple[int, int], Series] = {}
 
     # -- construction -------------------------------------------------------
@@ -268,14 +270,6 @@ class GenusZeroData:
     def K_inv(self) -> list[Series]:
         """1 / K_l for l = 0 .. n-1."""
         return [self.K[l].inverse() for l in range(self.cfg.n)]
-
-    @cached_property
-    def _L_pows(self) -> dict[int, Series]:
-        return {0: Series.one()}
-
-    @cached_property
-    def _C_derivs(self) -> dict[tuple[int, int], Series]:
-        return {}
 
     def L_pow(self, k: int) -> Series:
         """L^k for any integer k, each power one product from its neighbour towards L^0."""

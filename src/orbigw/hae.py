@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .genus0 import GenusZeroData, ModelConfig, require_int
 from .pmatrix import build_pmatrix, check_constants
-from .potentials import ContributionTables, assemble_F, assemble_potentials, audit_generators
+from .potentials import ContributionTables, assemble_F, assemble_potentials, audit_generators, lift_depth
 from .report import Report
 from .ring import RingContext, RingElement
 from .series import Series
@@ -115,7 +115,7 @@ def verify_hae(
     if g < 2:
         raise ValueError("the anomaly equation is stated for g >= 2")
     data = GenusZeroData.build(ModelConfig(n, N or 0))
-    pm = build_pmatrix(data, 3 * g - 2, policy, custom_constants=custom_constants)
+    pm = build_pmatrix(data, lift_depth(g, 0), policy, custom_constants=custom_constants)
     return check_hae(ContributionTables(pm), g)
 
 

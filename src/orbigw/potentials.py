@@ -54,17 +54,21 @@ n >= 6 lifts fail that check, and their legged potentials are walked over
 the labeled (g, m) graphs, as are those of genus 1, whose (1, 0) graphs are
 not stable, and those of more than two legs.
 
-What the graphs share lives in :class:`ContributionTables`.  The local
-factors (a vertex factor combines products of tails, each product formed
-once) are shared by every graph and potential of a verdict; the fold of a
-vertex's last edge with the vertex's factor (vertex and legs) once per state
-of the vertex (:meth:`ContributionTables._folds`), so that a closing
-edge multiplies nothing itself, by every graph of a potential.  One edge
-step from its two end states (:meth:`ContributionTables.step`) depends only
-on the ends' local data and the grade, so it is computed once per potential
-and shared by its graphs; a step's terms that reach one state are one sum of
-products, normalised once (:meth:`~orbigw.ring.RingElement.sum_of_products`),
-and so is every new state of a graph.  The state after a prefix of edges
+What the graphs share lives in :class:`ContributionTables`, each value
+memoized by its arguments for the lifetime its method declares
+(:func:`_cached`).  The local factors (a vertex factor combines products of
+tails, each product formed once) last as long as the tables, so every graph
+and potential of a verdict shares them.  What the graphs of one walk share
+lasts that walk: the fold of a vertex's last edge with the vertex's factor
+(vertex and legs), once per state of the vertex
+(:meth:`ContributionTables._folds`), so that a closing edge multiplies
+nothing itself; and each step of a loop or of an edge that closes an end
+(:meth:`ContributionTables.step`), which depends only on the ends' local
+data, their states and the grade.  The step of an edge that closes neither
+end multiplies nothing and is built afresh.  A step's terms that reach one
+state are one sum of products, normalised once
+(:meth:`~orbigw.ring.RingElement.sum_of_products`), and so is every new
+state of a graph.  The state after a prefix of edges
 depends only on the prefix, so a potential's graphs are walked depth first,
 sorted by their edge steps, and each prefix they share is contracted once
 (:func:`_walk_grades`); every graph keeps its own vertex labels and edge
@@ -88,7 +92,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 from math import comb
 
@@ -140,6 +144,36 @@ def _times(a: Char, b: Char, n: int) -> Char:
     return out
 
 
+# each memoized method of ContributionTables by name: whether its memo lasts one walk only
+_PER_WALK: dict[str, bool] = {}
+_MISSING = object()
+
+
+def _cached(*, per_walk: bool):
+    """
+    Memoize a method of :class:`ContributionTables` by its positional
+    arguments, in the tables' ``_memo[name]``, and register its lifetime:
+    :func:`_walk_grades` empties a per-walk memo after its graphs, and the
+    other memos last as long as the tables.
+    """
+
+    def memoize(method):
+        name = method.__name__
+        _PER_WALK[name] = per_walk
+
+        @wraps(method)
+        def cached(self, *args):
+            memo = self._memo[name]
+            value = memo.get(args, _MISSING)
+            if value is _MISSING:
+                value = memo[args] = method(self, *args)
+            return value
+
+        return cached
+
+    return memoize
+
+
 class ContributionTables:
     """
     The local factors of the graph sum, written once over the graded lift.
@@ -152,10 +186,15 @@ class ContributionTables:
     of unity enters.  The series oracle of the tests overrides
     :meth:`graded`, :meth:`unit` and :meth:`zero`.
 
-    The local factors, edge, vertex, leg and dressed, are cached for the
-    life of the tables, so every potential of a verdict shares them; the
-    edge steps (:meth:`step`) and the folds and sums they read are cached
-    for one walk only.
+    Each memoized method declares its lifetime where it is defined
+    (:func:`_cached`), and every value is kept by its arguments in one memo,
+    ``_memo[name]``.  The local factors and what they are built from (the
+    tail products, vertex, edge, leg, closed vertex, pendant and dressed
+    factors) and the symmetry check last as long as the tables, so every
+    potential of a verdict shares them.  What one walk's graphs share, the
+    edge steps that sum products (:meth:`step`) and the folds, closings,
+    dressings and loops they read, lasts one walk, as does the interning of
+    its states (:meth:`_opened`).
     """
 
     def __init__(self, pm: PMatrixData):
@@ -164,40 +203,22 @@ class ContributionTables:
         self.data = pm.data
         self.n = pm.ctx.n
         self.k_max = pm.col.k_max
-        self._products: dict = {}
-        self._vertex: dict = {}
-        self._vertex_gens: set = set()  # the generators of the first _vertex_read vertex factors
-        self._vertex_read = 0
-        self._closed: dict = {}
-        self._steps: dict = {}
+        self._memo: dict[str, dict] = {name: {} for name in _PER_WALK}
         self._states: dict = {}
         self._one = self.unit()
-        self._edge: dict = {}
-        self._leg: dict = {}
-        # the dressed factors hold E, so A-generators: apart from _vertex, which vertex_generators reads
-        self._pendants: dict = {}
-        self._leg_products: dict = {}
-        self._dressed: dict = {}
-        self._closings: dict = {}
-        self._dressings: dict = {}
-        self._splits: dict = {}
-        self._folded: dict = {}
-        self._loops: dict = {}
-        # what serves one walk's graphs only, dropped after them
-        self._per_walk = (
-            self._steps, self._states, self._loops, self._folded, self._closings, self._dressings
-        )
-        self._symmetric: dict = {}
+        self._vertex_gens: set = set()  # the generators of the first _vertex_read vertex factors
+        self._vertex_read = 0
 
     def vertex_generators(self) -> set:
         """
         The generators the vertex factors built so far use.  Factors are only
         ever added, so each is decoded once however often an audit asks.
         """
-        for char in list(self._vertex.values())[self._vertex_read :]:
+        vertices = self._memo["vertex"]
+        for char in list(vertices.values())[self._vertex_read :]:
             for val in char.values():
                 self._vertex_gens |= val.generators_used()
-        self._vertex_read = len(self._vertex)
+        self._vertex_read = len(vertices)
         return self._vertex_gens
 
     def graded(self, k: int, i: int) -> dict[int, RingElement]:
@@ -219,24 +240,21 @@ class ContributionTables:
 
     # -- local factors ------------------------------------------------------
 
+    @_cached(per_walk=False)
     def _tail_product(self, mult: tuple[int, ...]) -> Char:
         """prod_{r in mult} T_{p,r} (= leg_core(r, 0)) over a sorted multiset, grown from mult[:-1]'s."""
-        if mult not in self._products:
-            if not mult:
-                self._products[mult] = {0: self._one}
-            else:
-                self._products[mult] = _times(self._tail_product(mult[:-1]), self.leg_core(mult[-1], 0), self.n)
-        return self._products[mult]
+        if not mult:
+            return {0: self._one}
+        return _times(self._tail_product(mult[:-1]), self.leg_core(mult[-1], 0), self.n)
 
+    @_cached(per_walk=False)
     def vertex(self, h: int, flags: tuple[int, ...]) -> Char:
         """
-        Genus-h vertex with the given flag exponents: a combination of the
-        tail products (:meth:`_tail_product`), shared by every vertex, each
-        scaled by its psi integral, multiset weight and pairing power.
+        Genus-h vertex with the given flag exponents (memoized as given, so
+        callers sort them): a combination of the tail products
+        (:meth:`_tail_product`), shared by every vertex, each scaled by its
+        psi integral, multiset weight and pairing power.
         """
-        key = (h, tuple(sorted(flags)))
-        if key in self._vertex:
-            return self._vertex[key]
         n = self.n
         v = len(flags)
         dim = 3 * h - 3 + v
@@ -262,9 +280,9 @@ class ContributionTables:
                 scalar = integral * weight * pairing_power
                 for u, x in self._tail_product(mult).items():
                     _add_into(total, u, x * scalar)
-        self._vertex[key] = total
         return total
 
+    @_cached(per_walk=False)
     def edge(self, b1: int, b2: int) -> dict:
         """
         The edge factor keyed (u1, u2), zero entries dropped, by the recurrence
@@ -273,14 +291,13 @@ class ContributionTables:
         """
         if b2 < 0:
             return {}
-        if (b1, b2) not in self._edge:
-            total = {ab: -x for ab, x in self.edge(b1 + 1, b2 - 1).items()}
-            sign = Fraction((-1) ** (b1 + b2), self.n)
-            for ab, pairs in pairing(self._char, self.n, b1 + 1, b2).items():
-                _add_into(total, ab, sum((x * y for x, y in pairs), self.zero()) * sign)
-            self._edge[(b1, b2)] = {ab: x for ab, x in total.items() if x}
-        return self._edge[(b1, b2)]
+        total = {ab: -x for ab, x in self.edge(b1 + 1, b2 - 1).items()}
+        sign = Fraction((-1) ** (b1 + b2), self.n)
+        for ab, pairs in pairing(self._char, self.n, b1 + 1, b2).items():
+            _add_into(total, ab, sum((x * y for x, y in pairs), self.zero()) * sign)
+        return {ab: x for ab, x in total.items() if x}
 
+    @_cached(per_walk=False)
     def closed_vertex(self, h: int, legs: tuple, flags: tuple[int, ...]) -> Char:
         """
         A genus-h vertex with the given edge flags times its legs: the leg
@@ -288,29 +305,24 @@ class ContributionTables:
         insertion, or a pair of insertions for a genus-0 vertex carrying both,
         hung from this one by an edge (:meth:`pendant`).
         """
-        key = (h, legs, flags)
-        if key in self._closed:
-            return self._closed[key]
         budget = 3 * h - 3 + len(flags) + len(legs) - sum(flags)
         total: Char = {}
         for leg_flags in (f for f in product(range(budget + 1), repeat=len(legs)) if sum(f) <= budget):
-            term = self.vertex(h, flags + leg_flags)
+            term = self.vertex(h, tuple(sorted(flags + leg_flags)))
             if term and legs:
                 term = _times(term, self._legs(legs, leg_flags), self.n)
             for u, x in term.items():
                 _add_into(total, u, x)
-        self._closed[key] = total
         return total
 
+    @_cached(per_walk=False)
     def _legs(self, legs: tuple, flags: tuple[int, ...]) -> Char:
         """The product of the factors of ``legs`` at ``flags``, as :meth:`closed_vertex` reads them."""
-        key = (legs, flags)
-        if key not in self._leg_products:
-            (c, *others), (a, *more) = legs, flags
-            one = self.leg_core(a, c) if type(c) is int else self.pendant(a, c)
-            self._leg_products[key] = _times(one, self._legs(tuple(others), tuple(more)), self.n) if others else one
-        return self._leg_products[key]
+        (c, *others), (a, *more) = legs, flags
+        one = self.leg_core(a, c) if type(c) is int else self.pendant(a, c)
+        return _times(one, self._legs(tuple(others), tuple(more)), self.n) if others else one
 
+    @_cached(per_walk=False)
     def pendant(self, a: int, pair: tuple[int, int]) -> Char:
         """
         A genus-0 vertex carrying the legs ``pair``, hung by an edge whose flag
@@ -318,18 +330,16 @@ class ContributionTables:
         other end.  The new vertex has room 0, so its flags are 0; its factor
         and its decoration sum each give n, and its residue cancels.
         """
-        key = (a, pair)
-        if key not in self._pendants:
-            closed = self.closed_vertex(0, pair, (0,))
-            pairs: dict = {}
-            for (u, r), y in self.edge(a, 0).items():
-                z = closed.get(-r % self.n)
-                if z is not None:
-                    _append(pairs, u, (y, z))
-            values = ((u, RingElement.sum_of_products(p)) for u, p in pairs.items())
-            self._pendants[key] = {u: x * self.n for u, x in values if x}
-        return self._pendants[key]
+        closed = self.closed_vertex(0, pair, (0,))
+        pairs: dict = {}
+        for (u, r), y in self.edge(a, 0).items():
+            z = closed.get(-r % self.n)
+            if z is not None:
+                _append(pairs, u, (y, z))
+        values = ((u, RingElement.sum_of_products(p)) for u, p in pairs.items())
+        return {u: x * self.n for u, x in values if x}
 
+    @_cached(per_walk=False)
     def dressed(self, b1: int, b2: int, chain: tuple) -> dict:
         """
         The edge factor E(b1, b2), keyed (u1, u2) like the edge, with its edge
@@ -341,9 +351,6 @@ class ContributionTables:
         """
         if not chain:
             return self.edge(b1, b2)
-        key = (b1, b2, chain)
-        if key in self._dressed:
-            return self._dressed[key]
         n = self.n
         # the new vertex nearest the second end, of valence len(legs) + 2
         *nearer, legs = chain
@@ -358,9 +365,9 @@ class ContributionTables:
                         if y is not None:
                             _append(terms, (u1, u2), (y, w))
         values = ((ab, RingElement.sum_of_products(p)) for ab, p in terms.items())
-        self._dressed[key] = {ab: x * n for ab, x in values if x}
-        return self._dressed[key]
+        return {ab: x * n for ab, x in values if x}
 
+    @_cached(per_walk=False)
     def _split(self, b1: int, nearer: tuple, legs: tuple, x1: int, x2: int) -> dict:
         """
         The dressed edge of ``nearer`` from flag b1 to flag x1 at a new genus-0
@@ -369,17 +376,15 @@ class ContributionTables:
         bring, so that the vertex's residue cancels.  Shared by every flag at
         the edge's second end.
         """
-        key = (b1, nearer, legs, x1, x2)
-        if key not in self._splits:
-            n = self.n
-            closed = self.closed_vertex(0, legs, tuple(sorted((x1, x2))))
-            mid: dict = {}
-            for (u1, r1), y in self.dressed(b1, x1, nearer).items():
-                for t, z in closed.items():
-                    _append(mid, (u1, (-r1 - t) % n), (y, z))
-            self._splits[key] = {ur: RingElement.sum_of_products(p) for ur, p in mid.items()}
-        return self._splits[key]
+        n = self.n
+        closed = self.closed_vertex(0, legs, tuple(sorted((x1, x2))))
+        mid: dict = {}
+        for (u1, r1), y in self.dressed(b1, x1, nearer).items():
+            for t, z in closed.items():
+                _append(mid, (u1, (-r1 - t) % n), (y, z))
+        return {ur: RingElement.sum_of_products(p) for ur, p in mid.items()}
 
+    @_cached(per_walk=True)
     def dressing(self, b1: int, b2: int, rest: tuple, left: tuple) -> dict:
         """
         The edge factor E(b1, b2) with each way legs of ``rest`` sit on its
@@ -389,16 +394,14 @@ class ContributionTables:
         """
         if not rest:
             return self.edge(b1, b2)
-        key = (b1, b2, rest, left)
-        if key not in self._dressings:
-            terms: dict = {}
-            for chain, _, mult, after in _chains(rest):
-                if after == left:
-                    for ab, x in self.dressed(b1, b2, chain).items():
-                        _append(terms, ab, (x, mult))
-            self._dressings[key] = {ab: x for ab, pairs in terms.items() if (x := _scaled_sum(pairs))}
-        return self._dressings[key]
+        terms: dict = {}
+        for chain, _, mult, after in _chains(rest):
+            if after == left:
+                for ab, x in self.dressed(b1, b2, chain).items():
+                    _append(terms, ab, (x, mult))
+        return {ab: x for ab, pairs in terms.items() if (x := _scaled_sum(pairs))}
 
+    @_cached(per_walk=True)
     def _looped(self, b1: int, b2: int, rest: tuple, left: tuple) -> Char:
         """
         ``{u: value}``: the edge factor of a loop with flags b1 and b2 at its
@@ -407,29 +410,26 @@ class ContributionTables:
         loop reads its flags and residues only through their multiset and
         sum.
         """
-        key = (b1, b2, rest, left)
-        if key not in self._loops:
-            pairs: dict = {}
-            for x1, x2 in ((b1, b2), (b2, b1)) if b1 != b2 else ((b1, b2),):
-                for (u1, u2), y in self.dressing(x1, x2, rest, left).items():
-                    _append(pairs, (u1 + u2) % self.n, (y, self._one))
-            self._loops[key] = {u: x for u, p in pairs.items() if (x := RingElement.sum_of_products(p))}
-        return self._loops[key]
+        pairs: dict = {}
+        for x1, x2 in ((b1, b2), (b2, b1)) if b1 != b2 else ((b1, b2),):
+            for (u1, u2), y in self.dressing(x1, x2, rest, left).items():
+                _append(pairs, (u1 + u2) % self.n, (y, self._one))
+        return {u: x for u, p in pairs.items() if (x := RingElement.sum_of_products(p))}
 
+    @_cached(per_walk=False)
     def symmetric(self, depth: int) -> bool:
         """
         Whether E(b1, b2)[u1, u2] = E(b2, b1)[u2, u1] for every b1 + b2 <= depth,
         compared exactly in the ring: then a graph's value does not depend on
         the vertex order of its representative.
         """
-        if depth not in self._symmetric:
-            self._symmetric[depth] = all(
-                self.edge(b1, b2) == {(u2, u1): x for (u1, u2), x in self.edge(b2, b1).items()}
-                for b1 in range(depth + 1)
-                for b2 in range(b1, depth - b1 + 1)
-            )
-        return self._symmetric[depth]
+        return all(
+            self.edge(b1, b2) == {(u2, u1): x for (u1, u2), x in self.edge(b2, b1).items()}
+            for b1 in range(depth + 1)
+            for b2 in range(b1, depth - b1 + 1)
+        )
 
+    @_cached(per_walk=True)
     def _folds(self, h: int, legs: tuple, flags: tuple[int, ...], r: int, other: int, rest: tuple, avail: int) -> list:
         """
         The last edge of a genus-h vertex with legs ``legs``, earlier flags
@@ -443,21 +443,16 @@ class ContributionTables:
         end, the ways that reach one (u, legs left) summed, the grade (legs
         left, ``avail`` less the legs used).
         """
-        key = (h, legs, flags, r, other, rest, avail)
-        if key not in self._folded:
-            pairs: dict = {}
-            room = 3 * h - 2 + len(flags) + len(legs) - sum(flags)
-            for after, used in _groups(rest):
-                # the vertex's own placements may raise its room by what the edge leaves
-                for b in range(room + avail - used + 1) if used <= avail else ():
-                    closing = self._closing(h, legs, tuple(sorted(flags + (b,))), after, avail - used)
-                    for (u1, u2), y in self.dressing(b, other, rest, after).items() if closing else ():
-                        for left, z in closing.get((-r - u1) % self.n, ()):
-                            _append(pairs, (u2, left), (y, z))
-            self._folded[key] = [
-                (u, (left, avail - len(rest) + len(left)), RingElement.sum_of_products(p)) for (u, left), p in pairs.items()
-            ]
-        return self._folded[key]
+        pairs: dict = {}
+        room = 3 * h - 2 + len(flags) + len(legs) - sum(flags)
+        for after, used in _groups(rest):
+            # the vertex's own placements may raise its room by what the edge leaves
+            for b in range(room + avail - used + 1) if used <= avail else ():
+                closing = self._closing(h, legs, tuple(sorted(flags + (b,))), after, avail - used)
+                for (u1, u2), y in self.dressing(b, other, rest, after).items() if closing else ():
+                    for left, z in closing.get((-r - u1) % self.n, ()):
+                        _append(pairs, (u2, left), (y, z))
+        return [(u, (left, avail - len(rest) + len(left)), RingElement.sum_of_products(p)) for (u, left), p in pairs.items()]
 
     def _opened(self, state: tuple, values: tuple[int, ...]) -> list:
         """The new states of an open end in ``state`` taking flag values whose residues add to u, by u."""
@@ -466,25 +461,23 @@ class ContributionTables:
         # one instance per state, so that the cached steps share them
         return [states.setdefault(new := (flags, (r + u) % n), new) for u in range(n)]
 
+    @_cached(per_walk=True)
     def _closing(self, h: int, legs: tuple, flags: tuple[int, ...], rest: tuple, avail: int) -> dict:
         """
         ``{u: ((legs left, value), ...)}``: a genus-h vertex closing with
         ``flags``, times its legs and what it takes of the legs ``rest`` still
         to be placed, at most ``avail`` of them (:func:`_placings`).
         """
-        key = (h, legs, flags, rest, avail)
-        if key not in self._closings:
-            ways: dict = {}
-            for kinds, used, mult, after in _placings(rest):
-                if used <= avail:
-                    for u, z in self.closed_vertex(h, legs + kinds, flags).items():
-                        _append(ways, (u, after), (z, mult))
-            out: dict = {}
-            for (u, after), zs in ways.items():
-                if z := _scaled_sum(zs):
-                    _append(out, u, (after, z))
-            self._closings[key] = out
-        return self._closings[key]
+        ways: dict = {}
+        for kinds, used, mult, after in _placings(rest):
+            if used <= avail:
+                for u, z in self.closed_vertex(h, legs + kinds, flags).items():
+                    _append(ways, (u, after), (z, mult))
+        out: dict = {}
+        for (u, after), zs in ways.items():
+            if z := _scaled_sum(zs):
+                _append(out, u, (after, z))
+        return out
 
     def step(self, edge: tuple, state_a: tuple, state_b: tuple, grade: tuple) -> list | tuple:
         """
@@ -501,50 +494,51 @@ class ContributionTables:
         how many more legs may be placed beyond those the open vertices have
         claimed.  A leg placed at a vertex raises its room by one, so an open
         vertex may take flags beyond its room, claiming one leg for each flag
-        over; the legs go on when the vertex closes (:meth:`_closing`), and on
-        the edge itself (:meth:`dressing`).  So the flags an edge reads stay
-        within the room of a stable graph with those legs, and no edge factor
-        is read beyond b1 + b2 = 3h - 3 + m for genus h and m legs placed.  A
-        walk without legs to place has the grade ((), 0) throughout and reads
-        every end's room exactly.
+        over (:func:`_room`); the legs go on when the vertex closes
+        (:meth:`_closing`), and on the edge itself (:meth:`dressing`).  So the
+        flags an edge reads stay within the room of a stable graph with those
+        legs, and no edge factor is read beyond b1 + b2 = 3h - 3 + m for genus
+        h and m legs placed.  A walk without legs to place has the grade
+        ((), 0) throughout and reads every end's room exactly.
 
         An open edge pairs the edge factor with both ends' new states: it
         multiplies nothing, and its quadruples, one per entry of every edge
-        factor in reach, would be most of a cache, so they are built afresh.
-        A loop takes both of its flags at its vertex.  An edge that closes
-        end a is read from :meth:`_folds` at a's state and relabeled onto b's
-        new state; if it closes b too, each term is the folded value against
-        b's closed factor (:meth:`_closing`).  These steps sum products and
-        depend on the key alone, so every graph of a potential reuses them;
-        :func:`_walk_grades` drops them after its graphs.
+        factor in reach, would be most of a memo, so they are built afresh.
+        A loop, or an edge that closes an end, is :meth:`_shared_step`.
+        """
+        loop, end_a, end_b = edge
+        if loop or end_a[0] or end_b[0]:
+            return self._shared_step(edge, state_a, state_b, grade)
+        left_a, left_b, pool = _room(edge, state_a, state_b, grade)
+        # both ends take a state of their own for each (b1, u1, b2, u2)
+        rest, out = grade[0], []
+        at_b = [self._opened(state_b, (b2,)) for b2 in range(left_b + pool + 1)]
+        groups = _groups(rest)
+        for b1 in range(left_a + pool + 1):
+            at_a = self._opened(state_a, (b1,))
+            spare = pool if b1 <= left_a else pool + left_a - b1
+            for b2 in range(left_b + spare + 1):
+                most = spare if b2 <= left_b else spare + left_b - b2
+                for after, used in groups:
+                    if used <= most:
+                        to, at, factor = (after, most - used), at_b[b2], self.dressing(b1, b2, rest, after)
+                        out.extend((at_a[u1], at[u2], to, y) for (u1, u2), y in factor.items())
+        return out
+
+    @_cached(per_walk=True)
+    def _shared_step(self, edge: tuple, state_a: tuple, state_b: tuple, grade: tuple) -> tuple:
+        """
+        A step (:meth:`step`) of a loop or of an edge that closes an end.  A
+        loop takes both of its flags at its vertex.  An edge that closes end
+        a is read from :meth:`_folds` at a's state and relabeled onto b's new
+        state; if it closes b too, each term is the folded value against b's
+        closed factor (:meth:`_closing`).  These steps sum products and depend
+        on their arguments alone, so every graph of a walk shares them.
         """
         n = self.n
-        loop, end_a, end_b = edge
-        opens = not (loop or end_a[0] or end_b[0])
-        if not opens:
-            key = (edge, state_a, state_b, grade)
-            if key in self._steps:
-                return self._steps[key]
-        (fa, ra), (fb, rb), (rest, free) = state_a, state_b, grade
-        # the room each end has left: where it is short, a claimed leg makes it up
-        left_a, left_b = end_a[3] - sum(fa), end_b[3] - sum(fb)
-        pool = free + (-left_a if left_a < 0 else 0) + (-left_b if left_b < 0 and not loop else 0)
-        if opens:
-            # both ends take a state of their own for each (b1, u1, b2, u2)
-            out = []
-            at_b = [self._opened(state_b, (b2,)) for b2 in range(left_b + pool + 1)]
-            groups = _groups(rest)
-            for b1 in range(left_a + pool + 1):
-                at_a = self._opened(state_a, (b1,))
-                spare = pool if b1 <= left_a else pool + left_a - b1
-                for b2 in range(left_b + spare + 1):
-                    most = spare if b2 <= left_b else spare + left_b - b2
-                    for after, used in groups:
-                        if used <= most:
-                            to, at, factor = (after, most - used), at_b[b2], self.dressing(b1, b2, rest, after)
-                            out.extend((at_a[u1], at[u2], to, y) for (u1, u2), y in factor.items())
-            return out
-        (_, h, legs, _), (closes_b, h_b, legs_b, _) = end_a, end_b
+        (loop, end_a, end_b), (fa, ra), (fb, rb), rest = edge, state_a, state_b, grade[0]
+        left_a, left_b, pool = _room(edge, state_a, state_b, grade)
+        (closes_a, h, legs, _), (closes_b, h_b, legs_b, _) = end_a, end_b
         if loop:
             # flags (b1, b2) and (b2, b1) reach one state, so its terms are summed
             terms: dict = {}
@@ -554,9 +548,9 @@ class ContributionTables:
                     flags = tuple(sorted(fa + (b1, b2)))
                     most = pool - max(0, b1 + b2 - left_a)
                     for after, used in groups:
-                        if used > (pool if end_a[0] else most):
+                        if used > (pool if closes_a else most):
                             continue
-                        if end_a[0]:
+                        if closes_a:
                             closing = self._closing(h, legs, flags, after, pool - used)
                             for u, y in self._looped(b1, b2, rest, after).items() if closing else ():
                                 for last, z in closing.get((-ra - u) % n, ()):
@@ -565,37 +559,33 @@ class ContributionTables:
                             at, to = self._opened(state_a, (b1, b2)), (after, most - used)
                             for u, y in self._looped(b1, b2, rest, after).items():
                                 _append(terms, (at[u], to), (y, self._one))
-            out = [(end, end, to, RingElement.sum_of_products(pairs)) for (end, to), pairs in terms.items()]
-        else:
-            # the closing end a is folded into the edge, once per state of a
-            out, pairs = [], {}
-            for other in range(left_b + pool + 1):
-                # b claims the legs it is short of first
-                avail = pool if other <= left_b else pool + left_b - other
-                if not closes_b:
-                    # an open end b takes a state of its own for each (other, u)
-                    at = self._opened(state_b, (other,))
-                    out.extend((_BLANK, at[u], to, y) for u, to, y in self._folds(h, legs, fa, ra, other, rest, avail))
-                    continue
-                flags_b, closings = tuple(sorted(fb + (other,))), {}
-                for u, (left, _), y in self._folds(h, legs, fa, ra, other, rest, avail):
-                    if left not in closings:
-                        closings[left] = self._closing(h_b, legs_b, flags_b, left, pool - len(rest) + len(left))
-                    for last, z in closings[left].get((-rb - u) % n, ()):
-                        _append(pairs, last, (y, z))
-            # an edge that closes both ends leaves both blank
-            for last, p in pairs.items():
-                out.append((_BLANK, _BLANK, (last, pool - len(rest) + len(last)), RingElement.sum_of_products(p)))
-        self._steps[key] = tuple(out)
-        return self._steps[key]
+            return tuple((end, end, to, RingElement.sum_of_products(pairs)) for (end, to), pairs in terms.items())
+        # the closing end a is folded into the edge, once per state of a
+        out, pairs = [], {}
+        for other in range(left_b + pool + 1):
+            # b claims the legs it is short of first
+            avail = pool if other <= left_b else pool + left_b - other
+            if not closes_b:
+                # an open end b takes a state of its own for each (other, u)
+                at = self._opened(state_b, (other,))
+                out.extend((_BLANK, at[u], to, y) for u, to, y in self._folds(h, legs, fa, ra, other, rest, avail))
+                continue
+            flags_b, closings = tuple(sorted(fb + (other,))), {}
+            for u, (left, _), y in self._folds(h, legs, fa, ra, other, rest, avail):
+                if left not in closings:
+                    closings[left] = self._closing(h_b, legs_b, flags_b, left, pool - len(rest) + len(left))
+                for last, z in closings[left].get((-rb - u) % n, ()):
+                    _append(pairs, last, (y, z))
+        # an edge that closes both ends leaves both blank
+        for last, p in pairs.items():
+            out.append((_BLANK, _BLANK, (last, pool - len(rest) + len(last)), RingElement.sum_of_products(p)))
+        return tuple(out)
 
+    @_cached(per_walk=False)
     def leg_core(self, a: int, c: int) -> Char:
         """Leg factor without the scalar K/L prefactor."""
-        key = (a, c)
-        if key not in self._leg:
-            cinv = (-c) % self.n
-            self._leg[key] = {u: x * Fraction((-1) ** a, self.n) for u, x in self._char(a, cinv).items()}
-        return self._leg[key]
+        cinv = (-c) % self.n
+        return {u: x * Fraction((-1) ** a, self.n) for u, x in self._char(a, cinv).items()}
 
     def leg_prefactor(self, c: int) -> RingElement:
         """K_{Inv(c)} / L^{Inv(c)} as a monomial in the C generators and L."""
@@ -606,6 +596,18 @@ class ContributionTables:
             gens[g] = gens.get(g, 0) + 1
         mono = (-cinv, tuple(sorted(gens.items())))
         return RingElement({mono: Fraction(1)})
+
+
+def _room(edge: tuple, state_a: tuple, state_b: tuple, grade: tuple) -> tuple[int, int, int]:
+    """
+    The room ends a and b of a step (:meth:`ContributionTables.step`) have
+    left, and the pool of legs the step may place: the grade's free legs and
+    one claimed for each flag an end is short of.  A loop's ends are one
+    vertex, so it claims for end a alone.
+    """
+    left_a, left_b = edge[1][3] - sum(state_a[0]), edge[2][3] - sum(state_b[0])
+    pool = grade[1] + (-left_a if left_a < 0 else 0) + (-left_b if left_b < 0 and not edge[0] else 0)
+    return left_a, left_b, pool
 
 
 def _multisets(total: int, k: int):
@@ -759,8 +761,8 @@ def _walk_grades(tables: ContributionTables, graphs, insertions: tuple[int, ...]
     rest (:func:`_contract`).  No vertex is relabeled and no edge reordered,
     so each graph's value is the one its own edge order gives.  At the end of
     a graph every vertex is closed, and each key's value is its X_0 at that
-    grade, weighted n^V / Aut(G).  The edge steps and their interned states
-    serve these graphs only and are dropped after them.
+    grade, weighted n^V / Aut(G).  The per-walk memos (:func:`_cached`) and
+    the interned states serve these graphs only and are emptied after them.
 
     The weight is Burnside's.  Each factor is a character sum in its
     decorations, so a flag assignment's product is sum_U zeta^{U.p} X_U over
@@ -799,14 +801,24 @@ def _walk_grades(tables: ContributionTables, graphs, insertions: tuple[int, ...]
         previous = steps
         for key, value in stack[-1].items():
             _add_into(totals, key[-1][0], value * weight)
-    for cache in tables._per_walk:
-        cache.clear()
+    for name, per_walk in _PER_WALK.items():
+        if per_walk:
+            tables._memo[name].clear()
+    tables._states.clear()
     return totals
 
 
 def _walk(tables: ContributionTables, graphs, insertions: tuple[int, ...]) -> RingElement:
     """The graph sum over ``graphs``, whose legs carry ``insertions``: :func:`_walk_grades` with no legs to place."""
     return _walk_grades(tables, graphs, insertions, _NO_LEGS).get((), tables.zero())
+
+
+def lift_depth(g: int, m: int) -> int:
+    """
+    The deepest order k of P~^k a potential F_{g,m} reads: 3g - 2 + m, the
+    tail of its one-vertex graph (edges and legs stop at 3g - 3 + m).
+    """
+    return 3 * g - 2 + m
 
 
 def _check_type(g: int, insertions: tuple[int, ...]) -> None:

@@ -112,7 +112,7 @@ def test_sensitivity_edge_perturbation(tables3):
     def bumped(tables, extra):
         char = dict(tables.edge(*key))
         char[(0, 0)] = char.get((0, 0), RingElement.zero()) + extra
-        tables._edge[key] = char
+        tables._memo["edge"][key] = char
 
     perturbed = ContributionTables(tables3.pm)
     bumped(perturbed, RingElement.scalar(Fraction(1)))

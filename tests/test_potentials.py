@@ -529,3 +529,38 @@ def test_asymmetric_edges_keep_the_legged_graphs(pmatrix_at):
     # F_{2,2}(2, 3), the potential the n = 6 verdict reads
     placed = _walk_grades(tables, enumerate_stable_graphs(2, 0), (), ((2, 3), 2))[()]
     assert placed != walks[(2, 3)]
+
+
+def test_per_walk_memos_are_emptied_after_each_walk(pmatrix_at, monkeypatch):
+    # each memoized method keeps its values as long as it declares: the steps
+    # that sum products and what they read for one walk, the local factors
+    # and the symmetry check for the life of the tables
+    import orbigw.potentials as potentials
+
+    per_walk = {"_shared_step", "_folds", "_closing", "dressing", "_looped"}
+    lifetime = {"_tail_product", "vertex", "edge", "closed_vertex", "_legs", "pendant", "dressed", "_split", "symmetric", "leg_core"}
+    assert {name for name, one_walk in potentials._PER_WALK.items() if one_walk} == per_walk
+    assert {name for name, one_walk in potentials._PER_WALK.items() if not one_walk} == lifetime
+    tables = ContributionTables(pmatrix_at(3, "zero", 7))
+    assert tables._memo.keys() == per_walk | lifetime
+    # the most entries each memo held as a graph of the walk was weighted
+    seen = {}
+    real = potentials.aut_count
+
+    def weighted(graph):
+        for name, memo in tables._memo.items():
+            seen[name] = max(seen.get(name, 0), len(memo))
+        return real(graph)
+
+    monkeypatch.setattr(potentials, "aut_count", weighted)
+    held = {name: {} for name in lifetime}
+    for walk in (lambda: assemble_F(tables, 3, ()), lambda: assemble_potentials(tables, 2, ((1, 1), (1,)))):
+        seen.clear()
+        walk()
+        assert not tables._states
+        for name in per_walk:
+            assert seen[name] and not tables._memo[name], name
+        for name in lifetime:
+            assert held[name].items() <= tables._memo[name].items(), name
+        held = {name: dict(tables._memo[name]) for name in lifetime}
+    assert all(held.values())
