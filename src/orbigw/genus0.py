@@ -40,7 +40,7 @@ ring element but a dict {key: coefficient} (:func:`entry_at_column`).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from math import comb, factorial
 from operator import add
 
@@ -323,14 +323,23 @@ class GenusZeroData:
         return ladder_sum(k, p, self.C_deriv)
 
 
+@lru_cache(maxsize=None)
 def Y_poly(n: int) -> Series:
-    """Y = 1 + (-1)^n L^n / n^n, so that D L = L Y, as an exact polynomial in L."""
+    """Y = 1 + (-1)^n L^n / n^n, so that D L = L Y, as an exact polynomial in L; built once per n."""
     return Series({0: Fraction(1), n: Fraction((-1) ** n, n**n)})
 
 
 def f_n_poly(n: int) -> Series:
     """f_n(L) = ((-1)^(n-1)/n) C(n+1,4) Y L^(n-1) / n^n as an exact polynomial in L."""
     return (Y_poly(n) * Fraction((-1) ** (n - 1) * comb(n + 1, 4), n ** (n + 1))).shift(n - 1)
+
+
+def derivatives(f: Series, depth: int) -> list[Series]:
+    """[f, D f, ..., D^depth f], each one derivative of the one before it."""
+    out = [f]
+    for _ in range(depth):
+        out.append(out[-1].D())
+    return out
 
 
 def ladder_sum(k: int, p: int, block):
@@ -406,19 +415,20 @@ def verify_picard_fuchs(data: GenusZeroData) -> Report:
     rep = Report(f"Picard-Fuchs residuals (n={n}, N={cfg.N})")
     sign = Fraction((-1) ** n, n**n)
 
-    for k, slot in enumerate(data.I):
+    ladders = [derivatives(slot, n) for slot in data.I]  # [I_k, D I_k, ..., D^n I_k]
+    for k, ladder in enumerate(ladders):
         lhs = Series.zero()
         for j in range(1, n + 1):
-            lhs = lhs + slot.deriv_pow(j) * stirling_first(n, j)
-        lhs = lhs.shift(-n) - slot.deriv_pow(n) * sign
+            lhs = lhs + ladder[j] * stirling_first(n, j)
+        lhs = lhs.shift(-n) - ladder[n] * sign
         rhs = data.I[k - n] if k >= n else Series.zero()
         rep.zero(f"full equation, slot {k}", lhs - rhs, through=True)
 
+    one = Series.one()
     for k in range(n):
-        resid = data.I[k].deriv_pow(n)
-        for r in range(1, n):
-            resid = resid + data.DLL * data.I[k].deriv_pow(r) * stirling_first(n, r)
-        rep.zero(f"component form, I_{k}", resid, through=True)
+        ladder = ladders[k]
+        pairs = [(ladder[n], one)] + [(data.DLL, ladder[r] * stirling_first(n, r)) for r in range(1, n)]
+        rep.zero(f"component form, I_{k}", Series.sum_of_products(pairs), through=True)
 
     def chain(slot: Series, order: range) -> Series:
         t = slot
@@ -478,18 +488,15 @@ def verify_ring_series(data: GenusZeroData) -> Report:
     B = {(k, p): data.B_series(k, p) for k in range(1, n + 1) for p in range(1, k + 1)}
     Z = {(m, p): data.Z_series(m, p) for m in range(1, n + 1) for p in range(1, n + 1)}
     for m in range(1, n + 1):
+        ladder = derivatives(data.I[m], n)
         for k in range(1, n + 1):
-            lhs = data.I[m].deriv_pow(k)
-            rhs = Series.zero()
-            for p in range(1, k + 1):
-                rhs = rhs + B[(k, p)] * Z[(m, p)]
-            rep.zero(f"ladder expansion D^{k} I_{m}", lhs - rhs)
+            rhs = Series.sum_of_products([(B[(k, p)], Z[(m, p)]) for p in range(1, k + 1)])
+            rep.zero(f"ladder expansion D^{k} I_{m}", ladder[k] - rhs)
 
+    one = Series.one()
     for m in range(1, n):
-        resid = B[(n, m)]
-        for k in range(m, n):
-            resid = resid + data.DLL * B[(k, m)] * stirling_first(n, k)
-        rep.zero(f"graded ladder relation, column {m}", resid)
+        pairs = [(B[(n, m)], one)] + [(data.DLL, B[(k, m)] * stirling_first(n, k)) for k in range(m, n)]
+        rep.zero(f"graded ladder relation, column {m}", Series.sum_of_products(pairs))
 
     # the derivative relation that closes the generator set
     limit = (n - 1) // 2

@@ -11,8 +11,15 @@ nonnegative power series in Lam, which certifies membership in C[L]).  The
 differential operators Lop_l are assembled from a two-index table of
 polynomials H_{m,l} in X = Lam^n together with Stirling numbers; their
 k = 1, 2 instances are pinned against closed forms.  Every polynomial in Lam
-is an exact :class:`~orbigw.series.Series` (``prec = INF``); the one helper of
-their own is an exact division (:func:`div_exact`).
+is an exact :class:`~orbigw.series.Series` (``prec = INF``).  The table, the
+operators and Y are built once per n and kept read-only
+(:func:`build_H_table`, :func:`build_L_operators`,
+:func:`~orbigw.genus0.Y_poly`).  Each polynomial an operator reads gets one
+D-ladder [p, D p, ..., D^k p] (:func:`d_ladder`), shared by every operator
+that reads it, and an operator is applied as one
+``Series.sum_of_products`` over its coefficients and the ladder
+(:func:`apply_on_ladder`).  The one other helper is an exact division on
+integer numerators (:func:`div_exact`), checked by multiplying back.
 
 Every integration step leaves one constant, and every policy fixes them by
 one rule (:func:`unitary_constants`): the odd orders are free, and each even
@@ -61,9 +68,11 @@ battery builds no cyclotomic number.
 
 from __future__ import annotations
 
-from functools import cached_property
+from collections.abc import Mapping
 from fractions import Fraction
-from math import comb, perm
+from functools import cached_property, lru_cache
+from math import comb, gcd, perm
+from types import MappingProxyType
 
 from .cyclotomic import Coefficient, Cyclotomic
 from .genus0 import GenusZeroData, Y_poly, entry_at_column, f_n_poly
@@ -82,23 +91,35 @@ def div_exact(a: Series, b: Series) -> Series:
     leaves a remainder.
 
     The quotient can only span the exponents min(a) - min(b) .. max(a) - max(b),
-    so schoolbook division reads it off from the top down, one subtraction of
-    the divisor's few terms (Y and X Y have two) per exponent, and it must
+    so schoolbook division reads it off from the top down on the integer
+    numerators, one subtraction of the divisor's few terms (Y and X Y have
+    two) per exponent.  The divisor's top numerator is +-1 for Y and X Y, so
+    every step divides exactly; another divisor scales the remainder and the
+    quotient by the least factor that makes the step exact.  The quotient must
     multiply back to a exactly.
     """
     if not a:
         return Series.zero()
-    divisor = {e: Fraction(c, b.den) for e, c in b.nums.items()}
+    divisor = b.nums
     top, low = max(divisor), min(divisor)
-    rem = {e: Fraction(c, a.den) for e, c in a.nums.items()}
-    quot = {}
+    lead = divisor[top]
+    rem = dict(a.nums)
+    quot: dict[int, int] = {}
+    scale = 1  # a.nums * scale = quot * b.nums + rem
     for d in range(max(rem) - top, min(rem) - low - 1, -1):
         c = rem.get(d + top)
         if c:
-            quot[d] = c / divisor[top]
+            if c % lead:
+                g = abs(lead) // gcd(c, lead)
+                rem = {e: v * g for e, v in rem.items()}
+                quot = {e: v * g for e, v in quot.items()}
+                scale *= g
+                c *= g
+            q = quot[d] = c // lead
             for e, ce in divisor.items():
-                rem[d + e] = rem.get(d + e, 0) - quot[d] * ce
-    q = Series(quot)
+                rem[d + e] = rem.get(d + e, 0) - q * ce
+    # a / b = (quot / scale) (b.den / a.den)
+    q = Series.zero()._reduced({e: v * b.den for e, v in quot.items()}, scale * a.den)
     if q * b == a:
         return q
     raise ValueError("inexact polynomial division")
@@ -107,14 +128,16 @@ def div_exact(a: Series, b: Series) -> Series:
 # -- operator tables -----------------------------------------------------------
 
 
-def build_H_table(n: int) -> dict[tuple[int, int], Series]:
+@lru_cache(maxsize=None)
+def build_H_table(n: int) -> Mapping[tuple[int, int], Series]:
     """
     Polynomials H_{m,l}, m <= n, in X = Lam^n, written in the symbol Lam, from the recursion
 
         H_{m,l} = H_{m-1,l} + n (1 + (-1)^n X / n^n) (X d/dX + (m-l)/n) H_{m-1,l-1},
 
     with H_{0,l} = delta_{0,l} and H_{m,l} = 0 for l > m.  As X d/dX = D / n on
-    polynomials in Lam, the second term is Y (D + m - l) H_{m-1,l-1}.
+    polynomials in Lam, the second term is Y (D + m - l) H_{m-1,l-1}.  Built
+    once per n, read-only.
     """
     Y = Y_poly(n)
     H: dict[tuple[int, int], Series] = {(0, 0): Series.one()}
@@ -126,39 +149,47 @@ def build_H_table(n: int) -> dict[tuple[int, int], Series]:
                 term = term + Y * (lower.D() + lower * (m - l))
             if term:
                 H[(m, l)] = term
-    return H
+    return MappingProxyType(H)
 
 
-def build_L_operators(n: int) -> list[list[Series]]:
+@lru_cache(maxsize=None)
+def build_L_operators(n: int) -> tuple[tuple[Series, ...], ...]:
     """
     Coefficient polynomials in the symbol Lam of the operators
-    Lop_k = sum_i c_{k,i} D^i for k = 1..n.  Index [k-1][i].
+    Lop_k = sum_i c_{k,i} D^i for k = 1..n.  Index [k-1][i].  Built once per n.
     """
     H = build_H_table(n)
     Y = Y_poly(n)
     zero = Series.zero()
-    ops: list[list[Series]] = []
+    ops = []
     for k in range(1, n + 1):
-        coeffs: list[Series] = []
+        coeffs = []
         for i in range(0, k + 1):
             tail = zero
             for r in range(1, k - i + 1):
                 tail = tail + H.get((n - i - r, k - i - r), zero) * (comb(n - r, i) * stirling_first(n, n - r))
             coeffs.append(H.get((n - i, k - i), zero) * comb(n, i) + Y * tail)
-        ops.append(coeffs)
-    return ops
+        ops.append(tuple(coeffs))
+    return tuple(ops)
 
 
-def apply_operator(coeffs: list[Series], p: Series, n: int) -> Series:
-    """Apply sum_i c_i(Lam) D^i to a polynomial in Lam, with D Lam^r = r Lam^r Y."""
+def d_ladder(p: Series, depth: int, n: int) -> list[Series]:
+    """The D-ladder [p, D p, ..., D^depth p] of a polynomial in Lam, with D Lam^r = r Lam^r Y."""
     Y = Y_poly(n)
-    out = Series.zero()
-    cur = p
-    for i, ci in enumerate(coeffs):
-        if i > 0:
-            cur = cur.D() * Y
-        out = out + ci * cur
-    return out
+    ladder = [p]
+    for _ in range(depth):
+        ladder.append(ladder[-1].D() * Y)
+    return ladder
+
+
+def apply_on_ladder(coeffs, ladder: list[Series]) -> Series:
+    """sum_i c_i D^i p from the D-ladder of p (:func:`d_ladder`), one ``Series.sum_of_products``."""
+    return Series.sum_of_products(list(zip(coeffs, ladder)))
+
+
+def apply_operator(coeffs, p: Series, n: int) -> Series:
+    """Apply sum_i c_i(Lam) D^i to a polynomial in Lam, with D Lam^r = r Lam^r Y."""
+    return apply_on_ladder(coeffs, d_ladder(p, len(coeffs) - 1, n))
 
 
 # -- the universal column ---------------------------------------------------------
@@ -168,19 +199,23 @@ def compute_phis(n: int, k_max: int, constants: list[Fraction]) -> list[Series]:
     """
     Universal polynomials p_0 = 1, p_1 .. p_{k_max} with the given integration constants.
 
-    Each step divides the right-hand side exactly by Y and by n r on Lam^r,
-    asserting on theory violations (a constant term, a negative power, or an
-    inexact division means an upstream bug).
+    Each p_j gets one D-ladder, as deep as the operators that read it
+    (Lop_l at order j + l - 1 <= k_max).  Each step divides the right-hand
+    side exactly by Y and by n r on Lam^r, asserting on theory violations (a
+    constant term, a negative power, or an inexact division means an
+    upstream bug).
     """
     if len(constants) < k_max:
         raise ValueError("need one constant per order k = 1..k_max")
     ops = build_L_operators(n)
     Y = Y_poly(n)
     phis: list[Series] = [Series.one()]
+    ladders: list[list[Series]] = []
     for k in range(1, k_max + 1):
+        ladders.append(d_ladder(phis[k - 1], min(n, k_max + 2 - k), n))
         rhs = Series.zero()
         for l in range(2, min(n, k + 1) + 1):
-            term = apply_operator(ops[l - 1], phis[k + 1 - l], n).shift(1 - l)
+            term = apply_on_ladder(ops[l - 1], ladders[k + 1 - l]).shift(1 - l)
             if term.val < 0:
                 raise AssertionError(f"operator term at order {k}, l={l} has a pole")
             rhs = rhs - term
@@ -209,17 +244,19 @@ def extend_tables(data: GenusZeroData, tables: Tables, constant: Fraction) -> No
     """
     n = data.cfg.n
     inv_L = data.L_inv
+    one, minus_one_nth = Series.one(), Series.monomial(Fraction(-1, n))
+    minus_L_nth = data.L * Fraction(-1, n)
     k = len(tables[0])
     for w, table in enumerate(tables):
         prev = table[k - 1]
         cum: list[Series] = [Series.zero() for _ in range(n)]
         cum[n - 1] = prev[0].D() * inv_L
         for i in range(n - 1, 1, -1):
-            cum[i - 1] = cum[i] + prev[i].D() * inv_L + data.A[n - i] * prev[i]
-        rhs = -(sum(cum, Series.zero()).D())
-        for i in range(n):
-            rhs = rhs - data.A[(n - i) % n] * cum[i] * data.L
-        rhs = rhs / Fraction(n)
+            cum[i - 1] = Series.sum_of_products([(cum[i], one), (prev[i].D(), inv_L), (data.A[n - i], prev[i])])
+        # rhs = -(D(sum cum) + sum_i A_{n-i} cum_i L) / n
+        pairs = [(sum(cum, Series.zero()).D(), minus_one_nth)]
+        pairs += [(data.A[(n - i) % n] * cum[i], minus_L_nth) for i in range(n)]
+        rhs = Series.sum_of_products(pairs)
         if 0 in rhs.nums:
             raise AssertionError("cycle closure has a constant term; flatness violated")
         f = rhs.D_inverse() + (Fraction(constant) if w == k % n else 0)
@@ -552,18 +589,20 @@ def verify_pmatrix(pm: PMatrixData) -> Report:
     ops = build_L_operators(n)
     Y = Y_poly(n)
     rep.add("Lop_1 = n D", not ops[0][0] and ops[0][1] == Series.monomial(Fraction(n)))
-    want2 = [(Y * Y - Y) * comb(n + 1, 4), Y * -comb(n, 2), Series.monomial(Fraction(comb(n, 2)))]
+    want2 = ((Y * Y - Y) * comb(n + 1, 4), Y * -comb(n, 2), Series.monomial(Fraction(comb(n, 2))))
     rep.add("Lop_2 closed form", ops[1] == want2)
 
     # congruence mod the ideal (X Y): Lop_k = C(n,k) D (D - Y) ... (D - (k-1)Y),
     # tested through its classified action on the monomials Lam^r: modulo (X Y),
     # Y^k = Y, so the right side is C(n,k) r(r-1)..(r-k+1) Lam^r Y (zero for r < k);
-    # the difference must divide exactly by Lam^n Y
+    # the difference must divide exactly by Lam^n Y.  Each Lam^r, r <= 2n, has
+    # one D-ladder, read by every Lop_k with k >= r - n.
     XY = Y.shift(n)
+    ladders = [d_ladder(Series.monomial(1, r), n, n) for r in range(2 * n + 1)]
     for k in range(1, n + 1):
         okk = True
         for r in range(0, k + n + 1):
-            lhs = apply_operator(ops[k - 1], Series.monomial(Fraction(1), r), n)
+            lhs = apply_on_ladder(ops[k - 1], ladders[r])
             try:
                 div_exact(lhs - (Y * (comb(n, k) * perm(r, k))).shift(r), XY)
             except ValueError:
@@ -571,7 +610,7 @@ def verify_pmatrix(pm: PMatrixData) -> Report:
                 break
         rep.add(f"Lop_{k} congruence mod (X Y)", okk)
 
-    d_phi1 = apply_operator([Series.zero(), Series.one()], col.phis[1], n)
+    d_phi1 = d_ladder(col.phis[1], 1, n)[1]
     rep.add("D p_1 = f_n p_0", d_phi1 == f_n_poly(n) * col.phis[0])
 
     for k, phi in enumerate(col.phis):
@@ -586,7 +625,7 @@ def verify_pmatrix(pm: PMatrixData) -> Report:
     fits, raised = {}, ""
     for k in range(col.k_max + 1):
         try:
-            fitted = [fit_laurent_in_L(table[k][0], data.L, (k + 1) * n)[0] for table in pm.tables]
+            fitted = [fit_laurent_in_L(table[k][0], data.L, (k + 1) * n, data.L_pow)[0] for table in pm.tables]
         except ValueError as exc:
             raised = str((k, str(exc)))
             break

@@ -16,7 +16,8 @@ with ordered inner sums and unstable brackets read as zero.
 The recursion here is memoized and always removes the largest exponent.
 It sums over the distinct exponents of S and over its sub-multisets, weighted
 by the labelled points and subsets each stands for, and lets the left
-bracket's dimension fix the genus of a split (``_normalized``).
+bracket's dimension fix the genus of a split (``_normalized``).  Every
+bracket is dyadic, so it runs on integers scaled by 16^g at genus g.
 
 Its oracle, a plain recursion that reduces through the string and dilaton
 equations first and removes the smallest non-special exponent otherwise,
@@ -63,10 +64,24 @@ def psi_genus0(exponents: tuple[int, ...]) -> Fraction:
     return Fraction(factorial(m - 3), denom)
 
 
+GENUS_SCALE = 16  # _normalized(g, key) is GENUS_SCALE^g times the T-normalized bracket
+
+
 @lru_cache(maxsize=None)
-def _normalized(g: int, key: tuple[int, ...]) -> Fraction:
+def _normalized(g: int, key: tuple[int, ...]) -> int:
     """
-    <prod (2a+1)!! tau_a>_g for a sorted exponent tuple, by largest-index removal.
+    16^g <prod (2a+1)!! tau_a>_g for a sorted exponent tuple, an integer, by
+    largest-index removal.
+
+    Every T-normalized bracket is dyadic (the recursion brings in only 1/2
+    and the 1/8 of <T_1>_1), and at genus g its denominator divides 2^(4g):
+    the one-point bracket <T_{3g-2}>_g has denominator 2^(3g + v_2(g!)),
+    below 2^(4g), and no bracket with g <= 7 and m <= 6 is finer than it.
+    So the recursion runs on integers scaled by 16^g.  The scales add: a
+    split's two brackets of genus g1 and g2 = g - g1 multiply to scale 16^g,
+    and the bracket of genus g - 1 is scaled by 16 once.  The divisions left,
+    the 1/2 of the splitting term and the 1/8 of <T_1>_1, are exact unless a
+    bracket is finer than its scale, and then they raise (:func:`_exact`).
 
     The points of ``rest`` that carry one exponent are interchangeable, so the
     merge term takes each distinct exponent once, times its multiplicity, and
@@ -80,33 +95,36 @@ def _normalized(g: int, key: tuple[int, ...]) -> Fraction:
     """
     m = len(key)
     if not is_stable(g, m) or not dimension_ok(g, key):
-        return Fraction(0)
+        return 0
     if g == 0:
-        val = psi_genus0(key)
+        # the multinomial (m-3)! / prod(a_i!) times the normalization, both integers
+        num, den = factorial(m - 3), 1
         for a in key:
-            val *= double_factorial(a)
-        return val
+            num *= double_factorial(a)
+            den *= factorial(a)
+        return num // den
     if g == 1 and key == (1,):
         # the recursion never removes a tau_1 from a one-point bracket, but it
         # does couple <tau_2 tau_0>_1 (= <tau_1>_1 by the string equation)
         # back to <tau_1>_1 linearly:
         #   (2*2+1)!! <tau_2 tau_0> = <T_1> + (1/2) <T_0^3>_0,
         # whose unique solution is <T_1>_1 = <T_0^3>_0 / 8.
-        return _normalized(0, (0, 0, 0)) / 8
+        return _exact(GENUS_SCALE * _normalized(0, (0, 0, 0)), 8, g, key)
     # remove the largest entry; dimension forces it to be >= 1 when g >= 1
     rest = key[:-1]
     k = key[-1] - 1
     groups = [(a, len(tuple(run))) for a, run in groupby(rest)]
-    total = Fraction(0)
+    total = 0
     start = 0
     for a, mult in groups:
         merged = tuple(sorted(rest[:start] + (a + k,) + rest[start + 1 :]))
         total += mult * (2 * a + 1) * _normalized(g, merged)
         start += mult
     # twice the splitting term: the bracket of genus g - 1, then the products
-    twice = Fraction(0)
+    lower = 0
     for b in range(k):
-        twice += _normalized(g - 1, tuple(sorted(rest + (b, k - 1 - b))))
+        lower += _normalized(g - 1, tuple(sorted(rest + (b, k - 1 - b))))
+    twice = GENUS_SCALE * lower
     for counts in product(*(range(mult + 1) for _, mult in groups)):
         weight = 1
         left: tuple[int, ...] = ()
@@ -127,7 +145,15 @@ def _normalized(g: int, key: tuple[int, ...]) -> Fraction:
                 * _normalized(g1, tuple(sorted(left + (b,))))
                 * _normalized(g2, tuple(sorted(right + (k - 1 - b,))))
             )
-    return total + twice / 2
+    return total + _exact(twice, 2, g, key)
+
+
+def _exact(num: int, den: int, g: int, key: tuple[int, ...]) -> int:
+    """num / den for the bracket (g, key) at its scale; AssertionError, also under ``python -O``, if inexact."""
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError(f"psi bracket <{key}>_{g} is finer than its scale {GENUS_SCALE}^{g}")
+    return q
 
 
 def psi_integral(g: int, exponents: tuple[int, ...] | list[int]) -> Fraction:
@@ -150,7 +176,7 @@ def psi_integral(g: int, exponents: tuple[int, ...] | list[int]) -> Fraction:
         raise ValueError(f"unstable moduli space (g={g}, m={len(key)})")
     if not dimension_ok(g, key):
         return Fraction(0)
-    norm = 1
+    norm = GENUS_SCALE**g
     for a in key:
         norm *= double_factorial(a)
-    return _normalized(g, key) / norm
+    return Fraction(_normalized(g, key), norm)

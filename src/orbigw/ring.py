@@ -542,7 +542,7 @@ def certify_rules(ctx: RingContext, data: GenusZeroData) -> Report:
     return rep
 
 
-def fit_laurent_in_L(f: Series, L: Series, max_degree: int) -> tuple[dict, int]:
+def fit_laurent_in_L(f: Series, L: Series, max_degree: int, L_pow=None) -> tuple[dict, int]:
     """
     The unique polynomial p(L) with p(L(x)) = f to the available order.
 
@@ -550,14 +550,15 @@ def fit_laurent_in_L(f: Series, L: Series, max_degree: int) -> tuple[dict, int]:
     L^r = c^r x^r (1 + O(x^n)) for the invertible leading coefficient c.
     Returns the coefficient dict and the last checked x-order; raises
     ValueError when no polynomial in L (pole order 0) of degree
-    <= max_degree fits.
+    <= max_degree fits.  ``L_pow(e)``, when given, supplies L^e (for
+    instance the powers a ``GenusZeroData`` keeps); otherwise each power
+    the solve reads is taken here.
     """
     lead_base = L.first_nonzero()
     if lead_base is None or lead_base[0] != 1:
         raise ValueError("the base series must have valuation exactly 1")
     out: dict = {}
     residual = f
-    pows: dict[int, Series] = {}
     while True:
         lead = residual.first_nonzero()
         if lead is None:
@@ -567,9 +568,7 @@ def fit_laurent_in_L(f: Series, L: Series, max_degree: int) -> tuple[dict, int]:
             raise ValueError(f"pole order exceeds 0 at L^{e}")
         if e > max_degree:
             raise ValueError(f"no fit with degree <= {max_degree}; residual starts at x^{e}")
-        if e not in pows:
-            pows[e] = L**e
-        unit = pows[e].get(e)
-        coeff = c / unit
+        power = L_pow(e) if L_pow else L**e
+        coeff = c / power.get(e)
         out[e] = coeff
-        residual = residual - pows[e] * coeff
+        residual = residual - power * coeff

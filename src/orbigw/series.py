@@ -135,18 +135,28 @@ class Series(QVector):
                 out[e] = get(e, 0) + c * b
         return self._reduced(out, den, prec)
 
+    @staticmethod
+    def sum_of_products(pairs) -> "Series":
+        """
+        The sum of x * y over a sequence of pairs (x, y) of series, known below
+        the least bound among the products.
+
+        The products are summed over the lcm of their denominators, so the
+        result is normalised once, with one gcd, however many pairs there
+        are, as ``RingElement.sum_of_products`` sums ring products; ``x * y``
+        takes the same loop (:func:`_accumulate`) for its one pair.
+        """
+        prec = min((min(x.prec + y.val, y.prec + x.val) for x, y in pairs), default=INF)
+        den = lcm(*[x.den * y.den for x, y in pairs])
+        out: dict[int, int] = {}
+        for x, y in pairs:
+            _accumulate(out, x.nums, y.nums, prec, den // (x.den * y.den))
+        return _ZERO._reduced(out, den, prec)
+
     def _times(self, other: "Series") -> "Series":
         prec = min(self.prec + other.val, other.prec + self.val)
         out: dict[int, int] = {}
-        get = out.get
-        right = sorted(other.nums.items())
-        for e1, c1 in self.nums.items():
-            room = prec - e1
-            for e2, c2 in right:
-                if e2 >= room:
-                    break
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
+        _accumulate(out, self.nums, other.nums, prec, 1)
         return self._reduced(out, self.den * other.den, prec)
 
     def shift(self, k: int) -> "Series":
@@ -209,3 +219,21 @@ class Series(QVector):
             "prec": None if math.isinf(self.prec) else int(self.prec),
             "coeffs": {str(e): str(Fraction(self.nums[e], self.den)) for e in sorted(self.nums)},
         }
+
+
+_ZERO = Series()
+
+
+def _accumulate(out: dict[int, int], left: dict[int, int], right: dict[int, int], prec: float, scale: int) -> None:
+    """Add scale * left * right to ``out``, numerators keyed by exponent, dropping every exponent at or beyond prec."""
+    get = out.get
+    right = sorted(right.items())
+    for e1, c1 in left.items():
+        room = prec - e1
+        if scale != 1:
+            c1 *= scale
+        for e2, c2 in right:
+            if e2 >= room:
+                break
+            e = e1 + e2
+            out[e] = get(e, 0) + c1 * c2

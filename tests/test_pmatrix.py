@@ -7,11 +7,14 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     CyclotomicPoly,
     CyclotomicSeries,
     Decorated,
+    assert_normal,
     edges_symmetric,
     lifted_entry,
     series_entry,
@@ -23,12 +26,14 @@ from orbigw.cyclotomic import Cyclotomic
 from orbigw.pmatrix import (
     PColumn,
     PMatrixData,
+    apply_on_ladder,
     apply_operator,
     build_H_table,
     build_L_operators,
     build_pmatrix,
     compute_P_column,
     compute_phis,
+    d_ladder,
     div_exact,
     lift_tables,
     series_tables,
@@ -101,6 +106,110 @@ def test_div_exact():
     for a in (lam**n, q * XY + lam ** (n + 1), q * XY + lam ** (3 * n)):
         with pytest.raises(ValueError):
             div_exact(a, XY)
+
+
+def div_rational(a: Series, b: Series) -> Series:
+    """Top-down schoolbook division on ``Fraction`` coefficients: the rational route div_exact replaces."""
+    divisor = {e: b.get(e) for e in b.nums}
+    top, low = max(divisor), min(divisor)
+    rem = {e: a.get(e) for e in a.nums}
+    quot = {}
+    for d in range(max(rem) - top, min(rem) - low - 1, -1):
+        c = rem.get(d + top)
+        if c:
+            quot[d] = c / divisor[top]
+            for e, ce in divisor.items():
+                rem[d + e] = rem.get(d + e, 0) - quot[d] * ce
+    if any(rem.values()):
+        raise ValueError("inexact")
+    return Series(quot)
+
+
+_laurent = st.dictionaries(st.integers(-4, 9), st.fractions(max_denominator=50).filter(bool), min_size=1, max_size=5)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_laurent, _laurent, st.integers(3, 6), st.fractions(max_denominator=50).filter(bool), st.integers(-4, 12))
+def test_integer_div_exact_matches_rational_route(quot, divisor, n, c, e):
+    q, general = Series(quot), Series(divisor)
+    for b in (Y_poly(n), Y_poly(n).shift(n), general):  # two divisors with top numerator +-1, one of any top
+        a = q * b
+        got = div_exact(a, b)
+        assert got == q == div_rational(a, b)
+        assert_normal(got)
+        # a nonzero multiple of b spans at least b's exponents, so a + c Lam^e leaves a remainder
+        if len(b.nums) > 1:
+            with pytest.raises(ValueError):
+                div_exact(a + Series.monomial(c, e), b)
+
+
+def test_operator_tables_and_Y_built_once_per_n(data5):
+    # the tables, the operators and Y are built once per n, shared by the
+    # column (compute_phis) and the battery (verify_pmatrix), and read-only
+    builders = (Y_poly, build_H_table, build_L_operators)
+    for f in builders:
+        f.cache_clear()
+    verify_pmatrix(build_pmatrix(data5, 4))
+    assert [(f.cache_info().misses, f.cache_info().currsize) for f in builders] == [(1, 1)] * 3
+    with pytest.raises(TypeError):
+        build_H_table(5)[(0, 0)] = Series.zero()
+    with pytest.raises(TypeError):
+        build_L_operators(5)[0][0] = Series.zero()
+
+
+def test_ladder_applied_operator_matches_direct_route():
+    # apply_operator reads one D-ladder [p, D p, ..., D^k p] per polynomial;
+    # the direct route applies D Lam^r = r Lam^r Y afresh for every i
+    for n in (3, 4, 5, 6):
+        ops, Y = build_L_operators(n), Y_poly(n)
+        phis = compute_phis(n, 4, [Fraction(1, 3), 0, Fraction(-2), 0])
+        for p in phis + [Series.monomial(Fraction(1), r) for r in range(2 * n + 1)]:
+            ladder = d_ladder(p, n, n)
+            for coeffs in ops:
+                direct, cur = Series.zero(), p
+                for i, c in enumerate(coeffs):
+                    if i:
+                        cur = cur.D() * Y
+                    direct = direct + c * cur
+                assert apply_operator(coeffs, p, n) == direct == apply_on_ladder(coeffs, ladder), (n, p)
+
+
+EXACTNESS_CHECKS = """
+from orbigw import pmatrix
+from orbigw.genus0 import Y_poly
+from orbigw.series import Series
+
+try:
+    pmatrix.div_exact(Series.one(), Series.one() + Series.x() ** 3)
+except ValueError as err:
+    print(err)
+ops = pmatrix.build_L_operators(3)
+for extra in (Series.monomial(1, -3), Series.x(), Y_poly(3).shift(1)):
+    # Lop_2's D^0 coefficient plus extra: a pole, a right-hand side Y does
+    # not divide, and a quotient with a constant term, each at order 1
+    pmatrix.build_L_operators = lambda n: (ops[0], (ops[1][0] + extra, *ops[1][1:]), *ops[2:])
+    try:
+        pmatrix.compute_phis(3, 2, [0, 0])
+    except AssertionError as err:
+        print(err)
+"""
+EXACTNESS_ERRORS = [
+    "inexact polynomial division",
+    "operator term at order 1, l=2 has a pole",
+    "right-hand side at order 1 is not divisible by Y",
+    "right-hand side at order 1 has a constant term",
+]
+
+
+def test_exactness_checks_raise_also_under_O():
+    # the multiply-back of div_exact and the three theory checks of
+    # compute_phis raise in a plain interpreter and under python -O
+    src = str(Path(div_exact.__code__.co_filename).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", EXACTNESS_CHECKS], capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == EXACTNESS_ERRORS, flags
 
 
 def test_custom_policy_constants(data3):

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
+from pathlib import Path
 
 import pytest
 
+import orbigw.psi
 from oracles import psi_integral_bruteforce
-from orbigw.psi import psi_genus0, psi_integral
+from orbigw.psi import double_factorial, psi_genus0, psi_integral
 
 # classical values, frozen after computing them with both recursions
 KNOWN = {
@@ -105,3 +110,47 @@ def test_implementations_agree_exhaustively_through_genus4():
             for ex in combinations_with_replacement(range(3 * g - 3 + m + 1), m):
                 if sum(ex) == 3 * g - 3 + m:
                     assert psi_integral(g, ex) == psi_integral_bruteforce(g, ex), (g, ex)
+
+
+def _brackets(g: int, m: int):
+    """Every dimension-valid sorted exponent tuple of a stable (g, m)."""
+    return [ex for ex in combinations_with_replacement(range(3 * g - 3 + m + 1), m) if sum(ex) == 3 * g - 3 + m]
+
+
+def test_normalized_brackets_are_dyadic_within_their_scale():
+    # the integer recursion rests on this: every T-normalized bracket
+    # <prod (2a+1)!! tau_a>_g, read off the oracle recursion, is k / 2^j with
+    # 2^j dividing 16^g, and the one-point bracket is the finest
+    for g, m_max in ((0, 6), (1, 6), (2, 5), (3, 4), (4, 2)):
+        finest = 0
+        for m in range(1, m_max + 1):
+            if 2 * g - 2 + m <= 0:
+                continue
+            for ex in _brackets(g, m):
+                norm = psi_integral_bruteforce(g, ex)
+                for a in ex:
+                    norm *= double_factorial(a)
+                den = norm.denominator
+                assert den & (den - 1) == 0 and orbigw.psi.GENUS_SCALE**g % den == 0, (g, ex, norm)
+                assert orbigw.psi._normalized(g, ex) == norm * orbigw.psi.GENUS_SCALE**g, (g, ex)
+                finest = max(finest, den)
+        assert finest == Fraction(double_factorial(3 * g - 2), 24**g * factorial(g)).denominator, g
+
+
+def test_bracket_finer_than_its_scale_raises(monkeypatch):
+    # at scale 8^g, <T_1>_1 = 1/8 still fits but <T_4>_2 = 9!! / 1152 = 105/128
+    # does not: the check raises, also under python -O
+    orbigw.psi._normalized.cache_clear()
+    monkeypatch.setattr(orbigw.psi, "GENUS_SCALE", 8)
+    try:
+        assert psi_integral(1, (1,)) == Fraction(1, 24)
+        with pytest.raises(AssertionError, match="finer than its scale"):
+            psi_integral(2, (4,))
+    finally:
+        orbigw.psi._normalized.cache_clear()
+    script = "import orbigw.psi as psi\npsi.GENUS_SCALE = 8\ntry:\n    psi.psi_integral(2, (4,))\nexcept AssertionError as err:\n    print(err)"
+    src = str(Path(orbigw.psi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "psi bracket <(4,)>_2 is finer than its scale 8^2\n"

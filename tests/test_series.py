@@ -244,3 +244,34 @@ def test_calculus_shift_and_truncate_match_oracle(a, k, bound):
     c = Series({e: b.get(e) for e in b.nums if e > 0}, b.prec)
     _agree(c.D_inverse(), CyclotomicSeries(c).D_inverse())
     assert c.D_inverse().D() == c
+
+
+@_property
+@given(st.lists(st.tuples(_series(), _series()), max_size=4))
+def test_sum_of_products_matches_separate_products(pairs):
+    # Laurent, exact (INF) and truncated operands: the values and the bound
+    # are those of the sum of the separate products, and the oracle's
+    got = Series.sum_of_products(pairs)
+    separate = Series.zero()
+    for x, y in pairs:
+        separate = separate + x * y
+    assert got == separate and got.prec == separate.prec
+    _agree(got, sum((CyclotomicSeries(x) * CyclotomicSeries(y) for x, y in pairs), CyclotomicSeries.zero()))
+    for signed in ([(-x, y) for x, y in pairs], [(x, -y) for x, y in pairs]):
+        cancelled = Series.sum_of_products(pairs + signed)
+        assert cancelled == Series.zero(got.prec) and cancelled.den == 1
+        assert Series.sum_of_products(signed) == -got
+
+
+def test_sum_of_products_examples():
+    x = Series.x()
+    assert Series.sum_of_products([]) == Series.zero() and Series.sum_of_products([]).prec == INF
+    # unequal denominators meet over their lcm and reduce once; the bound is
+    # the least among the products, here x^2 (1/3 + O(x^4)) known below x^6
+    a = Series({0: Fraction(1, 3)}, 4)
+    got = Series.sum_of_products([(a, x * x), (x * Fraction(1, 4), x * Fraction(6, 5))])
+    assert got == Series({2: Fraction(1, 3) + Fraction(3, 10)}, 6)
+    assert got.den == 30
+    assert_normal(got)
+    # a truncated zero still bounds the sum
+    assert Series.sum_of_products([(Series.zero(3), x), (x, x)]) == Series({2: 1}, 4)
